@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .graph import Graph, GraphError, Labeling, first_collision, verify_antimagic, vertex_sums
+from .graph import (CollisionState, Graph, GraphError, Labeling, PartialLabeling, first_collision,
+                    verify_antimagic, vertex_sums)
 
 
 class PairingError(RuntimeError):
@@ -151,17 +151,13 @@ def phase1_reduce(g: Graph, cfg: DenseConfig) -> DenseState:
         deg[v] -= 1
         reduced.remove(extra)
         adjusted = True
-    carried = [0] * g.n
-    for e, lab in removed:
-        u, v = g.edges[e]
-        carried[u] += lab
-        carried[v] += lab
+    carried = vertex_sums(g, PartialLabeling((lab for _, lab in removed), dict(removed)))
     low = frozenset(v for v in range(g.n) if deg[v] <= d)
     high = frozenset(v for v in range(g.n) if deg[v] >= d + 1)
     reduced_graph = Graph(g.n, [g.edges[e] for e in reduced])
     return DenseState(
         graph=g, d=d, reduced_graph=reduced_graph, reduced_edges=tuple(reduced),
-        removed=tuple(removed), carried=tuple(carried), low=low, high=high,
+        removed=tuple(removed), carried=carried, low=low, high=high,
         t=len(reduced), parity_adjusted=adjusted,
     )
 
@@ -316,10 +312,12 @@ def phase5_assign(st: DenseState, rng: random.Random) -> Labeling:
 def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
     """Run the full pipeline until the verifier accepts or budgets run out.
 
-    Phases 1-2 run once.  Each label pairing gets a number of local
-    repairs: on a collision, only the coins of pairs meeting the colliding
-    vertices' incident sets are redrawn.  When the local budget is spent a
-    fresh label pairing is drawn, up to ``max_restarts`` pairings in total.
+    Phases 1-2 run once.  Each label pairing is assembled once into a
+    :class:`CollisionState` and gets a number of local repairs: on a
+    collision, only the coins of pairs meeting the colliding vertices'
+    incident sets are redrawn, and a coin that changes swaps its pair's two
+    labels in place.  When the local budget is spent a fresh label pairing
+    is drawn, up to ``max_restarts`` pairings in total.
     """
     cfg = cfg or DenseConfig()
     st = phase2_pair_edges(phase1_reduce(g, cfg))
@@ -330,27 +328,27 @@ def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
     for draw in range(cfg.max_restarts):
         st = phase3_pair_labels(st, rng)
         coins = [rng.randrange(2) for _ in st.pair_list]
+        state = CollisionState(g, assemble_labeling(st, coins))
         for attempt in range(cfg.max_local_resamples + 1):
-            lab = assemble_labeling(st, coins)
-            sums = vertex_sums(g, lab)
-            counts = Counter(sums)
-            n_collisions = sum(c * (c - 1) // 2 for c in counts.values())
-            if n_collisions == 0:
+            if state.collisions == 0:
+                lab = Labeling(state.labels)
                 report = verify_antimagic(g, lab)
                 if not report.ok:
                     raise AssertionError("pipeline produced a non-bijection")
                 return DenseResult(lab, draw, resamples, 0, None)
-            if best_count is None or n_collisions < best_count:
-                best_count = n_collisions
-                best_pair = first_collision(sums)
+            if best_count is None or state.collisions < best_count:
+                best_count = state.collisions
+                best_pair = first_collision(state.sums)
             if attempt == cfg.max_local_resamples:
                 break
-            bad = {v for v in range(g.n) if counts[sums[v]] >= 2}
-            flip = {st.pair_index[e] for v in bad for e in st.h_sets[v]}
+            flip = {st.pair_index[e] for v in state.colliding for e in st.h_sets[v]}
             if not flip:
                 break
             for idx in sorted(flip):
-                coins[idx] = rng.randrange(2)
+                coin = rng.randrange(2)
+                if coin != coins[idx]:
+                    coins[idx] = coin
+                    state.swap(*st.pair_list[idx])
             resamples += 1
     return DenseResult(None, cfg.max_restarts - 1, resamples,
                        best_count if best_count is not None else 0, best_pair)

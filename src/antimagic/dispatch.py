@@ -68,10 +68,10 @@ def recognize_complete_multipartite(g: Graph) -> Optional[list[list[int]]]:
 
 def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
                    seed: int = 0, max_restarts: int = 1000) -> RunReport:
+    start = time.perf_counter()
     if method not in METHODS:
         raise GraphError(f"unknown method {method!r}")
     graph_id = emit_graph6(g)
-    start = time.perf_counter()
 
     def report(outcome, chosen, labeling=None, restarts=0, note=""):
         if labeling is not None:

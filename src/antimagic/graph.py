@@ -278,6 +278,66 @@ def first_collision(sums: Iterable[int]) -> Optional[tuple[int, int]]:
     return best
 
 
+class CollisionState:
+    """A mutable total labeling with its vertex sums and their collisions.
+
+    ``members`` maps each sum to the vertices carrying it, ``collisions``
+    counts colliding vertex pairs and ``colliding`` is the set of vertices
+    whose sum is shared.  :meth:`swap` updates all of it by touching only
+    the swapped edges' endpoints.  Bijectivity is left to
+    :func:`verify_antimagic`.
+    """
+
+    __slots__ = ("g", "labels", "sums", "members", "collisions", "colliding")
+
+    def __init__(self, g: Graph, labeling: Labeling):
+        self.g = g
+        self.labels = list(labeling.labels)
+        self.sums = list(vertex_sums(g, labeling))
+        self.members: dict[int, set[int]] = {}
+        for v, s in enumerate(self.sums):
+            self.members.setdefault(s, set()).add(v)
+        self.collisions = sum(len(vs) * (len(vs) - 1) // 2 for vs in self.members.values())
+        self.colliding = {v for v, s in enumerate(self.sums) if len(self.members[s]) >= 2}
+
+    def swap(self, i: int, j: int) -> int:
+        """Swap the labels of edges ``i`` and ``j``; return the change in
+        ``collisions``.  Repeating the call undoes it.
+        """
+        labels = self.labels
+        diff = labels[j] - labels[i]
+        labels[i], labels[j] = labels[j], labels[i]
+        before = self.collisions
+        ei, ej = self.g.edges[i], self.g.edges[j]
+        # a vertex on both edges gains and loses the same amount
+        for x in ei:
+            if x not in ej:
+                self._move(x, diff)
+        for x in ej:
+            if x not in ei:
+                self._move(x, -diff)
+        return self.collisions - before
+
+    def _move(self, x: int, dx: int) -> None:
+        old = self.sums[x]
+        self.sums[x] = old + dx
+        group = self.members[old]
+        group.remove(x)
+        self.collisions -= len(group)
+        self.colliding.discard(x)
+        if len(group) == 1:
+            self.colliding -= group
+        elif not group:
+            del self.members[old]
+        group = self.members.setdefault(old + dx, set())
+        self.collisions += len(group)
+        if len(group) == 1:
+            self.colliding |= group
+        if group:
+            self.colliding.add(x)
+        group.add(x)
+
+
 def verify_antimagic(g: Graph, labeling: Labeling) -> VerifyReport:
     """Check that ``labeling`` is an antimagic labeling of ``g``.
 

@@ -62,7 +62,7 @@ def parse_edgelist(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError("header must hold two integers", header_no) from None
-    edges = []
+    edges = set()
     for i in range(header_no, len(lines)):
         raw = lines[i].strip()
         if not raw or raw.startswith("#"):
@@ -79,9 +79,9 @@ def parse_edgelist(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"vertex out of range 0..{n - 1}", i + 1)
         key = (min(u, v), max(u, v))
-        if key in set(edges):
+        if key in edges:
             raise ParseError(f"duplicate edge {key}", i + 1)
-        edges.append(key)
+        edges.add(key)
     if len(edges) != m:
         raise ParseError(f"header promises {m} edges, found {len(edges)}")
     return Graph(n, edges)

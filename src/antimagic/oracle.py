@@ -1,20 +1,20 @@
 """Ground-truth certificate search on small graphs.
 
 The exhaustive search decides antimagicness outright (it is the only
-component that can prove a graph has no antimagic labeling); the heuristic
-search scales further by hill-climbing on the number of colliding vertex
-pairs.  Both only ever return labelings that pass the verifier.
+component that can prove a graph has no antimagic labeling).  The heuristic
+search scales further with a collision-local move: it swaps the label of an
+edge at a colliding vertex with the label of any other edge, and keeps the
+swap when the number of colliding vertex pairs does not rise.  Both only
+ever return labelings that pass the verifier.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, GraphError, Labeling, verify_antimagic
+from .graph import CollisionState, Graph, GraphError, Labeling, verify_antimagic
 
 FOUND = "found"
 PROVEN_NONE = "proven_none"
@@ -24,6 +24,10 @@ NOT_FOUND = "not_found"
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits: ``max_nodes`` caps the exhaustive search tree; the heuristic
+    search makes ``restarts`` runs from seeded random labelings, each of at
+    most ``max_iters * m`` proposed swaps."""
+
     mode: str = "exhaustive"
     max_nodes: int = 2_000_000
     max_iters: int = 300
@@ -186,80 +190,41 @@ def count_antimagic_labelings(g: Graph, max_nodes: int = 50_000_000) -> int:
 
 
 def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResult:
-    """Random-restart steepest descent on colliding vertex-pair count.
+    """Random-restart collision-local search over label swaps.
 
-    Moves are label transpositions; the objective's zero set is exactly the
-    antimagic labelings, and any hit is re-verified before being returned.
+    Each proposal swaps the labels of a random edge at a random colliding
+    vertex and of a random other edge, and is kept unless the number of
+    colliding vertex pairs rises.  A run ends at zero collisions or after
+    ``max_iters * m`` proposals; ``iterations`` counts proposals over all
+    runs.  A K2 component or two isolated vertices make a collision no
+    swap removes, so such graphs are ``not_found`` at once.  Any hit is
+    re-verified before being returned.
     """
     budget = budget or SearchBudget(mode="heuristic")
     if budget.mode != "heuristic":
         raise GraphError("heuristic_search requires a heuristic-mode budget")
+    degs = g.degrees()
+    if degs.count(0) >= 2 or any(degs[u] == degs[v] == 1 for u, v in g.edges):
+        return SearchResult(NOT_FOUND, None)
     m = g.m
-    if m == 0:
-        lab = Labeling([])
-        ok = verify_antimagic(g, lab).ok
-        return SearchResult(FOUND if ok else NOT_FOUND, lab if ok else None)
     rng = random.Random(budget.seed)
     iterations = 0
     for _ in range(budget.restarts):
         labels = list(range(1, m + 1))
         rng.shuffle(labels)
-        sums = [0] * g.n
-        for e, (u, v) in enumerate(g.edges):
-            sums[u] += labels[e]
-            sums[v] += labels[e]
-        counts = Counter(sums)
-        collisions = sum(c * (c - 1) // 2 for c in counts.values())
-
-        def swap_delta(i: int, j: int) -> int:
-            diff = labels[j] - labels[i]
-            touched: dict[int, int] = {}
-            for x in g.edges[i]:
-                touched[x] = touched.get(x, 0) + diff
-            for x in g.edges[j]:
-                touched[x] = touched.get(x, 0) - diff
-            delta = 0
-            moved = []
-            for x, dx in touched.items():
-                if dx == 0:
-                    continue
-                old = sums[x]
-                delta -= counts[old] - 1
-                counts[old] -= 1
-                new = old + dx
-                delta += counts[new]
-                counts[new] += 1
-                moved.append((x, old, new))
-            for x, old, new in reversed(moved):
-                counts[new] -= 1
-                counts[old] += 1
-            return delta
-
-        steps = 0
-        while collisions > 0 and steps < budget.max_iters:
-            best_delta, best_pair = 0, None
-            for i, j in itertools.combinations(range(m), 2):
-                d = swap_delta(i, j)
-                if d < best_delta:
-                    best_delta, best_pair = d, (i, j)
-            if best_pair is None:
+        state = CollisionState(g, Labeling(labels))
+        for _ in range(budget.max_iters * m):
+            if state.collisions == 0:
                 break
-            i, j = best_pair
-            diff = labels[j] - labels[i]
-            for x in g.edges[i]:
-                counts[sums[x]] -= 1
-                sums[x] += diff
-                counts[sums[x]] += 1
-            for x in g.edges[j]:
-                counts[sums[x]] -= 1
-                sums[x] -= diff
-                counts[sums[x]] += 1
-            labels[i], labels[j] = labels[j], labels[i]
-            collisions += best_delta
-            steps += 1
             iterations += 1
-        if collisions == 0:
-            lab = Labeling(labels)
+            i = rng.choice(g.incident_edges(rng.choice(tuple(state.colliding))))
+            j = rng.randrange(m - 1)
+            if j >= i:
+                j += 1
+            if state.swap(i, j) > 0:
+                state.swap(i, j)
+        if state.collisions == 0:
+            lab = Labeling(state.labels)
             if verify_antimagic(g, lab).ok:
                 return SearchResult(FOUND, lab, iterations=iterations)
     return SearchResult(NOT_FOUND, None, iterations=iterations)

@@ -247,3 +247,20 @@ class TestDriver:
         a = label_dense(g, DenseConfig(d=7, rng_seed=11))
         b = label_dense(g, DenseConfig(d=7, rng_seed=11))
         assert a.labeling == b.labeling and a.restarts == b.restarts
+
+    # Certificates, restarts and resamples frozen from the implementation
+    # that rebuilt every attempt's labeling and sums from scratch: the
+    # in-place resample loop must consume the RNG exactly as it did.
+    @pytest.mark.parametrize("local, restarts, resamples, labels", [
+        (30, 0, 4, [52, 12, 34, 21, 8, 37, 51, 50, 1, 38, 19, 15, 7, 6, 22, 2, 13, 24,
+                    40, 36, 28, 29, 18, 16, 11, 49, 48, 41, 9, 4, 47, 46, 35, 45, 44, 30,
+                    42, 5, 39, 31, 10, 14, 23, 43, 20, 32, 26, 33, 17, 3, 27, 25]),
+        (3, 2, 6, [52, 28, 34, 30, 12, 4, 51, 50, 18, 32, 17, 10, 5, 35, 37, 42, 29, 3,
+                   41, 14, 39, 2, 15, 24, 22, 49, 48, 13, 21, 8, 47, 46, 26, 45, 44, 11,
+                   33, 7, 1, 6, 38, 36, 27, 43, 20, 9, 25, 40, 23, 19, 31, 16]),
+    ])
+    def test_resample_loop_frozen(self, local, restarts, resamples, labels):
+        g = random_min_degree(20, 4, 0)
+        res = label_dense(g, DenseConfig(d=4, rng_seed=0, max_local_resamples=local))
+        assert (res.restarts, res.resamples) == (restarts, resamples)
+        assert list(res.labeling.labels) == labels

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from antimagic.graph import (
+    CollisionState,
     Graph,
     GraphError,
     Labeling,
@@ -178,3 +181,25 @@ def test_verify_ok_implies_distinct_sums(gl):
 def test_first_collision_smallest_lexicographic():
     assert first_collision([7, 3, 7, 3, 7]) == (0, 2)
     assert first_collision([1, 2, 3]) is None
+
+
+@given(graph_and_labeling(), st.data())
+def test_collision_state_matches_recompute(gl, data):
+    g, lab = gl
+    state = CollisionState(g, lab)
+    edge = st.integers(min_value=0, max_value=max(g.m - 1, 0))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=20)) if g.m else 0):
+        i, j, keep = data.draw(edge), data.draw(edge), data.draw(st.booleans())
+        before = state.collisions
+        delta = state.swap(i, j)
+        assert state.collisions == before + delta
+        if not keep:
+            assert state.swap(i, j) == -delta
+    sums = vertex_sums(g, Labeling(state.labels))
+    counts = Counter(sums)
+    assert sorted(state.labels) == sorted(lab.labels)
+    assert state.sums == list(sums)
+    assert {s: len(vs) for s, vs in state.members.items()} == counts
+    assert all(sums[v] == s for s, vs in state.members.items() for v in vs)
+    assert state.collisions == sum(c * (c - 1) // 2 for c in counts.values())
+    assert sorted(state.colliding) == [v for v in range(g.n) if counts[sums[v]] >= 2]

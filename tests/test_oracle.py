@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,27 @@ from antimagic.oracle import (
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def torus(a, b):
+    return Graph(a * b, [(i * b + j, ((i + 1) % a) * b + j) for i in range(a) for j in range(b)]
+                 + [(i * b + j, i * b + (j + 1) % b) for i in range(a) for j in range(b)])
+
+
+def random_regular(n, r, seed):
+    """Random connected r-regular graph, r in {3, 4}, n even: a random
+    Hamiltonian cycle plus r - 2 random perfect matchings, redrawn until
+    no edge repeats."""
+    rng = random.Random(seed)
+    while True:
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = {frozenset((order[i - 1], order[i])) for i in range(n)}
+        for _ in range(r - 2):
+            rng.shuffle(order)
+            edges |= {frozenset(order[i:i + 2]) for i in range(0, n, 2)}
+        if len(edges) == n * r // 2:
+            return Graph(n, [tuple(e) for e in edges])
 
 
 def petersen():
@@ -79,6 +101,33 @@ class TestHeuristic:
         res = heuristic_search(g, SearchBudget(mode="heuristic", seed=1))
         assert res.status == FOUND
         assert verify_antimagic(g, res.labeling).ok
+
+    @pytest.mark.parametrize("g", [
+        Graph(3, [(0, 1)]),
+        Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),
+        Graph(5, [(0, 1), (1, 2)]),
+    ], ids=["edge-and-isolated-vertex", "k2-component", "two-isolated-vertices"])
+    def test_hopeless_graphs_not_found_at_once(self, g):
+        res = heuristic_search(g, SearchBudget(mode="heuristic"))
+        assert res.status == NOT_FOUND and res.iterations == 0
+
+    @pytest.mark.parametrize("g", [
+        cycle(1000),
+        torus(25, 30),
+        random_regular(1000, 3, 1),
+        random_regular(1000, 4, 2),
+    ], ids=["C1000", "torus-25x30", "3-regular-n1000", "4-regular-n1000"])
+    def test_found_on_large_sparse_graphs(self, g):
+        res = heuristic_search(g, SearchBudget(mode="heuristic", seed=3))
+        assert res.status == FOUND
+        assert verify_antimagic(g, res.labeling).ok
+
+    def test_same_seed_same_labeling(self):
+        g = torus(6, 7)
+        a = heuristic_search(g, SearchBudget(mode="heuristic", seed=5))
+        b = heuristic_search(g, SearchBudget(mode="heuristic", seed=5))
+        assert a.status == FOUND
+        assert a.labeling == b.labeling and a.iterations == b.iterations
 
     def test_agrees_with_exhaustive_on_small_corpus(self):
         for g in connected_graphs_upto_iso(4):
