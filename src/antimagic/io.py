@@ -9,6 +9,7 @@ Certificates are grep-friendly text: one ``u v label`` line per edge, one
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterator, Optional
 
 from .graph import Graph, GraphError, Labeling, VerifyReport, verify_antimagic, vertex_sums
@@ -93,11 +94,13 @@ def emit_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _g6_bit_pairs(n: int) -> Iterator[tuple[int, int]]:
-    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    for v in range(1, n):
-        for u in range(v):
-            yield u, v
+# graph6 packs the upper triangle column by column, (0,1), (0,2), (1,2),
+# (0,3), ..., six bits to a character 63..126: base64 with another alphabet.
+# So the O(n^2) body goes through binascii, and Python touches only the edges.
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = bytes(range(63, 127))
+_B64_TO_G6 = bytes.maketrans(_B64, _G6)
+_G6_TO_B64 = bytes.maketrans(_G6, _B64)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -108,26 +111,22 @@ def emit_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    bits = []
-    for u, v in _g6_bit_pairs(n):
-        bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chunks = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        chunks.append(chr(val + 63))
-    return head + "".join(chunks)
+    nchars = (n * (n - 1) // 2 + 5) // 6
+    # whole base64 quanta (4 characters = 3 bytes), so no '=' padding
+    bits = bytearray((nchars + 3) // 4 * 3)
+    for u, v in g.edges:
+        k = v * (v - 1) // 2 + u
+        bits[k >> 3] |= 128 >> (k & 7)
+    body = binascii.b2a_base64(bits, newline=False)[:nchars].translate(_B64_TO_G6)
+    return head + body.decode("ascii")
 
 
 def parse_graph6(line: str) -> Graph:
     s = line.strip()
-    if not s:
-        raise ParseError("empty encoded line")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+    if not s:
+        raise ParseError("empty encoded line")
     i = 0
     if s[0] == "~":
         if len(s) < 4 or s[1] == "~":
@@ -146,13 +145,21 @@ def parse_graph6(line: str) -> Graph:
     body = s[i:]
     if len(body) != need:
         raise ParseError(f"expected {need} data characters, got {len(body)}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ParseError(f"invalid character {ch!r}")
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    edges = [uv for uv, b in zip(_g6_bit_pairs(n), bits) if b]
+    raw = body.encode("ascii", "ignore")  # never "replace": it makes '?', a valid character
+    if len(raw) != need or raw.translate(None, _G6):
+        bad = next(ch for ch in body if not "?" <= ch <= "~")
+        raise ParseError(f"invalid character {bad!r}")
+    quanta = raw.translate(_G6_TO_B64) + b"A" * (-need % 4)
+    data = binascii.a2b_base64(quanta)
+    bits = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
+    edges = []
+    first = 0  # bit index of (0, v)
+    for v in range(1, n):
+        k = bits.find("1", first, first + v)
+        while k >= 0:
+            edges.append((k - first, v))
+            k = bits.find("1", k + 1, first + v)
+        first += v
     return Graph(n, edges)
 
 

@@ -78,6 +78,9 @@ def exhaustive_search(g: Graph, budget: SearchBudget | None = None) -> SearchRes
         lab = Labeling([])
         ok = verify_antimagic(g, lab).ok
         return SearchResult(FOUND if ok else PROVEN_NONE, lab if ok else None, nodes=1)
+    if g.degrees().count(0) >= 2:
+        # both sums stay 0, and the pruning only compares saturated vertices
+        return SearchResult(PROVEN_NONE, None)
     order = _edge_order(g)
     labels = [0] * m
     sums = [0] * g.n
@@ -141,6 +144,8 @@ def count_antimagic_labelings(g: Graph, max_nodes: int = 50_000_000) -> int:
     m = g.m
     if m == 0:
         return 1 if g.n <= 1 else 0
+    if g.degrees().count(0) >= 2:
+        return 0
     order = _edge_order(g)
     sums = [0] * g.n
     remaining = list(g.degrees())

@@ -86,6 +86,13 @@ class TestExhaustive:
         with pytest.raises(GraphError):
             exhaustive_search(cycle(4), SearchBudget(mode="heuristic"))
 
+    def test_two_isolated_vertices_proven_none(self):
+        # both isolated vertices keep sum 0 whatever the labels
+        g = Graph(5, [(0, 1), (1, 2)])
+        res = exhaustive_search(g)
+        assert res.status == PROVEN_NONE and res.nodes == 0
+        assert count_antimagic_labelings(g) == 0
+
     def test_empty_graph(self):
         assert exhaustive_search(Graph(1, [])).status == FOUND
         assert exhaustive_search(Graph(3, [])).status == PROVEN_NONE
