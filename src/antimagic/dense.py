@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from itertools import compress, count, filterfalse
+from operator import itemgetter
 from typing import Optional
 
 from .graph import (CollisionState, Graph, GraphError, Labeling, PartialLabeling, first_collision,
@@ -35,10 +38,8 @@ class PairingError(RuntimeError):
 class DenseConfig:
     """Tuning knobs for the dense pipeline.
 
-    ``d`` defaults to ceil(C * ln n) at call time.  The lemma-style
-    constants are recorded configuration (the source analysis never pins
-    them); only ``C`` feeds the pipeline itself, the rest parameterize the
-    experiment lab's bound checks.
+    ``d`` defaults to ceil(C * ln n) at call time; the source analysis
+    never pins the constant C.
     """
 
     d: Optional[int] = None
@@ -46,10 +47,6 @@ class DenseConfig:
     rng_seed: int = 0
     max_local_resamples: int = 30
     C: float = 3.0
-    C1: float = 1.0
-    C2: float = 10.0
-    c1: float = 1.0
-    c2: float = 0.25
 
     def __post_init__(self):
         if self.d is not None and self.d < 1:
@@ -77,7 +74,6 @@ class DenseState:
 
     graph: Graph
     d: int
-    reduced_graph: Graph
     reduced_edges: tuple[int, ...]
     removed: tuple[tuple[int, int], ...]
     carried: tuple[int, ...]
@@ -94,6 +90,11 @@ class DenseState:
     # phase 3
     label_pairs: Optional[tuple[tuple[int, int], ...]] = None
     spill_sums: Optional[dict[int, int]] = None
+
+    @property
+    def reduced_graph(self) -> Graph:
+        """The surviving edges as a graph of their own (built on each call)."""
+        return Graph(self.graph.n, [self.graph.edges[e] for e in self.reduced_edges])
 
 
 @dataclass(frozen=True)
@@ -130,19 +131,18 @@ def phase1_reduce(g: Graph, cfg: DenseConfig) -> DenseState:
     kept = [True] * g.m
     next_label = g.m
     for e, (u, v) in enumerate(g.edges):
-        if deg[u] >= d + 1 and deg[v] >= d + 1:
+        if deg[u] > d and deg[v] > d:
             kept[e] = False
             removed.append((e, next_label))
             next_label -= 1
             deg[u] -= 1
             deg[v] -= 1
-    reduced = [e for e in range(g.m) if kept[e]]
+    reduced = list(compress(range(g.m), kept))
     adjusted = False
     if len(reduced) % 2 == 1:
         def key(e):
             u, v = g.edges[e]
-            a, b = sorted((deg[u], deg[v]), reverse=True)
-            return (-a, -b, e)
+            return (-max(deg[u], deg[v]), -min(deg[u], deg[v]), e)
         extra = min(reduced, key=key)
         kept[extra] = False
         removed.append((extra, next_label))
@@ -151,12 +151,11 @@ def phase1_reduce(g: Graph, cfg: DenseConfig) -> DenseState:
         deg[v] -= 1
         reduced.remove(extra)
         adjusted = True
-    carried = vertex_sums(g, PartialLabeling((lab for _, lab in removed), dict(removed)))
+    carried = vertex_sums(g, PartialLabeling(map(itemgetter(1), removed), dict(removed)))
     low = frozenset(v for v in range(g.n) if deg[v] <= d)
     high = frozenset(v for v in range(g.n) if deg[v] >= d + 1)
-    reduced_graph = Graph(g.n, [g.edges[e] for e in reduced])
     return DenseState(
-        graph=g, d=d, reduced_graph=reduced_graph, reduced_edges=tuple(reduced),
+        graph=g, d=d, reduced_edges=tuple(reduced),
         removed=tuple(removed), carried=carried, low=low, high=high,
         t=len(reduced), parity_adjusted=adjusted,
     )
@@ -167,17 +166,14 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
 
     Each high vertex donates an even-sized set of its incident edges so
     its leftover degree lands within one of d; those sets are paired
-    internally.  All other edges are paired greedily in canonical order
-    under an endpoint-disjointness constraint; stuck leftovers are fixed by
-    splitting an existing pair, which a counting argument guarantees
-    whenever enough pairs exist.
+    internally.  All other edges are paired greedily in canonical order,
+    each with the first later unpaired edge that shares no endpoint; stuck
+    leftovers are fixed by splitting an existing pair, which a counting
+    argument guarantees whenever enough pairs exist.
     """
     g = st.graph
-    incident: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for e in st.reduced_edges:
-        u, v = g.edges[e]
-        incident[u].append(e)
-        incident[v].append(e)
+    kept = set(st.reduced_edges).__contains__
+    incident = [tuple(filter(kept, g.incident_edges(v))) for v in range(g.n)]
     spill: dict[int, tuple[int, ...]] = {}
     for v in sorted(st.high):
         dv = len(incident[v])
@@ -185,7 +181,7 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
         size = lo + (lo % 2)
         if size > dv - st.d + 1:
             raise AssertionError("no even spill size fits the degree window")
-        spill[v] = tuple(incident[v][:size])
+        spill[v] = incident[v][:size]
     spill_edges = {e for edges in spill.values() for e in edges}
     if len(spill_edges) != sum(len(v) for v in spill.values()):
         raise AssertionError("spill sets must be disjoint")
@@ -193,60 +189,70 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     pairs: list[tuple[int, int]] = []
     for v in sorted(spill):
         chunk = spill[v]
-        pairs.extend((chunk[i], chunk[i + 1]) for i in range(0, len(chunk), 2))
+        pairs.extend(zip(chunk[0::2], chunk[1::2]))
 
-    rest = [e for e in st.reduced_edges if e not in spill_edges]
-    endpoints = {e: set(g.edges[e]) for e in rest}
-    paired = [False] * len(rest)
-    index_of = {e: i for i, e in enumerate(rest)}
+    rest = list(filterfalse(spill_edges.__contains__, st.reduced_edges))
+    ends = list(map(g.edges.__getitem__, rest))
+    firsts = list(map(itemgetter(0), ends))
+    last = len(rest)
+    # nxt[j] leads to the first unpaired index >= j; paths are compressed
+    nxt = list(range(last + 1))
+
+    def unpaired_from(j: int) -> int:
+        root = j
+        while nxt[root] != root:
+            root = nxt[root]
+        while nxt[j] != root:
+            nxt[j], j = root, nxt[j]
+        return root
+
     disjoint_pairs: list[tuple[int, int]] = []
-    for i, e in enumerate(rest):
-        if paired[i]:
+    for i, (u, v) in enumerate(ends):
+        if nxt[i] != i:
             continue
-        for j in range(i + 1, len(rest)):
-            if not paired[j] and not (endpoints[e] & endpoints[rest[j]]):
-                paired[i] = paired[j] = True
-                disjoint_pairs.append((e, rest[j]))
-                break
-    leftovers = [rest[i] for i in range(len(rest)) if not paired[i]]
-    while leftovers:
-        if len(leftovers) < 2:
+        # Later edges of u's block share u; every edge after the block has
+        # both ends above u, so it meets (u, v) exactly when it contains v.
+        j = unpaired_from(bisect_right(firsts, u, i + 1))
+        while j < last and v in ends[j]:
+            j = unpaired_from(j + 1)
+        if j < last:
+            nxt[i] = i + 1
+            nxt[j] = j + 1
+            disjoint_pairs.append((rest[i], rest[j]))
+    leftovers = [rest[i] for i in range(last) if nxt[i] == i]
+    for k in range(0, len(leftovers), 2):
+        if k + 1 == len(leftovers):
             raise AssertionError("even edge count cannot strand a single edge")
-        e, f = leftovers[0], leftovers[1]
-        fixed = False
+        e, f = leftovers[k], leftovers[k + 1]
+        misses_e = set(g.edges[e]).isdisjoint
+        misses_f = set(g.edges[f]).isdisjoint
         for idx, (a, b) in enumerate(disjoint_pairs):
-            if not (endpoints[e] & endpoints[a]) and not (endpoints[f] & endpoints[b]):
+            if misses_e(g.edges[a]) and misses_f(g.edges[b]):
                 disjoint_pairs[idx] = (e, a)
                 disjoint_pairs.append((f, b))
-                fixed = True
                 break
-            if not (endpoints[e] & endpoints[b]) and not (endpoints[f] & endpoints[a]):
+            if misses_e(g.edges[b]) and misses_f(g.edges[a]):
                 disjoint_pairs[idx] = (e, b)
                 disjoint_pairs.append((f, a))
-                fixed = True
                 break
-        if not fixed:
+        else:
             raise PairingError("could not pair leftover edges without shared endpoints")
-        leftovers = leftovers[2:]
 
+    # Once each pair is (smaller id, larger id), the pairs share no edge, so
+    # their first ids differ and ordering by those alone is lexicographic.
     pairs.extend(disjoint_pairs)
-    pair_list = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
-    partner: dict[int, int] = {}
-    pair_index: dict[int, int] = {}
-    for idx, (a, b) in enumerate(pair_list):
-        partner[a] = b
-        partner[b] = a
-        pair_index[a] = idx
-        pair_index[b] = idx
+    pair_list = tuple(sorted((p if p[0] < p[1] else p[::-1] for p in pairs), key=itemgetter(0)))
+    lows = list(map(itemgetter(0), pair_list))
+    highs = list(map(itemgetter(1), pair_list))
+    partner = dict(zip(lows, highs))
+    partner.update(zip(highs, lows))
     if len(partner) != st.t:
         raise AssertionError("pairing must cover every remaining edge exactly once")
-    h_sets: dict[int, tuple[int, ...]] = {}
-    for v in range(g.n):
-        if v in spill:
-            drop = set(spill[v])
-            h_sets[v] = tuple(e for e in incident[v] if e not in drop)
-        else:
-            h_sets[v] = tuple(incident[v])
+    pair_index = dict(zip(lows, count()))
+    pair_index.update(zip(highs, count()))
+    h_sets = dict(enumerate(incident))
+    for v, chunk in spill.items():
+        h_sets[v] = incident[v][len(chunk):]
     return replace(st, partner=partner, pair_list=pair_list, pair_index=pair_index,
                    spill=spill, h_sets=h_sets)
 
@@ -263,10 +269,8 @@ def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
         raise GraphError("phase 2 has not run")
     labels = list(range(1, st.t + 1))
     rng.shuffle(labels)
-    label_pairs = tuple(
-        (min(labels[2 * i], labels[2 * i + 1]), max(labels[2 * i], labels[2 * i + 1]))
-        for i in range(st.t // 2)
-    )
+    evens, odds = labels[0::2], labels[1::2]
+    label_pairs = tuple(zip(map(min, evens, odds), map(max, evens, odds)))
     spill_sums = {}
     for v, edges in (st.spill or {}).items():
         total = 0

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import eq, itemgetter
 from typing import Optional
 
 from .dense import DenseConfig, PairingError, label_dense
 from .graph import Graph, GraphError, Labeling, verify_antimagic
-from .io import emit_graph6
+from .io import GRAPH6_MAX_N, emit_graph6
 from .oracle import FOUND, SearchBudget, heuristic_search
 from .partite import label_multipartite_on
 from .special import ConstructionError, label_max_degree_n_minus_2, label_universal_vertex
@@ -29,7 +30,12 @@ METHODS = ("auto", "universal", "delta-n2", "partite", "dense", "oracle")
 
 @dataclass(frozen=True)
 class RunReport:
-    """One labeling attempt; the certificate is present iff it verified."""
+    """One labeling attempt; the certificate is present iff it verified.
+
+    ``graph_id`` is the graph's graph6 line, or ``""`` when the graph has
+    more than ``GRAPH6_MAX_N`` vertices: graph6 cannot encode it, and the
+    line would take gigabytes.
+    """
 
     method: str
     graph_id: str
@@ -44,25 +50,26 @@ def recognize_complete_multipartite(g: Graph) -> Optional[list[list[int]]]:
     """Vertex classes if non-adjacency is an equivalence relation, else None."""
     classes: list[list[int]] = []
     assigned = [-1] * g.n
+    everyone = frozenset(range(g.n))
     for v in range(g.n):
         if assigned[v] >= 0:
             continue
-        cls = [v] + [u for u in range(g.n) if u != v and not g.has_edge(u, v)]
-        cls.sort()
+        cls = sorted(everyone.difference(g.neighbors(v)))
         for u in cls:
             if assigned[u] >= 0:
                 return None
             assigned[u] = len(classes)
         classes.append(cls)
-    for cls in classes:
-        for i, u in enumerate(cls):
-            for w in cls[i + 1:]:
-                if g.has_edge(u, w):
-                    return None
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if assigned[u] != assigned[w] and not g.has_edge(u, w):
-                return None
+    # With no edge inside a class, the m edges are distinct cross-class
+    # pairs; there are (n^2 - sum |class|^2) / 2 of those, so m reaching
+    # that count means every cross-class pair is an edge.
+    cls_of = assigned.__getitem__
+    lo_cls = map(cls_of, map(itemgetter(0), g.edges))
+    hi_cls = map(cls_of, map(itemgetter(1), g.edges))
+    if any(map(eq, lo_cls, hi_cls)):
+        return None
+    if 2 * g.m != g.n * g.n - sum(len(cls) ** 2 for cls in classes):
+        return None
     return classes
 
 
@@ -71,7 +78,7 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     start = time.perf_counter()
     if method not in METHODS:
         raise GraphError(f"unknown method {method!r}")
-    graph_id = emit_graph6(g)
+    graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
     def report(outcome, chosen, labeling=None, restarts=0, note=""):
         if labeling is not None:

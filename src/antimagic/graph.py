@@ -13,7 +13,9 @@ anywhere unless it passes this check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import islice
+from operator import add, eq, itemgetter
+from typing import Iterable, Iterator, NoReturn, Optional
 
 # Per-vertex sums; index = vertex id.
 WeightMap = tuple[int, ...]
@@ -38,25 +40,29 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        canon = []
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for i in range(1, len(canon)):
-            if canon[i] == canon[i - 1]:
-                raise GraphError(f"duplicate edge {canon[i]}")
+        pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
+        # A self-loop becomes (-1, u), so the negative-end check below rejects it.
+        canon = [(u, v) if u < v else (v, u) if v < u else (-1, u) for u, v in pairs]
+        # Two stable integer-key sorts give the lexicographic order at a
+        # fraction of the cost of comparing tuples.
+        canon.sort(key=itemgetter(1))
+        canon.sort(key=itemgetter(0))
+        incident: list[list[int]] = [[] for _ in range(n)]
+        valid = not canon or canon[0][0] >= 0 and not any(map(eq, canon, islice(canon, 1, None)))
+        if valid:
+            try:
+                # no end is negative now, so only an end >= n can fail here
+                for e, (u, v) in enumerate(canon):
+                    incident[u].append(e)
+                    incident[v].append(e)
+            except IndexError:
+                valid = False
+        if not valid:
+            _reject_edges(n, pairs)
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(canon)
-        incident: list[list[int]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(self.edges):
-            incident[u].append(e)
-            incident[v].append(e)
-        self._incident = tuple(tuple(lst) for lst in incident)
-        self._index = {uv: e for e, uv in enumerate(self.edges)}
+        self._incident = tuple(map(tuple, incident))
+        self._index: Optional[dict[tuple[int, int], int]] = None
 
     @property
     def m(self) -> int:
@@ -66,7 +72,7 @@ class Graph:
         return len(self._incident[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(t) for t in self._incident)
+        return tuple(map(len, self._incident))
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
@@ -79,7 +85,8 @@ class Graph:
         return self._incident[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.other_end(e, v) for e in self._incident[v])
+        ends = map(self.edges.__getitem__, self._incident[v])
+        return tuple([w if u == v else u for u, w in ends])
 
     def other_end(self, e: int, v: int) -> int:
         u, w = self.edges[e]
@@ -89,16 +96,22 @@ class Graph:
             return u
         raise GraphError(f"vertex {v} is not an endpoint of edge {e}")
 
+    def _edge_map(self) -> dict[tuple[int, int], int]:
+        """Edge -> index, built on first use: most graphs never need it."""
+        if self._index is None:
+            self._index = dict(zip(self.edges, range(len(self.edges))))
+        return self._index
+
     def edge_index(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
         try:
-            return self._index[key]
+            return (self._index or self._edge_map())[key]
         except KeyError:
             raise GraphError(f"no edge {key}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
-        return key in self._index
+        return key in (self._index or self._edge_map())
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int], list[int]]:
         """Induced subgraph on ``vertices``.
@@ -141,6 +154,26 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _reject_edges(n: int, pairs) -> NoReturn:
+    """Raise the GraphError for the first bad edge, as a per-edge scan finds it.
+
+    Self-loops and out-of-range ends are reported in input order, then the
+    lexicographically first duplicate.
+    """
+    canon = []
+    for u, v in pairs:
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        canon.append((u, v) if u < v else (v, u))
+    canon.sort()
+    for i in range(1, len(canon)):
+        if canon[i] == canon[i - 1]:
+            raise GraphError(f"duplicate edge {canon[i]}")
+    raise GraphError(f"invalid edge list for n={n}")
+
+
 class Labeling:
     """Total assignment of positive labels to edges, by canonical edge index.
 
@@ -152,10 +185,10 @@ class Labeling:
     __slots__ = ("labels",)
 
     def __init__(self, labels: Iterable[int]):
-        labs = tuple(int(x) for x in labels)
-        for x in labs:
-            if x < 1:
-                raise GraphError(f"labels must be positive, got {x}")
+        labs = tuple(map(int, labels))
+        if labs and min(labs) < 1:
+            bad = next(x for x in labs if x < 1)
+            raise GraphError(f"labels must be positive, got {bad}")
         self.labels = labs
 
     @property
@@ -189,19 +222,21 @@ class PartialLabeling:
     __slots__ = ("pool", "assignment")
 
     def __init__(self, pool: Iterable[int], assignment: dict[int, int] | None = None):
-        self.pool = frozenset(int(x) for x in pool)
-        for x in self.pool:
-            if x < 1:
-                raise GraphError(f"pool labels must be positive, got {x}")
-        assignment = dict(assignment or {})
-        seen = set()
-        for e, lab in assignment.items():
-            if lab not in self.pool:
-                raise GraphError(f"label {lab} on edge {e} is not in the pool")
-            if lab in seen:
-                raise GraphError(f"label {lab} assigned to more than one edge")
-            seen.add(lab)
-        self.assignment = dict(assignment)
+        self.pool = frozenset(map(int, pool))
+        if self.pool and min(self.pool) < 1:
+            bad = next(x for x in self.pool if x < 1)
+            raise GraphError(f"pool labels must be positive, got {bad}")
+        self.assignment = dict(assignment or {})
+        labs = self.assignment.values()
+        if not self.pool.issuperset(labs) or len(set(labs)) < len(labs):
+            # name the first offending entry, in insertion order
+            seen = set()
+            for e, lab in self.assignment.items():
+                if lab not in self.pool:
+                    raise GraphError(f"label {lab} on edge {e} is not in the pool")
+                if lab in seen:
+                    raise GraphError(f"label {lab} assigned to more than one edge")
+                seen.add(lab)
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.assignment.items()))
@@ -245,23 +280,39 @@ def vertex_sums(g: Graph, labeling: Labeling | PartialLabeling,
     labels assigned outside ``labeling`` (e.g. edges already removed by a
     reduction phase).
     """
-    if base is None:
-        sums = [0] * g.n
+    m = g.m
+    if isinstance(labeling, PartialLabeling):
+        assignment = labeling.assignment
+        if assignment and not (0 <= min(assignment) and max(assignment) < m):
+            bad = min(e for e in assignment if not 0 <= e < m)
+            raise GraphError(f"edge index {bad} out of range for m={m}")
+        labels = [0] * m
+        for e, lab in assignment.items():
+            labels[e] = lab
     else:
-        sums = [int(x) for x in base]
-        if len(sums) != g.n:
-            raise GraphError(f"base has {len(sums)} entries for n={g.n}")
-    for e, lab in labeling.items():
-        if not 0 <= e < g.m:
-            raise GraphError(f"edge index {e} out of range for m={g.m}")
-        u, v = g.edges[e]
-        sums[u] += lab
-        sums[v] += lab
+        labels = labeling.labels
+        if len(labels) > m:
+            raise GraphError(f"edge index {m} out of range for m={m}")
+        if len(labels) < m:
+            labels += (0,) * (m - len(labels))
+    get = labels.__getitem__
+    # itemgetter fetches a whole incidence in one call, but it needs two or
+    # more indices to return a tuple
+    sums = [sum(itemgetter(*inc)(labels)) if len(inc) > 1 else sum(map(get, inc))
+            for inc in g._incident]
+    if base is not None:
+        base = [int(x) for x in base]
+        if len(base) != g.n:
+            raise GraphError(f"base has {len(base)} entries for n={g.n}")
+        sums = map(add, base, sums)
     return tuple(sums)
 
 
 def first_collision(sums: Iterable[int]) -> Optional[tuple[int, int]]:
     """Lexicographically smallest pair of vertices with equal sums, if any."""
+    sums = list(sums)
+    if len(set(sums)) == len(sums):
+        return None
     groups: dict[int, list[int]] = {}
     for v, s in enumerate(sums):
         groups.setdefault(s, []).append(v)
@@ -344,7 +395,8 @@ def verify_antimagic(g: Graph, labeling: Labeling) -> VerifyReport:
     """
     if labeling.m != g.m:
         raise GraphError(f"labeling has {labeling.m} labels for m={g.m}")
-    bijection_ok = sorted(labeling.labels) == list(range(1, g.m + 1))
+    # m labels that include each of 1..m are exactly 1..m
+    bijection_ok = set(labeling.labels).issuperset(range(1, g.m + 1))
     collision = first_collision(vertex_sums(g, labeling))
     return VerifyReport(ok=bijection_ok and collision is None,
                         bijection_ok=bijection_ok,

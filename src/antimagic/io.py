@@ -103,10 +103,14 @@ _B64_TO_G6 = bytes.maketrans(_B64, _G6)
 _G6_TO_B64 = bytes.maketrans(_G6, _B64)
 
 
+# The largest vertex count graph6's short size field (``~`` + 18 bits) holds.
+GRAPH6_MAX_N = 258047
+
+
 def emit_graph6(g: Graph) -> str:
     n = g.n
-    if n > 258047:
-        raise ParseError("encoding supports at most 258047 vertices")
+    if n > GRAPH6_MAX_N:
+        raise ParseError(f"encoding supports at most {GRAPH6_MAX_N} vertices")
     if n <= 62:
         head = chr(n + 63)
     else:

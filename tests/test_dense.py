@@ -142,6 +142,87 @@ class TestPhase2:
             assert st.d - 1 <= len(st.h_sets[v]) <= st.d + 1
 
 
+def reference_phase2(st):
+    """Quadratic greedy pairing plus leftover repair, as first written.
+
+    Returns ``(pair_list, partner, spill, repaired)``; ``repaired`` says
+    whether the leftover-repair branch ran.
+    """
+    g = st.graph
+    incident = {v: [] for v in range(g.n)}
+    for e in st.reduced_edges:
+        u, v = g.edges[e]
+        incident[u].append(e)
+        incident[v].append(e)
+    spill = {}
+    for v in sorted(st.high):
+        lo = max(0, len(incident[v]) - st.d - 1)
+        spill[v] = tuple(incident[v][:lo + lo % 2])
+    spill_edges = {e for edges in spill.values() for e in edges}
+    pairs = []
+    for v in sorted(spill):
+        chunk = spill[v]
+        pairs.extend((chunk[i], chunk[i + 1]) for i in range(0, len(chunk), 2))
+    rest = [e for e in st.reduced_edges if e not in spill_edges]
+    endpoints = {e: set(g.edges[e]) for e in rest}
+    paired = [False] * len(rest)
+    disjoint_pairs = []
+    for i, e in enumerate(rest):
+        if paired[i]:
+            continue
+        for j in range(i + 1, len(rest)):
+            if not paired[j] and not (endpoints[e] & endpoints[rest[j]]):
+                paired[i] = paired[j] = True
+                disjoint_pairs.append((e, rest[j]))
+                break
+    leftovers = [rest[i] for i in range(len(rest)) if not paired[i]]
+    repaired = bool(leftovers)
+    while leftovers:
+        e, f = leftovers[0], leftovers[1]
+        for idx, (a, b) in enumerate(disjoint_pairs):
+            if not (endpoints[e] & endpoints[a]) and not (endpoints[f] & endpoints[b]):
+                disjoint_pairs[idx] = (e, a)
+                disjoint_pairs.append((f, b))
+                break
+            if not (endpoints[e] & endpoints[b]) and not (endpoints[f] & endpoints[a]):
+                disjoint_pairs[idx] = (e, b)
+                disjoint_pairs.append((f, a))
+                break
+        else:
+            raise PairingError("could not pair leftover edges without shared endpoints")
+        leftovers = leftovers[2:]
+    pairs.extend(disjoint_pairs)
+    pair_list = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+    partner = {}
+    for a, b in pair_list:
+        partner[a] = b
+        partner[b] = a
+    return pair_list, partner, spill, repaired
+
+
+class TestPhase2Reference:
+    # (60, 6) with seed 28 leaves four leftovers: two rounds of repair
+    @pytest.mark.parametrize("n, d", [(8, 2), (12, 3), (24, 5), (40, 4), (60, 6)])
+    def test_matches_quadratic_greedy(self, n, d):
+        repaired = 0
+        for seed in range(30):
+            st = phase1_reduce(random_min_degree(n, d, seed), DenseConfig(d=d))
+            pair_list, partner, spill, rep = reference_phase2(st)
+            got = phase2_pair_edges(st)
+            assert got.pair_list == pair_list
+            assert got.partner == partner
+            assert got.spill == spill
+            repaired += rep
+        assert repaired > 0  # every size reaches the leftover-repair branch
+
+    def test_both_raise_when_pairing_is_impossible(self):
+        st = phase1_reduce(Graph(3, [(0, 1), (1, 2)]), DenseConfig(d=1))
+        with pytest.raises(PairingError):
+            reference_phase2(st)
+        with pytest.raises(PairingError):
+            phase2_pair_edges(st)
+
+
 class TestPhase3:
     def test_t2_single_pair(self):
         g = Graph(4, [(0, 1), (2, 3)])

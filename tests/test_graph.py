@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -58,6 +59,51 @@ class TestGraph:
         assert not Graph(3, [(0, 1)]).is_connected()
 
 
+def _long_edge_list():
+    """1,000 distinct edges on 50 vertices, shuffled, about half reversed."""
+    rng = random.Random(0)
+    edges = [(u, v) for u in range(50) for v in range(u + 1, 50)][:1000]
+    rng.shuffle(edges)
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+class TestEdgeValidation:
+    # One bad edge at the start, middle or end of a long list; the message
+    # names the edge that a scan in input order meets first.
+    @pytest.mark.parametrize("where", [0, 500, 1000])
+    @pytest.mark.parametrize("bad, message", [
+        ((7, 7), "self-loop at vertex 7"),
+        ((3, -1), "edge (3, -1) out of range for n=50"),
+        ((50, 4), "edge (50, 4) out of range for n=50"),
+        ("reversed", "duplicate edge {}"),
+    ])
+    def test_first_offender_message(self, where, bad, message):
+        edges = _long_edge_list()
+        if bad == "reversed":
+            u, v = edges[123]
+            bad, message = (v, u), message.format((min(u, v), max(u, v)))
+        edges.insert(where, bad)
+        with pytest.raises(GraphError) as exc:
+            Graph(50, edges)
+        assert str(exc.value) == message
+
+    def test_loops_and_ranges_in_input_order_before_duplicates(self):
+        edges = _long_edge_list()
+        edges[10:10] = [edges[0], (60, 1), (2, 2)]
+        with pytest.raises(GraphError, match=r"^edge \(60, 1\) out of range for n=50$"):
+            Graph(50, edges)
+        edges[11:12] = []
+        with pytest.raises(GraphError, match=r"^self-loop at vertex 2$"):
+            Graph(50, edges)
+
+    def test_valid_long_list_matches_sorted_canonical_edges(self):
+        edges = _long_edge_list()
+        g = Graph(50, iter(edges))
+        assert g.edges == tuple(sorted((min(e), max(e)) for e in edges))
+        for w in range(50):
+            assert g.incident_edges(w) == tuple(e for e, uv in enumerate(g.edges) if w in uv)
+
+
 class TestVertexSums:
     def test_path3_direct_addition(self):
         w = vertex_sums(path3(), Labeling([1, 2]))
@@ -88,6 +134,13 @@ class TestVertexSums:
         pl = PartialLabeling(pool=[1], assignment={5: 1})
         with pytest.raises(GraphError):
             vertex_sums(path3(), pl)
+
+    def test_short_labeling_leaves_later_edges_unlabeled(self):
+        assert vertex_sums(path3(), Labeling([5])) == (5, 5, 0)
+
+    def test_long_labeling_is_out_of_range(self):
+        with pytest.raises(GraphError, match=r"^edge index 2 out of range for m=2$"):
+            vertex_sums(path3(), Labeling([1, 2, 3]))
 
     def test_bad_base_length(self):
         with pytest.raises(GraphError):
@@ -123,6 +176,12 @@ class TestVerify:
     def test_labels_out_of_range_fail_bijection(self):
         rep = verify_antimagic(path3(), Labeling([1, 3]))
         assert not rep.bijection_ok
+
+    @pytest.mark.parametrize("labels", [[1, 4, 4, 2], [2, 3, 4, 5]],
+                             ids=["repeat within 1..m", "missing 1"])
+    def test_labels_other_than_1_to_m_fail_bijection(self, labels):
+        rep = verify_antimagic(cycle4(), Labeling(labels))
+        assert not rep.ok and not rep.bijection_ok
 
     def test_wrong_length_is_structural(self):
         with pytest.raises(GraphError):
