@@ -34,19 +34,19 @@ class PairingError(RuntimeError):
     """Phase 2 could not pair the remaining edges without shared endpoints."""
 
 
+# ``DenseConfig.d`` defaults to ceil(C * ln n); the source analysis never
+# pins the constant C.
+C = 3.0
+
+
 @dataclass(frozen=True)
 class DenseConfig:
-    """Tuning knobs for the dense pipeline.
-
-    ``d`` defaults to ceil(C * ln n) at call time; the source analysis
-    never pins the constant C.
-    """
+    """Tuning knobs for the dense pipeline; ``d`` defaults to ceil(C ln n)."""
 
     d: Optional[int] = None
     max_restarts: int = 1000
     rng_seed: int = 0
     max_local_resamples: int = 30
-    C: float = 3.0
 
     def __post_init__(self):
         if self.d is not None and self.d < 1:
@@ -57,7 +57,7 @@ class DenseConfig:
     def effective_d(self, n: int) -> int:
         if self.d is not None:
             return self.d
-        return max(1, math.ceil(self.C * math.log(max(n, 2))))
+        return max(1, math.ceil(C * math.log(max(n, 2))))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Ground-truth certificate search on small graphs.
 
 The exhaustive search decides antimagicness outright (it is the only
-component that can prove a graph has no antimagic labeling).  The heuristic
-search scales further with a collision-local move: it swaps the label of an
-edge at a colliding vertex with the label of any other edge, and keeps the
-swap when the number of colliding vertex pairs does not rise.  Both only
-ever return labelings that pass the verifier.
+component that can prove a graph has no antimagic labeling); it shares one
+backtracking kernel with the labeling count.  The heuristic search scales
+further with a collision-local move: it swaps the label of an edge at a
+colliding vertex with the label of any other edge, and keeps the swap when
+the number of colliding vertex pairs does not rise.  Both only ever return
+labelings that pass the verifier.
 """
 
 from __future__ import annotations
@@ -49,8 +50,16 @@ class SearchResult:
     iterations: int = 0
 
 
-class _Budget(Exception):
-    pass
+class SearchBudgetExceeded(RuntimeError):
+    """The backtracking tree outgrew its node budget.
+
+    :func:`count_antimagic_labelings` raises it; :func:`exhaustive_search`
+    reports ``budget_exceeded`` instead.  ``nodes`` is the count reached.
+    """
+
+    def __init__(self, nodes: int):
+        super().__init__(f"backtracking search passed {nodes - 1} nodes")
+        self.nodes = nodes
 
 
 def _edge_order(g: Graph) -> list[int]:
@@ -63,44 +72,40 @@ def _edge_order(g: Graph) -> list[int]:
                                  e))
 
 
-def exhaustive_search(g: Graph, budget: SearchBudget | None = None) -> SearchResult:
+def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[int], int]:
     """Backtracking over label assignments with partial-sum pruning.
 
     Tries the largest unused labels first along a fixed edge order, and
-    prunes as soon as two saturated vertices collide.  ``proven_none`` is
-    only reported when the whole space was exhausted within budget.
+    prunes as soon as two saturated vertices collide.  Returns the number
+    of antimagic labelings reached (at most 1 with ``first_only``), the
+    labels of the one it stopped at, and the nodes visited.
     """
-    budget = budget or SearchBudget()
-    if budget.mode != "exhaustive":
-        raise GraphError("exhaustive_search requires an exhaustive-mode budget")
     m = g.m
-    if m == 0:
-        lab = Labeling([])
-        ok = verify_antimagic(g, lab).ok
-        return SearchResult(FOUND if ok else PROVEN_NONE, lab if ok else None, nodes=1)
-    if g.degrees().count(0) >= 2:
+    degs = g.degrees()
+    if degs.count(0) >= 2:
         # both sums stay 0, and the pruning only compares saturated vertices
-        return SearchResult(PROVEN_NONE, None)
+        return 0, [], 0
     order = _edge_order(g)
     labels = [0] * m
     sums = [0] * g.n
-    remaining = list(g.degrees())
+    remaining = list(degs)
     used = [False] * (m + 1)
     saturated: set[int] = set()
-    nodes = 0
+    nodes = leaves = 0
 
     def rec(pos: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, leaves
         if pos == m:
-            return True
+            leaves += 1
+            return first_only
         e = order[pos]
         u, v = g.edges[e]
         for lab in range(m, 0, -1):
             if used[lab]:
                 continue
             nodes += 1
-            if nodes > budget.max_nodes:
-                raise _Budget
+            if nodes > max_nodes:
+                raise SearchBudgetExceeded(nodes)
             used[lab] = True
             labels[e] = lab
             sums[u] += lab
@@ -128,11 +133,24 @@ def exhaustive_search(g: Graph, budget: SearchBudget | None = None) -> SearchRes
             remaining[v] += 1
         return False
 
+    rec(0)
+    return leaves, labels, nodes
+
+
+def exhaustive_search(g: Graph, budget: SearchBudget | None = None) -> SearchResult:
+    """First antimagic labeling in backtracking order, or a proof of none.
+
+    ``proven_none`` is only reported when the whole space was exhausted
+    within ``budget.max_nodes``.
+    """
+    budget = budget or SearchBudget()
+    if budget.mode != "exhaustive":
+        raise GraphError("exhaustive_search requires an exhaustive-mode budget")
     try:
-        found = rec(0)
-    except _Budget:
-        return SearchResult(BUDGET_EXCEEDED, None, nodes=nodes)
-    if not found:
+        leaves, labels, nodes = _backtrack(g, budget.max_nodes, first_only=True)
+    except SearchBudgetExceeded as exc:
+        return SearchResult(BUDGET_EXCEEDED, None, nodes=exc.nodes)
+    if not leaves:
         return SearchResult(PROVEN_NONE, None, nodes=nodes)
     lab = Labeling(labels)
     assert verify_antimagic(g, lab).ok
@@ -140,58 +158,11 @@ def exhaustive_search(g: Graph, budget: SearchBudget | None = None) -> SearchRes
 
 
 def count_antimagic_labelings(g: Graph, max_nodes: int = 50_000_000) -> int:
-    """Number of antimagic labelings of ``g`` by full enumeration."""
-    m = g.m
-    if m == 0:
-        return 1 if g.n <= 1 else 0
-    if g.degrees().count(0) >= 2:
-        return 0
-    order = _edge_order(g)
-    sums = [0] * g.n
-    remaining = list(g.degrees())
-    used = [False] * (m + 1)
-    saturated: set[int] = set()
-    nodes = 0
+    """Number of antimagic labelings of ``g`` by full enumeration.
 
-    def rec(pos: int) -> int:
-        nonlocal nodes
-        if pos == m:
-            return 1
-        total = 0
-        e = order[pos]
-        u, v = g.edges[e]
-        for lab in range(m, 0, -1):
-            if used[lab]:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise _Budget
-            used[lab] = True
-            sums[u] += lab
-            sums[v] += lab
-            remaining[u] -= 1
-            remaining[v] -= 1
-            added = []
-            ok = True
-            for x in (u, v):
-                if remaining[x] == 0:
-                    if sums[x] in saturated:
-                        ok = False
-                        break
-                    saturated.add(sums[x])
-                    added.append(sums[x])
-            if ok:
-                total += rec(pos + 1)
-            for s in added:
-                saturated.discard(s)
-            used[lab] = False
-            sums[u] -= lab
-            sums[v] -= lab
-            remaining[u] += 1
-            remaining[v] += 1
-        return total
-
-    return rec(0)
+    Raises :class:`SearchBudgetExceeded` past ``max_nodes`` search nodes.
+    """
+    return _backtrack(g, max_nodes, first_only=False)[0]
 
 
 def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResult:

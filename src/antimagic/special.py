@@ -1,25 +1,25 @@
 """Constructive labelings for graphs with a vertex of degree n-1 or n-2.
 
 The universal-vertex construction is self-contained and always succeeds.
-The degree-(n-2) constructions follow a parity scheme: label the graph
+The degree-(n-2) construction follows a parity scheme: label the graph
 minus the high-degree vertex ``v_n`` so that weight parities are under
 control, then spend the reserved labels on the edges at ``v_n`` so that
 every parity class stays internally distinct.
 
-The published arguments leave several choices "arbitrary" and wave at the
-final distinctness; at small scales those claims can genuinely fail (the
-fixed sums of ``v_n`` and its non-neighbor admit accidental collisions).
-Every construction here is therefore verifier-gated: the default choices
-are tried first and, on a verification failure, the arbitrary choices are
-re-drawn deterministically until the verifier accepts.
+The scheme makes one deterministic candidate per graph.  The published
+arguments wave at the final distinctness, and at small scales it can
+genuinely fail: the fixed sums of ``v_n`` and its non-neighbor can be
+forced onto a neighbor's total.  The candidate is therefore
+verifier-gated, and a graph whose candidate fails (or that the scheme
+cannot serve at all) goes once to the oracle's collision-local search,
+the kernel the dense route also resamples with.  There are no re-draws.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .decompose import cycle_decomposition, cycle_edges, parity_forest
 from .graph import (
@@ -30,18 +30,11 @@ from .graph import (
     verify_antimagic,
     vertex_sums,
 )
-
-# Re-draws of the "arbitrary" choices before a construction gives up.
-_VARIANT_CAP = 200
-
-# The sparse (m <= 2n-5) scheme can be infeasible outright on a few tiny
-# graphs (see the ledger note on the n=5, m=5 family); instances this small
-# fall back to exhaustive search instead of failing.
-_FALLBACK_MAX_EDGES = 12
+from .oracle import FOUND, heuristic_search
 
 
 class ConstructionError(RuntimeError):
-    """A labeler exhausted its choice budget without a verified labeling."""
+    """Neither the construction nor the search fallback found a labeling."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +87,14 @@ def weight_multiplicities_ok(sums: Iterable[int], cap: int) -> bool:
     return all(c <= cap for c in counts.values())
 
 
-def complete_partial_labeling(g: Graph, pl: PartialLabeling,
-                              candidate_order: Optional[Sequence[int]] = None) -> PartialLabeling:
+def complete_partial_labeling(g: Graph, pl: PartialLabeling) -> PartialLabeling:
     """Complete a partial labeling without concentrating positive weights.
 
     With a pool of ``m+2`` labels, any partial labeling in which no more
     than ``ceil(r/2)`` vertices share a positive weight extends edge by
     edge: of any three unused labels at most two can push some weight
-    value past the cap, so a greedy scan (smallest feasible label first by
-    default) never gets stuck.
+    value past the cap, so a greedy scan (smallest feasible label first)
+    never gets stuck.
 
     Restricted to ``r >= 3``: on a single isolated edge both endpoints
     necessarily share one positive weight, so the cap ``ceil(2/2)=1`` is
@@ -120,9 +112,6 @@ def complete_partial_labeling(g: Graph, pl: PartialLabeling,
         raise GraphError("input labeling already violates the weight-multiplicity bound")
     assignment = dict(pl.assignment)
     unused = sorted(pl.pool - set(assignment.values()))
-    if candidate_order is not None:
-        key = {lab: i for i, lab in enumerate(candidate_order)}
-        unused.sort(key=lambda lab: key.get(lab, len(key)))
     for e in range(g.m):
         if e in assignment:
             continue
@@ -156,48 +145,43 @@ def complete_partial_labeling(g: Graph, pl: PartialLabeling,
 def label_max_degree_n_minus_2(g: Graph) -> Labeling:
     """Antimagic labeling of a graph with maximum degree exactly n-2.
 
-    Dispatches on the edge count: dense graphs (m >= 2n-4) get the parity
-    forest / cycle decomposition scheme, sparse ones (m <= 2n-5) the
-    all-even scheme with its three edge-count cases; an isolated
-    non-neighbor reduces to the universal-vertex construction.  n=4 admits
-    only four max-degree-2 graphs, all tiny enough to label by direct
-    search.
+    An isolated non-neighbor of the hub reduces to the universal-vertex
+    construction.  Otherwise the edge count picks the scheme: dense graphs
+    (m >= 2n-4) get the parity forest / cycle decomposition scheme, sparse
+    ones (m <= 2n-5) the all-even scheme with its three edge-count cases.
+    The scheme's one candidate is verified; when there is none or it
+    fails, the labeling comes from :func:`heuristic_search` instead.
     """
     n = g.n
     if n < 4:
         raise GraphError("construction requires n >= 4")
     if g.max_degree() != n - 2:
         raise GraphError(f"maximum degree must be exactly n-2={n - 2}, got {g.max_degree()}")
-    if n == 4:
-        return _label_tiny(g)
-    hubs = [v for v in range(n) if g.degree(v) == n - 2]
-    dense = g.m >= 2 * n - 4
-    for vn in hubs:
-        non_neighbors = [u for u in range(n) if u != vn and not g.has_edge(u, vn)]
-        assert len(non_neighbors) == 1
-        vn1 = non_neighbors[0]
-        if not dense and g.degree(vn1) == 0:
-            return _label_isolated_non_neighbor(g, vn1)
-        attempt = _lemma43_attempts if dense else _lemma44_attempts
-        for labels in attempt(g, vn, vn1):
-            lab = Labeling(labels)
-            if verify_antimagic(g, lab).ok:
-                return lab
-    if g.m <= _FALLBACK_MAX_EDGES:
-        from .oracle import FOUND, SearchBudget, exhaustive_search
-        res = exhaustive_search(g, SearchBudget(max_nodes=5_000_000))
-        if res.status == FOUND:
-            return res.labeling
-    raise ConstructionError("max-degree n-2 construction exhausted its variants")
-
-
-def _label_tiny(g: Graph) -> Labeling:
-    # n=4, max degree 2: at most 4 edges, so first-fit over permutations
-    for perm in itertools.permutations(range(1, g.m + 1)):
-        lab = Labeling(perm)
+    vn = g.degrees().index(n - 2)
+    vn1 = next(u for u in range(n) if u != vn and not g.has_edge(u, vn))
+    if g.degree(vn1) == 0:
+        return _label_isolated_non_neighbor(g, vn1)
+    m = g.m
+    if m >= 2 * n - 4:
+        scheme = _lemma43
+    elif m == 2 * n - 5:
+        scheme = _lemma44_all_evens
+    elif m >= 2 * n - 7:
+        scheme = _lemma44_two_spare_evens
+    else:
+        scheme = _lemma44_completion
+    candidate = scheme(g, vn, vn1, *g.induced([u for u in range(n) if u != vn]))
+    if candidate is not None:
+        labels, assign = candidate
+        for u, lab in assign.items():
+            labels[g.edge_index(u, vn)] = lab
+        lab = Labeling(labels)
         if verify_antimagic(g, lab).ok:
             return lab
-    raise ConstructionError("no antimagic labeling on tiny instance")
+    res = heuristic_search(g)
+    if res.status == FOUND:
+        return res.labeling
+    raise ConstructionError("max-degree n-2 construction and search found no labeling")
 
 
 def _label_isolated_non_neighbor(g: Graph, iso: int) -> Labeling:
@@ -211,86 +195,65 @@ def _label_isolated_non_neighbor(g: Graph, iso: int) -> Labeling:
     return Labeling(labels)
 
 
-def _shuffled(seq, rng):
-    out = list(seq)
-    rng.shuffle(out)
-    return out
+def _lift(g: Graph, gstar: Graph, origin: list[int], star_items):
+    """G*'s labels on G's edge ids (the hub's edges stay 0), and G*'s sums."""
+    labels = [0] * g.m
+    wstar = [0] * gstar.n
+    for e_s, lab in star_items:
+        labels[origin[e_s]] = lab
+        a, b = gstar.edges[e_s]
+        wstar[a] += lab
+        wstar[b] += lab
+    return labels, wstar
 
+
+# Each scheme below takes G, the hub ``vn``, its non-neighbor ``vn1`` and
+# ``G - vn`` as ``(gstar, vmap, origin)`` from ``Graph.induced``.  It returns
+# the labels of G's non-hub edges plus a map neighbor -> label for the hub's
+# edges, or None when its choices admit no candidate.
 
 # -- dense case: m >= 2n-4 ---------------------------------------------------
 
-def _lemma43_attempts(g: Graph, vn: int, vn1: int):
-    """Candidate label arrays for the parity-forest / cycle scheme.
+def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
+    """Parity-forest / cycle scheme, with all choices canonical.
 
-    Variant 0 uses all-canonical choices; later variants re-draw the
-    "arbitrary" ones (forest label order, cycle order, rotations and
-    directions) from a seeded generator.  The mixed cycle, if any, is only
-    ever rotated so that neither parity junction lands on the non-neighbor.
+    The forest takes the smallest evens, the cycles the remaining evens
+    and then the small odds; the mixed cycle, if any, is only rotated so
+    that neither parity junction lands on the non-neighbor.  The top n-2
+    odds are reserved for the hub's edges.
     """
     n, m = g.n, g.m
-    gstar, vmap, origin = g.induced([u for u in range(n) if u != vn])
     vn1_s = vmap[vn1]
     forest = sorted(parity_forest(gstar).forest_edges)
-    rest = Graph(gstar.n, [gstar.edges[e] for e in range(gstar.m) if e not in set(forest)])
+    in_forest = set(forest)
+    rest = Graph(gstar.n, [gstar.edges[e] for e in range(gstar.m) if e not in in_forest])
     cycles = [_canonical_rotation(c) for c in cycle_decomposition(rest).cycles]
 
-    odds = [x for x in range(1, m + 1, 2)]
-    reserved = odds[-(n - 2):]
-    in_gstar = sorted(set(range(1, m + 1)) - set(reserved))
-    evens = [x for x in in_gstar if x % 2 == 0]
-    small_odds = [x for x in in_gstar if x % 2 == 1]
-    forest_labels_base = evens[:len(forest)]
-    stream_base = evens[len(forest):] + small_odds
+    evens = list(range(2, m + 1, 2))
+    odds = list(range(1, m + 1, 2))
+    reserved = odds[len(odds) - (n - 2):]
+    labels_star = dict(zip(forest, evens))
+    stream = iter(evens[len(forest):] + odds[:len(odds) - (n - 2)])
+    evens_left = len(evens) - len(forest)
+    for cyc in cycles:
+        k = len(cyc)
+        if 0 < evens_left < k:
+            cyc = _avoid_junctions(cyc, evens_left, vn1_s)
+            if cyc is None:
+                return None
+        for e in cycle_edges(rest, cyc):
+            labels_star[gstar.edge_index(*rest.edges[e])] = next(stream)
+        evens_left = max(0, evens_left - k)
 
-    for seed in range(_VARIANT_CAP):
-        rng = random.Random(seed)
-        forest_order = list(forest) if seed == 0 else _shuffled(forest, rng)
-        cycle_order = list(cycles) if seed == 0 else _shuffled(cycles, rng)
-        if seed > 0:
-            cycle_order = [_rotate(c, rng.randrange(len(c)), rng.randrange(2)) for c in cycle_order]
-        labels_star = {}
-        for e, lab in zip(forest_order, forest_labels_base):
-            labels_star[e] = lab
-        stream = list(stream_base)
-        pos = 0
-        evens_left = len(evens) - len(forest)
-        ok = True
-        for cyc in cycle_order:
-            k = len(cyc)
-            if 0 < evens_left < k:
-                cyc = _avoid_junctions(cyc, evens_left, vn1_s)
-                if cyc is None:
-                    ok = False
-                    break
-            for e in cycle_edges(rest, cyc):
-                eg = gstar.edge_index(*rest.edges[e])
-                labels_star[eg] = stream[pos]
-                pos += 1
-            evens_left = max(0, evens_left - k)
-        if not ok:
-            continue
-
-        wstar = [0] * gstar.n
-        for e, lab in labels_star.items():
-            a, b = gstar.edges[e]
-            wstar[a] += lab
-            wstar[b] += lab
-        odd_vertices = [v for v in range(gstar.n) if wstar[v] % 2 == 1]
-        if len(odd_vertices) > 2 or vn1_s in odd_vertices:
-            raise AssertionError("parity bookkeeping broken in dense construction")
-
-        labels = [0] * m
-        for e_s, lab in labels_star.items():
-            labels[origin[e_s]] = lab
-        neighbors = [u for u in range(n) if u != vn and u != vn1]
-        w_g = {u: wstar[vmap[u]] for u in neighbors}
-        odd_g = [u for u in neighbors if w_g[u] % 2 == 1]
-        fixed = [wstar[vn1_s], sum(reserved)]
-        for assign in _reserved_assignments(neighbors, w_g, odd_g, reserved, fixed):
-            out = list(labels)
-            for u, lab in assign.items():
-                out[g.edge_index(u, vn)] = lab
-            yield out
+    labels, wstar = _lift(g, gstar, origin, labels_star.items())
+    odd_vertices = [v for v in range(gstar.n) if wstar[v] % 2 == 1]
+    if len(odd_vertices) > 2 or vn1_s in odd_vertices:
+        raise AssertionError("parity bookkeeping broken in dense construction")
+    neighbors = [u for u in range(n) if u != vn and u != vn1]
+    w_g = {u: wstar[vmap[u]] for u in neighbors}
+    odd_g = [u for u in neighbors if w_g[u] % 2 == 1]
+    assign = _reserved_assignment(neighbors, w_g, odd_g, reserved, [wstar[vn1_s], sum(reserved)])
+    return None if assign is None else (labels, assign)
 
 
 def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -300,13 +263,6 @@ def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     fwd, back = cycle[(i + 1) % k], cycle[(i - 1) % k]
     seq = list(cycle[i:]) + list(cycle[:i])
     if back < fwd:
-        seq = [seq[0]] + seq[1:][::-1]
-    return tuple(seq)
-
-
-def _rotate(cycle: Sequence[int], shift: int, flip: int) -> tuple[int, ...]:
-    seq = list(cycle[shift:]) + list(cycle[:shift])
-    if flip:
         seq = [seq[0]] + seq[1:][::-1]
     return tuple(seq)
 
@@ -322,193 +278,114 @@ def _avoid_junctions(cycle: tuple[int, ...], split: int, banned: int):
     return None
 
 
-def _reserved_assignments(neighbors, w, odd_vertices, reserved, fixed_sums):
-    """Assignments of the reserved labels to the hub's neighbors.
+def _distinct_totals(w, assign, fixed_sums) -> bool:
+    sums = [w[u] + lab for u, lab in assign.items()] + list(fixed_sums)
+    return len(set(sums)) == len(sums)
 
-    Yields candidate dicts vertex->label, cheapest first: the sorted
-    default, parity-aware pair scans for the two odd-weight vertices,
-    transposition repairs, and finally (small instances) brute force.  The
-    caller verifies the full labeling; these are candidates only.
+
+def _reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
+    """Assignment of the reserved labels to the hub's neighbors, or None.
+
+    With no odd-weight neighbor, the sorted default: lighter neighbors get
+    smaller labels.  With two, the first pair of labels for them (a
+    parity-aware scan) that keeps their totals apart.  Either way the
+    neighbor totals and ``fixed_sums`` (the other vertices' weights) must
+    come out pairwise distinct.
     """
     if len(set(fixed_sums)) < len(fixed_sums):
-        return  # the forced sums already collide; no assignment can help
+        return None  # the forced sums already collide; no assignment can help
     order = sorted(neighbors, key=lambda u: (w[u], u))
     labels = sorted(reserved)
-    k = len(order)
-
-    def total_ok(assign):
-        sums = [w[u] + assign[u] for u in order] + list(fixed_sums)
-        return len(set(sums)) == len(sums)
-
     if not odd_vertices:
         base = dict(zip(order, labels))
-        if total_ok(base):
-            yield base
-        for i, j in itertools.combinations(range(k), 2):
-            cand = dict(base)
-            cand[order[i]], cand[order[j]] = base[order[j]], base[order[i]]
-            if total_ok(cand):
-                yield cand
-    elif len(odd_vertices) == 2:
-        vj, vk = sorted(odd_vertices, key=lambda u: (w[u], u))
-        rest = [u for u in order if u not in (vj, vk)]
-        for alpha, beta in itertools.permutations(labels, 2):
-            if w[vj] + alpha == w[vk] + beta:
-                continue
-            remaining = sorted(set(labels) - {alpha, beta})
-            cand = dict(zip(rest, remaining))
-            cand[vj] = alpha
-            cand[vk] = beta
-            if total_ok(cand):
-                yield cand
-    if k <= 8:
-        for perm in itertools.permutations(labels):
-            cand = dict(zip(order, perm))
-            if total_ok(cand):
-                yield cand
+        return base if _distinct_totals(w, base, fixed_sums) else None
+    vj, vk = sorted(odd_vertices, key=lambda u: (w[u], u))
+    rest = [u for u in order if u not in (vj, vk)]
+    for alpha, beta in itertools.permutations(labels, 2):
+        if w[vj] + alpha == w[vk] + beta:
+            continue
+        cand = dict(zip(rest, sorted(set(labels) - {alpha, beta})))
+        cand[vj] = alpha
+        cand[vk] = beta
+        if _distinct_totals(w, cand, fixed_sums):
+            return cand
+    return None
 
 
 # -- sparse case: m <= 2n-5 --------------------------------------------------
 
-def _lemma44_attempts(g: Graph, vn: int, vn1: int):
-    n, m = g.n, g.m
-    if m == 2 * n - 5:
-        yield from _lemma44_all_evens(g, vn, vn1)
-    elif m in (2 * n - 6, 2 * n - 7):
-        yield from _lemma44_two_spare_evens(g, vn, vn1)
-    else:
-        yield from _lemma44_completion(g, vn, vn1)
-
-
-def _gstar_parts(g: Graph, vn: int):
-    gstar, vmap, origin = g.induced([u for u in range(g.n) if u != vn])
-    return gstar, vmap, origin
-
-
-def _lemma44_all_evens(g: Graph, vn: int, vn1: int):
+def _lemma44_all_evens(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
     # m = 2n-5: the evens exactly cover the graph minus the hub, the odds
     # exactly cover the hub's edges
     n, m = g.n, g.m
-    gstar, vmap, origin = _gstar_parts(g, vn)
     evens = list(range(2, m + 1, 2))
     odds = list(range(1, m + 1, 2))
     assert len(evens) == gstar.m and len(odds) == n - 2
-    for seed in range(_VARIANT_CAP):
-        order = evens if seed == 0 else _shuffled(evens, random.Random(seed))
-        labels = [0] * m
-        wstar = [0] * gstar.n
-        for e_s, lab in enumerate(order[:gstar.m]):
-            labels[origin[e_s]] = lab
-            a, b = gstar.edges[e_s]
-            wstar[a] += lab
-            wstar[b] += lab
-        neighbors = [u for u in range(n) if u != vn and u != vn1]
-        w_g = {u: wstar[vmap[u]] for u in neighbors}
-        fixed = [wstar[vmap[vn1]], sum(odds)]
-        for assign in _reserved_assignments(neighbors, w_g, [], odds, fixed):
-            out = list(labels)
-            for u, lab in assign.items():
-                out[g.edge_index(u, vn)] = lab
-            yield out
+    labels, wstar = _lift(g, gstar, origin, enumerate(evens))
+    neighbors = [u for u in range(n) if u != vn and u != vn1]
+    w_g = {u: wstar[vmap[u]] for u in neighbors}
+    assign = _reserved_assignment(neighbors, w_g, [], odds, [wstar[vmap[vn1]], sum(odds)])
+    return None if assign is None else (labels, assign)
 
 
-def _lemma44_two_spare_evens(g: Graph, vn: int, vn1: int):
-    # m in {2n-6, 2n-7}: one even pair {r1, r2} is split between a held-back
-    # edge of the reduced graph and one hub edge so both all-even weights
-    # (the chosen neighbor and the non-neighbor) come out distinct
+def _lemma44_two_spare_evens(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
+    # m in {2n-6, 2n-7}: one even pair {r1, r2} is split between the last
+    # edge of the reduced graph, held back, and the hub edge of the first
+    # neighbor v1 off that edge, so both all-even weights (v1 and the
+    # non-neighbor) come out distinct
     n, m = g.n, g.m
-    gstar, vmap, origin = _gstar_parts(g, vn)
     s = gstar.m
     evens = list(range(2, m + 1, 2))
     odds = list(range(1, m + 1, 2))
     assert len(evens) == s + 1 and len(odds) == n - 3
     r2, r1 = evens[-2], evens[-1]
-    first_evens = evens[:-2]
-    neighbors_all = [u for u in range(n) if u != vn and u != vn1]
-    for seed in range(_VARIANT_CAP):
-        rng = random.Random(seed)
-        excluded_choices = list(range(s - 1, -1, -1)) if seed == 0 else _shuffled(range(s), rng)
-        order = first_evens if seed == 0 else _shuffled(first_evens, rng)
-        for e_idx in excluded_choices[:1] if seed == 0 else excluded_choices[:2]:
-            x, y = gstar.edges[e_idx]
-            v1_options = [u for u in neighbors_all if vmap[u] not in (x, y)]
-            if seed > 0:
-                rng.shuffle(v1_options)
-            for v1 in v1_options[:1] if seed == 0 else v1_options[:2]:
-                others = [e for e in range(s) if e != e_idx]
-                labels = [0] * m
-                wstar = [0] * gstar.n
-                for e_s, lab in zip(others, order):
-                    labels[origin[e_s]] = lab
-                    a, b = gstar.edges[e_s]
-                    wstar[a] += lab
-                    wstar[b] += lab
-                a1 = wstar[vmap[v1]]
-                a2 = wstar[vmap[vn1]]
-                vn1_on_e = vmap[vn1] in (x, y)
-                for c, o in ((r1, r2), (r2, r1)):
-                    w_vn1 = a2 + (c if vn1_on_e else 0)
-                    if a1 + o == w_vn1:
-                        continue
-                    out = list(labels)
-                    out[origin[e_idx]] = c
-                    out[g.edge_index(v1, vn)] = o
-                    ws = list(wstar)
-                    ws[x] += c
-                    ws[y] += c
-                    neighbors = [u for u in neighbors_all if u != v1]
-                    w_g = {u: ws[vmap[u]] for u in neighbors}
-                    fixed = [w_vn1, a1 + o, o + sum(odds)]
-                    for assign in _reserved_assignments(neighbors, w_g, [], odds, fixed):
-                        cand = list(out)
-                        for u, lab in assign.items():
-                            cand[g.edge_index(u, vn)] = lab
-                        yield cand
+    x, y = gstar.edges[s - 1]
+    neighbors = [u for u in range(n) if u != vn and u != vn1]
+    v1 = next(u for u in neighbors if vmap[u] not in (x, y))
+    neighbors.remove(v1)
+    labels, wstar = _lift(g, gstar, origin, zip(range(s - 1), evens))
+    a1 = wstar[vmap[v1]]
+    a2 = wstar[vmap[vn1]]
+    vn1_on_e = vmap[vn1] in (x, y)
+    for c, o in ((r1, r2), (r2, r1)):
+        w_vn1 = a2 + (c if vn1_on_e else 0)
+        if a1 + o == w_vn1:
+            continue
+        ws = list(wstar)
+        ws[x] += c
+        ws[y] += c
+        w_g = {u: ws[vmap[u]] for u in neighbors}
+        assign = _reserved_assignment(neighbors, w_g, [], odds, [w_vn1, a1 + o, o + sum(odds)])
+        if assign is not None:
+            labels[origin[s - 1]] = c
+            assign[v1] = o
+            return labels, assign
+    return None
 
 
-def _lemma44_completion(g: Graph, vn: int, vn1: int):
+def _lemma44_completion(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
     # m <= 2n-8: label the reduced graph from the largest evens with the
     # multiplicity-capped completion, then spread the leftover labels on
     # the hub edges, relabeling one block of equal-weight neighbors when
     # the non-neighbor's weight is hit
     n, m = g.n, g.m
-    gstar, vmap, origin = _gstar_parts(g, vn)
-    s = gstar.m
     evens = list(range(2, m + 1, 2))
-    pool = evens[-(s + 2):]
-    biggest = pool[-1]
-    vn1_edges = list(gstar.incident_edges(vmap[vn1]))
-    assert vn1_edges, "isolated non-neighbor handled earlier"
-    for seed in range(_VARIANT_CAP):
-        rng = random.Random(seed)
-        anchor = vn1_edges[0] if seed == 0 else rng.choice(vn1_edges)
-        candidate_order = None if seed == 0 else _shuffled(pool, rng)
-        pl = PartialLabeling(pool, {anchor: biggest})
-        comp = complete_partial_labeling(gstar, pl, candidate_order=candidate_order)
-        labels = [0] * m
-        wstar = [0] * gstar.n
-        for e_s, lab in comp.assignment.items():
-            labels[origin[e_s]] = lab
-            a, b = gstar.edges[e_s]
-            wstar[a] += lab
-            wstar[b] += lab
-        used = set(comp.assignment.values())
-        spare_evens = sorted(set(evens) - used)
-        odds = list(range(1, m + 1, 2))
-        reserved = spare_evens + odds
-        assert len(reserved) == n - 2
-        neighbors = [u for u in range(n) if u != vn and u != vn1]
-        w_g = {u: wstar[vmap[u]] for u in neighbors}
-        w_vn1 = wstar[vmap[vn1]]
-        base = _block_relabel(neighbors, w_g, spare_evens, odds, w_vn1)
-        candidates = [base] if base is not None else []
-        fixed = [w_vn1, sum(reserved)]
-        for assign in itertools.chain(candidates,
-                                      _reserved_assignments(neighbors, w_g, [], reserved, fixed)):
-            out = list(labels)
-            for u, lab in assign.items():
-                out[g.edge_index(u, vn)] = lab
-            yield out
+    pool = evens[-(gstar.m + 2):]
+    anchor = gstar.incident_edges(vmap[vn1])[0]
+    comp = complete_partial_labeling(gstar, PartialLabeling(pool, {anchor: pool[-1]}))
+    labels, wstar = _lift(g, gstar, origin, comp.assignment.items())
+    spare_evens = sorted(set(evens) - set(comp.assignment.values()))
+    odds = list(range(1, m + 1, 2))
+    reserved = spare_evens + odds
+    assert len(reserved) == n - 2
+    neighbors = [u for u in range(n) if u != vn and u != vn1]
+    w_g = {u: wstar[vmap[u]] for u in neighbors}
+    w_vn1 = wstar[vmap[vn1]]
+    fixed = [w_vn1, sum(reserved)]
+    assign = _block_relabel(neighbors, w_g, spare_evens, odds, w_vn1)
+    if assign is None or not _distinct_totals(w_g, assign, fixed):
+        assign = _reserved_assignment(neighbors, w_g, [], reserved, fixed)
+    return None if assign is None else (labels, assign)
 
 
 def _block_relabel(neighbors, w, spare_evens, odds, w_vn1):

@@ -11,6 +11,7 @@ from antimagic.oracle import (
     NOT_FOUND,
     PROVEN_NONE,
     SearchBudget,
+    SearchBudgetExceeded,
     count_antimagic_labelings,
     exhaustive_search,
     heuristic_search,
@@ -75,6 +76,12 @@ class TestExhaustive:
         g = Graph(6, list(itertools.combinations(range(6), 2)))
         res = exhaustive_search(g, SearchBudget(max_nodes=5))
         assert res.status == BUDGET_EXCEEDED
+
+    def test_count_budget_raises_public_error(self):
+        g = Graph(6, list(itertools.combinations(range(6), 2)))
+        with pytest.raises(SearchBudgetExceeded) as info:
+            count_antimagic_labelings(g, max_nodes=5)
+        assert info.value.nodes == 6
 
     def test_deterministic(self):
         g = cycle(5)

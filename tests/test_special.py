@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
+from antimagic import special
 from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
 from antimagic.graph import Graph, GraphError, Labeling, PartialLabeling, verify_antimagic, vertex_sums
-from antimagic.oracle import FOUND, SearchBudget, exhaustive_search
+from antimagic.oracle import FOUND, SearchBudget, exhaustive_search, heuristic_search
 from antimagic.special import (
     complete_partial_labeling,
     label_max_degree_n_minus_2,
@@ -24,6 +26,31 @@ def complete(n):
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def random_delta_n2(rng):
+    """Random graph with a hub of degree n-2, 9 <= n <= 120, whose edge
+    count is drawn so that every scheme of the construction is hit: the
+    parity forest (m >= 2n-4), all evens (2n-5), two spare evens (2n-6,
+    2n-7) and the capped completion (below 2n-7)."""
+    n = rng.randrange(9, 121)
+    hub, skip = n - 1, rng.randrange(n - 1)
+    m = rng.choice([2 * n - 5, 2 * n - 6, 2 * n - 7,
+                    rng.randrange(n - 1, 2 * n - 7), rng.randrange(2 * n - 4, 4 * n)])
+    rest = set()
+    while len(rest) < m - (n - 2):
+        u, v = sorted(rng.sample(range(n - 1), 2))
+        rest.add((u, v))
+    return Graph(n, sorted(rest) + [(u, hub) for u in range(n - 1) if u != skip])
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make the search fallback of the n-2 construction an error."""
+    def fail(g, *args, **kwargs):
+        raise AssertionError(f"search fallback on {g!r}")
+
+    monkeypatch.setattr(special, "heuristic_search", fail)
 
 
 class TestUniversalVertex:
@@ -151,6 +178,13 @@ class TestMaxDegreeNMinus2:
         lab = label_max_degree_n_minus_2(g)
         assert verify_antimagic(g, lab).ok
 
+    def test_search_fallback_is_deterministic(self):
+        # the trap graph takes the search fallback: same graph, same certificate
+        g = Graph(5, [(0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
+        first = label_max_degree_n_minus_2(g)
+        assert first == heuristic_search(g).labeling
+        assert all(label_max_degree_n_minus_2(g) == first for _ in range(3))
+
     def test_dense_path_five_vertices(self):
         # n=5, max degree 3, m=7 >= 2n-4: cycle plus two chords
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
@@ -183,7 +217,7 @@ class TestMaxDegreeNMinus2:
         with pytest.raises(GraphError):
             label_max_degree_n_minus_2(cycle(6))
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_small_corpus_exhaustive(self, n):
         for g in high_max_degree_corpus(n):
             if g.max_degree() == n - 1:
@@ -191,3 +225,19 @@ class TestMaxDegreeNMinus2:
             else:
                 lab = label_max_degree_n_minus_2(g)
             assert verify_antimagic(g, lab).ok
+
+    def test_block_relabel_certifies_without_search(self, no_search):
+        # m = 2n-8: the sorted spare evens hit the non-neighbor's weight, so
+        # the equal-weight block moves onto the odds
+        g = Graph(8, [(0, 1), (0, 2), (0, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)])
+        assert verify_antimagic(g, label_max_degree_n_minus_2(g)).ok
+
+    def test_random_graphs_certified_by_construction(self, no_search):
+        # seeded stress beyond the corpus: every scheme's one candidate
+        # verifies, so the search fallback is never needed
+        rng = random.Random(2003)
+        for _ in range(400):
+            g = random_delta_n2(rng)
+            if g.max_degree() != g.n - 2:
+                continue
+            assert verify_antimagic(g, label_max_degree_n_minus_2(g)).ok
