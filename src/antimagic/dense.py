@@ -26,8 +26,8 @@ from itertools import compress, count, filterfalse
 from operator import itemgetter
 from typing import Optional
 
-from .graph import (CollisionState, Graph, GraphError, Labeling, PartialLabeling, first_collision,
-                    verify_antimagic, vertex_sums)
+from .graph import (CollisionState, Graph, GraphError, Labeling, PartialLabeling, _canonical_graph,
+                    first_collision, verify_antimagic, vertex_sums)
 
 
 class PairingError(RuntimeError):
@@ -94,7 +94,8 @@ class DenseState:
     @property
     def reduced_graph(self) -> Graph:
         """The surviving edges as a graph of their own (built on each call)."""
-        return Graph(self.graph.n, [self.graph.edges[e] for e in self.reduced_edges])
+        # an ascending subset of canonical edges is canonical and sorted
+        return _canonical_graph(self.graph.n, [self.graph.edges[e] for e in self.reduced_edges])
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,11 @@ def phase1_reduce(g: Graph, cfg: DenseConfig) -> DenseState:
         def key(e):
             u, v = g.edges[e]
             return (-max(deg[u], deg[v]), -min(deg[u], deg[v]), e)
-        extra = min(reduced, key=key)
+        # The key's first term is smallest exactly on the edges at a vertex
+        # of maximum remaining degree, so the minimum lies among those.
+        top = max(deg)
+        extra = min((e for v in range(g.n) if deg[v] == top
+                     for e in g.incident_edges(v) if kept[e]), key=key)
         kept[extra] = False
         removed.append((extra, next_label))
         u, v = g.edges[extra]

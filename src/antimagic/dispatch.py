@@ -3,8 +3,10 @@
 ``dispatch_label`` routes a graph to the most specific labeler whose
 hypothesis it satisfies: complete multipartite structure first, then a
 vertex of degree n-1 or n-2, then the randomized dense pipeline, and
-finally the heuristic search.  Whatever the method claims, the certificate
-is re-verified before the report is emitted.
+finally the heuristic search.  Every labeler verifies the labeling it
+returns on the graph it was given, so a report carries a certificate only
+when it passed :func:`verify_antimagic` exactly once; dispatch does not
+check it again.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from operator import eq, itemgetter
 from typing import Optional
 
 from .dense import DenseConfig, PairingError, label_dense
-from .graph import Graph, GraphError, Labeling, verify_antimagic
+# verify_antimagic is not called here, since each labeler verifies its own
+# labeling; the name stays because bench/tracing.py wraps it in this module.
+from .graph import Graph, GraphError, Labeling, verify_antimagic  # noqa: F401
 from .io import GRAPH6_MAX_N, emit_graph6
 from .oracle import FOUND, SearchBudget, heuristic_search
 from .partite import label_multipartite_on
@@ -30,7 +34,9 @@ METHODS = ("auto", "universal", "delta-n2", "partite", "dense", "oracle")
 
 @dataclass(frozen=True)
 class RunReport:
-    """One labeling attempt; the certificate is present iff it verified.
+    """One labeling attempt; the certificate is present iff the route's
+    labeler verified it (the trivial empty labeling of a graph on at most one
+    vertex is antimagic by definition).
 
     ``graph_id`` is the graph's graph6 line, or ``""`` when the graph has
     more than ``GRAPH6_MAX_N`` vertices: graph6 cannot encode it, and the
@@ -81,10 +87,6 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
     def report(outcome, chosen, labeling=None, restarts=0, note=""):
-        if labeling is not None:
-            if not verify_antimagic(g, labeling).ok:
-                return report(FAILED, chosen, None, restarts,
-                              "produced labeling failed re-verification")
         return RunReport(chosen, graph_id, outcome, restarts,
                          time.perf_counter() - start, labeling, note)
 

@@ -35,7 +35,9 @@ class Graph:
     concurrent workers.
     """
 
-    __slots__ = ("n", "edges", "_incident", "_index")
+    __slots__ = ("n", "edges", "_incident", "_index", "_graph6")
+    n: int
+    edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -47,22 +49,14 @@ class Graph:
         # fraction of the cost of comparing tuples.
         canon.sort(key=itemgetter(1))
         canon.sort(key=itemgetter(0))
-        incident: list[list[int]] = [[] for _ in range(n)]
-        valid = not canon or canon[0][0] >= 0 and not any(map(eq, canon, islice(canon, 1, None)))
-        if valid:
+        if not canon or canon[0][0] >= 0 and not any(map(eq, canon, islice(canon, 1, None))):
             try:
                 # no end is negative now, so only an end >= n can fail here
-                for e, (u, v) in enumerate(canon):
-                    incident[u].append(e)
-                    incident[v].append(e)
+                _fill(self, n, canon)
+                return
             except IndexError:
-                valid = False
-        if not valid:
-            _reject_edges(n, pairs)
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(canon)
-        self._incident = tuple(map(tuple, incident))
-        self._index: Optional[dict[tuple[int, int], int]] = None
+                pass
+        _reject_edges(n, pairs)
 
     @property
     def m(self) -> int:
@@ -127,7 +121,8 @@ class Graph:
             if u in vmap and v in vmap:
                 kept_edges.append((vmap[u], vmap[v]))
                 origin.append(e)
-        return Graph(len(keep), kept_edges), vmap, origin
+        # an order-preserving vertex map keeps the edges canonical and sorted
+        return _canonical_graph(len(keep), kept_edges), vmap, origin
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -152,6 +147,37 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _fill(g: Graph, n: int, edges) -> None:
+    """Set ``g``'s slots from ``edges``, which must be canonical and sorted.
+
+    Nothing is checked, except that an end >= n raises IndexError.
+    """
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    g.n = n
+    g.edges = tuple(edges)
+    g._incident = tuple(map(tuple, incident))
+    g._index = None
+    g._graph6 = None
+
+
+def _canonical_graph(n: int, edges, graph6: Optional[str] = None) -> Graph:
+    """Trusted constructor: a ``Graph`` on ``edges`` without validation.
+
+    The caller guarantees what ``Graph.__init__`` would check: every edge is
+    ``(u, v)`` with ``0 <= u < v < n``, and the list is strictly increasing
+    in lexicographic order, so it holds no loop and no duplicate.
+    ``graph6``, when given, is the graph's graph6 line as ``io.emit_graph6``
+    would write it.
+    """
+    g = Graph.__new__(Graph)
+    _fill(g, n, edges)
+    g._graph6 = graph6
+    return g
 
 
 def _reject_edges(n: int, pairs) -> NoReturn:

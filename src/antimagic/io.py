@@ -12,7 +12,8 @@ from __future__ import annotations
 import binascii
 from typing import Iterator, Optional
 
-from .graph import Graph, GraphError, Labeling, VerifyReport, verify_antimagic, vertex_sums
+from .graph import (Graph, GraphError, Labeling, VerifyReport, _canonical_graph, verify_antimagic,
+                    vertex_sums)
 
 EDGELIST = "edgelist"
 G6LINE = "g6line"
@@ -108,6 +109,13 @@ GRAPH6_MAX_N = 258047
 
 
 def emit_graph6(g: Graph) -> str:
+    """The graph6 line of ``g``, without a ``>>graph6<<`` header.
+
+    A graph read by :func:`parse_graph6` from a line in exactly this form
+    keeps that line, and it is returned as it stands.
+    """
+    if g._graph6 is not None:
+        return g._graph6
     n = g.n
     if n > GRAPH6_MAX_N:
         raise ParseError(f"encoding supports at most {GRAPH6_MAX_N} vertices")
@@ -126,6 +134,13 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6(line: str) -> Graph:
+    """The graph on one graph6 line; an optional ``>>graph6<<`` header is skipped.
+
+    When the line, stripped and without the header, is exactly what
+    :func:`emit_graph6` writes for the graph (the one-character size for
+    n <= 62, zero padding bits), the graph records it, so that encoding the
+    graph again costs nothing.
+    """
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -156,15 +171,20 @@ def parse_graph6(line: str) -> Graph:
     quanta = raw.translate(_G6_TO_B64) + b"A" * (-need % 4)
     data = binascii.a2b_base64(quanta)
     bits = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
-    edges = []
+    # Column v holds the bits of (0, v), ..., (v - 1, v); filing each set bit
+    # under its row leaves every row's later ends ascending, so the edges
+    # come out in Graph's order and need no sort or check.
+    rows: list[list[int]] = [[] for _ in range(n)]
     first = 0  # bit index of (0, v)
     for v in range(1, n):
         k = bits.find("1", first, first + v)
         while k >= 0:
-            edges.append((k - first, v))
+            rows[k - first].append(v)
             k = bits.find("1", k + 1, first + v)
         first += v
-    return Graph(n, edges)
+    edges = [(u, v) for u, row in enumerate(rows) for v in row]
+    canonical = (i == 1 or n > 62) and bits.find("1", nbits) < 0
+    return _canonical_graph(n, edges, s if canonical else None)
 
 
 def emit_certificate(g: Graph, labeling: Labeling, report: Optional[VerifyReport] = None) -> str:

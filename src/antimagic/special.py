@@ -1,6 +1,7 @@
 """Constructive labelings for graphs with a vertex of degree n-1 or n-2.
 
-The universal-vertex construction is self-contained and always succeeds.
+The universal-vertex construction is self-contained and always succeeds;
+like every labeler here, it verifies what it returns.
 The degree-(n-2) construction follows a parity scheme: label the graph
 minus the high-degree vertex ``v_n`` so that weight parities are under
 control, then spend the reserved labels on the edges at ``v_n`` so that
@@ -48,6 +49,7 @@ def label_universal_vertex(g: Graph) -> Labeling:
     ``v`` take the top n-1 labels in order of the neighbors' partial sums
     (ties by vertex id), which makes the neighbor weights strictly
     increase, with ``w(v) = (n-1)(m-n+1) + n(n-1)/2`` strictly on top.
+    The labeling is verified before it is returned.
     """
     n = g.n
     if n < 3:
@@ -69,7 +71,10 @@ def label_universal_vertex(g: Graph) -> Labeling:
     base = g.m - n + 1
     for i, u in enumerate(order, start=1):
         labels[g.edge_index(u, v)] = base + i
-    return Labeling(labels)
+    lab = Labeling(labels)
+    if not verify_antimagic(g, lab).ok:
+        raise AssertionError("universal-vertex construction produced a collision")
+    return lab
 
 
 def universal_vertex_weight(n: int, m: int) -> int:
@@ -192,7 +197,10 @@ def _label_isolated_non_neighbor(g: Graph, iso: int) -> Labeling:
     labels = [0] * g.m
     for new_e, old_e in enumerate(origin):
         labels[old_e] = sub_lab[new_e]
-    return Labeling(labels)
+    lab = Labeling(labels)
+    if not verify_antimagic(g, lab).ok:
+        raise AssertionError("lifted universal-vertex labeling produced a collision")
+    return lab
 
 
 def _lift(g: Graph, gstar: Graph, origin: list[int], star_items):

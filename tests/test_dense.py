@@ -92,6 +92,28 @@ class TestPhase1:
             assert len(below) <= (2 if st.parity_adjusted else 0)
 
 
+    @pytest.mark.parametrize("n, d", [(24, 5), (60, 4), (90, 13)])
+    def test_parity_pick_matches_min_over_all_reduced_edges(self, n, d):
+        # reference: the keyed min over every reduced edge, with the degrees
+        # the first pass leaves
+        adjusted = 0
+        for seed in range(20):
+            g = random_min_degree(n, d, seed)
+            st = phase1_reduce(g, DenseConfig(d=d))
+            if not st.parity_adjusted:
+                continue
+            adjusted += 1
+            extra = st.removed[-1][0]
+            before = st.reduced_edges + (extra,)
+            deg = Counter(x for e in before for x in g.edges[e])
+
+            def key(e):
+                u, v = g.edges[e]
+                return (-max(deg[u], deg[v]), -min(deg[u], deg[v]), e)
+            assert extra == min(before, key=key)
+        assert adjusted >= 5
+
+
 class TestPhase2:
     def test_c6_three_disjoint_pairs(self):
         st = phase2_pair_edges(phase1_reduce(cycle(6), DenseConfig(d=2)))

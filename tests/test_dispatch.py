@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import antimagic.dense
 import antimagic.dispatch
+import antimagic.oracle
+import antimagic.partite
+import antimagic.special
 from antimagic.dispatch import (ANTIMAGIC, FAILED, NOT_APPLICABLE, dispatch_label,
                                 recognize_complete_multipartite)
 from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
@@ -55,7 +59,7 @@ def _path_plus_chords():
     return Graph(8, [(0, v) for v in range(1, 7)] + [(i, i + 1) for i in range(1, 7)])
 
 
-@pytest.mark.parametrize("g, method, outcome", [
+_FAMILIES = [
     (Graph(2, [(0, 1)]), "auto", NOT_APPLICABLE),
     (Graph(4, []), "auto", NOT_APPLICABLE),
     (complete_graph(6), "partite", ANTIMAGIC),
@@ -65,12 +69,51 @@ def _path_plus_chords():
     (_path_plus_chords(), "delta-n2", ANTIMAGIC),
     (random_min_degree_graph(60, 13, 0), "dense", ANTIMAGIC),
     (cycle_graph(10), "oracle", ANTIMAGIC),
-], ids=["K2", "edgeless", "K6", "K3,5", "K2,3,4", "wheel", "delta-n2", "dense", "C10"])
+]
+_FAMILY_IDS = ["K2", "edgeless", "K6", "K3,5", "K2,3,4", "wheel", "delta-n2", "dense", "C10"]
+
+
+@pytest.mark.parametrize("g, method, outcome", _FAMILIES, ids=_FAMILY_IDS)
 def test_routes_each_family(g, method, outcome):
     rep = dispatch_label(g)
     assert (rep.method, rep.outcome) == (method, outcome)
     if outcome == ANTIMAGIC:
         assert verify_antimagic(g, rep.certificate).ok
+
+
+@pytest.fixture
+def verifier_calls(monkeypatch):
+    """(graph, labels, ok) of every verifier call a labeler or dispatch makes."""
+    calls = []
+
+    def recording(g, labeling):
+        report = verify_antimagic(g, labeling)
+        calls.append((g, labeling.labels, report.ok))
+        return report
+
+    for module in (antimagic.dispatch, antimagic.dense, antimagic.special, antimagic.partite,
+                   antimagic.oracle):
+        monkeypatch.setattr(module, "verify_antimagic", recording)
+    return calls
+
+
+_CERTIFIED = [(g, method) for g, method, outcome in _FAMILIES if outcome == ANTIMAGIC]
+_CERTIFIED_IDS = [i for i, (_, _, outcome) in zip(_FAMILY_IDS, _FAMILIES) if outcome == ANTIMAGIC]
+
+
+@pytest.mark.parametrize("g, method", _CERTIFIED + [
+    # a singleton class with k >= 3 goes through label_universal_vertex
+    (complete_partite_graph([1, 2, 3]), "partite"),
+    # the hub's non-neighbour is isolated: the universal-vertex labeling of
+    # the rest, lifted back
+    (Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)]), "delta-n2"),
+], ids=_CERTIFIED_IDS + ["K1,2,3", "delta-n2 isolated"])
+def test_certificate_passes_the_verifier_exactly_once(g, method, verifier_calls):
+    rep = dispatch_label(g)
+    assert (rep.method, rep.outcome) == (method, ANTIMAGIC)
+    gate = [ok for graph, labels, ok in verifier_calls
+            if graph is g and labels == rep.certificate.labels]
+    assert gate == [True]
 
 
 def test_recognizes_complete_multipartite_classes():

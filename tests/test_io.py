@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph
 from antimagic.io import ParseError, emit_graph6, parse_edgelist, parse_graph6
 
@@ -49,6 +50,22 @@ def test_graph6_header_is_skipped():
     assert parse_graph6(">>graph6<<Bw\n") == Graph(3, [(0, 1), (0, 2), (1, 2)])
 
 
+# A 10-cycle plus a chord: 45 bits fill 8 characters, leaving 3 padding bits.
+_C10_CHORD = Graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5)])
+_C10_LINE = emit_graph6(_C10_CHORD)
+
+
+@pytest.mark.parametrize("line", [
+    ">>graph6<<" + _C10_LINE,
+    "~??" + chr(10 + 63) + _C10_LINE[1:],
+    _C10_LINE[:-1] + chr((ord(_C10_LINE[-1]) - 63 | 0b111) + 63),
+], ids=["header", "long size field", "padding bits set"])
+def test_noncanonical_graph6_line_is_not_the_graph_id(line):
+    g = parse_graph6(line)
+    assert g == _C10_CHORD
+    assert dispatch_label(g).graph_id == emit_graph6(Graph(g.n, g.edges)) == _C10_LINE
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(min_value=0, max_value=70))
@@ -76,4 +93,33 @@ def test_graph6_round_trip_graph(g):
 
 @given(graph6_lines())
 def test_graph6_round_trip_line(line):
-    assert emit_graph6(parse_graph6(line)) == line
+    g = parse_graph6(line)
+    assert emit_graph6(g) == line
+    # the parsed graph returns its recorded line; the encoder must agree
+    assert emit_graph6(Graph(g.n, g.edges)) == line
+
+
+def _same_structure(a, b):
+    assert a.n == b.n
+    assert a.edges == b.edges
+    assert all(a.incident_edges(v) == b.incident_edges(v) for v in range(a.n))
+
+
+def _validated(n, edges):
+    # the checking constructor, fed the edges reversed and flipped, so that
+    # it must sort them itself
+    return Graph(n, [(v, u) for u, v in reversed(edges)])
+
+
+@given(graphs())
+def test_graph6_decode_builds_what_graph_builds(g):
+    _same_structure(parse_graph6(emit_graph6(g)), _validated(g.n, g.edges))
+
+
+@given(graphs(), st.data())
+def test_induced_builds_what_graph_builds(g, data):
+    keep = sorted(data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n)))
+    sub, vmap, origin = g.induced(keep)
+    kept = [(vmap[u], vmap[v]) for u, v in g.edges if u in vmap and v in vmap]
+    _same_structure(sub, _validated(len(keep), kept))
+    assert [g.edges[e] for e in origin] == [(keep[a], keep[b]) for a, b in sub.edges]
