@@ -12,8 +12,10 @@ The underlying existence argument fixes a label pairing with a certified
 point-probability property and then applies a local lemma; certifying that
 property is exponential, so this implementation replaces it with
 verify-and-resample: coins local to colliding vertices are redrawn first,
-then the whole label pairing.  Correctness is absolute because the
-verifier gates acceptance; only the running-time guarantee is heuristic.
+up to ``MAX_LOCAL_RESAMPLES`` times, then the whole label pairing.
+Correctness is absolute because the verifier gates acceptance; only the
+running-time guarantee is heuristic.  A run reports its restarts and
+resamples and, when it fails, the fewest colliding pairs any attempt had.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from itertools import compress, count, filterfalse
 from operator import itemgetter
 from typing import Optional
 
-from .graph import (CollisionState, Graph, GraphError, Labeling, PartialLabeling, _canonical_graph,
-                    first_collision, verify_antimagic, vertex_sums)
+# vertex_sums is not called here; the name stays because bench/tracing.py
+# wraps it in this module.
+from .graph import CollisionState, Graph, GraphError, Labeling, verify_antimagic, vertex_sums  # noqa: F401
 
 
 class PairingError(RuntimeError):
@@ -37,6 +40,8 @@ class PairingError(RuntimeError):
 # ``DenseConfig.d`` defaults to ceil(C * ln n); the source analysis never
 # pins the constant C.
 C = 3.0
+# Local coin redraws per label pairing before a fresh pairing is drawn.
+MAX_LOCAL_RESAMPLES = 30
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,6 @@ class DenseConfig:
     d: Optional[int] = None
     max_restarts: int = 1000
     rng_seed: int = 0
-    max_local_resamples: int = 30
 
     def __post_init__(self):
         if self.d is not None and self.d < 1:
@@ -64,49 +68,40 @@ class DenseConfig:
 class DenseState:
     """Everything the pipeline accumulates across phases.
 
-    ``reduced_edges`` lists the surviving edge ids of the input graph;
-    ``removed`` carries the phase-1 labels; ``carried`` is the per-vertex
-    sum of removed labels.  ``low``/``high`` split the vertices by reduced
-    degree (at most d versus at least d+1; the parity adjustment can leave
-    up to two vertices one below d).  Phase 2 fills the pairing fields,
-    phase 3 the label pairs and the fixed spill-over sums.
+    Phase 1 sets ``removed``, the (edge id, label) pairs it stripped, and
+    ``reduced_edges``, the ascending ids of the surviving edges; ``high``
+    holds the vertices whose reduced degree is at least d+1 (the parity
+    adjustment can leave up to two vertices one below d).  Phase 2 sets
+    ``pair_list`` with each pair's position in ``pair_index``, the spill-over
+    sets ``spill`` and the incident sets ``h_sets`` that remain after them;
+    phase 3 sets ``label_pairs``, aligned with ``pair_list``.
     """
 
     graph: Graph
     d: int
     reduced_edges: tuple[int, ...]
     removed: tuple[tuple[int, int], ...]
-    carried: tuple[int, ...]
-    low: frozenset[int]
     high: frozenset[int]
     t: int
     parity_adjusted: bool
     # phase 2
-    partner: Optional[dict[int, int]] = None
     pair_list: Optional[tuple[tuple[int, int], ...]] = None
     pair_index: Optional[dict[int, int]] = None
     spill: Optional[dict[int, tuple[int, ...]]] = None
     h_sets: Optional[dict[int, tuple[int, ...]]] = None
     # phase 3
     label_pairs: Optional[tuple[tuple[int, int], ...]] = None
-    spill_sums: Optional[dict[int, int]] = None
-
-    @property
-    def reduced_graph(self) -> Graph:
-        """The surviving edges as a graph of their own (built on each call)."""
-        # an ascending subset of canonical edges is canonical and sorted
-        return _canonical_graph(self.graph.n, [self.graph.edges[e] for e in self.reduced_edges])
 
 
 @dataclass(frozen=True)
 class DenseResult:
-    """Outcome of a full pipeline run."""
+    """Outcome of a full pipeline run; ``best_collision_count`` is the
+    fewest colliding vertex pairs of any attempt (0 on success)."""
 
     labeling: Optional[Labeling]
     restarts: int
     resamples: int
     best_collision_count: int
-    collision: Optional[tuple[int, int]]
 
     @property
     def ok(self) -> bool:
@@ -156,13 +151,10 @@ def phase1_reduce(g: Graph, cfg: DenseConfig) -> DenseState:
         deg[v] -= 1
         reduced.remove(extra)
         adjusted = True
-    carried = vertex_sums(g, PartialLabeling(map(itemgetter(1), removed), dict(removed)))
-    low = frozenset(v for v in range(g.n) if deg[v] <= d)
     high = frozenset(v for v in range(g.n) if deg[v] >= d + 1)
     return DenseState(
-        graph=g, d=d, reduced_edges=tuple(reduced),
-        removed=tuple(removed), carried=carried, low=low, high=high,
-        t=len(reduced), parity_adjusted=adjusted,
+        graph=g, d=d, reduced_edges=tuple(reduced), removed=tuple(removed),
+        high=high, t=len(reduced), parity_adjusted=adjusted,
     )
 
 
@@ -249,48 +241,31 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     pair_list = tuple(sorted((p if p[0] < p[1] else p[::-1] for p in pairs), key=itemgetter(0)))
     lows = list(map(itemgetter(0), pair_list))
     highs = list(map(itemgetter(1), pair_list))
-    partner = dict(zip(lows, highs))
-    partner.update(zip(highs, lows))
-    if len(partner) != st.t:
-        raise AssertionError("pairing must cover every remaining edge exactly once")
     pair_index = dict(zip(lows, count()))
     pair_index.update(zip(highs, count()))
+    if len(pair_index) != st.t:
+        raise AssertionError("pairing must cover every remaining edge exactly once")
     h_sets = dict(enumerate(incident))
     for v, chunk in spill.items():
         h_sets[v] = incident[v][len(chunk):]
-    return replace(st, partner=partner, pair_list=pair_list, pair_index=pair_index,
-                   spill=spill, h_sets=h_sets)
+    return replace(st, pair_list=pair_list, pair_index=pair_index, spill=spill, h_sets=h_sets)
 
 
 def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
     """Uniform random pairing of the labels 1..t, pinned to the edge pairs.
 
     A shuffle chunked into consecutive pairs is a uniform perfect matching
-    of the labels.  The spill-over sums are already determined here: both
-    labels of a spill pair land on the same high vertex whichever way the
-    later coin falls.
+    of the labels; ``label_pairs[i]`` (smaller label first) goes to
+    ``pair_list[i]``.
     """
     if st.pair_list is None:
         raise GraphError("phase 2 has not run")
     labels = list(range(1, st.t + 1))
     rng.shuffle(labels)
     evens, odds = labels[0::2], labels[1::2]
-    label_pairs = tuple(zip(map(min, evens, odds), map(max, evens, odds)))
-    spill_sums = {}
-    for v, edges in (st.spill or {}).items():
-        total = 0
-        for e in edges:
-            if e < st.partner[e]:
-                total += sum(label_pairs[st.pair_index[e]])
-        spill_sums[v] = total
-    return replace(st, label_pairs=label_pairs, spill_sums=spill_sums)
-
-
-def label_pair_for(st: DenseState, e: int) -> tuple[int, int]:
-    """The label pair shared by edge ``e`` and its partner."""
-    if st.label_pairs is None:
-        raise GraphError("phase 3 has not run")
-    return st.label_pairs[st.pair_index[e]]
+    # Both edges of a spill pair meet their high vertex, so its spill-over
+    # sum is fixed here, whichever way the later coins fall.
+    return replace(st, label_pairs=tuple(zip(map(min, evens, odds), map(max, evens, odds))))
 
 
 def assemble_labeling(st: DenseState, coins: list[int]) -> Labeling:
@@ -322,33 +297,30 @@ def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
     """Run the full pipeline until the verifier accepts or budgets run out.
 
     Phases 1-2 run once.  Each label pairing is assembled once into a
-    :class:`CollisionState` and gets a number of local repairs: on a
-    collision, only the coins of pairs meeting the colliding vertices'
-    incident sets are redrawn, and a coin that changes swaps its pair's two
-    labels in place.  When the local budget is spent a fresh label pairing
-    is drawn, up to ``max_restarts`` pairings in total.
+    :class:`CollisionState` and gets up to ``MAX_LOCAL_RESAMPLES`` local
+    repairs: on a collision, only the coins of pairs meeting the colliding
+    vertices' incident sets are redrawn, and a coin that changes swaps its
+    pair's two labels in place.  When the local budget is spent a fresh
+    label pairing is drawn, up to ``max_restarts`` pairings in total.
     """
     cfg = cfg or DenseConfig()
     st = phase2_pair_edges(phase1_reduce(g, cfg))
     rng = random.Random(cfg.rng_seed)
-    best_count = None
-    best_pair = None
+    best_count = math.inf  # finite on failure: every pairing collides at least once
     resamples = 0
     for draw in range(cfg.max_restarts):
         st = phase3_pair_labels(st, rng)
         coins = [rng.randrange(2) for _ in st.pair_list]
         state = CollisionState(g, assemble_labeling(st, coins))
-        for attempt in range(cfg.max_local_resamples + 1):
+        for attempt in range(MAX_LOCAL_RESAMPLES + 1):
             if state.collisions == 0:
                 lab = Labeling(state.labels)
                 report = verify_antimagic(g, lab)
                 if not report.ok:
                     raise AssertionError("pipeline produced a non-bijection")
-                return DenseResult(lab, draw, resamples, 0, None)
-            if best_count is None or state.collisions < best_count:
-                best_count = state.collisions
-                best_pair = first_collision(state.sums)
-            if attempt == cfg.max_local_resamples:
+                return DenseResult(lab, draw, resamples, 0)
+            best_count = min(best_count, state.collisions)
+            if attempt == MAX_LOCAL_RESAMPLES:
                 break
             flip = {st.pair_index[e] for v in state.colliding for e in st.h_sets[v]}
             if not flip:
@@ -359,5 +331,4 @@ def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
                     coins[idx] = coin
                     state.swap(*st.pair_list[idx])
             resamples += 1
-    return DenseResult(None, cfg.max_restarts - 1, resamples,
-                       best_count if best_count is not None else 0, best_pair)
+    return DenseResult(None, cfg.max_restarts - 1, resamples, best_count)

@@ -134,7 +134,7 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
             return report(FAILED, chosen, None, res.restarts,
                           f"budget exhausted; best attempt had "
                           f"{res.best_collision_count} colliding pairs")
-        budget = SearchBudget(mode="heuristic", seed=seed)
+        budget = SearchBudget(seed=seed)
         res = heuristic_search(g, budget)
         if res.status == FOUND:
             return report(ANTIMAGIC, "oracle", res.labeling)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import add, eq, itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, NoReturn, Optional
 
 # Per-vertex sums; index = vertex id.
@@ -298,14 +298,8 @@ class VerifyReport:
     first_collision: Optional[tuple[int, int]]
 
 
-def vertex_sums(g: Graph, labeling: Labeling | PartialLabeling,
-                base: Optional[Iterable[int]] = None) -> WeightMap:
-    """Per-vertex sums of assigned labels; ``base`` is added pointwise.
-
-    Unlabeled edges contribute nothing.  ``base`` carries partial sums from
-    labels assigned outside ``labeling`` (e.g. edges already removed by a
-    reduction phase).
-    """
+def vertex_sums(g: Graph, labeling: Labeling | PartialLabeling) -> WeightMap:
+    """Per-vertex sums of assigned labels; unlabeled edges contribute nothing."""
     m = g.m
     if isinstance(labeling, PartialLabeling):
         assignment = labeling.assignment
@@ -326,11 +320,6 @@ def vertex_sums(g: Graph, labeling: Labeling | PartialLabeling,
     # more indices to return a tuple
     sums = [sum(itemgetter(*inc)(labels)) if len(inc) > 1 else sum(map(get, inc))
             for inc in g._incident]
-    if base is not None:
-        base = [int(x) for x in base]
-        if len(base) != g.n:
-            raise GraphError(f"base has {len(base)} entries for n={g.n}")
-        sums = map(add, base, sums)
     return tuple(sums)
 
 

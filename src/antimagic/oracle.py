@@ -25,19 +25,19 @@ NOT_FOUND = "not_found"
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits: ``max_nodes`` caps the exhaustive search tree; the heuristic
-    search makes ``restarts`` runs from seeded random labelings, each of at
-    most ``max_iters * m`` proposed swaps."""
+    """Limits for both searches; each reads only its own fields.
 
-    mode: str = "exhaustive"
+    ``max_nodes`` caps the exhaustive search tree.  The heuristic search
+    makes ``restarts`` runs from labelings drawn with ``seed``, each of at
+    most ``max_iters * m`` proposed swaps.
+    """
+
     max_nodes: int = 2_000_000
     max_iters: int = 300
     restarts: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "heuristic"):
-            raise GraphError(f"unknown search mode {self.mode!r}")
         if min(self.max_nodes, self.max_iters, self.restarts) < 1:
             raise GraphError("budgets must be positive")
 
@@ -144,8 +144,6 @@ def exhaustive_search(g: Graph, budget: SearchBudget | None = None) -> SearchRes
     within ``budget.max_nodes``.
     """
     budget = budget or SearchBudget()
-    if budget.mode != "exhaustive":
-        raise GraphError("exhaustive_search requires an exhaustive-mode budget")
     try:
         leaves, labels, nodes = _backtrack(g, budget.max_nodes, first_only=True)
     except SearchBudgetExceeded as exc:
@@ -153,7 +151,8 @@ def exhaustive_search(g: Graph, budget: SearchBudget | None = None) -> SearchRes
     if not leaves:
         return SearchResult(PROVEN_NONE, None, nodes=nodes)
     lab = Labeling(labels)
-    assert verify_antimagic(g, lab).ok
+    if not verify_antimagic(g, lab).ok:
+        raise AssertionError("backtracking produced a labeling the verifier rejects")
     return SearchResult(FOUND, lab, nodes=nodes)
 
 
@@ -176,9 +175,7 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
     swap removes, so such graphs are ``not_found`` at once.  Any hit is
     re-verified before being returned.
     """
-    budget = budget or SearchBudget(mode="heuristic")
-    if budget.mode != "heuristic":
-        raise GraphError("heuristic_search requires a heuristic-mode budget")
+    budget = budget or SearchBudget()
     degs = g.degrees()
     if degs.count(0) >= 2 or any(degs[u] == degs[v] == 1 for u, v in g.edges):
         return SearchResult(NOT_FOUND, None)

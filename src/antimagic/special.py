@@ -28,6 +28,7 @@ from .graph import (
     GraphError,
     Labeling,
     PartialLabeling,
+    _canonical_graph,
     verify_antimagic,
     vertex_sums,
 )
@@ -234,7 +235,8 @@ def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
     vn1_s = vmap[vn1]
     forest = sorted(parity_forest(gstar).forest_edges)
     in_forest = set(forest)
-    rest = Graph(gstar.n, [gstar.edges[e] for e in range(gstar.m) if e not in in_forest])
+    # an ascending subset of gstar's canonical edges is canonical and sorted
+    rest = _canonical_graph(gstar.n, [gstar.edges[e] for e in range(gstar.m) if e not in in_forest])
     cycles = [_canonical_rotation(c) for c in cycle_decomposition(rest).cycles]
 
     evens = list(range(2, m + 1, 2))

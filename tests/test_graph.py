@@ -109,11 +109,6 @@ class TestVertexSums:
         w = vertex_sums(path3(), Labeling([1, 2]))
         assert w == (1, 3, 2)
 
-    def test_empty_assignment_with_base(self):
-        pl = PartialLabeling(pool=[1, 2, 3], assignment={})
-        w = vertex_sums(path3(), pl, base=(5, 0, 0))
-        assert w == (5, 0, 0)
-
     def test_cycle4_hand_addition(self):
         # labels 1,2,3,4 in cycle order 0-1-2-3-0
         g = cycle4()
@@ -128,7 +123,7 @@ class TestVertexSums:
         g = cycle4()
         lab = Labeling([2, 4, 1, 3])
         pl = PartialLabeling(pool=range(1, 5), assignment=dict(lab.items()))
-        assert vertex_sums(g, lab) == vertex_sums(g, pl, base=[0] * 4)
+        assert vertex_sums(g, lab) == vertex_sums(g, pl)
 
     def test_edge_out_of_range(self):
         pl = PartialLabeling(pool=[1], assignment={5: 1})
@@ -141,10 +136,6 @@ class TestVertexSums:
     def test_long_labeling_is_out_of_range(self):
         with pytest.raises(GraphError, match=r"^edge index 2 out of range for m=2$"):
             vertex_sums(path3(), Labeling([1, 2, 3]))
-
-    def test_bad_base_length(self):
-        with pytest.raises(GraphError):
-            vertex_sums(path3(), Labeling([1, 2]), base=[0, 0])
 
 
 class TestVerify:

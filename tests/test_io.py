@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from antimagic.dispatch import dispatch_label
-from antimagic.graph import Graph
-from antimagic.io import ParseError, emit_graph6, parse_edgelist, parse_graph6
+from antimagic.graph import Graph, GraphError
+from antimagic.io import ParseError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 
 
 @pytest.mark.parametrize("dup", ["1 2", "2 1"])
@@ -67,8 +67,8 @@ def test_noncanonical_graph6_line_is_not_the_graph_id(line):
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(min_value=0, max_value=70))
+def graphs(draw, max_n=70):
+    n = draw(st.integers(min_value=0, max_value=max_n))
     vertex = st.integers(0, max(n - 1, 0))
     pairs = draw(st.sets(st.tuples(vertex, vertex), max_size=80))
     return Graph(n, {(min(p), max(p)) for p in pairs if p[0] != p[1]})
@@ -89,6 +89,25 @@ def graph6_lines(draw):
 @given(graphs())
 def test_graph6_round_trip_graph(g):
     assert parse_graph6(emit_graph6(g)) == g
+
+
+# n stays small: Graph allocates one incidence list per vertex of the header
+@given(graphs(max_n=30), st.randoms(use_true_random=False))
+def test_edgelist_round_trip(g, rnd):
+    header, *lines = emit_edgelist(g).splitlines()
+    rnd.shuffle(lines)
+    lines = [" ".join(line.split()[::-1]) if rnd.random() < 0.5 else line for line in lines]
+    assert parse_edgelist("\n".join([header, *lines])) == g
+
+
+# arbitrary text, and text over ASCII so that more lines get past the checks
+@given(st.text(max_size=40) | st.text(st.characters(max_codepoint=127), max_size=40))
+def test_parse_graph6_fuzz(line):
+    try:
+        g = parse_graph6(line)
+    except (ParseError, GraphError):
+        return
+    assert isinstance(g, Graph)
 
 
 @given(graph6_lines())

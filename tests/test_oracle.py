@@ -4,7 +4,8 @@ import random
 import pytest
 
 from antimagic.corpus import connected_graphs_upto_iso
-from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic
+from antimagic import oracle
+from antimagic.graph import Graph, Labeling, VerifyReport, verify_antimagic
 from antimagic.oracle import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -89,9 +90,12 @@ class TestExhaustive:
         b = exhaustive_search(g)
         assert a.labeling == b.labeling and a.nodes == b.nodes
 
-    def test_mode_enforced(self):
-        with pytest.raises(GraphError):
-            exhaustive_search(cycle(4), SearchBudget(mode="heuristic"))
+    def test_rejected_labeling_raises(self, monkeypatch):
+        # the gate is an explicit raise, so it holds under ``python -O`` too
+        rejected = VerifyReport(ok=False, bijection_ok=True, first_collision=(0, 1))
+        monkeypatch.setattr(oracle, "verify_antimagic", lambda g, lab: rejected)
+        with pytest.raises(AssertionError):
+            exhaustive_search(Graph(4, [(0, 1), (1, 2), (2, 3)]))
 
     def test_two_isolated_vertices_proven_none(self):
         # both isolated vertices keep sum 0 whatever the labels
@@ -107,12 +111,12 @@ class TestExhaustive:
 
 class TestHeuristic:
     def test_k2_not_found(self):
-        res = heuristic_search(Graph(2, [(0, 1)]), SearchBudget(mode="heuristic", restarts=3))
+        res = heuristic_search(Graph(2, [(0, 1)]), SearchBudget(restarts=3))
         assert res.status == NOT_FOUND
 
     def test_petersen(self):
         g = petersen()
-        res = heuristic_search(g, SearchBudget(mode="heuristic", seed=1))
+        res = heuristic_search(g, SearchBudget(seed=1))
         assert res.status == FOUND
         assert verify_antimagic(g, res.labeling).ok
 
@@ -122,7 +126,7 @@ class TestHeuristic:
         Graph(5, [(0, 1), (1, 2)]),
     ], ids=["edge-and-isolated-vertex", "k2-component", "two-isolated-vertices"])
     def test_hopeless_graphs_not_found_at_once(self, g):
-        res = heuristic_search(g, SearchBudget(mode="heuristic"))
+        res = heuristic_search(g)
         assert res.status == NOT_FOUND and res.iterations == 0
 
     @pytest.mark.parametrize("g", [
@@ -132,29 +136,25 @@ class TestHeuristic:
         random_regular(1000, 4, 2),
     ], ids=["C1000", "torus-25x30", "3-regular-n1000", "4-regular-n1000"])
     def test_found_on_large_sparse_graphs(self, g):
-        res = heuristic_search(g, SearchBudget(mode="heuristic", seed=3))
+        res = heuristic_search(g, SearchBudget(seed=3))
         assert res.status == FOUND
         assert verify_antimagic(g, res.labeling).ok
 
     def test_same_seed_same_labeling(self):
         g = torus(6, 7)
-        a = heuristic_search(g, SearchBudget(mode="heuristic", seed=5))
-        b = heuristic_search(g, SearchBudget(mode="heuristic", seed=5))
+        a = heuristic_search(g, SearchBudget(seed=5))
+        b = heuristic_search(g, SearchBudget(seed=5))
         assert a.status == FOUND
         assert a.labeling == b.labeling and a.iterations == b.iterations
 
     def test_agrees_with_exhaustive_on_small_corpus(self):
         for g in connected_graphs_upto_iso(4):
             ex = exhaustive_search(g)
-            h = heuristic_search(g, SearchBudget(mode="heuristic", seed=7))
+            h = heuristic_search(g, SearchBudget(seed=7))
             if ex.status == FOUND:
                 assert h.status == FOUND
             else:
                 assert ex.status == PROVEN_NONE and h.status == NOT_FOUND
-
-    def test_mode_enforced(self):
-        with pytest.raises(GraphError):
-            heuristic_search(cycle(4), SearchBudget(mode="exhaustive"))
 
 
 def test_conjecture_holds_up_to_5_vertices():
