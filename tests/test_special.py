@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -217,14 +218,26 @@ class TestMaxDegreeNMinus2:
         with pytest.raises(GraphError):
             label_max_degree_n_minus_2(cycle(6))
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_small_corpus_exhaustive(self, n):
+    # Digests of every certificate on the corpus, in corpus order, frozen
+    # from the construction that labeled G - v_n as a separate induced graph:
+    # labeling G on its own vertex ids must give the same labels.
+    @pytest.mark.parametrize("n, digest", [
+        (4, "c827955e3289661fb8a152d84fbbc25cf31cfae2bce7b4c6144a81868e6c65f2"),
+        (5, "30d521e291ff12e65b60ba75be75250bac9e2d03cc0076e7fde7bc38c51d7726"),
+        (6, "c39de1c8adf28048635c3a4b1aa09b5b30e0cdf9adbe950f1fb30bdc80347f21"),
+        (7, "9c878f526d1275c17e6d45737a8f61f15344af984904c1cc0842aa472fb2fa5b"),
+        (8, "d3a27b54c823e1901f3c137bb8a9f93c8f6b962331a12a109725703af3deadee"),
+    ])
+    def test_small_corpus_exhaustive(self, n, digest):
+        folded = hashlib.sha256()
         for g in high_max_degree_corpus(n):
             if g.max_degree() == n - 1:
                 lab = label_universal_vertex(g)
             else:
                 lab = label_max_degree_n_minus_2(g)
             assert verify_antimagic(g, lab).ok
+            folded.update(repr(lab.labels).encode())
+        assert folded.hexdigest() == digest
 
     def test_block_relabel_certifies_without_search(self, no_search):
         # m = 2n-8: the sorted spare evens hit the non-neighbor's weight, so
