@@ -101,7 +101,8 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     classes = None
     if method == "auto":
         classes = recognize_complete_multipartite(g)
-        if classes is not None and g.n >= 2 and len(classes) >= 2:
+        # with an edge there are two classes, so no size check is needed
+        if classes is not None:
             chosen = "partite"
         elif g.max_degree() == g.n - 1 and g.n >= 3:
             chosen = "universal"
@@ -118,9 +119,6 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
                 classes = recognize_complete_multipartite(g)
             if classes is None:
                 return report(NOT_APPLICABLE, chosen, note="not complete multipartite")
-            if len(classes) < 2:
-                return report(NOT_APPLICABLE, chosen,
-                              note="edgeless graph: all vertex sums are zero")
             return report(ANTIMAGIC, chosen, label_multipartite_on(g, classes))
         if chosen == "universal":
             return report(ANTIMAGIC, chosen, label_universal_vertex(g))

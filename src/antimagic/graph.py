@@ -30,9 +30,10 @@ class Graph:
 
     Edges are stored with ascending endpoints and sorted lexicographically,
     so any construction that walks "arbitrary" edges in storage order is
-    deterministic and reproducible.  Instances are value-like: nothing
-    mutates them after construction, so they are safe to share across
-    concurrent workers.
+    deterministic and reproducible.  Instances are value-like: the only
+    state set after construction is the edge -> index map, built on first
+    use and the same whoever builds it, so no method's answer ever changes
+    and instances are safe to share across concurrent workers.
     """
 
     __slots__ = ("n", "edges", "_incident", "_index", "_graph6")
@@ -106,23 +107,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
         return key in (self._index or self._edge_map())
-
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int], list[int]]:
-        """Induced subgraph on ``vertices``.
-
-        Returns ``(sub, vmap, edge_origin)`` where ``vmap`` maps old vertex
-        ids to new ones and ``edge_origin[new_edge] = old_edge``.
-        """
-        keep = sorted(set(vertices))
-        vmap = {old: new for new, old in enumerate(keep)}
-        kept_edges = []
-        origin = []
-        for e, (u, v) in enumerate(self.edges):
-            if u in vmap and v in vmap:
-                kept_edges.append((vmap[u], vmap[v]))
-                origin.append(e)
-        # an order-preserving vertex map keeps the edges canonical and sorted
-        return _canonical_graph(len(keep), kept_edges), vmap, origin
 
     def is_connected(self) -> bool:
         if self.n <= 1:

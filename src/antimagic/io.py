@@ -64,6 +64,10 @@ def parse_edgelist(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError("header must hold two integers", header_no) from None
+    if n > GRAPH6_MAX_N:
+        # Graph allocates one incidence list per vertex, so the header alone
+        # must not be able to ask for billions of them
+        raise ParseError(f"at most {GRAPH6_MAX_N} vertices, header says {n}", header_no)
     edges = set()
     for i in range(header_no, len(lines)):
         raw = lines[i].strip()

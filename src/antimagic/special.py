@@ -5,7 +5,9 @@ like every labeler here, it verifies what it returns.
 The degree-(n-2) construction follows a parity scheme: label the graph
 minus the high-degree vertex ``v_n`` so that weight parities are under
 control, then spend the reserved labels on the edges at ``v_n`` so that
-every parity class stays internally distinct.
+every parity class stays internally distinct.  ``G - v_n`` is built on G's
+own vertex ids, with ``v_n`` left isolated, so weights and labels never
+change coordinates.
 
 The scheme makes one deterministic candidate per graph.  The published
 arguments wave at the final distinctness, and at small scales it can
@@ -44,21 +46,28 @@ class ConstructionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def label_universal_vertex(g: Graph) -> Labeling:
-    """Antimagic labeling of a graph with a vertex ``v`` of degree n-1.
+    """Antimagic labeling of a graph with a hub ``v``: a vertex of degree
+    n-1, or (for n >= 4) of degree n-2 whose one non-neighbor is isolated.
 
-    Edges away from ``v`` take 1..m-n+1 in canonical order; the edges at
-    ``v`` take the top n-1 labels in order of the neighbors' partial sums
-    (ties by vertex id), which makes the neighbor weights strictly
-    increase, with ``w(v) = (n-1)(m-n+1) + n(n-1)/2`` strictly on top.
-    The labeling is verified before it is returned.
+    With ``d = deg(v)``, edges away from ``v`` take 1..m-d in canonical
+    order; the edges at ``v`` take the top d labels in order of the
+    neighbors' partial sums (ties by vertex id), which makes the neighbor
+    weights strictly increase, with ``w(v) = d(m-d) + d(d+1)/2`` strictly
+    on top.  An isolated non-neighbor keeps the unique weight 0.  The
+    labeling is verified before it is returned.
     """
     n = g.n
     if n < 3:
         raise GraphError("universal-vertex labeling requires n >= 3 (K2 is not antimagic)")
-    hubs = [v for v in range(n) if g.degree(v) == n - 1]
-    if not hubs:
-        raise GraphError("no vertex of degree n-1")
-    v = hubs[0]
+    degs = g.degrees()
+    if n - 1 in degs:
+        v = degs.index(n - 1)
+    elif n >= 4 and n - 2 in degs and 0 in degs:
+        # every vertex of degree n-2 misses exactly the isolated one
+        v = degs.index(n - 2)
+    else:
+        raise GraphError("no vertex of degree n-1, "
+                         "nor of degree n-2 with an isolated non-neighbor")
     labels = [0] * g.m
     w = [0] * n
     nxt = 1
@@ -68,10 +77,10 @@ def label_universal_vertex(g: Graph) -> Labeling:
             w[a] += nxt
             w[b] += nxt
             nxt += 1
-    order = sorted((u for u in range(n) if u != v), key=lambda u: (w[u], u))
-    base = g.m - n + 1
-    for i, u in enumerate(order, start=1):
-        labels[g.edge_index(u, v)] = base + i
+    hub_edge = dict(zip(g.neighbors(v), g.incident_edges(v)))
+    order = sorted(hub_edge, key=lambda u: (w[u], u))
+    for lab, u in enumerate(order, start=nxt):
+        labels[hub_edge[u]] = lab
     lab = Labeling(labels)
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("universal-vertex construction produced a collision")
@@ -151,10 +160,11 @@ def complete_partial_labeling(g: Graph, pl: PartialLabeling) -> PartialLabeling:
 def label_max_degree_n_minus_2(g: Graph) -> Labeling:
     """Antimagic labeling of a graph with maximum degree exactly n-2.
 
-    An isolated non-neighbor of the hub reduces to the universal-vertex
-    construction.  Otherwise the edge count picks the scheme: dense graphs
-    (m >= 2n-4) get the parity forest / cycle decomposition scheme, sparse
-    ones (m <= 2n-5) the all-even scheme with its three edge-count cases.
+    When the hub's non-neighbor is isolated, :func:`label_universal_vertex`
+    labels G as it stands.  Otherwise the edge count picks the scheme:
+    dense graphs (m >= 2n-4) get the parity forest / cycle decomposition
+    scheme, sparse ones (m <= 2n-5) the all-even scheme with its three
+    edge-count cases.
     The scheme's one candidate is verified; when there is none or it
     fails, the labeling comes from :func:`heuristic_search` instead.
     """
@@ -164,9 +174,10 @@ def label_max_degree_n_minus_2(g: Graph) -> Labeling:
     if g.max_degree() != n - 2:
         raise GraphError(f"maximum degree must be exactly n-2={n - 2}, got {g.max_degree()}")
     vn = g.degrees().index(n - 2)
-    vn1 = next(u for u in range(n) if u != vn and not g.has_edge(u, vn))
+    hub_edge = dict(zip(g.neighbors(vn), g.incident_edges(vn)))
+    vn1 = next(u for u in range(n) if u != vn and u not in hub_edge)
     if g.degree(vn1) == 0:
-        return _label_isolated_non_neighbor(g, vn1)
+        return label_universal_vertex(g)
     m = g.m
     if m >= 2 * n - 4:
         scheme = _lemma43
@@ -176,11 +187,14 @@ def label_max_degree_n_minus_2(g: Graph) -> Labeling:
         scheme = _lemma44_two_spare_evens
     else:
         scheme = _lemma44_completion
-    candidate = scheme(g, vn, vn1, *g.induced([u for u in range(n) if u != vn]))
+    origin = [e for e, ends in enumerate(g.edges) if vn not in ends]
+    # an ascending subset of G's canonical edges is canonical and sorted
+    gstar = _canonical_graph(n, [g.edges[e] for e in origin])
+    candidate = scheme(g, vn, vn1, gstar, origin)
     if candidate is not None:
         labels, assign = candidate
         for u, lab in assign.items():
-            labels[g.edge_index(u, vn)] = lab
+            labels[hub_edge[u]] = lab
         lab = Labeling(labels)
         if verify_antimagic(g, lab).ok:
             return lab
@@ -190,40 +204,29 @@ def label_max_degree_n_minus_2(g: Graph) -> Labeling:
     raise ConstructionError("max-degree n-2 construction and search found no labeling")
 
 
-def _label_isolated_non_neighbor(g: Graph, iso: int) -> Labeling:
-    # drop the isolated vertex: the hub is universal in the rest, and the
-    # isolated vertex keeps the unique weight 0
-    sub, _, origin = g.induced([u for u in range(g.n) if u != iso])
-    sub_lab = label_universal_vertex(sub)
-    labels = [0] * g.m
-    for new_e, old_e in enumerate(origin):
-        labels[old_e] = sub_lab[new_e]
-    lab = Labeling(labels)
-    if not verify_antimagic(g, lab).ok:
-        raise AssertionError("lifted universal-vertex labeling produced a collision")
-    return lab
-
-
 def _lift(g: Graph, gstar: Graph, origin: list[int], star_items):
-    """G*'s labels on G's edge ids (the hub's edges stay 0), and G*'s sums."""
+    """G*'s labels on G's edge ids (the hub's edges stay 0), and the
+    vertex sums they give."""
     labels = [0] * g.m
-    wstar = [0] * gstar.n
+    w = [0] * g.n
     for e_s, lab in star_items:
         labels[origin[e_s]] = lab
         a, b = gstar.edges[e_s]
-        wstar[a] += lab
-        wstar[b] += lab
-    return labels, wstar
+        w[a] += lab
+        w[b] += lab
+    return labels, w
 
 
-# Each scheme below takes G, the hub ``vn``, its non-neighbor ``vn1`` and
-# ``G - vn`` as ``(gstar, vmap, origin)`` from ``Graph.induced``.  It returns
-# the labels of G's non-hub edges plus a map neighbor -> label for the hub's
-# edges, or None when its choices admit no candidate.
+# Each scheme below takes G, the hub ``vn``, its non-neighbor ``vn1``, and
+# ``G - vn`` as ``gstar``: G's non-hub edges on all of G's vertex ids, with
+# ``vn`` isolated, where ``origin[e]`` is the G edge id of gstar's edge e.
+# Weights are read by G vertex id.  A scheme returns the labels of G's
+# non-hub edges plus a map neighbor -> label for the hub's edges, or None
+# when its choices admit no candidate.
 
 # -- dense case: m >= 2n-4 ---------------------------------------------------
 
-def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
+def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
     """Parity-forest / cycle scheme, with all choices canonical.
 
     The forest takes the smallest evens, the cycles the remaining evens
@@ -232,11 +235,10 @@ def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
     odds are reserved for the hub's edges.
     """
     n, m = g.n, g.m
-    vn1_s = vmap[vn1]
     forest = sorted(parity_forest(gstar).forest_edges)
     in_forest = set(forest)
     # an ascending subset of gstar's canonical edges is canonical and sorted
-    rest = _canonical_graph(gstar.n, [gstar.edges[e] for e in range(gstar.m) if e not in in_forest])
+    rest = _canonical_graph(n, [gstar.edges[e] for e in range(gstar.m) if e not in in_forest])
     cycles = [_canonical_rotation(c) for c in cycle_decomposition(rest).cycles]
 
     evens = list(range(2, m + 1, 2))
@@ -248,21 +250,17 @@ def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
     for cyc in cycles:
         k = len(cyc)
         if 0 < evens_left < k:
-            cyc = _avoid_junctions(cyc, evens_left, vn1_s)
-            if cyc is None:
-                return None
-        for e in cycle_edges(rest, cyc):
-            labels_star[gstar.edge_index(*rest.edges[e])] = next(stream)
+            cyc = _avoid_junctions(cyc, evens_left, vn1)
+        for e in cycle_edges(gstar, cyc):
+            labels_star[e] = next(stream)
         evens_left = max(0, evens_left - k)
 
-    labels, wstar = _lift(g, gstar, origin, labels_star.items())
-    odd_vertices = [v for v in range(gstar.n) if wstar[v] % 2 == 1]
-    if len(odd_vertices) > 2 or vn1_s in odd_vertices:
+    labels, w = _lift(g, gstar, origin, labels_star.items())
+    odd_vertices = [v for v in range(n) if w[v] % 2 == 1]
+    if len(odd_vertices) > 2 or vn1 in odd_vertices:
         raise AssertionError("parity bookkeeping broken in dense construction")
     neighbors = [u for u in range(n) if u != vn and u != vn1]
-    w_g = {u: wstar[vmap[u]] for u in neighbors}
-    odd_g = [u for u in neighbors if w_g[u] % 2 == 1]
-    assign = _reserved_assignment(neighbors, w_g, odd_g, reserved, [wstar[vn1_s], sum(reserved)])
+    assign = _reserved_assignment(neighbors, w, odd_vertices, reserved, [w[vn1], sum(reserved)])
     return None if assign is None else (labels, assign)
 
 
@@ -277,15 +275,13 @@ def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _avoid_junctions(cycle: tuple[int, ...], split: int, banned: int):
+def _avoid_junctions(cycle: tuple[int, ...], split: int, banned: int) -> tuple[int, ...]:
     # parity junctions sit at traversal positions 0 and `split`; rotate so
-    # neither is the banned vertex (possible since cycles have length >= 3)
+    # neither is the banned vertex: each position rules out at most one of
+    # the k >= 3 rotations, so one is always left
     k = len(cycle)
-    for r in range(k):
-        rot = cycle[r:] + cycle[:r]
-        if rot[0] != banned and rot[split % k] != banned:
-            return rot
-    return None
+    rotations = (cycle[r:] + cycle[:r] for r in range(k))
+    return next(rot for rot in rotations if rot[0] != banned and rot[split % k] != banned)
 
 
 def _distinct_totals(w, assign, fixed_sums) -> bool:
@@ -324,21 +320,20 @@ def _reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
 
 # -- sparse case: m <= 2n-5 --------------------------------------------------
 
-def _lemma44_all_evens(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
+def _lemma44_all_evens(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
     # m = 2n-5: the evens exactly cover the graph minus the hub, the odds
     # exactly cover the hub's edges
     n, m = g.n, g.m
     evens = list(range(2, m + 1, 2))
     odds = list(range(1, m + 1, 2))
     assert len(evens) == gstar.m and len(odds) == n - 2
-    labels, wstar = _lift(g, gstar, origin, enumerate(evens))
+    labels, w = _lift(g, gstar, origin, enumerate(evens))
     neighbors = [u for u in range(n) if u != vn and u != vn1]
-    w_g = {u: wstar[vmap[u]] for u in neighbors}
-    assign = _reserved_assignment(neighbors, w_g, [], odds, [wstar[vmap[vn1]], sum(odds)])
+    assign = _reserved_assignment(neighbors, w, [], odds, [w[vn1], sum(odds)])
     return None if assign is None else (labels, assign)
 
 
-def _lemma44_two_spare_evens(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
+def _lemma44_two_spare_evens(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
     # m in {2n-6, 2n-7}: one even pair {r1, r2} is split between the last
     # edge of the reduced graph, held back, and the hub edge of the first
     # neighbor v1 off that edge, so both all-even weights (v1 and the
@@ -351,21 +346,20 @@ def _lemma44_two_spare_evens(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, or
     r2, r1 = evens[-2], evens[-1]
     x, y = gstar.edges[s - 1]
     neighbors = [u for u in range(n) if u != vn and u != vn1]
-    v1 = next(u for u in neighbors if vmap[u] not in (x, y))
+    v1 = next(u for u in neighbors if u not in (x, y))
     neighbors.remove(v1)
-    labels, wstar = _lift(g, gstar, origin, zip(range(s - 1), evens))
-    a1 = wstar[vmap[v1]]
-    a2 = wstar[vmap[vn1]]
-    vn1_on_e = vmap[vn1] in (x, y)
+    labels, w = _lift(g, gstar, origin, zip(range(s - 1), evens))
+    a1 = w[v1]
+    a2 = w[vn1]
+    vn1_on_e = vn1 in (x, y)
     for c, o in ((r1, r2), (r2, r1)):
         w_vn1 = a2 + (c if vn1_on_e else 0)
         if a1 + o == w_vn1:
             continue
-        ws = list(wstar)
+        ws = list(w)
         ws[x] += c
         ws[y] += c
-        w_g = {u: ws[vmap[u]] for u in neighbors}
-        assign = _reserved_assignment(neighbors, w_g, [], odds, [w_vn1, a1 + o, o + sum(odds)])
+        assign = _reserved_assignment(neighbors, ws, [], odds, [w_vn1, a1 + o, o + sum(odds)])
         if assign is not None:
             labels[origin[s - 1]] = c
             assign[v1] = o
@@ -373,7 +367,7 @@ def _lemma44_two_spare_evens(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, or
     return None
 
 
-def _lemma44_completion(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin):
+def _lemma44_completion(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
     # m <= 2n-8: label the reduced graph from the largest evens with the
     # multiplicity-capped completion, then spread the leftover labels on
     # the hub edges, relabeling one block of equal-weight neighbors when
@@ -381,20 +375,19 @@ def _lemma44_completion(g: Graph, vn: int, vn1: int, gstar: Graph, vmap, origin)
     n, m = g.n, g.m
     evens = list(range(2, m + 1, 2))
     pool = evens[-(gstar.m + 2):]
-    anchor = gstar.incident_edges(vmap[vn1])[0]
+    anchor = gstar.incident_edges(vn1)[0]
     comp = complete_partial_labeling(gstar, PartialLabeling(pool, {anchor: pool[-1]}))
-    labels, wstar = _lift(g, gstar, origin, comp.assignment.items())
+    labels, w = _lift(g, gstar, origin, comp.assignment.items())
     spare_evens = sorted(set(evens) - set(comp.assignment.values()))
     odds = list(range(1, m + 1, 2))
     reserved = spare_evens + odds
     assert len(reserved) == n - 2
     neighbors = [u for u in range(n) if u != vn and u != vn1]
-    w_g = {u: wstar[vmap[u]] for u in neighbors}
-    w_vn1 = wstar[vmap[vn1]]
+    w_vn1 = w[vn1]
     fixed = [w_vn1, sum(reserved)]
-    assign = _block_relabel(neighbors, w_g, spare_evens, odds, w_vn1)
-    if assign is None or not _distinct_totals(w_g, assign, fixed):
-        assign = _reserved_assignment(neighbors, w_g, [], reserved, fixed)
+    assign = _block_relabel(neighbors, w, spare_evens, odds, w_vn1)
+    if assign is None or not _distinct_totals(w, assign, fixed):
+        assign = _reserved_assignment(neighbors, w, [], reserved, fixed)
     return None if assign is None else (labels, assign)
 
 

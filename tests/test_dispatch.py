@@ -14,7 +14,7 @@ from antimagic.dispatch import (ANTIMAGIC, FAILED, NOT_APPLICABLE, dispatch_labe
                                 recognize_complete_multipartite)
 from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
                                   random_min_degree_graph)
-from antimagic.graph import Graph, verify_antimagic
+from antimagic.graph import Graph, GraphError, verify_antimagic
 
 
 def test_wall_time_covers_graph_id(monkeypatch):
@@ -81,6 +81,31 @@ def test_routes_each_family(g, method, outcome):
         assert verify_antimagic(g, rep.certificate).ok
 
 
+_STAR_PLUS_ISOLATED = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
+
+
+@pytest.mark.parametrize("g, kwargs, outcome, note", [
+    (Graph(1, []), {}, ANTIMAGIC, "trivial"),
+    (cycle_graph(5), {"method": "partite"}, NOT_APPLICABLE, "not complete multipartite"),
+    (cycle_graph(5), {"method": "universal"}, NOT_APPLICABLE,
+     "no vertex of degree n-1, nor of degree n-2 with an isolated non-neighbor"),
+    (_STAR_PLUS_ISOLATED, {"method": "universal"}, ANTIMAGIC, ""),
+    (Graph(4, [(0, 1), (2, 3)]), {"method": "dense", "d": 1, "max_restarts": 3}, FAILED,
+     "budget exhausted; best attempt had 2 colliding pairs"),
+], ids=["K1", "partite C5", "universal C5", "universal star plus isolated", "dense 2K2"])
+def test_forced_routes(g, kwargs, outcome, note):
+    rep = dispatch_label(g, **kwargs)
+    assert (rep.method, rep.outcome, rep.note) == (kwargs.get("method", "auto"), outcome, note)
+    assert (rep.certificate is not None) == (outcome == ANTIMAGIC)
+    if g.m and outcome == ANTIMAGIC:
+        assert verify_antimagic(g, rep.certificate).ok
+
+
+def test_unknown_method_raises():
+    with pytest.raises(GraphError, match="unknown method 'greedy'"):
+        dispatch_label(cycle_graph(5), method="greedy")
+
+
 @pytest.fixture
 def verifier_calls(monkeypatch):
     """(graph, labels, ok) of every verifier call a labeler or dispatch makes."""
@@ -105,8 +130,8 @@ _CERTIFIED_IDS = [i for i, (_, _, outcome) in zip(_FAMILY_IDS, _FAMILIES) if out
     # a singleton class with k >= 3 goes through label_universal_vertex
     (complete_partite_graph([1, 2, 3]), "partite"),
     # the hub's non-neighbour is isolated: the universal-vertex labeling of
-    # the rest, lifted back
-    (Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)]), "delta-n2"),
+    # the graph as it stands, with the isolated vertex at weight 0
+    (_STAR_PLUS_ISOLATED, "delta-n2"),
 ], ids=_CERTIFIED_IDS + ["K1,2,3", "delta-n2 isolated"])
 def test_certificate_passes_the_verifier_exactly_once(g, method, verifier_calls):
     rep = dispatch_label(g)

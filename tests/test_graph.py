@@ -47,13 +47,6 @@ class TestGraph:
         assert g.neighbors(0) == (1, 3)
         assert g.edge_index(3, 2) == g.edge_index(2, 3)
 
-    def test_induced_subgraph(self):
-        g = cycle4()
-        sub, vmap, origin = g.induced([0, 1, 2])
-        assert sub.n == 3 and sub.edges == ((0, 1), (1, 2))
-        assert vmap == {0: 0, 1: 1, 2: 2}
-        assert [g.edges[e] for e in origin] == [(0, 1), (1, 2)]
-
     def test_connectivity(self):
         assert cycle4().is_connected()
         assert not Graph(3, [(0, 1)]).is_connected()

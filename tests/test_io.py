@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from antimagic.dispatch import dispatch_label
-from antimagic.graph import Graph, GraphError
+from antimagic.graph import Graph, GraphError, _canonical_graph
 from antimagic.io import ParseError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 
 
@@ -14,6 +14,26 @@ def test_duplicate_edge_reports_its_line(dup):
     with pytest.raises(ParseError, match="duplicate edge") as exc:
         parse_edgelist(text)
     assert exc.value.line == 6
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("", "empty document", None),
+    ("# only a comment\n\n", "empty document", None),
+    ("\n4\n0 1\n", "header must be 'n m'", 2),
+    ("4 x\n", "header must hold two integers", 1),
+    ("# huge\n10000000000 0", "at most 258047 vertices, header says 10000000000", 2),
+    ("3 2\n0 1\n1 2 7\n", "edge line must be 'u v'", 3),
+    ("3 1\n# edge\n0 one\n", "edge endpoints must be integers", 3),
+    ("3 1\n2 2\n", "self-loop at vertex 2", 2),
+    ("3 2\n0 1\n\n1 3\n", "vertex out of range 0..2", 4),
+    ("3 2\n0 1\n", "header promises 2 edges, found 1", None),
+], ids=["empty", "comment only", "short header", "non-integer header", "huge n",
+        "long edge line", "non-integer end", "self-loop", "out of range", "edge count"])
+def test_edgelist_rejects(text, message, line):
+    with pytest.raises(ParseError) as exc:
+        parse_edgelist(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
 
 def test_large_edge_list_parses():
@@ -110,6 +130,21 @@ def test_parse_graph6_fuzz(line):
     assert isinstance(g, Graph)
 
 
+# a small header, then lines that are either 'u v' with small ends or short
+# text over what edge lines are made of, so that every check gets reached
+_fuzz_lines = (st.tuples(st.integers(-1, 12), st.integers(-1, 12)).map("{0[0]} {0[1]}".format)
+               | st.text(st.sampled_from("0123456789 -#x"), max_size=8))
+
+
+@given(st.integers(-2, 12), st.integers(-1, 10), st.lists(_fuzz_lines, max_size=10))
+def test_parse_edgelist_fuzz(n, m, lines):
+    try:
+        g = parse_edgelist("\n".join([f"{n} {m}", *lines]))
+    except (ParseError, GraphError):
+        return
+    assert (g.n, g.m) == (n, m)
+
+
 @given(graph6_lines())
 def test_graph6_round_trip_line(line):
     g = parse_graph6(line)
@@ -136,9 +171,9 @@ def test_graph6_decode_builds_what_graph_builds(g):
 
 
 @given(graphs(), st.data())
-def test_induced_builds_what_graph_builds(g, data):
-    keep = sorted(data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n)))
-    sub, vmap, origin = g.induced(keep)
-    kept = [(vmap[u], vmap[v]) for u, v in g.edges if u in vmap and v in vmap]
-    _same_structure(sub, _validated(len(keep), kept))
-    assert [g.edges[e] for e in origin] == [(keep[a], keep[b]) for a, b in sub.edges]
+def test_edge_subset_builds_what_graph_builds(g, data):
+    # an ascending subset of canonical edges goes to the trusted constructor
+    # unchecked, as the max-degree n-2 construction builds G - v_n
+    mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    kept = [edge for edge, keep in zip(g.edges, mask) if keep]
+    _same_structure(_canonical_graph(g.n, kept), _validated(g.n, kept))

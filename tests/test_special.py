@@ -45,6 +45,18 @@ def random_delta_n2(rng):
     return Graph(n, sorted(rest) + [(u, hub) for u in range(n - 1) if u != skip])
 
 
+# sha256 of every certificate on the n-vertex Δ >= n-2 corpus, in corpus
+# order, frozen from the construction that labeled G - v_n as a separate
+# induced graph: labeling G on its own vertex ids must give the same labels.
+CORPUS_DIGESTS = {
+    4: "c827955e3289661fb8a152d84fbbc25cf31cfae2bce7b4c6144a81868e6c65f2",
+    5: "30d521e291ff12e65b60ba75be75250bac9e2d03cc0076e7fde7bc38c51d7726",
+    6: "c39de1c8adf28048635c3a4b1aa09b5b30e0cdf9adbe950f1fb30bdc80347f21",
+    7: "9c878f526d1275c17e6d45737a8f61f15344af984904c1cc0842aa472fb2fa5b",
+    8: "d3a27b54c823e1901f3c137bb8a9f93c8f6b962331a12a109725703af3deadee",
+}
+
+
 @pytest.fixture
 def no_search(monkeypatch):
     """Make the search fallback of the n-2 construction an error."""
@@ -218,17 +230,8 @@ class TestMaxDegreeNMinus2:
         with pytest.raises(GraphError):
             label_max_degree_n_minus_2(cycle(6))
 
-    # Digests of every certificate on the corpus, in corpus order, frozen
-    # from the construction that labeled G - v_n as a separate induced graph:
-    # labeling G on its own vertex ids must give the same labels.
-    @pytest.mark.parametrize("n, digest", [
-        (4, "c827955e3289661fb8a152d84fbbc25cf31cfae2bce7b4c6144a81868e6c65f2"),
-        (5, "30d521e291ff12e65b60ba75be75250bac9e2d03cc0076e7fde7bc38c51d7726"),
-        (6, "c39de1c8adf28048635c3a4b1aa09b5b30e0cdf9adbe950f1fb30bdc80347f21"),
-        (7, "9c878f526d1275c17e6d45737a8f61f15344af984904c1cc0842aa472fb2fa5b"),
-        (8, "d3a27b54c823e1901f3c137bb8a9f93c8f6b962331a12a109725703af3deadee"),
-    ])
-    def test_small_corpus_exhaustive(self, n, digest):
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_small_corpus_exhaustive(self, n):
         folded = hashlib.sha256()
         for g in high_max_degree_corpus(n):
             if g.max_degree() == n - 1:
@@ -237,13 +240,28 @@ class TestMaxDegreeNMinus2:
                 lab = label_max_degree_n_minus_2(g)
             assert verify_antimagic(g, lab).ok
             folded.update(repr(lab.labels).encode())
-        assert folded.hexdigest() == digest
+        assert folded.hexdigest() == CORPUS_DIGESTS[n]
 
-    def test_block_relabel_certifies_without_search(self, no_search):
+    def test_block_relabel_certifies_without_search(self, no_search, monkeypatch):
         # m = 2n-8: the sorted spare evens hit the non-neighbor's weight, so
         # the equal-weight block moves onto the odds
-        g = Graph(8, [(0, 1), (0, 2), (0, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)])
-        assert verify_antimagic(g, label_max_degree_n_minus_2(g)).ok
+        g = Graph(10, [(0, 7), (0, 9), (1, 6), (1, 9), (2, 4), (3, 5), (3, 9), (4, 9),
+                       (5, 9), (6, 9), (7, 9), (8, 9)])
+        block_relabel = special._block_relabel
+        calls = []
+
+        def spy(neighbors, w, spare_evens, odds, w_vn1):
+            assign = block_relabel(neighbors, w, spare_evens, odds, w_vn1)
+            calls.append((neighbors, w, spare_evens, odds, assign))
+            return assign
+
+        monkeypatch.setattr(special, "_block_relabel", spy)
+        lab = label_max_degree_n_minus_2(g)
+        assert verify_antimagic(g, lab).ok
+        [(neighbors, w, spare_evens, odds, assign)] = calls
+        order = sorted(neighbors, key=lambda u: (w[u], u))
+        assert assign != dict(zip(order, spare_evens + odds))
+        assert {u: lab[g.edge_index(u, 9)] for u in neighbors} == assign
 
     def test_random_graphs_certified_by_construction(self, no_search):
         # seeded stress beyond the corpus: every scheme's one candidate
