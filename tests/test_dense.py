@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -365,3 +366,21 @@ class TestDriver:
         res = label_dense(g, DenseConfig(d=4, rng_seed=0))
         assert (res.restarts, res.resamples) == (restarts, resamples)
         assert list(res.labeling.labels) == labels
+
+    # At n = 300 the shuffle draws take up to 11 bits and the coins run to
+    # hundreds per pairing, so these digests pin the RNG use at a scale the
+    # n = 20 case above does not reach; local = 1 forces restarts.
+    @pytest.mark.parametrize("seed, local, restarts, resamples, digest", [
+        (0, 30, 0, 4, "b92977f774fcf8ad26dd5e1d86237669093026fe67b121c487544e7bacfdb673"),
+        (1, 30, 0, 1, "bbc63736e662552c2efd6333b040a98642343b68671865e72e4066616dad1121"),
+        (2, 30, 0, 4, "83b5680eba6eb6e8264857db72830760cd3b0704e87c3e5b676d5ea142a29287"),
+        (0, 1, 1, 2, "2e0fa489b96fe53e25e8d762fb29015fa5c7f9a16f3febae18c55288182b6348"),
+        (2, 1, 9, 10, "f23f0a6be681ac99f31805abf6c99dcace9af3d2d9291aa3fba95059fb353585"),
+    ])
+    def test_certificates_frozen_at_scale(self, monkeypatch, seed, local, restarts, resamples, digest):
+        monkeypatch.setattr(dense, "MAX_LOCAL_RESAMPLES", local)
+        g = random_min_degree(300, 8, seed)
+        res = label_dense(g, DenseConfig(d=8, rng_seed=seed))
+        assert (res.restarts, res.resamples) == (restarts, resamples)
+        text = ",".join(map(str, res.labeling.labels))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
