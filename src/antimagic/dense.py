@@ -16,16 +16,22 @@ up to ``MAX_LOCAL_RESAMPLES`` times, then the whole label pairing.
 Correctness is absolute because the verifier gates acceptance; only the
 running-time guarantee is heuristic.  A run reports its restarts and
 resamples and, when it fails, the fewest colliding pairs any attempt had.
+
+All randomness comes from one ``random.Random`` per run.  The label shuffle
+(``_shuffle``) and the coins (``_coins``) reproduce ``Random.shuffle`` and
+``Random.randrange(2)`` call for call: the same ``getrandbits`` calls in the
+same order, hence the same draws and the same generator state, so a seed
+certifies the same labeling as a pipeline written with those methods.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import compress, count, filterfalse
-from operator import itemgetter
+from operator import contains, itemgetter
 from typing import Optional
 
 # vertex_sums is not called here; the name stays because bench/tracing.py
@@ -158,6 +164,109 @@ def phase1_reduce(g: Graph, cfg: DenseConfig) -> DenseState:
     )
 
 
+def _reduced_incidence(g: Graph, reduced: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Each vertex's surviving edges, ascending, from one pass over them."""
+    edges = g.edges
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for e in reduced:
+        u, v = edges[e]
+        incident[u].append(e)
+        incident[v].append(e)
+    h_sets = {}
+    for v, edges_v in enumerate(incident):
+        h_sets[v] = tuple(edges_v)
+        # Freeing each list as its tuple is made keeps the count of live
+        # containers flat, so no garbage collection runs in this loop.
+        incident[v] = None
+    return h_sets
+
+
+def _disjoint_pairs(rest: list[int], edges) -> tuple[list[int], list[int]]:
+    """Pair the ascending edge ids ``rest`` so that no pair shares an endpoint.
+
+    Each edge, in order, takes the first later unpaired edge that shares no
+    endpoint with it; edges left over are fixed by splitting an earlier
+    pair.  Returns the pairs as two aligned lists, smaller id first.
+    """
+    # itemgetter fetches every end in one call, but given a single id it
+    # returns that edge itself rather than a tuple of edges
+    ends = itemgetter(*rest)(edges) if len(rest) > 1 else [edges[e] for e in rest]
+    firsts = list(map(itemgetter(0), ends))
+    second = itemgetter(1)
+    last = len(rest)
+    # Positions in ``rest``.  Every position from ``front`` on is unpaired;
+    # ``waiting`` holds, ascending, the unpaired positions between the
+    # current block's end and ``front``: each was passed over because it
+    # met the edge then looking for a partner.  Later edges of u's block
+    # share u; every edge after the block has both ends above u, so it
+    # meets (u, v) exactly when it contains v.
+    lows: list[int] = []
+    highs: list[int] = []
+    stuck: list[int] = []
+    waiting: list[int] = []
+    front = 0
+    while waiting or front < last:
+        start = waiting[0] if waiting else front
+        end = bisect_right(firsts, firsts[start], start)
+        if waiting:
+            cut = bisect_left(waiting, end)
+            todo = waiting[:cut]
+            del waiting[:cut]
+            if front < end:
+                todo += range(front, end)
+                front = end
+        else:
+            # Nothing waits, so the block's unpaired edges run from ``front``
+            # to its end and their partners follow the block, in step, until
+            # a partner meets its edge.
+            k = end - start if end - start < last - end else last - end
+            met = map(contains, ends[end:end + k], map(second, ends[start:start + k]))
+            hit = next(compress(count(), met), k)
+            lows += rest[start:start + hit]
+            highs += rest[end:end + hit]
+            front = end + hit
+            todo = range(start + hit, end)
+        for i in todo:
+            v = ends[i][1]
+            for idx, w in enumerate(waiting):
+                if v not in ends[w]:
+                    lows.append(rest[i])
+                    highs.append(rest[waiting.pop(idx)])
+                    break
+            else:
+                while front < last and v in ends[front]:
+                    waiting.append(front)
+                    front += 1
+                if front < last:
+                    lows.append(rest[i])
+                    highs.append(rest[front])
+                    front += 1
+                else:
+                    stuck.append(rest[i])
+    if not stuck:
+        # An edge precedes its partner in ``rest``, so it has the smaller id.
+        return lows, highs
+    disjoint_pairs = list(zip(lows, highs))
+    for k in range(0, len(stuck), 2):
+        if k + 1 == len(stuck):
+            raise AssertionError("even edge count cannot strand a single edge")
+        e, f = stuck[k], stuck[k + 1]
+        misses_e = set(edges[e]).isdisjoint
+        misses_f = set(edges[f]).isdisjoint
+        for idx, (a, b) in enumerate(disjoint_pairs):
+            if misses_e(edges[a]) and misses_f(edges[b]):
+                disjoint_pairs[idx] = (e, a)
+                disjoint_pairs.append((f, b))
+                break
+            if misses_e(edges[b]) and misses_f(edges[a]):
+                disjoint_pairs[idx] = (e, b)
+                disjoint_pairs.append((f, a))
+                break
+        else:
+            raise PairingError("could not pair leftover edges without shared endpoints")
+    return list(map(min, disjoint_pairs)), list(map(max, disjoint_pairs))
+
+
 def phase2_pair_edges(st: DenseState) -> DenseState:
     """Pair every remaining edge: spill-over sets first, the rest disjointly.
 
@@ -168,87 +277,73 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     leftovers are fixed by splitting an existing pair, which a counting
     argument guarantees whenever enough pairs exist.
     """
-    g = st.graph
-    kept = set(st.reduced_edges).__contains__
-    incident = [tuple(filter(kept, g.incident_edges(v))) for v in range(g.n)]
+    h_sets = _reduced_incidence(st.graph, st.reduced_edges)
     spill: dict[int, tuple[int, ...]] = {}
     for v in sorted(st.high):
-        dv = len(incident[v])
+        dv = len(h_sets[v])
         lo = max(0, dv - st.d - 1)
         size = lo + (lo % 2)
         if size > dv - st.d + 1:
             raise AssertionError("no even spill size fits the degree window")
-        spill[v] = incident[v][:size]
+        spill[v] = h_sets[v][:size]
+        h_sets[v] = h_sets[v][size:]
     spill_edges = {e for edges in spill.values() for e in edges}
     if len(spill_edges) != sum(len(v) for v in spill.values()):
         raise AssertionError("spill sets must be disjoint")
 
-    pairs: list[tuple[int, int]] = []
+    rest = list(filterfalse(spill_edges.__contains__, st.reduced_edges))
+    lows, highs = _disjoint_pairs(rest, st.graph.edges)
+    # A spill set ascends, so its pairs too have the smaller id first.
     for v in sorted(spill):
         chunk = spill[v]
-        pairs.extend(zip(chunk[0::2], chunk[1::2]))
-
-    rest = list(filterfalse(spill_edges.__contains__, st.reduced_edges))
-    ends = list(map(g.edges.__getitem__, rest))
-    firsts = list(map(itemgetter(0), ends))
-    last = len(rest)
-    # nxt[j] leads to the first unpaired index >= j; paths are compressed
-    nxt = list(range(last + 1))
-
-    def unpaired_from(j: int) -> int:
-        root = j
-        while nxt[root] != root:
-            root = nxt[root]
-        while nxt[j] != root:
-            nxt[j], j = root, nxt[j]
-        return root
-
-    disjoint_pairs: list[tuple[int, int]] = []
-    for i, (u, v) in enumerate(ends):
-        if nxt[i] != i:
-            continue
-        # Later edges of u's block share u; every edge after the block has
-        # both ends above u, so it meets (u, v) exactly when it contains v.
-        j = unpaired_from(bisect_right(firsts, u, i + 1))
-        while j < last and v in ends[j]:
-            j = unpaired_from(j + 1)
-        if j < last:
-            nxt[i] = i + 1
-            nxt[j] = j + 1
-            disjoint_pairs.append((rest[i], rest[j]))
-    leftovers = [rest[i] for i in range(last) if nxt[i] == i]
-    for k in range(0, len(leftovers), 2):
-        if k + 1 == len(leftovers):
-            raise AssertionError("even edge count cannot strand a single edge")
-        e, f = leftovers[k], leftovers[k + 1]
-        misses_e = set(g.edges[e]).isdisjoint
-        misses_f = set(g.edges[f]).isdisjoint
-        for idx, (a, b) in enumerate(disjoint_pairs):
-            if misses_e(g.edges[a]) and misses_f(g.edges[b]):
-                disjoint_pairs[idx] = (e, a)
-                disjoint_pairs.append((f, b))
-                break
-            if misses_e(g.edges[b]) and misses_f(g.edges[a]):
-                disjoint_pairs[idx] = (e, b)
-                disjoint_pairs.append((f, a))
-                break
-        else:
-            raise PairingError("could not pair leftover edges without shared endpoints")
-
-    # Once each pair is (smaller id, larger id), the pairs share no edge, so
-    # their first ids differ and ordering by those alone is lexicographic.
-    pairs.extend(disjoint_pairs)
-    pair_list = tuple(sorted((p if p[0] < p[1] else p[::-1] for p in pairs), key=itemgetter(0)))
-    lows = list(map(itemgetter(0), pair_list))
-    highs = list(map(itemgetter(1), pair_list))
-    pair_index = dict(zip(lows, count()))
-    pair_index.update(zip(highs, count()))
+        lows += chunk[0::2]
+        highs += chunk[1::2]
+    # The pairs share no edge, so their smaller ids differ and sorting
+    # compares those alone.
+    pair_list = tuple(sorted(zip(lows, highs)))
+    pair_index = dict(zip(map(itemgetter(0), pair_list), count()))
+    pair_index.update(zip(map(itemgetter(1), pair_list), count()))
     if len(pair_index) != st.t:
         raise AssertionError("pairing must cover every remaining edge exactly once")
-    h_sets = dict(enumerate(incident))
-    for v, chunk in spill.items():
-        h_sets[v] = incident[v][len(chunk):]
     return replace(st, pair_list=pair_list, pair_index=pair_index, spill=spill, h_sets=h_sets)
+
+
+def _shuffle(x: list, rng: random.Random) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does.
+
+    For i from len(x)-1 down to 1 it draws ``getrandbits(k)``, with k the
+    bit length of i+1, until the draw is at most i, then swaps x[i] with
+    that entry: ``Random.shuffle``'s calls and swaps, without its two
+    method calls per entry.  k changes only at powers of two, so it is
+    computed once per run of equal sizes.
+    """
+    getrandbits = rng.getrandbits
+    hi = len(x) - 1
+    while hi > 0:
+        k = (hi + 1).bit_length()
+        lo = max(1, (1 << (k - 1)) - 1)
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        hi = lo - 1
+
+
+def _coins(n: int, rng: random.Random) -> list[int]:
+    """``n`` fair coins, exactly as ``[rng.randrange(2) for _ in range(n)]``.
+
+    Like ``randrange(2)``, each coin redraws ``getrandbits(2)`` while it
+    reads 2 or 3.
+    """
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        c = getrandbits(2)
+        while c > 1:
+            c = getrandbits(2)
+        out.append(c)
+    return out
 
 
 def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
@@ -256,16 +351,17 @@ def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
 
     A shuffle chunked into consecutive pairs is a uniform perfect matching
     of the labels; ``label_pairs[i]`` (smaller label first) goes to
-    ``pair_list[i]``.
+    ``pair_list[i]``.  The shuffle reproduces ``rng.shuffle`` call for call,
+    so it leaves ``rng`` in the same state.
     """
     if st.pair_list is None:
         raise GraphError("phase 2 has not run")
     labels = list(range(1, st.t + 1))
-    rng.shuffle(labels)
-    evens, odds = labels[0::2], labels[1::2]
+    _shuffle(labels, rng)
+    it = iter(labels)
     # Both edges of a spill pair meet their high vertex, so its spill-over
     # sum is fixed here, whichever way the later coins fall.
-    return replace(st, label_pairs=tuple(zip(map(min, evens, odds), map(max, evens, odds))))
+    return replace(st, label_pairs=tuple([(a, b) if a < b else (b, a) for a, b in zip(it, it)]))
 
 
 def assemble_labeling(st: DenseState, coins: list[int]) -> Labeling:
@@ -276,12 +372,13 @@ def assemble_labeling(st: DenseState, coins: list[int]) -> Labeling:
     labels = [0] * st.graph.m
     for e, lab in st.removed:
         labels[e] = lab
-    for idx, (e1, e2) in enumerate(st.pair_list):
-        lo, hi = st.label_pairs[idx]
-        if coins[idx] == 0:
-            labels[e1], labels[e2] = lo, hi
+    for (e1, e2), (lo, hi), coin in zip(st.pair_list, st.label_pairs, coins):
+        if coin:
+            labels[e1] = hi
+            labels[e2] = lo
         else:
-            labels[e1], labels[e2] = hi, lo
+            labels[e1] = lo
+            labels[e2] = hi
     return Labeling(labels)
 
 
@@ -289,8 +386,7 @@ def phase5_assign(st: DenseState, rng: random.Random) -> Labeling:
     """Independent fair coin per pair, then assemble the total labeling."""
     if st.label_pairs is None:
         raise GraphError("phase 3 has not run")
-    coins = [rng.randrange(2) for _ in st.pair_list]
-    return assemble_labeling(st, coins)
+    return assemble_labeling(st, _coins(len(st.pair_list), rng))
 
 
 def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
@@ -305,12 +401,13 @@ def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
     """
     cfg = cfg or DenseConfig()
     st = phase2_pair_edges(phase1_reduce(g, cfg))
+    pair_list, pair_index, h_sets = st.pair_list, st.pair_index, st.h_sets
     rng = random.Random(cfg.rng_seed)
     best_count = math.inf  # finite on failure: every pairing collides at least once
     resamples = 0
     for draw in range(cfg.max_restarts):
         st = phase3_pair_labels(st, rng)
-        coins = [rng.randrange(2) for _ in st.pair_list]
+        coins = _coins(len(pair_list), rng)
         state = CollisionState(g, assemble_labeling(st, coins))
         for attempt in range(MAX_LOCAL_RESAMPLES + 1):
             if state.collisions == 0:
@@ -322,13 +419,12 @@ def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
             best_count = min(best_count, state.collisions)
             if attempt == MAX_LOCAL_RESAMPLES:
                 break
-            flip = {st.pair_index[e] for v in state.colliding for e in st.h_sets[v]}
+            flip = sorted({pair_index[e] for v in state.colliding for e in h_sets[v]})
             if not flip:
                 break
-            for idx in sorted(flip):
-                coin = rng.randrange(2)
+            for idx, coin in zip(flip, _coins(len(flip), rng)):
                 if coin != coins[idx]:
                     coins[idx] = coin
-                    state.swap(*st.pair_list[idx])
+                    state.swap(*pair_list[idx])
             resamples += 1
     return DenseResult(None, cfg.max_restarts - 1, resamples, best_count)

@@ -104,7 +104,7 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
         # with an edge there are two classes, so no size check is needed
         if classes is not None:
             chosen = "partite"
-        elif g.max_degree() == g.n - 1 and g.n >= 3:
+        elif g.max_degree() == g.n - 1:
             chosen = "universal"
         elif g.max_degree() == g.n - 2 and g.n >= 4:
             chosen = "delta-n2"

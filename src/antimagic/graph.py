@@ -104,10 +104,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"no edge {key}") from None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in (self._index or self._edge_map())
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True

@@ -64,6 +64,8 @@ def parse_edgelist(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError("header must hold two integers", header_no) from None
+    if n < 0:
+        raise ParseError(f"vertex count must be non-negative, header says {n}", header_no)
     if n > GRAPH6_MAX_N:
         # Graph allocates one incidence list per vertex, so the header alone
         # must not be able to ask for billions of them

@@ -33,7 +33,8 @@ def reduced_graph(st):
 
 
 class _AllHeads(random.Random):
-    def randrange(self, *a, **k):
+    # the coin draws call getrandbits(2), as randrange(2) does
+    def getrandbits(self, k):
         return 0
 
 
@@ -81,7 +82,7 @@ class TestPhase1:
         for u in st.high:
             for v in st.high:
                 if u != v:
-                    assert not rg.has_edge(u, v)
+                    assert u not in rg.neighbors(v)
 
     def test_min_degree_enforced(self):
         with pytest.raises(GraphError):
@@ -245,6 +246,31 @@ class TestPhase2Reference:
             reference_phase2(st)
         with pytest.raises(PairingError):
             phase2_pair_edges(st)
+
+
+# Sizes around the powers of two where the shuffle's word size changes.
+DRAW_SIZES = [0, 1, 2, 3, 7, 8, 9, 255, 256, 257, 1000, 60000]
+
+
+class TestDraws:
+    """The inline draws consume the generator exactly as the stdlib does."""
+
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    def test_shuffle_matches_stdlib(self, size):
+        for seed in range(5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            x, y = list(range(size)), list(range(size))
+            dense._shuffle(x, ours)
+            ref.shuffle(y)
+            assert x == y
+            assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    def test_coins_match_randrange(self, size):
+        for seed in range(5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert dense._coins(size, ours) == [ref.randrange(2) for _ in range(size)]
+            assert ours.getstate() == ref.getstate()
 
 
 class TestPhase3:

@@ -22,12 +22,13 @@ def test_duplicate_edge_reports_its_line(dup):
     ("\n4\n0 1\n", "header must be 'n m'", 2),
     ("4 x\n", "header must hold two integers", 1),
     ("# huge\n10000000000 0", "at most 258047 vertices, header says 10000000000", 2),
+    ("\n-1 0\n", "vertex count must be non-negative, header says -1", 2),
     ("3 2\n0 1\n1 2 7\n", "edge line must be 'u v'", 3),
     ("3 1\n# edge\n0 one\n", "edge endpoints must be integers", 3),
     ("3 1\n2 2\n", "self-loop at vertex 2", 2),
     ("3 2\n0 1\n\n1 3\n", "vertex out of range 0..2", 4),
     ("3 2\n0 1\n", "header promises 2 edges, found 1", None),
-], ids=["empty", "comment only", "short header", "non-integer header", "huge n",
+], ids=["empty", "comment only", "short header", "non-integer header", "huge n", "negative n",
         "long edge line", "non-integer end", "self-loop", "out of range", "edge count"])
 def test_edgelist_rejects(text, message, line):
     with pytest.raises(ParseError) as exc:
