@@ -401,13 +401,12 @@ def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
     """
     cfg = cfg or DenseConfig()
     st = phase2_pair_edges(phase1_reduce(g, cfg))
-    pair_list, pair_index, h_sets = st.pair_list, st.pair_index, st.h_sets
     rng = random.Random(cfg.rng_seed)
     best_count = math.inf  # finite on failure: every pairing collides at least once
     resamples = 0
     for draw in range(cfg.max_restarts):
         st = phase3_pair_labels(st, rng)
-        coins = _coins(len(pair_list), rng)
+        coins = _coins(len(st.pair_list), rng)
         state = CollisionState(g, assemble_labeling(st, coins))
         for attempt in range(MAX_LOCAL_RESAMPLES + 1):
             if state.collisions == 0:
@@ -419,12 +418,12 @@ def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
             best_count = min(best_count, state.collisions)
             if attempt == MAX_LOCAL_RESAMPLES:
                 break
-            flip = sorted({pair_index[e] for v in state.colliding for e in h_sets[v]})
+            flip = sorted({st.pair_index[e] for v in state.colliding for e in st.h_sets[v]})
             if not flip:
                 break
             for idx, coin in zip(flip, _coins(len(flip), rng)):
                 if coin != coins[idx]:
                     coins[idx] = coin
-                    state.swap(*pair_list[idx])
+                    state.swap(*st.pair_list[idx])
             resamples += 1
     return DenseResult(None, cfg.max_restarts - 1, resamples, best_count)
