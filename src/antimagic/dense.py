@@ -364,8 +364,9 @@ def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
     return replace(st, label_pairs=tuple([(a, b) if a < b else (b, a) for a, b in zip(it, it)]))
 
 
-def assemble_labeling(st: DenseState, coins: list[int]) -> Labeling:
-    """Combine phase-1 labels with a coin orientation per pair.
+def assemble_labeling(st: DenseState, coins: list[int]) -> list[int]:
+    """Combine phase-1 labels with a coin orientation per pair, as a list
+    of labels by edge id.
 
     Heads (0) sends the smaller label to the canonically smaller edge.
     """
@@ -379,25 +380,27 @@ def assemble_labeling(st: DenseState, coins: list[int]) -> Labeling:
         else:
             labels[e1] = lo
             labels[e2] = hi
-    return Labeling(labels)
+    return labels
 
 
 def phase5_assign(st: DenseState, rng: random.Random) -> Labeling:
     """Independent fair coin per pair, then assemble the total labeling."""
     if st.label_pairs is None:
         raise GraphError("phase 3 has not run")
-    return assemble_labeling(st, _coins(len(st.pair_list), rng))
+    return Labeling(assemble_labeling(st, _coins(len(st.pair_list), rng)))
 
 
 def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
     """Run the full pipeline until the verifier accepts or budgets run out.
 
     Phases 1-2 run once.  Each label pairing is assembled once into a
-    :class:`CollisionState` and gets up to ``MAX_LOCAL_RESAMPLES`` local
-    repairs: on a collision, only the coins of pairs meeting the colliding
-    vertices' incident sets are redrawn, and a coin that changes swaps its
-    pair's two labels in place.  When the local budget is spent a fresh
-    label pairing is drawn, up to ``max_restarts`` pairings in total.
+    label list that a :class:`CollisionState` takes over, and gets up to
+    ``MAX_LOCAL_RESAMPLES`` local repairs: on a collision, only the coins
+    of pairs meeting the colliding vertices' incident sets are redrawn,
+    and a coin that changes swaps its pair's two labels in place.  When
+    the local budget is spent a fresh label pairing is drawn, up to
+    ``max_restarts`` pairings in total.  Only a labeling with no collision
+    becomes a :class:`Labeling`, for the verifier.
     """
     cfg = cfg or DenseConfig()
     st = phase2_pair_edges(phase1_reduce(g, cfg))

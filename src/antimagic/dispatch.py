@@ -84,6 +84,8 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     start = time.perf_counter()
     if method not in METHODS:
         raise GraphError(f"unknown method {method!r}")
+    # bad values of d or max_restarts raise here, whatever the route
+    cfg = DenseConfig(d=d, rng_seed=seed, max_restarts=max_restarts)
     graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
     def report(outcome, chosen, labeling=None, restarts=0, note=""):
@@ -108,7 +110,7 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
             chosen = "universal"
         elif g.max_degree() == g.n - 2 and g.n >= 4:
             chosen = "delta-n2"
-        elif g.min_degree() >= DenseConfig(d=d).effective_d(g.n):
+        elif g.min_degree() >= cfg.effective_d(g.n):
             chosen = "dense"
         else:
             chosen = "oracle"
@@ -125,7 +127,6 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
         if chosen == "delta-n2":
             return report(ANTIMAGIC, chosen, label_max_degree_n_minus_2(g))
         if chosen == "dense":
-            cfg = DenseConfig(d=d, rng_seed=seed, max_restarts=max_restarts)
             res = label_dense(g, cfg)
             if res.ok:
                 return report(ANTIMAGIC, chosen, res.labeling, res.restarts)

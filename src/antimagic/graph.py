@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, NoReturn, Optional
+from typing import Iterable, NoReturn, Optional
 
 # Per-vertex sums; index = vertex id.
 WeightMap = tuple[int, ...]
@@ -201,9 +201,6 @@ class Labeling:
     def m(self) -> int:
         return len(self.labels)
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return enumerate(self.labels)
-
     def __getitem__(self, e: int) -> int:
         return self.labels[e]
 
@@ -217,50 +214,6 @@ class Labeling:
 
     def __repr__(self) -> str:
         return f"Labeling({list(self.labels)})"
-
-
-class PartialLabeling:
-    """Injective assignment of labels from a pool to a subset of edges.
-
-    The pool may be larger than the edge set (completions draw from it).
-    """
-
-    __slots__ = ("pool", "assignment")
-
-    def __init__(self, pool: Iterable[int], assignment: dict[int, int] | None = None):
-        self.pool = frozenset(map(int, pool))
-        if self.pool and min(self.pool) < 1:
-            bad = next(x for x in self.pool if x < 1)
-            raise GraphError(f"pool labels must be positive, got {bad}")
-        self.assignment = dict(assignment or {})
-        labs = self.assignment.values()
-        if not self.pool.issuperset(labs) or len(set(labs)) < len(labs):
-            # name the first offending entry, in insertion order
-            seen = set()
-            for e, lab in self.assignment.items():
-                if lab not in self.pool:
-                    raise GraphError(f"label {lab} on edge {e} is not in the pool")
-                if lab in seen:
-                    raise GraphError(f"label {lab} assigned to more than one edge")
-                seen.add(lab)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.assignment.items()))
-
-    def unused_labels(self) -> list[int]:
-        used = set(self.assignment.values())
-        return sorted(self.pool - used)
-
-    def is_total_for(self, g: Graph) -> bool:
-        return len(self.assignment) == g.m and all(e in self.assignment for e in range(g.m))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartialLabeling):
-            return NotImplemented
-        return self.pool == other.pool and self.assignment == other.assignment
-
-    def __repr__(self) -> str:
-        return f"PartialLabeling(pool={sorted(self.pool)}, assignment={self.assignment})"
 
 
 @dataclass(frozen=True)
@@ -278,29 +231,24 @@ class VerifyReport:
     first_collision: Optional[tuple[int, int]]
 
 
-def vertex_sums(g: Graph, labeling: Labeling | PartialLabeling) -> WeightMap:
-    """Per-vertex sums of assigned labels; unlabeled edges contribute nothing."""
+def vertex_sums(g: Graph, labeling: Labeling) -> WeightMap:
+    """Per-vertex sums of the labels; edges past a short labeling's end add nothing."""
     m = g.m
-    if isinstance(labeling, PartialLabeling):
-        assignment = labeling.assignment
-        if assignment and not (0 <= min(assignment) and max(assignment) < m):
-            bad = min(e for e in assignment if not 0 <= e < m)
-            raise GraphError(f"edge index {bad} out of range for m={m}")
-        labels = [0] * m
-        for e, lab in assignment.items():
-            labels[e] = lab
-    else:
-        labels = labeling.labels
-        if len(labels) > m:
-            raise GraphError(f"edge index {m} out of range for m={m}")
-        if len(labels) < m:
-            labels += (0,) * (m - len(labels))
+    labels = labeling.labels
+    if len(labels) > m:
+        raise GraphError(f"edge index {m} out of range for m={m}")
+    if len(labels) < m:
+        labels += (0,) * (m - len(labels))
+    return tuple(_sums(g, labels))
+
+
+def _sums(g: Graph, labels) -> list[int]:
+    """Per-vertex sums of ``labels``, which holds one label per edge of ``g``."""
     get = labels.__getitem__
     # itemgetter fetches a whole incidence in one call, but it needs two or
     # more indices to return a tuple
-    sums = [sum(itemgetter(*inc)(labels)) if len(inc) > 1 else sum(map(get, inc))
+    return [sum(itemgetter(*inc)(labels)) if len(inc) > 1 else sum(map(get, inc))
             for inc in g._incident]
-    return tuple(sums)
 
 
 def first_collision(sums: Iterable[int]) -> Optional[tuple[int, int]]:
@@ -323,6 +271,8 @@ def first_collision(sums: Iterable[int]) -> Optional[tuple[int, int]]:
 class CollisionState:
     """A mutable total labeling with its vertex sums and their collisions.
 
+    ``labels`` is the list given to the constructor, not a copy: the state
+    owns it from then on, and :meth:`swap` permutes it in place.
     ``members`` maps each sum to the vertices carrying it, ``collisions``
     counts colliding vertex pairs and ``colliding`` is the set of vertices
     whose sum is shared.  :meth:`swap` updates all of it by touching only
@@ -332,10 +282,12 @@ class CollisionState:
 
     __slots__ = ("g", "labels", "sums", "members", "collisions", "colliding")
 
-    def __init__(self, g: Graph, labeling: Labeling):
+    def __init__(self, g: Graph, labels: list[int]):
+        if len(labels) != g.m:
+            raise GraphError(f"{len(labels)} labels for m={g.m}")
         self.g = g
-        self.labels = list(labeling.labels)
-        self.sums = list(vertex_sums(g, labeling))
+        self.labels = labels
+        self.sums = _sums(g, labels)
         self.members: dict[int, set[int]] = {}
         for v, s in enumerate(self.sums):
             self.members.setdefault(s, set()).add(v)

@@ -173,7 +173,8 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
     ``max_iters * m`` proposals; ``iterations`` counts proposals over all
     runs.  A K2 component or two isolated vertices make a collision no
     swap removes, so such graphs are ``not_found`` at once.  Any hit is
-    re-verified before being returned.
+    verified before being returned, and one the verifier rejects raises
+    ``AssertionError``.
     """
     budget = budget or SearchBudget()
     degs = g.degrees()
@@ -185,7 +186,7 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
     for _ in range(budget.restarts):
         labels = list(range(1, m + 1))
         rng.shuffle(labels)
-        state = CollisionState(g, Labeling(labels))
+        state = CollisionState(g, labels)
         for _ in range(budget.max_iters * m):
             if state.collisions == 0:
                 break
@@ -198,6 +199,8 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
                 state.swap(i, j)
         if state.collisions == 0:
             lab = Labeling(state.labels)
-            if verify_antimagic(g, lab).ok:
-                return SearchResult(FOUND, lab, iterations=iterations)
+            if not verify_antimagic(g, lab).ok:
+                raise AssertionError("search reached zero collisions on a labeling "
+                                     "the verifier rejects")
+            return SearchResult(FOUND, lab, iterations=iterations)
     return SearchResult(NOT_FOUND, None, iterations=iterations)

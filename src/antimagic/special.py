@@ -29,10 +29,8 @@ from .graph import (
     Graph,
     GraphError,
     Labeling,
-    PartialLabeling,
     _canonical_graph,
     verify_antimagic,
-    vertex_sums,
 )
 from .oracle import FOUND, heuristic_search
 
@@ -102,32 +100,46 @@ def weight_multiplicities_ok(sums: Iterable[int], cap: int) -> bool:
     return all(c <= cap for c in counts.values())
 
 
-def complete_partial_labeling(g: Graph, pl: PartialLabeling) -> PartialLabeling:
+def complete_partial_labeling(g: Graph, pool: Iterable[int],
+                              assignment: dict[int, int]) -> dict[int, int]:
     """Complete a partial labeling without concentrating positive weights.
 
-    With a pool of ``m+2`` labels, any partial labeling in which no more
-    than ``ceil(r/2)`` vertices share a positive weight extends edge by
-    edge: of any three unused labels at most two can push some weight
-    value past the cap, so a greedy scan (smallest feasible label first)
-    never gets stuck.
+    ``assignment`` maps edge ids to distinct labels from ``pool``; the
+    result maps every edge id to a label from ``pool``, the given ones
+    unchanged, and ``assignment`` itself is left alone.  With a pool of
+    ``m+2`` labels, any partial labeling in which no more than
+    ``ceil(r/2)`` vertices share a positive weight extends edge by edge:
+    of any three unused labels at most two can push some weight value past
+    the cap, so a greedy scan (smallest feasible label first) never gets
+    stuck.
 
     Restricted to ``r >= 3``: on a single isolated edge both endpoints
     necessarily share one positive weight, so the cap ``ceil(2/2)=1`` is
     unsatisfiable and the guarantee is vacuous.
     """
-    r = g.n
+    r, m = g.n, g.m
     if r < 3:
         raise GraphError("completion contract requires at least 3 vertices")
-    if len(pl.pool) != g.m + 2:
-        raise GraphError(f"pool must hold m+2={g.m + 2} labels, got {len(pl.pool)}")
+    pool = set(pool)
+    if len(pool) != m + 2:
+        raise GraphError(f"pool must hold m+2={m + 2} labels, got {len(pool)}")
+    if not all(0 <= e < m for e in assignment):
+        raise GraphError(f"assigned edge ids must lie in 0..{m - 1}")
+    used = list(assignment.values())
+    if not pool.issuperset(used) or len(set(used)) < len(used):
+        raise GraphError("assigned labels must be distinct members of the pool")
     cap = (r + 1) // 2
-    sums = list(vertex_sums(g, pl))
+    sums = [0] * r
+    for e, lab in assignment.items():
+        u, v = g.edges[e]
+        sums[u] += lab
+        sums[v] += lab
     counts = Counter(s for s in sums if s > 0)
     if any(c > cap for c in counts.values()):
         raise GraphError("input labeling already violates the weight-multiplicity bound")
-    assignment = dict(pl.assignment)
-    unused = sorted(pl.pool - set(assignment.values()))
-    for e in range(g.m):
+    assignment = dict(assignment)
+    unused = sorted(pool.difference(used))
+    for e in range(m):
         if e in assignment:
             continue
         u, v = g.edges[e]
@@ -150,7 +162,7 @@ def complete_partial_labeling(g: Graph, pl: PartialLabeling) -> PartialLabeling:
         counts[sums[v]] += 1
         assignment[e] = chosen
         unused.remove(chosen)
-    return PartialLabeling(pl.pool, assignment)
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +388,18 @@ def _lemma44_completion(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
     evens = list(range(2, m + 1, 2))
     pool = evens[-(gstar.m + 2):]
     anchor = gstar.incident_edges(vn1)[0]
-    comp = complete_partial_labeling(gstar, PartialLabeling(pool, {anchor: pool[-1]}))
-    labels, w = _lift(g, gstar, origin, comp.assignment.items())
-    spare_evens = sorted(set(evens) - set(comp.assignment.values()))
+    comp = complete_partial_labeling(gstar, pool, {anchor: pool[-1]})
+    labels, w = _lift(g, gstar, origin, comp.items())
+    spare_evens = sorted(set(evens) - set(comp.values()))
     odds = list(range(1, m + 1, 2))
     reserved = spare_evens + odds
     assert len(reserved) == n - 2
     neighbors = [u for u in range(n) if u != vn and u != vn1]
     w_vn1 = w[vn1]
-    fixed = [w_vn1, sum(reserved)]
     assign = _block_relabel(neighbors, w, spare_evens, odds, w_vn1)
-    if assign is None or not _distinct_totals(w, assign, fixed):
-        assign = _reserved_assignment(neighbors, w, [], reserved, fixed)
-    return None if assign is None else (labels, assign)
+    if assign is None or not _distinct_totals(w, assign, [w_vn1, sum(reserved)]):
+        return None
+    return labels, assign
 
 
 def _block_relabel(neighbors, w, spare_evens, odds, w_vn1):

@@ -16,7 +16,7 @@ from antimagic.dense import (
     phase3_pair_labels,
     phase5_assign,
 )
-from antimagic.graph import Graph, GraphError, verify_antimagic, vertex_sums
+from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
 
 
 def cycle(n):
@@ -368,6 +368,29 @@ class TestDriver:
     def test_default_d_from_size(self):
         cfg = DenseConfig()
         assert cfg.effective_d(128) == 15  # ceil(3 ln 128)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"d": 0}, "minimum-degree parameter must be positive"),
+        ({"max_restarts": 0}, "max_restarts must be positive"),
+    ], ids=["d=0", "max_restarts=0"])
+    def test_config_values_below_one_rejected(self, kwargs, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            DenseConfig(**kwargs)
+
+    def test_one_labeling_per_certificate(self, monkeypatch):
+        # three label pairings, but only the certified one becomes a Labeling
+        made = []
+
+        def counting(labels):
+            made.append(labels)
+            return Labeling(labels)
+
+        monkeypatch.setattr(dense, "Labeling", counting)
+        monkeypatch.setattr(dense, "MAX_LOCAL_RESAMPLES", 3)
+        g = random_min_degree(20, 4, 0)
+        res = label_dense(g, DenseConfig(d=4, rng_seed=0))
+        assert res.restarts == 2
+        assert len(made) == 1 and list(res.labeling.labels) == made[0]
 
     def test_deterministic_given_seed(self):
         g = random_min_degree(24, 7, 5)

@@ -10,11 +10,12 @@ import antimagic.dispatch
 import antimagic.oracle
 import antimagic.partite
 import antimagic.special
-from antimagic.dispatch import (ANTIMAGIC, FAILED, NOT_APPLICABLE, dispatch_label,
+from antimagic.dispatch import (ANTIMAGIC, FAILED, METHODS, NOT_APPLICABLE, dispatch_label,
                                 recognize_complete_multipartite)
 from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
                                   random_min_degree_graph)
 from antimagic.graph import Graph, GraphError, verify_antimagic
+from antimagic.oracle import NOT_FOUND, SearchResult
 
 
 def test_wall_time_covers_graph_id(monkeypatch):
@@ -104,6 +105,24 @@ def test_forced_routes(g, kwargs, outcome, note):
 def test_unknown_method_raises():
     with pytest.raises(GraphError, match="unknown method 'greedy'"):
         dispatch_label(cycle_graph(5), method="greedy")
+
+
+@pytest.mark.parametrize("kwargs", [{"d": 0}, {"max_restarts": 0}], ids=["d=0", "max_restarts=0"])
+@pytest.mark.parametrize("method", METHODS)
+def test_bad_dense_parameters_raise_on_every_route(method, kwargs):
+    with pytest.raises(GraphError):
+        dispatch_label(complete_graph(5), method=method, **kwargs)
+
+
+def test_construction_error_is_reported_failed(monkeypatch):
+    # the n = 5 trap graph's scheme candidate collides; with the search
+    # fallback finding nothing, the labeler raises ConstructionError
+    trap = Graph(5, [(0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
+    monkeypatch.setattr(antimagic.special, "heuristic_search",
+                        lambda g: SearchResult(NOT_FOUND, None))
+    rep = dispatch_label(trap)
+    assert (rep.method, rep.outcome, rep.certificate) == ("delta-n2", FAILED, None)
+    assert rep.note == "max-degree n-2 construction and search found no labeling"
 
 
 @pytest.fixture

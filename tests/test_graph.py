@@ -9,7 +9,6 @@ from antimagic.graph import (
     Graph,
     GraphError,
     Labeling,
-    PartialLabeling,
     first_collision,
     verify_antimagic,
     vertex_sums,
@@ -112,17 +111,6 @@ class TestVertexSums:
         labels[g.edge_index(0, 3)] = 4
         assert vertex_sums(g, Labeling(labels)) == (5, 3, 5, 7)
 
-    def test_total_labeling_equals_partial_view(self):
-        g = cycle4()
-        lab = Labeling([2, 4, 1, 3])
-        pl = PartialLabeling(pool=range(1, 5), assignment=dict(lab.items()))
-        assert vertex_sums(g, lab) == vertex_sums(g, pl)
-
-    def test_edge_out_of_range(self):
-        pl = PartialLabeling(pool=[1], assignment={5: 1})
-        with pytest.raises(GraphError):
-            vertex_sums(path3(), pl)
-
     def test_short_labeling_leaves_later_edges_unlabeled(self):
         assert vertex_sums(path3(), Labeling([5])) == (5, 5, 0)
 
@@ -179,20 +167,6 @@ class TestVerify:
         assert not rep.ok and rep.first_collision == (0, 1)
 
 
-class TestPartialLabeling:
-    def test_rejects_non_pool_label(self):
-        with pytest.raises(GraphError):
-            PartialLabeling(pool=[1, 2], assignment={0: 3})
-
-    def test_rejects_injectivity_violation(self):
-        with pytest.raises(GraphError):
-            PartialLabeling(pool=[1, 2], assignment={0: 1, 1: 1})
-
-    def test_unused_labels(self):
-        pl = PartialLabeling(pool=[5, 2, 9], assignment={0: 2})
-        assert pl.unused_labels() == [5, 9]
-
-
 @st.composite
 def graph_and_labeling(draw):
     n = draw(st.integers(min_value=1, max_value=8))
@@ -229,7 +203,7 @@ def test_first_collision_smallest_lexicographic():
 @given(graph_and_labeling(), st.data())
 def test_collision_state_matches_recompute(gl, data):
     g, lab = gl
-    state = CollisionState(g, lab)
+    state = CollisionState(g, list(lab.labels))
     edge = st.integers(min_value=0, max_value=max(g.m - 1, 0))
     for _ in range(data.draw(st.integers(min_value=0, max_value=20)) if g.m else 0):
         i, j, keep = data.draw(edge), data.draw(edge), data.draw(st.booleans())
@@ -246,3 +220,17 @@ def test_collision_state_matches_recompute(gl, data):
     assert all(sums[v] == s for s, vs in state.members.items() for v in vs)
     assert state.collisions == sum(c * (c - 1) // 2 for c in counts.values())
     assert sorted(state.colliding) == [v for v in range(g.n) if counts[sums[v]] >= 2]
+
+
+def test_collision_state_owns_the_given_list():
+    labels = [2, 4, 1, 3]
+    state = CollisionState(cycle4(), labels)
+    assert state.labels is labels
+    state.swap(0, 1)
+    assert labels == [4, 2, 1, 3]
+
+
+@pytest.mark.parametrize("labels", [[1, 2, 3], [1, 2, 3, 4, 5]], ids=["short", "long"])
+def test_collision_state_needs_one_label_per_edge(labels):
+    with pytest.raises(GraphError, match=rf"^{len(labels)} labels for m=4$"):
+        CollisionState(cycle4(), labels)

@@ -5,7 +5,7 @@ import pytest
 
 from antimagic.corpus import connected_graphs_upto_iso
 from antimagic import oracle
-from antimagic.graph import Graph, Labeling, VerifyReport, verify_antimagic
+from antimagic.graph import Graph, GraphError, Labeling, VerifyReport, verify_antimagic
 from antimagic.oracle import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -147,6 +147,23 @@ class TestHeuristic:
         assert a.status == FOUND
         assert a.labeling == b.labeling and a.iterations == b.iterations
 
+    def test_budget_runs_out_on_non_antimagic_graph(self):
+        # two disjoint paths on 3 vertices: the leaves carry the labels 1..4,
+        # and each middle sum equals a leaf or the other middle
+        g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        res = heuristic_search(g, SearchBudget(max_iters=3, restarts=2))
+        # two runs of max_iters * m = 12 proposals each
+        assert (res.status, res.labeling, res.iterations) == (NOT_FOUND, None, 24)
+        assert exhaustive_search(g).status == PROVEN_NONE
+
+    def test_rejected_labeling_raises(self, monkeypatch):
+        # zero collisions and still rejected is a fault, not a reason to
+        # try the next run
+        rejected = VerifyReport(ok=False, bijection_ok=False, first_collision=None)
+        monkeypatch.setattr(oracle, "verify_antimagic", lambda g, lab: rejected)
+        with pytest.raises(AssertionError):
+            heuristic_search(cycle(10))
+
     def test_agrees_with_exhaustive_on_small_corpus(self):
         for g in connected_graphs_upto_iso(4):
             ex = exhaustive_search(g)
@@ -155,6 +172,12 @@ class TestHeuristic:
                 assert h.status == FOUND
             else:
                 assert ex.status == PROVEN_NONE and h.status == NOT_FOUND
+
+
+@pytest.mark.parametrize("field", ["max_nodes", "max_iters", "restarts"])
+def test_budget_values_below_one_rejected(field):
+    with pytest.raises(GraphError, match="^budgets must be positive$"):
+        SearchBudget(**{field: 0})
 
 
 def test_conjecture_holds_up_to_5_vertices():

@@ -104,6 +104,16 @@ class TestMultipartite:
         for i in (1, 2):
             assert small_class_weight(2, 4, 4, i) == sorted(sums[:2])[i - 1]
 
+    @pytest.mark.parametrize("sizes", [(2, 2, 3), (2, 3, 4), (4, 4, 5)])
+    def test_small_class_weights_for_odd_rest(self, sizes):
+        # the rest B = V minus the smallest class has odd size: 5, 7 and 9
+        spec = PartiteSpec(sizes)
+        g = canonical_multipartite_graph(spec)
+        sums = vertex_sums(g, label_complete_multipartite(spec))
+        n1, m, q = spec.class_sizes[0], spec.rest_size, spec.edges_inside_rest
+        assert m % 2 == 1
+        assert sorted(sums[:n1]) == [small_class_weight(n1, m, q, i) for i in range(1, n1 + 1)]
+
     def test_k13_delegates_to_universal(self):
         spec = PartiteSpec((1, 3))
         g = canonical_multipartite_graph(spec)

@@ -6,7 +6,7 @@ import pytest
 
 from antimagic import special
 from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
-from antimagic.graph import Graph, GraphError, Labeling, PartialLabeling, verify_antimagic, vertex_sums
+from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
 from antimagic.oracle import FOUND, SearchBudget, exhaustive_search, heuristic_search
 from antimagic.special import (
     complete_partial_labeling,
@@ -109,51 +109,69 @@ class TestUniversalVertex:
 class TestCompletion:
     def test_fully_labeled_returned_unchanged(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        pl = PartialLabeling([1, 2, 3, 4], {0: 1, 1: 2})
-        out = complete_partial_labeling(g, pl)
-        assert out == pl
+        assignment = {0: 1, 1: 2}
+        out = complete_partial_labeling(g, [1, 2, 3, 4], assignment)
+        assert out == assignment and out is not assignment
 
     def test_single_edge_out_of_contract(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(GraphError):
-            complete_partial_labeling(g, PartialLabeling([1, 2, 3]))
+            complete_partial_labeling(g, [1, 2, 3], {})
 
     def test_path3_prelabeled_brute_force_oracle(self):
         # pool {1,2,3,4}, edge (0,1) fixed at 4: enumerate candidate labels for
         # the other edge and check the multiplicity bound the long way
         g = Graph(3, [(0, 1), (1, 2)])
-        pl = PartialLabeling([1, 2, 3, 4], {0: 4})
+        assignment = {0: 4}
         cap = 2  # ceil(3/2)
         feasible = []
         for lab in [1, 2, 3]:
-            sums = vertex_sums(g, PartialLabeling([1, 2, 3, 4], {0: 4, 1: lab}))
+            sums = vertex_sums(g, Labeling([4, lab]))
             if weight_multiplicities_ok(sums, cap):
                 feasible.append(lab)
-        out = complete_partial_labeling(g, pl)
-        assert out.assignment[1] == min(feasible) == 1
+        out = complete_partial_labeling(g, [1, 2, 3, 4], assignment)
+        assert out[1] == min(feasible) == 1
+        assert assignment == {0: 4}
 
     def test_pool_size_enforced(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError):
-            complete_partial_labeling(g, PartialLabeling([1, 2, 3]))
+            complete_partial_labeling(g, [1, 2, 3], {})
+
+    def test_rejects_label_outside_pool(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="^assigned labels must be distinct members of the pool$"):
+            complete_partial_labeling(g, [1, 2, 3, 4], {0: 5})
+
+    def test_rejects_repeated_assigned_label(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="^assigned labels must be distinct members of the pool$"):
+            complete_partial_labeling(g, [1, 2, 3, 4], {0: 1, 1: 1})
+
+    @pytest.mark.parametrize("e", [2, -1])
+    def test_rejects_edge_out_of_range(self, e):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match=r"^assigned edge ids must lie in 0\.\.1$"):
+            complete_partial_labeling(g, [1, 2, 3, 4], {e: 1})
 
     def test_violating_input_rejected(self):
         # four vertices share positive weight 5 while the cap is ceil(6/2)=3
         g = Graph(6, [(0, 1), (2, 3), (2, 5), (3, 4), (4, 5)])
-        pl = PartialLabeling(range(1, 8), {0: 5, 1: 2, 2: 4, 3: 3, 4: 1})
-        assert not weight_multiplicities_ok(vertex_sums(g, pl), 3)
+        assignment = {0: 5, 1: 2, 2: 4, 3: 3, 4: 1}
+        assert not weight_multiplicities_ok(vertex_sums(g, Labeling([5, 2, 4, 3, 1])), 3)
         with pytest.raises(GraphError):
-            complete_partial_labeling(g, pl)
+            complete_partial_labeling(g, range(1, 8), assignment)
 
     def test_property_preserved_exhaustively(self):
         # every graph on 4..5 vertices, empty start: completion keeps the bound
         for n in (4, 5):
             for g in connected_graphs_upto_iso(n):
-                pl = PartialLabeling(range(1, g.m + 3))
-                out = complete_partial_labeling(g, pl)
-                assert out.is_total_for(g)
+                out = complete_partial_labeling(g, range(1, g.m + 3), {})
+                assert sorted(out) == list(range(g.m))
+                labels = [out[e] for e in range(g.m)]
+                assert len(set(labels)) == g.m and set(labels) <= set(range(1, g.m + 3))
                 cap = (g.n + 1) // 2
-                assert weight_multiplicities_ok(vertex_sums(g, out), cap)
+                assert weight_multiplicities_ok(vertex_sums(g, Labeling(labels)), cap)
 
 
 class TestMaxDegreeNMinus2:
