@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from antimagic.corpus import connected_graphs_upto_iso
 from antimagic import oracle
+from antimagic.generators import random_min_degree_graph
 from antimagic.graph import Graph, GraphError, Labeling, VerifyReport, verify_antimagic
 from antimagic.oracle import (
     BUDGET_EXCEEDED,
@@ -42,6 +44,11 @@ def random_regular(n, r, seed):
             edges |= {frozenset(order[i:i + 2]) for i in range(0, n, 2)}
         if len(edges) == n * r // 2:
             return Graph(n, [tuple(e) for e in edges])
+
+
+def random_tree(n, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
 def petersen():
@@ -146,6 +153,36 @@ class TestHeuristic:
         b = heuristic_search(g, SearchBudget(seed=5))
         assert a.status == FOUND
         assert a.labeling == b.labeling and a.iterations == b.iterations
+
+    # sha256 over seeds 0-2 of each run's status, labels and proposal count.
+    # The proposals draw from tuple(state.colliding), whose order follows the
+    # exact add/discard sequence, so these pin the generator calls and the
+    # collision bookkeeping together.  Short runs force restarts and the
+    # not_found path.
+    @pytest.mark.parametrize("g, kwargs, digest", [
+        (cycle(20), {}, "eec3b16a4cf1f4c220b494d7f705f13a045e74118d91911a2b0b956b3d4731fb"),
+        (cycle(77), {}, "0e5d1f00c43a77938ffad510b89cc607f5e98846a10794876f8ccb98d2f6145d"),
+        (cycle(120), {}, "c0343dcea6ac458ba0d68f74e15617cc047773a90d19b416377a01cc131cb4d5"),
+        (cycle(120), {"max_iters": 1}, "40b2428efbf078458938e036b977326ecaf53877f524a550b65826c5fc6582b8"),
+        (random_regular(40, 3, 0), {}, "0db6d8f917dd6f1ffb436e258f802996327806b6f49b69f183386fb4943debdc"),
+        (random_regular(120, 3, 1), {}, "b462f6166a54562eedf13682754e8d0c3c5ea4f73e7b3002d305e76f2380b0b2"),
+        (random_regular(30, 4, 2), {}, "1ea9177623680150139f6bf46636fc7322499943899fbab201112bd91303f759"),
+        (random_regular(100, 4, 3), {}, "a43563a4427dde96d8128a6a6cf12a9d3b9ee6c32efc4d4f27748086ab84e3f8"),
+        (torus(5, 8), {}, "68c50de2c63fc7879ff3a7e38d228a4dae88c5d757d0495b2ed0843e4de58ec1"),
+        (torus(10, 12), {}, "7827e9c0724f4b32b893ab0f2ac4214fd6d8cfd6b5283e085a0b661a3d81ec55"),
+        (random_tree(60, 4), {}, "d06779bb1bb50040c16f2c3b90d8936db9a2a872e05e0fbee45d76bad746257a"),
+        (random_tree(120, 5), {}, "6698c84a659eb41a0a6f0ec87ea98792f6cf5abf882b431afcfb198e9bb51b65"),
+        (random_min_degree_graph(50, 3, 6), {}, "d79f66a3a5667c9d3a916b2cf43f854697c33c41c5d4587fc1ccf218e1bb5206"),
+    ], ids=["C20", "C77", "C120", "C120-short-runs", "3-regular-n40", "3-regular-n120",
+            "4-regular-n30", "4-regular-n100", "torus-5x8", "torus-10x12", "tree-n60",
+            "tree-n120", "min-degree-3-n50"])
+    def test_trajectory_frozen(self, g, kwargs, digest):
+        h = hashlib.sha256()
+        for seed in range(3):
+            res = heuristic_search(g, SearchBudget(seed=seed, **kwargs))
+            labels = res.labeling.labels if res.labeling else ()
+            h.update(f"{res.status} {','.join(map(str, labels))} {res.iterations}\n".encode())
+        assert h.hexdigest() == digest
 
     def test_budget_runs_out_on_non_antimagic_graph(self):
         # two disjoint paths on 3 vertices: the leaves carry the labels 1..4,
