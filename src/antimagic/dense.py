@@ -18,10 +18,11 @@ running-time guarantee is heuristic.  A run reports its restarts and
 resamples and, when it fails, the fewest colliding pairs any attempt had.
 
 All randomness comes from one ``random.Random`` per run.  The label shuffle
-(``_shuffle``) and the coins (``_coins``) reproduce ``Random.shuffle`` and
-``Random.randrange(2)`` call for call: the same ``getrandbits`` calls in the
-same order, hence the same draws and the same generator state, so a seed
-certifies the same labeling as a pipeline written with those methods.
+(``graph._shuffle``) and the coins (``graph._coins``) reproduce
+``Random.shuffle`` and ``Random.randrange(2)`` call for call: the same
+``getrandbits`` calls in the same order, hence the same draws and the same
+generator state, so a seed certifies the same labeling as a pipeline written
+with those methods.  The oracle's search draws with the same functions.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from itertools import compress, count, filterfalse
 from operator import contains, itemgetter
 from typing import Optional
 
+from .graph import CollisionState, Graph, GraphError, Labeling, _coins, _shuffle, verify_antimagic
 # vertex_sums is not called here; the name stays because bench/tracing.py
 # wraps it in this module.
-from .graph import CollisionState, Graph, GraphError, Labeling, verify_antimagic, vertex_sums  # noqa: F401
+from .graph import vertex_sums  # noqa: F401
 
 
 class PairingError(RuntimeError):
@@ -50,6 +52,14 @@ C = 3.0
 MAX_LOCAL_RESAMPLES = 30
 
 
+def check_knobs(d: Optional[int], max_restarts: int) -> None:
+    """Raise GraphError unless ``d`` (when given) and ``max_restarts`` are positive."""
+    if d is not None and d < 1:
+        raise GraphError("minimum-degree parameter must be positive")
+    if max_restarts < 1:
+        raise GraphError("max_restarts must be positive")
+
+
 @dataclass(frozen=True)
 class DenseConfig:
     """Tuning knobs for the dense pipeline; ``d`` defaults to ceil(C ln n)."""
@@ -59,10 +69,7 @@ class DenseConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.d is not None and self.d < 1:
-            raise GraphError("minimum-degree parameter must be positive")
-        if self.max_restarts < 1:
-            raise GraphError("max_restarts must be positive")
+        check_knobs(self.d, self.max_restarts)
 
     def effective_d(self, n: int) -> int:
         if self.d is not None:
@@ -306,44 +313,6 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     if len(pair_index) != st.t:
         raise AssertionError("pairing must cover every remaining edge exactly once")
     return replace(st, pair_list=pair_list, pair_index=pair_index, spill=spill, h_sets=h_sets)
-
-
-def _shuffle(x: list, rng: random.Random) -> None:
-    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does.
-
-    For i from len(x)-1 down to 1 it draws ``getrandbits(k)``, with k the
-    bit length of i+1, until the draw is at most i, then swaps x[i] with
-    that entry: ``Random.shuffle``'s calls and swaps, without its two
-    method calls per entry.  k changes only at powers of two, so it is
-    computed once per run of equal sizes.
-    """
-    getrandbits = rng.getrandbits
-    hi = len(x) - 1
-    while hi > 0:
-        k = (hi + 1).bit_length()
-        lo = max(1, (1 << (k - 1)) - 1)
-        for i in range(hi, lo - 1, -1):
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            x[i], x[j] = x[j], x[i]
-        hi = lo - 1
-
-
-def _coins(n: int, rng: random.Random) -> list[int]:
-    """``n`` fair coins, exactly as ``[rng.randrange(2) for _ in range(n)]``.
-
-    Like ``randrange(2)``, each coin redraws ``getrandbits(2)`` while it
-    reads 2 or 3.
-    """
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(n):
-        c = getrandbits(2)
-        while c > 1:
-            c = getrandbits(2)
-        out.append(c)
-    return out
 
 
 def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:

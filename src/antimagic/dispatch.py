@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Optional
 
-from .dense import DenseConfig, PairingError, label_dense
+from .dense import DenseConfig, PairingError, check_knobs, label_dense
 # verify_antimagic is not called here, since each labeler verifies its own
 # labeling; the name stays because bench/tracing.py wraps it in this module.
 from .graph import Graph, GraphError, Labeling, verify_antimagic  # noqa: F401
@@ -84,8 +84,9 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     start = time.perf_counter()
     if method not in METHODS:
         raise GraphError(f"unknown method {method!r}")
-    # bad values of d or max_restarts raise here, whatever the route
-    cfg = DenseConfig(d=d, rng_seed=seed, max_restarts=max_restarts)
+    # bad values of d or max_restarts raise here, whatever the route; a
+    # config is built only where the dense route may run
+    check_knobs(d, max_restarts)
     graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
     def report(outcome, chosen, labeling=None, restarts=0, note=""):
@@ -110,10 +111,8 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
             chosen = "universal"
         elif g.max_degree() == g.n - 2 and g.n >= 4:
             chosen = "delta-n2"
-        elif g.min_degree() >= cfg.effective_d(g.n):
-            chosen = "dense"
         else:
-            chosen = "oracle"
+            chosen = "dense" if g.min_degree() >= DenseConfig(d=d).effective_d(g.n) else "oracle"
 
     try:
         if chosen == "partite":
@@ -127,7 +126,7 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
         if chosen == "delta-n2":
             return report(ANTIMAGIC, chosen, label_max_degree_n_minus_2(g))
         if chosen == "dense":
-            res = label_dense(g, cfg)
+            res = label_dense(g, DenseConfig(d=d, rng_seed=seed, max_restarts=max_restarts))
             if res.ok:
                 return report(ANTIMAGIC, chosen, res.labeling, res.restarts)
             return report(FAILED, chosen, None, res.restarts,

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import eq, itemgetter
+from random import Random
 from typing import Iterable, NoReturn, Optional
 
 # Per-vertex sums; index = vertex id.
@@ -278,6 +279,17 @@ class CollisionState:
     whose sum is shared.  :meth:`swap` updates all of it by touching only
     the swapped edges' endpoints.  Bijectivity is left to
     :func:`verify_antimagic`.
+
+    The iteration order of ``colliding`` is part of the contract, because
+    the search draws from ``tuple(colliding)``.  That order follows the
+    exact sequence of set operations, so the constructor adds the colliding
+    vertices in ascending order, and :meth:`swap` takes the moved endpoints
+    in edge order.  For each one, x, leaving a shared sum does
+    ``discard(x)``, then ``-=`` the group left behind if one vertex is left
+    in it; joining a taken sum does ``|=`` that group if it held one vertex,
+    then ``add(x)``.  The in-place operators are not interchangeable with
+    ``discard`` and ``add``: they resize the table by other rules, and so
+    reorder it.
     """
 
     __slots__ = ("g", "labels", "sums", "members", "collisions", "colliding")
@@ -287,49 +299,132 @@ class CollisionState:
             raise GraphError(f"{len(labels)} labels for m={g.m}")
         self.g = g
         self.labels = labels
-        self.sums = _sums(g, labels)
-        self.members: dict[int, set[int]] = {}
-        for v, s in enumerate(self.sums):
-            self.members.setdefault(s, set()).add(v)
-        self.collisions = sum(len(vs) * (len(vs) - 1) // 2 for vs in self.members.values())
-        self.colliding = {v for v, s in enumerate(self.sums) if len(self.members[s]) >= 2}
+        self.sums = sums = _sums(g, labels)
+        members: dict[int, set[int]] = {}
+        self.members = members
+        get = members.get
+        collisions = 0
+        for v, s in enumerate(sums):
+            group = get(s)
+            if group is None:
+                members[s] = {v}
+            else:
+                collisions += len(group)
+                group.add(v)
+        self.collisions = collisions
+        self.colliding = {v for v, s in enumerate(sums) if len(members[s]) >= 2} if collisions else set()
 
     def swap(self, i: int, j: int) -> int:
         """Swap the labels of edges ``i`` and ``j``; return the change in
         ``collisions``.  Repeating the call undoes it.
         """
         labels = self.labels
-        diff = labels[j] - labels[i]
-        labels[i], labels[j] = labels[j], labels[i]
-        before = self.collisions
-        ei, ej = self.g.edges[i], self.g.edges[j]
-        # a vertex on both edges gains and loses the same amount
-        for x in ei:
-            if x not in ej:
-                self._move(x, diff)
-        for x in ej:
-            if x not in ei:
-                self._move(x, -diff)
-        return self.collisions - before
+        a = labels[i]
+        b = labels[j]
+        labels[i] = b
+        labels[j] = a
+        edges = self.g.edges
+        ei = edges[i]
+        ej = edges[j]
+        sums = self.sums
+        members = self.members
+        get = members.get
+        colliding = self.colliding
+        collisions = self.collisions
+        # Each endpoint of one edge only, since a vertex on both edges gains
+        # and loses the same amount: ei's ends gain b - a, ej's lose it.
+        for ends, other, dx in ((ei, ej, b - a), (ej, ei, a - b)):
+            for x in ends:
+                if x in other:
+                    continue
+                old = sums[x]
+                new = old + dx
+                sums[x] = new
+                group = members[old]
+                if len(group) > 1:
+                    group.remove(x)
+                    k = len(group)
+                    collisions -= k
+                    colliding.discard(x)
+                    if k == 1:
+                        colliding -= group
+                    group = None
+                else:
+                    # x was alone, so not colliding; its set moves with it
+                    # if the new sum is free
+                    del members[old]
+                joined = get(new)
+                if joined is None:
+                    members[new] = group or {x}
+                else:
+                    k = len(joined)
+                    collisions += k
+                    if k == 1:
+                        colliding |= joined
+                    colliding.add(x)
+                    joined.add(x)
+        change = collisions - self.collisions
+        self.collisions = collisions
+        return change
 
-    def _move(self, x: int, dx: int) -> None:
-        old = self.sums[x]
-        self.sums[x] = old + dx
-        group = self.members[old]
-        group.remove(x)
-        self.collisions -= len(group)
-        self.colliding.discard(x)
-        if len(group) == 1:
-            self.colliding -= group
-        elif not group:
-            del self.members[old]
-        group = self.members.setdefault(old + dx, set())
-        self.collisions += len(group)
-        if len(group) == 1:
-            self.colliding |= group
-        if group:
-            self.colliding.add(x)
-        group.add(x)
+
+# The draws below reproduce the ``random.Random`` methods named in their
+# docstrings call for call: the same ``getrandbits`` calls in the same order,
+# hence the same values and the same generator state, without the methods'
+# layers of Python calls.  A seed therefore gives the same labeling as code
+# written with those methods.
+
+def _below(n: int, getrandbits) -> int:
+    """A draw from ``range(n)``, ``n >= 1``, exactly as ``Random._randbelow``.
+
+    ``getrandbits`` is the generator's bound method.  Like the stdlib, it
+    redraws ``getrandbits(k)``, with k the bit length of n, until the draw
+    is below n; so ``seq[_below(len(seq), getrandbits)]`` is
+    ``rng.choice(seq)`` and ``_below(n, getrandbits)`` is ``rng.randrange(n)``.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(x: list, rng: Random) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does.
+
+    For i from len(x)-1 down to 1 it draws ``getrandbits(k)``, with k the
+    bit length of i+1, until the draw is at most i, then swaps x[i] with
+    that entry: ``Random.shuffle``'s calls and swaps, without its two
+    method calls per entry.  k changes only at powers of two, so it is
+    computed once per run of equal sizes.
+    """
+    getrandbits = rng.getrandbits
+    hi = len(x) - 1
+    while hi > 0:
+        k = (hi + 1).bit_length()
+        lo = max(1, (1 << (k - 1)) - 1)
+        for i in range(hi, lo - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        hi = lo - 1
+
+
+def _coins(n: int, rng: Random) -> list[int]:
+    """``n`` fair coins, exactly as ``[rng.randrange(2) for _ in range(n)]``.
+
+    Like ``randrange(2)``, each coin redraws ``getrandbits(2)`` while it
+    reads 2 or 3.
+    """
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        c = getrandbits(2)
+        while c > 1:
+            c = getrandbits(2)
+        out.append(c)
+    return out
 
 
 def verify_antimagic(g: Graph, labeling: Labeling) -> VerifyReport:

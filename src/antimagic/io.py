@@ -234,9 +234,10 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
                 raise ParseError("vertex line must be 'v sum'", i) from None
         else:
             raise ParseError("unrecognized certificate line", i)
-    if not vertices:
+    if edges and not vertices:
         raise ParseError("certificate has no vertex lines")
-    n = max(vertices) + 1
+    # the graph on no vertices has neither edge nor vertex lines
+    n = max(vertices, default=-1) + 1
     if vertices != set(range(n)):
         raise ParseError("vertex sums must cover 0..n-1")
     g = Graph(n, edges)

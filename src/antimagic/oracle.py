@@ -7,6 +7,11 @@ further with a collision-local move: it swaps the label of an edge at a
 colliding vertex with the label of any other edge, and keeps the swap when
 the number of colliding vertex pairs does not rise.  Both only ever return
 labelings that pass the verifier.
+
+The heuristic search draws through ``graph._shuffle`` and ``graph._below``,
+which reproduce ``Random.shuffle``, ``Random.choice`` and
+``Random.randrange`` call for call, so a seed gives the same search as one
+written with those methods.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import CollisionState, Graph, GraphError, Labeling, verify_antimagic
+from .graph import CollisionState, Graph, GraphError, Labeling, _below, _shuffle, verify_antimagic
 
 FOUND = "found"
 PROVEN_NONE = "proven_none"
@@ -175,28 +180,42 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
     swap removes, so such graphs are ``not_found`` at once.  Any hit is
     verified before being returned, and one the verifier rejects raises
     ``AssertionError``.
+
+    The draws are ``rng.shuffle`` for each start, then per proposal
+    ``rng.choice`` of a colliding vertex (in ``tuple(colliding)`` order),
+    ``rng.choice`` of its incident edge and ``rng.randrange(m - 1)`` for the
+    other edge, all made through ``rng.getrandbits`` by the inline draws of
+    :mod:`.graph`.  A rejected swap is undone by swapping back, which keeps
+    the order of ``colliding`` that the next draw reads.
     """
     budget = budget or SearchBudget()
     degs = g.degrees()
-    if degs.count(0) >= 2 or any(degs[u] == degs[v] == 1 for u, v in g.edges):
+    if degs.count(0) >= 2 or 1 in degs and any(degs[u] == degs[v] == 1 for u, v in g.edges):
         return SearchResult(NOT_FOUND, None)
     m = g.m
     rng = random.Random(budget.seed)
+    getrandbits = rng.getrandbits
+    incident = g._incident
+    proposals = budget.max_iters * m
     iterations = 0
     for _ in range(budget.restarts):
         labels = list(range(1, m + 1))
-        rng.shuffle(labels)
+        _shuffle(labels, rng)
         state = CollisionState(g, labels)
-        for _ in range(budget.max_iters * m):
+        colliding = state.colliding
+        swap = state.swap
+        for _ in range(proposals):
             if state.collisions == 0:
                 break
             iterations += 1
-            i = rng.choice(g.incident_edges(rng.choice(tuple(state.colliding))))
-            j = rng.randrange(m - 1)
+            vertices = tuple(colliding)
+            ends = incident[vertices[_below(len(vertices), getrandbits)]]
+            i = ends[_below(len(ends), getrandbits)]
+            j = _below(m - 1, getrandbits)
             if j >= i:
                 j += 1
-            if state.swap(i, j) > 0:
-                state.swap(i, j)
+            if swap(i, j) > 0:
+                swap(i, j)
         if state.collisions == 0:
             lab = Labeling(state.labels)
             if not verify_antimagic(g, lab).ok:

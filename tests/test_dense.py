@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from antimagic import dense
+from antimagic import dense, graph, oracle
 from antimagic.dense import (
     DenseConfig,
     PairingError,
@@ -248,19 +248,20 @@ class TestPhase2Reference:
             phase2_pair_edges(st)
 
 
-# Sizes around the powers of two where the shuffle's word size changes.
+# Sizes around the powers of two where the draws' word size changes.
 DRAW_SIZES = [0, 1, 2, 3, 7, 8, 9, 255, 256, 257, 1000, 60000]
 
 
 class TestDraws:
-    """The inline draws consume the generator exactly as the stdlib does."""
+    """The inline draws, shared by dense and the oracle, consume the
+    generator exactly as the stdlib does."""
 
     @pytest.mark.parametrize("size", DRAW_SIZES)
     def test_shuffle_matches_stdlib(self, size):
         for seed in range(5):
             ours, ref = random.Random(seed), random.Random(seed)
             x, y = list(range(size)), list(range(size))
-            dense._shuffle(x, ours)
+            graph._shuffle(x, ours)
             ref.shuffle(y)
             assert x == y
             assert ours.getstate() == ref.getstate()
@@ -269,8 +270,31 @@ class TestDraws:
     def test_coins_match_randrange(self, size):
         for seed in range(5):
             ours, ref = random.Random(seed), random.Random(seed)
-            assert dense._coins(size, ours) == [ref.randrange(2) for _ in range(size)]
+            assert graph._coins(size, ours) == [ref.randrange(2) for _ in range(size)]
             assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("size", [s for s in DRAW_SIZES if s > 0])
+    def test_below_matches_choice(self, size):
+        seq = tuple(range(100, 100 + size))
+        for seed in range(5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            getrandbits = ours.getrandbits
+            assert ([seq[graph._below(size, getrandbits)] for _ in range(50)]
+                    == [ref.choice(seq) for _ in range(50)])
+            assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("size", [s for s in DRAW_SIZES if s > 0])
+    def test_below_matches_randrange(self, size):
+        for seed in range(5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            getrandbits = ours.getrandbits
+            assert ([graph._below(size, getrandbits) for _ in range(50)]
+                    == [ref.randrange(size) for _ in range(50)])
+            assert ours.getstate() == ref.getstate()
+
+    def test_dense_and_oracle_share_the_draws(self):
+        assert (dense._shuffle, dense._coins) == (graph._shuffle, graph._coins)
+        assert (oracle._shuffle, oracle._below) == (graph._shuffle, graph._below)
 
 
 class TestPhase3:

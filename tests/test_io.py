@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph, GraphError, _canonical_graph
-from antimagic.io import ParseError, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
+from antimagic.generators import complete_graph, complete_partite_graph, cycle_graph, star_graph
+from antimagic.io import (ParseError, emit_certificate, emit_edgelist, emit_graph6, parse_certificate,
+                          parse_edgelist, parse_graph6)
 
 
 @pytest.mark.parametrize("dup", ["1 2", "2 1"])
@@ -178,3 +180,18 @@ def test_edge_subset_builds_what_graph_builds(g, data):
     mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
     kept = [edge for edge, keep in zip(g.edges, mask) if keep]
     _same_structure(_canonical_graph(g.n, kept), _validated(g.n, kept))
+
+
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), star_graph(4),
+                               complete_partite_graph([2, 3]), Graph(1, []), Graph(0, [])],
+                         ids=["K4", "C5", "star-4", "K2,3", "K1", "empty"])
+def test_certificate_round_trip(g):
+    cert = dispatch_label(g).certificate
+    text = emit_certificate(g, cert)
+    assert text.endswith("OK\n")
+    assert parse_certificate(text) == (g, cert)
+
+
+def test_certificate_with_edges_needs_vertex_lines():
+    with pytest.raises(ParseError, match="no vertex lines"):
+        parse_certificate("0 1 1\nOK\n")
