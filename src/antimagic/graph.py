@@ -312,7 +312,7 @@ class CollisionState:
                 collisions += len(group)
                 group.add(v)
         self.collisions = collisions
-        self.colliding = {v for v, s in enumerate(sums) if len(members[s]) >= 2} if collisions else set()
+        self.colliding = {v for v, s in enumerate(sums) if len(members[s]) >= 2}
 
     def swap(self, i: int, j: int) -> int:
         """Swap the labels of edges ``i`` and ``j``; return the change in

@@ -209,8 +209,8 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
                 break
             iterations += 1
             vertices = tuple(colliding)
-            ends = incident[vertices[_below(len(vertices), getrandbits)]]
-            i = ends[_below(len(ends), getrandbits)]
+            edges_at = incident[vertices[_below(len(vertices), getrandbits)]]
+            i = edges_at[_below(len(edges_at), getrandbits)]
             j = _below(m - 1, getrandbits)
             if j >= i:
                 j += 1
