@@ -8,14 +8,20 @@ endpoint-disjoint across the rest), phase 3 pairs up the remaining labels
 uniformly at random and pins label pairs to edge pairs, and phase 5 flips
 one fair coin per pair to orient the labels.
 
-The underlying existence argument fixes a label pairing with a certified
-point-probability property and then applies a local lemma; certifying that
-property is exponential, so this implementation replaces it with
-verify-and-resample: coins local to colliding vertices are redrawn first,
-up to ``MAX_LOCAL_RESAMPLES`` times, then the whole label pairing.
-Correctness is absolute because the verifier gates acceptance; only the
-running-time guarantee is heuristic.  A run reports its restarts and
-resamples and, when it fails, the fewest colliding pairs any attempt had.
+The underlying existence argument fixes one label pairing and applies a
+local lemma to the coins, which are independent given the pairing: a
+collision of two vertex sums is a bad event that depends only on the coins
+of the pairs meeting those two vertices.  ``label_dense`` runs the
+algorithmic form of that lemma, the parallel Moser-Tardos step (Moser and
+Tardos, "A constructive proof of the general Lovasz Local Lemma", J. ACM
+57(2), 2010): on the one pairing phase 3 draws, it redraws the coins of
+every pair that meets a colliding vertex, all at once, until no collision
+is left or the resample budget runs out.  No fresh label pairing is ever
+drawn.  The step can only stall when no coin meets a colliding vertex, and
+then every colliding sum is fixed by phase 1 alone, which no pairing and no
+coin can move.  Correctness is absolute because the verifier gates
+acceptance; only the running-time guarantee is heuristic.  A run reports
+its resamples and, when it fails, the fewest colliding pairs it reached.
 
 All randomness comes from one ``random.Random`` per run.  The label shuffle
 (``graph._shuffle``) and the coins (``graph._coins``) reproduce
@@ -48,16 +54,14 @@ class PairingError(RuntimeError):
 # ``DenseConfig.d`` defaults to ceil(C * ln n); the source analysis never
 # pins the constant C.
 C = 3.0
-# Local coin redraws per label pairing before a fresh pairing is drawn.
-MAX_LOCAL_RESAMPLES = 30
 
 
-def check_knobs(d: Optional[int], max_restarts: int) -> None:
-    """Raise GraphError unless ``d`` (when given) and ``max_restarts`` are positive."""
+def check_knobs(d: Optional[int], max_resamples: int) -> None:
+    """Raise GraphError unless ``d`` (when given) and ``max_resamples`` are positive."""
     if d is not None and d < 1:
         raise GraphError("minimum-degree parameter must be positive")
-    if max_restarts < 1:
-        raise GraphError("max_restarts must be positive")
+    if max_resamples < 1:
+        raise GraphError("max_resamples must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,11 @@ class DenseConfig:
     """Tuning knobs for the dense pipeline; ``d`` defaults to ceil(C ln n)."""
 
     d: Optional[int] = None
-    max_restarts: int = 1000
+    max_resamples: int = 1000
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_knobs(self.d, self.max_restarts)
+        check_knobs(self.d, self.max_resamples)
 
     def effective_d(self, n: int) -> int:
         if self.d is not None:
@@ -109,10 +113,9 @@ class DenseState:
 @dataclass(frozen=True)
 class DenseResult:
     """Outcome of a full pipeline run; ``best_collision_count`` is the
-    fewest colliding vertex pairs of any attempt (0 on success)."""
+    fewest colliding vertex pairs the run reached (0 on success)."""
 
     labeling: Optional[Labeling]
-    restarts: int
     resamples: int
     best_collision_count: int
 
@@ -360,42 +363,43 @@ def phase5_assign(st: DenseState, rng: random.Random) -> Labeling:
 
 
 def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
-    """Run the full pipeline until the verifier accepts or budgets run out.
+    """Resample coins on one label pairing until the verifier accepts.
 
-    Phases 1-2 run once.  Each label pairing is assembled once into a
-    label list that a :class:`CollisionState` takes over, and gets up to
-    ``MAX_LOCAL_RESAMPLES`` local repairs: on a collision, only the coins
-    of pairs meeting the colliding vertices' incident sets are redrawn,
-    and a coin that changes swaps its pair's two labels in place.  When
-    the local budget is spent a fresh label pairing is drawn, up to
-    ``max_restarts`` pairings in total.  Only a labeling with no collision
-    becomes a :class:`Labeling`, for the verifier.
+    Phases 1-3 and the first coins run once, and the labels are assembled
+    once into a list that a :class:`CollisionState` takes over.  While
+    collisions remain, one resample redraws the coins of every pair that
+    meets a colliding vertex's incident set ``h_sets[v]``; a coin that
+    changes swaps its pair's two labels in place.  The run fails when
+    ``max_resamples`` resamples are spent or no coin meets a colliding
+    vertex.  Only a labeling with no collision becomes a
+    :class:`Labeling`, for the verifier.
     """
     cfg = cfg or DenseConfig()
-    st = phase2_pair_edges(phase1_reduce(g, cfg))
     rng = random.Random(cfg.rng_seed)
-    best_count = math.inf  # finite on failure: every pairing collides at least once
+    st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, cfg)), rng)
+    coins = _coins(len(st.pair_list), rng)
+    state = CollisionState(g, assemble_labeling(st, coins))
+    best_count = state.collisions
     resamples = 0
-    for draw in range(cfg.max_restarts):
-        st = phase3_pair_labels(st, rng)
-        coins = _coins(len(st.pair_list), rng)
-        state = CollisionState(g, assemble_labeling(st, coins))
-        for attempt in range(MAX_LOCAL_RESAMPLES + 1):
-            if state.collisions == 0:
-                lab = Labeling(state.labels)
-                report = verify_antimagic(g, lab)
-                if not report.ok:
-                    raise AssertionError("pipeline produced a non-bijection")
-                return DenseResult(lab, draw, resamples, 0)
-            best_count = min(best_count, state.collisions)
-            if attempt == MAX_LOCAL_RESAMPLES:
-                break
-            flip = sorted({st.pair_index[e] for v in state.colliding for e in st.h_sets[v]})
-            if not flip:
-                break
-            for idx, coin in zip(flip, _coins(len(flip), rng)):
-                if coin != coins[idx]:
-                    coins[idx] = coin
-                    state.swap(*st.pair_list[idx])
-            resamples += 1
-    return DenseResult(None, cfg.max_restarts - 1, resamples, best_count)
+    while state.collisions and resamples < cfg.max_resamples:
+        flip = sorted({st.pair_index[e] for v in state.colliding for e in st.h_sets[v]})
+        if not flip:
+            # Every colliding vertex has an empty h_sets.  A high vertex
+            # keeps d or d+1 edges after its spill set, so each of these is
+            # a low vertex whose edges phase 1 stripped, which happens only
+            # at d = 1.  Phase 1 is deterministic, so their sums are the same
+            # under every label pairing and every coin: neither a resample
+            # nor a fresh pairing can separate them.
+            break
+        for idx, coin in zip(flip, _coins(len(flip), rng)):
+            if coin != coins[idx]:
+                coins[idx] = coin
+                state.swap(*st.pair_list[idx])
+        resamples += 1
+        best_count = min(best_count, state.collisions)
+    if state.collisions:
+        return DenseResult(None, resamples, best_count)
+    lab = Labeling(state.labels)
+    if not verify_antimagic(g, lab).ok:
+        raise AssertionError("pipeline produced a non-bijection")
+    return DenseResult(lab, resamples, 0)

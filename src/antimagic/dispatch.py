@@ -40,13 +40,14 @@ class RunReport:
 
     ``graph_id`` is the graph's graph6 line, or ``""`` when the graph has
     more than ``GRAPH6_MAX_N`` vertices: graph6 cannot encode it, and the
-    line would take gigabytes.
+    line would take gigabytes.  ``resamples`` counts the dense route's coin
+    resamples and is 0 on every other route.
     """
 
     method: str
     graph_id: str
     outcome: str
-    restarts: int
+    resamples: int
     wall_time: float
     certificate: Optional[Labeling]
     note: str = ""
@@ -80,17 +81,27 @@ def recognize_complete_multipartite(g: Graph) -> Optional[list[list[int]]]:
 
 
 def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
-                   seed: int = 0, max_restarts: int = 1000) -> RunReport:
+                   seed: int = 0, max_resamples: int = 1000) -> RunReport:
+    """Label ``g`` by ``method`` and report the route, outcome and certificate.
+
+    ``method`` is one of ``METHODS``; ``"auto"`` picks the most specific
+    route whose hypothesis ``g`` satisfies.  ``d`` is the dense route's
+    minimum-degree parameter (``None``: ceil(C ln n)), which ``"auto"`` also
+    compares with the minimum degree.  ``seed`` seeds the dense pipeline and
+    the heuristic search.  ``max_resamples`` is the dense route's budget of
+    coin resamples.  Bad values of ``method``, ``d`` or ``max_resamples``
+    raise :class:`GraphError` on every route.
+    """
     start = time.perf_counter()
     if method not in METHODS:
         raise GraphError(f"unknown method {method!r}")
-    # bad values of d or max_restarts raise here, whatever the route; a
+    # bad values of d or max_resamples raise here, whatever the route; a
     # config is built only where the dense route may run
-    check_knobs(d, max_restarts)
+    check_knobs(d, max_resamples)
     graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
-    def report(outcome, chosen, labeling=None, restarts=0, note=""):
-        return RunReport(chosen, graph_id, outcome, restarts,
+    def report(outcome, chosen, labeling=None, resamples=0, note=""):
+        return RunReport(chosen, graph_id, outcome, resamples,
                          time.perf_counter() - start, labeling, note)
 
     if g.n == 2 and g.m == 1:
@@ -126,12 +137,11 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
         if chosen == "delta-n2":
             return report(ANTIMAGIC, chosen, label_max_degree_n_minus_2(g))
         if chosen == "dense":
-            res = label_dense(g, DenseConfig(d=d, rng_seed=seed, max_restarts=max_restarts))
+            res = label_dense(g, DenseConfig(d=d, rng_seed=seed, max_resamples=max_resamples))
             if res.ok:
-                return report(ANTIMAGIC, chosen, res.labeling, res.restarts)
-            return report(FAILED, chosen, None, res.restarts,
-                          f"budget exhausted; best attempt had "
-                          f"{res.best_collision_count} colliding pairs")
+                return report(ANTIMAGIC, chosen, res.labeling, res.resamples)
+            return report(FAILED, chosen, None, res.resamples,
+                          f"no certificate; fewest colliding pairs {res.best_collision_count}")
         budget = SearchBudget(seed=seed)
         res = heuristic_search(g, budget)
         if res.status == FOUND:

@@ -377,17 +377,13 @@ class TestDriver:
         assert res.ok
         assert verify_antimagic(g, res.labeling).ok
 
-    def test_restart_count_zero_on_first_draw(self):
-        g = random_min_degree(32, 11, 1)
-        res = label_dense(g, DenseConfig(d=11, rng_seed=1))
-        if res.ok and res.resamples == 0:
-            assert res.restarts == 0
-
     def test_forced_failure_reports_collision(self):
+        # phase 1 strips K2's one edge for parity, so no coin meets a vertex
+        # and the run stops before any resample, whatever the budget
         g = Graph(2, [(0, 1)])
-        res = label_dense(g, DenseConfig(d=1, max_restarts=1))
+        res = label_dense(g, DenseConfig(d=1))
         assert not res.ok
-        assert res.best_collision_count == 1
+        assert (res.resamples, res.best_collision_count) == (0, 1)
 
     def test_default_d_from_size(self):
         cfg = DenseConfig()
@@ -395,14 +391,14 @@ class TestDriver:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"d": 0}, "minimum-degree parameter must be positive"),
-        ({"max_restarts": 0}, "max_restarts must be positive"),
-    ], ids=["d=0", "max_restarts=0"])
+        ({"max_resamples": 0}, "max_resamples must be positive"),
+    ], ids=["d=0", "max_resamples=0"])
     def test_config_values_below_one_rejected(self, kwargs, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
             DenseConfig(**kwargs)
 
     def test_one_labeling_per_certificate(self, monkeypatch):
-        # three label pairings, but only the certified one becomes a Labeling
+        # several resamples, but only the certified labeling becomes a Labeling
         made = []
 
         def counting(labels):
@@ -410,50 +406,43 @@ class TestDriver:
             return Labeling(labels)
 
         monkeypatch.setattr(dense, "Labeling", counting)
-        monkeypatch.setattr(dense, "MAX_LOCAL_RESAMPLES", 3)
         g = random_min_degree(20, 4, 0)
         res = label_dense(g, DenseConfig(d=4, rng_seed=0))
-        assert res.restarts == 2
+        assert res.resamples == 4
         assert len(made) == 1 and list(res.labeling.labels) == made[0]
 
     def test_deterministic_given_seed(self):
         g = random_min_degree(24, 7, 5)
         a = label_dense(g, DenseConfig(d=7, rng_seed=11))
         b = label_dense(g, DenseConfig(d=7, rng_seed=11))
-        assert a.labeling == b.labeling and a.restarts == b.restarts
+        assert a.labeling == b.labeling and a.resamples == b.resamples
 
-    # Certificates, restarts and resamples frozen from the implementation
-    # that rebuilt every attempt's labeling and sums from scratch: the
-    # in-place resample loop must consume the RNG exactly as it did.
-    @pytest.mark.parametrize("local, restarts, resamples, labels", [
-        (30, 0, 4, [52, 12, 34, 21, 8, 37, 51, 50, 1, 38, 19, 15, 7, 6, 22, 2, 13, 24,
-                    40, 36, 28, 29, 18, 16, 11, 49, 48, 41, 9, 4, 47, 46, 35, 45, 44, 30,
-                    42, 5, 39, 31, 10, 14, 23, 43, 20, 32, 26, 33, 17, 3, 27, 25]),
-        (3, 2, 6, [52, 28, 34, 30, 12, 4, 51, 50, 18, 32, 17, 10, 5, 35, 37, 42, 29, 3,
-                   41, 14, 39, 2, 15, 24, 22, 49, 48, 13, 21, 8, 47, 46, 26, 45, 44, 11,
-                   33, 7, 1, 6, 38, 36, 27, 43, 20, 9, 25, 40, 23, 19, 31, 16]),
+    # Certificates and resamples frozen from the implementation that rebuilt
+    # every attempt's labeling and sums from scratch: the in-place resample
+    # loop must consume the RNG exactly as it did.
+    @pytest.mark.parametrize("resamples, labels", [
+        (4, [52, 12, 34, 21, 8, 37, 51, 50, 1, 38, 19, 15, 7, 6, 22, 2, 13, 24,
+             40, 36, 28, 29, 18, 16, 11, 49, 48, 41, 9, 4, 47, 46, 35, 45, 44, 30,
+             42, 5, 39, 31, 10, 14, 23, 43, 20, 32, 26, 33, 17, 3, 27, 25]),
     ])
-    def test_resample_loop_frozen(self, monkeypatch, local, restarts, resamples, labels):
-        monkeypatch.setattr(dense, "MAX_LOCAL_RESAMPLES", local)
+    def test_resample_loop_frozen(self, resamples, labels):
         g = random_min_degree(20, 4, 0)
         res = label_dense(g, DenseConfig(d=4, rng_seed=0))
-        assert (res.restarts, res.resamples) == (restarts, resamples)
+        assert res.resamples == resamples
         assert list(res.labeling.labels) == labels
 
     # At n = 300 the shuffle draws take up to 11 bits and the coins run to
     # hundreds per pairing, so these digests pin the RNG use at a scale the
-    # n = 20 case above does not reach; local = 1 forces restarts.
-    @pytest.mark.parametrize("seed, local, restarts, resamples, digest", [
-        (0, 30, 0, 4, "b92977f774fcf8ad26dd5e1d86237669093026fe67b121c487544e7bacfdb673"),
-        (1, 30, 0, 1, "bbc63736e662552c2efd6333b040a98642343b68671865e72e4066616dad1121"),
-        (2, 30, 0, 4, "83b5680eba6eb6e8264857db72830760cd3b0704e87c3e5b676d5ea142a29287"),
-        (0, 1, 1, 2, "2e0fa489b96fe53e25e8d762fb29015fa5c7f9a16f3febae18c55288182b6348"),
-        (2, 1, 9, 10, "f23f0a6be681ac99f31805abf6c99dcace9af3d2d9291aa3fba95059fb353585"),
+    # n = 20 case above does not reach.
+    @pytest.mark.parametrize("seed, resamples, digest", [
+        (0, 4, "b92977f774fcf8ad26dd5e1d86237669093026fe67b121c487544e7bacfdb673"),
+        (1, 1, "bbc63736e662552c2efd6333b040a98642343b68671865e72e4066616dad1121"),
+        (2, 4, "83b5680eba6eb6e8264857db72830760cd3b0704e87c3e5b676d5ea142a29287"),
     ])
-    def test_certificates_frozen_at_scale(self, monkeypatch, seed, local, restarts, resamples, digest):
-        monkeypatch.setattr(dense, "MAX_LOCAL_RESAMPLES", local)
+    def test_certificates_frozen_at_scale(self, seed, resamples, digest):
         g = random_min_degree(300, 8, seed)
         res = label_dense(g, DenseConfig(d=8, rng_seed=seed))
-        assert (res.restarts, res.resamples) == (restarts, resamples)
+        assert res.resamples == resamples
         text = ",".join(map(str, res.labeling.labels))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+

@@ -85,18 +85,21 @@ def test_routes_each_family(g, method, outcome):
 _STAR_PLUS_ISOLATED = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
 
 
-@pytest.mark.parametrize("g, kwargs, outcome, note", [
-    (Graph(1, []), {}, ANTIMAGIC, "trivial"),
-    (cycle_graph(5), {"method": "partite"}, NOT_APPLICABLE, "not complete multipartite"),
-    (cycle_graph(5), {"method": "universal"}, NOT_APPLICABLE,
+# Each edge of 2K2 is the only edge at both its ends, so they always share a
+# sum; yet its coin meets every vertex, so the dense route spends its budget.
+@pytest.mark.parametrize("g, kwargs, outcome, resamples, note", [
+    (Graph(1, []), {}, ANTIMAGIC, 0, "trivial"),
+    (cycle_graph(5), {"method": "partite"}, NOT_APPLICABLE, 0, "not complete multipartite"),
+    (cycle_graph(5), {"method": "universal"}, NOT_APPLICABLE, 0,
      "no vertex of degree n-1, nor of degree n-2 with an isolated non-neighbor"),
-    (_STAR_PLUS_ISOLATED, {"method": "universal"}, ANTIMAGIC, ""),
-    (Graph(4, [(0, 1), (2, 3)]), {"method": "dense", "d": 1, "max_restarts": 3}, FAILED,
-     "budget exhausted; best attempt had 2 colliding pairs"),
+    (_STAR_PLUS_ISOLATED, {"method": "universal"}, ANTIMAGIC, 0, ""),
+    (Graph(4, [(0, 1), (2, 3)]), {"method": "dense", "d": 1, "max_resamples": 3}, FAILED, 3,
+     "no certificate; fewest colliding pairs 2"),
 ], ids=["K1", "partite C5", "universal C5", "universal star plus isolated", "dense 2K2"])
-def test_forced_routes(g, kwargs, outcome, note):
+def test_forced_routes(g, kwargs, outcome, resamples, note):
     rep = dispatch_label(g, **kwargs)
     assert (rep.method, rep.outcome, rep.note) == (kwargs.get("method", "auto"), outcome, note)
+    assert rep.resamples == resamples
     assert (rep.certificate is not None) == (outcome == ANTIMAGIC)
     if g.m and outcome == ANTIMAGIC:
         assert verify_antimagic(g, rep.certificate).ok
@@ -107,7 +110,7 @@ def test_unknown_method_raises():
         dispatch_label(cycle_graph(5), method="greedy")
 
 
-@pytest.mark.parametrize("kwargs", [{"d": 0}, {"max_restarts": 0}], ids=["d=0", "max_restarts=0"])
+@pytest.mark.parametrize("kwargs", [{"d": 0}, {"max_resamples": 0}], ids=["d=0", "max_resamples=0"])
 @pytest.mark.parametrize("method", METHODS)
 def test_bad_dense_parameters_raise_on_every_route(method, kwargs):
     with pytest.raises(GraphError):
