@@ -446,3 +446,14 @@ class TestDriver:
         text = ",".join(map(str, res.labeling.labels))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_hypercube_certifies_on_one_pairing(self):
+        # Q12 is 12-regular, so phase 1 strips nothing; its one label pairing
+        # takes hundreds of resamples to certify.
+        k = 12
+        g = Graph(1 << k, [(v, v | 1 << i) for v in range(1 << k) for i in range(k)
+                           if not v >> i & 1])
+        res = label_dense(g, DenseConfig(d=k, rng_seed=0))
+        assert res.resamples == 256
+        text = ",".join(map(str, res.labeling.labels))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "231cf214f32e5692121a102f9fa0df4a35c5b6912b93019a6163e7082127e898")
