@@ -193,49 +193,66 @@ def parse_graph6(line: str) -> Graph:
     return _canonical_graph(n, edges, s if canonical else None)
 
 
+def _status_line(report: VerifyReport) -> str:
+    if report.ok:
+        return "OK"
+    if not report.bijection_ok:
+        return "NOT-A-BIJECTION"
+    u, v = report.first_collision
+    return f"COLLISION {u} {v}"
+
+
 def emit_certificate(g: Graph, labeling: Labeling, report: Optional[VerifyReport] = None) -> str:
     """Edge labels, vertex sums, then OK or the failure reason."""
     report = report or verify_antimagic(g, labeling)
     lines = [f"{u} {v} {labeling[e]}" for e, (u, v) in enumerate(g.edges)]
     sums = vertex_sums(g, labeling)
     lines.extend(f"{v} {sums[v]}" for v in range(g.n))
-    if report.ok:
-        lines.append("OK")
-    elif not report.bijection_ok:
-        lines.append("NOT-A-BIJECTION")
-    else:
-        u, v = report.first_collision
-        lines.append(f"COLLISION {u} {v}")
+    lines.append(_status_line(report))
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> tuple[Graph, Labeling]:
-    """Rebuild graph and labeling from certificate text (status line ignored)."""
+    """Rebuild graph and labeling from certificate text.
+
+    The certificate must agree with itself: each vertex line's sum is the sum
+    of the labels at that vertex, and each status line is the one the
+    verifier gives the labeling.  A line that contradicts the rest raises
+    :class:`ParseError` with its line number.
+    """
     edges = []
     labels = []
-    vertices = set()
+    edge_lines = {}
+    vertex_lines = []
+    statuses = []
     for i, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
         if parts[0] in ("OK", "NOT-A-BIJECTION", "COLLISION"):
+            statuses.append((" ".join(parts), i))
             continue
         if len(parts) == 3:
             try:
                 u, v, lab = (int(x) for x in parts)
             except ValueError:
                 raise ParseError("edge line must be 'u v label'", i) from None
+            key = (u, v) if u < v else (v, u)
+            if key in edge_lines:
+                raise ParseError(f"duplicate edge {key}, first on line {edge_lines[key]}", i)
+            edge_lines[key] = i
             edges.append((u, v))
             labels.append(lab)
         elif len(parts) == 2:
             try:
-                vertices.add(int(parts[0]))
+                vertex_lines.append((int(parts[0]), int(parts[1]), i))
             except ValueError:
                 raise ParseError("vertex line must be 'v sum'", i) from None
         else:
             raise ParseError("unrecognized certificate line", i)
-    if edges and not vertices:
+    if edges and not vertex_lines:
         raise ParseError("certificate has no vertex lines")
+    vertices = {v for v, _, _ in vertex_lines}
     # the graph on no vertices has neither edge nor vertex lines
     n = max(vertices, default=-1) + 1
     if vertices != set(range(n)):
@@ -244,7 +261,17 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
     by_edge = [0] * g.m
     for (u, v), lab in zip(edges, labels):
         by_edge[g.edge_index(u, v)] = lab
-    return g, Labeling(by_edge)
+    labeling = Labeling(by_edge)
+    actual = vertex_sums(g, labeling)
+    for v, total, i in vertex_lines:
+        if total != actual[v]:
+            raise ParseError(f"vertex {v} has sum {total}, but its labels add up to {actual[v]}", i)
+    if statuses:
+        status = _status_line(verify_antimagic(g, labeling))
+        for claimed, i in statuses:
+            if claimed != status:
+                raise ParseError(f"status {claimed!r} contradicts the labeling, which gives {status!r}", i)
+    return g, labeling
 
 
 def iter_graphs(text: str, fmt: str = G6LINE) -> Iterator[Graph]:

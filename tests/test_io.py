@@ -195,3 +195,22 @@ def test_certificate_round_trip(g):
 def test_certificate_with_edges_needs_vertex_lines():
     with pytest.raises(ParseError, match="no vertex lines"):
         parse_certificate("0 1 1\nOK\n")
+
+
+# K2 labelled 1 collides (both sums 1); K2 labelled 2 is not a bijection;
+# P3 labelled 1, 2 is antimagic (sums 1, 3, 2).
+@pytest.mark.parametrize("text, line, message", [
+    ("0 1 1\n0 1\n1 x\nCOLLISION 0 1\n", 3, "vertex line must be 'v sum'"),
+    ("0 1 1\n0 5\n1 7\nCOLLISION 0 1\n", 2, "vertex 0 has sum 5, but its labels add up to 1"),
+    ("0 1 1\n0 1\n1 1\nOK\n", 4, "status 'OK' contradicts the labeling, which gives 'COLLISION 0 1'"),
+    ("0 1 2\n1 2 1\n0 2\n1 3\n2 1\nNOT-A-BIJECTION\n", 6,
+     "status 'NOT-A-BIJECTION' contradicts the labeling, which gives 'OK'"),
+    ("0 1 2\n0 2\n1 2\nCOLLISION 0 1\n", 4,
+     "status 'COLLISION 0 1' contradicts the labeling, which gives 'NOT-A-BIJECTION'"),
+    ("0 1 1\n1 0 2\n0 3\n1 3\nOK\n", 2, r"duplicate edge \(0, 1\), first on line 1"),
+], ids=["non-integer sum", "wrong sum", "false OK", "false NOT-A-BIJECTION", "false COLLISION",
+        "duplicate edge"])
+def test_contradictory_certificate_rejected(text, line, message):
+    with pytest.raises(ParseError, match=f"^line {line}: {message}$") as info:
+        parse_certificate(text)
+    assert info.value.line == line
