@@ -220,9 +220,8 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
     verifier gives the labeling.  A line that contradicts the rest raises
     :class:`ParseError` with its line number.
     """
-    edges = []
     labels = []
-    edge_lines = {}
+    edge_lines = {}  # canonical edge -> its line, in line order
     vertex_lines = []
     statuses = []
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -241,7 +240,6 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
             if key in edge_lines:
                 raise ParseError(f"duplicate edge {key}, first on line {edge_lines[key]}", i)
             edge_lines[key] = i
-            edges.append((u, v))
             labels.append(lab)
         elif len(parts) == 2:
             try:
@@ -250,16 +248,16 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
                 raise ParseError("vertex line must be 'v sum'", i) from None
         else:
             raise ParseError("unrecognized certificate line", i)
-    if edges and not vertex_lines:
+    if edge_lines and not vertex_lines:
         raise ParseError("certificate has no vertex lines")
     vertices = {v for v, _, _ in vertex_lines}
     # the graph on no vertices has neither edge nor vertex lines
     n = max(vertices, default=-1) + 1
     if vertices != set(range(n)):
         raise ParseError("vertex sums must cover 0..n-1")
-    g = Graph(n, edges)
+    g = Graph(n, list(edge_lines))
     by_edge = [0] * g.m
-    for (u, v), lab in zip(edges, labels):
+    for (u, v), lab in zip(edge_lines, labels):
         by_edge[g.edge_index(u, v)] = lab
     labeling = Labeling(by_edge)
     actual = vertex_sums(g, labeling)
