@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -49,6 +51,25 @@ def check_cycle_decomposition(g):
         all_edges.extend(cycle_edges(g, cyc))
     assert sorted(all_edges) == list(range(g.m))
     return dec
+
+
+def random_even_graph(rng):
+    """Seeded G(n, p) on 3 <= n <= 60, evened out by toggling one edge
+    between each consecutive pair of odd-degree vertices."""
+    n = rng.randrange(3, 61)
+    p = rng.random()
+    edges = {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p}
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    odd = [v for v in range(n) if deg[v] % 2]
+    edges ^= set(zip(odd[::2], odd[1::2]))
+    return Graph(n, sorted(edges))
+
+
+# sha256 of the cycles of the 300 graphs of test_random_even_graphs_digest
+CYCLES_DIGEST = "a93128c2e5d020422598448b17bdcb54f5632204a12dfb150f85328d2ed543c0"
 
 
 class TestParityForest:
@@ -110,3 +131,13 @@ class TestCycleDecomposition:
                     g = Graph(n, chosen)
                     if all(d % 2 == 0 for d in g.degrees()):
                         check_cycle_decomposition(g)
+
+    def test_random_even_graphs_digest(self):
+        # pins the walk's exact cycles beyond what the n <= 8 corpora reach
+        rng = random.Random(43)
+        folded = hashlib.sha256()
+        for _ in range(300):
+            g = random_even_graph(rng)
+            dec = check_cycle_decomposition(g)
+            folded.update(repr(dec.cycles).encode())
+        assert folded.hexdigest() == CYCLES_DIGEST

@@ -56,6 +56,10 @@ CORPUS_DIGESTS = {
     8: "d3a27b54c823e1901f3c137bb8a9f93c8f6b962331a12a109725703af3deadee",
 }
 
+# sha256 of the certificates of the 400 seeded graphs of
+# test_random_graphs_certified_by_construction, in draw order
+RANDOM_DIGEST = "040663fd861658a0e4a0d7ee61ba47a0cba0ed48dfc507f881e1def3856bd74c"
+
 
 @pytest.fixture
 def no_search(monkeypatch):
@@ -283,10 +287,15 @@ class TestMaxDegreeNMinus2:
 
     def test_random_graphs_certified_by_construction(self, no_search):
         # seeded stress beyond the corpus: every scheme's one candidate
-        # verifies, so the search fallback is never needed
+        # verifies, so the search fallback is never needed; the digest pins
+        # every certificate, so the dense scheme's cycle walk is pinned too
         rng = random.Random(2003)
+        folded = hashlib.sha256()
         for _ in range(400):
             g = random_delta_n2(rng)
             if g.max_degree() != g.n - 2:
                 continue
-            assert verify_antimagic(g, label_max_degree_n_minus_2(g)).ok
+            lab = label_max_degree_n_minus_2(g)
+            assert verify_antimagic(g, lab).ok
+            folded.update(repr(lab.labels).encode())
+        assert folded.hexdigest() == RANDOM_DIGEST
