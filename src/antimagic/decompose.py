@@ -24,12 +24,14 @@ class ParityForest:
 class CycleDecomposition:
     """Edge-disjoint simple cycles covering the whole edge set.
 
-    Each cycle is a vertex sequence; its edges are the consecutive pairs
-    plus the wrap-around pair.  Only defined for even graphs, so there is
-    never a leftover edge.
+    Each cycle is a vertex sequence; ``edges[i][j]`` is the id of the edge
+    joining ``cycles[i][j]`` and ``cycles[i][(j+1) % k]``, so the last edge
+    of a cycle closes it.  Only defined for even graphs, so there is never a
+    leftover edge.
     """
 
     cycles: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, ...], ...]
 
 
 def parity_forest(g: Graph) -> ParityForest:
@@ -41,6 +43,8 @@ def parity_forest(g: Graph) -> ParityForest:
     finalized exactly once, and the handshake identity forces the roots
     even as well.  Linear time; ``|F| <= n - (#components)``.
     """
+    edges = g.edges
+    incident = g._incident
     parent_edge = [-1] * g.n
     order: list[int] = []
     seen = [False] * g.n
@@ -49,24 +53,22 @@ def parity_forest(g: Graph) -> ParityForest:
             continue
         seen[root] = True
         queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            order.append(u)
-            for e in g.incident_edges(u):
-                w = g.other_end(e, u)
+        for u in queue:  # reads what the loop appends, so it runs the BFS
+            for e in incident[u]:
+                a, b = edges[e]
+                w = a if b == u else b
                 if not seen[w]:
                     seen[w] = True
                     parent_edge[w] = e
                     queue.append(w)
+        order += queue
     deg = list(g.degrees())
     forest: set[int] = set()
     for v in reversed(order):
         e = parent_edge[v]
         if e >= 0 and deg[v] % 2 == 1:
             forest.add(e)
-            u, w = g.edges[e]
+            u, w = edges[e]
             deg[u] -= 1
             deg[w] -= 1
     if any(d % 2 for d in deg):
@@ -77,52 +79,57 @@ def parity_forest(g: Graph) -> ParityForest:
 def cycle_decomposition(g: Graph) -> CycleDecomposition:
     """Split an even graph into edge-disjoint simple cycles.
 
-    Walks from each vertex along the smallest-id unused edge; whenever the
-    walk revisits a vertex on the current path the enclosed cycle is cut
-    out.  With all degrees even the walk can only stall back at its start.
+    Walks from each vertex in turn, always along the first unused edge in
+    incidence order, which in a canonical graph is the edge to the smallest
+    neighbour; whenever the walk revisits a vertex on the current path the
+    enclosed cycle is cut out, with the edges the walk took.  With all
+    degrees even, only the start can run out of unused edges, so the walk
+    from a start ends exactly when the start does.
     """
     degs = g.degrees()
     odd = [v for v in range(g.n) if degs[v] % 2]
     if odd:
         raise GraphError(f"cycle decomposition needs an even graph; odd degree at {odd[0]}")
-    adj = [sorted(((g.other_end(e, v), e) for e in g.incident_edges(v))) for v in range(g.n)]
-    ptr = [0] * g.n
+    edges = g.edges
+    incident = g._incident
+    left = list(degs)  # unused edges per vertex
+    ptr = [0] * g.n  # no unused edge precedes incident[v][ptr[v]]
     used = [False] * g.m
+    pos = [-1] * g.n  # index on the current path, or -1
     cycles: list[tuple[int, ...]] = []
-
-    def next_edge(v: int):
-        while ptr[v] < len(adj[v]):
-            w, e = adj[v][ptr[v]]
-            if not used[e]:
-                return w, e
-            ptr[v] += 1
-        return None
-
+    edge_seqs: list[tuple[int, ...]] = []
     for start in range(g.n):
-        path = [start]
-        pos = {start: 0}
-        while path:
-            v = path[-1]
-            step = next_edge(v)
-            if step is None:
-                path.pop()
-                del pos[v]
-                continue
-            w, e = step
+        if not left[start]:
+            continue
+        v = start
+        path = [v]
+        path_edges: list[int] = []  # path_edges[i] joins path[i] and path[i+1]
+        pos[v] = 0
+        while left[v]:
+            inc = incident[v]
+            i = ptr[v]
+            while used[inc[i]]:
+                i += 1
+            ptr[v] = i + 1
+            e = inc[i]
             used[e] = True
-            if w in pos:
-                cyc = path[pos[w]:]
-                cycles.append(tuple(cyc))
-                for u in cyc[1:]:
-                    del pos[u]
-                del path[pos[w] + 1:]
-            else:
+            a, b = edges[e]
+            w = a if b == v else b
+            left[v] -= 1
+            left[w] -= 1
+            path_edges.append(e)
+            j = pos[w]
+            if j < 0:
+                pos[w] = len(path)
                 path.append(w)
-                pos[w] = len(path) - 1
-    return CycleDecomposition(tuple(cycles))
-
-
-def cycle_edges(g: Graph, cycle: tuple[int, ...]) -> list[int]:
-    """Edge indices of a cycle given as a vertex sequence."""
-    k = len(cycle)
-    return [g.edge_index(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
+            else:
+                cyc = path[j:]
+                cycles.append(tuple(cyc))
+                edge_seqs.append(tuple(path_edges[j:]))
+                for u in cyc[1:]:
+                    pos[u] = -1
+                del path[j + 1:]
+                del path_edges[j:]
+            v = w
+        pos[start] = -1
+    return CycleDecomposition(tuple(cycles), tuple(edge_seqs))

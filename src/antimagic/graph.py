@@ -84,14 +84,6 @@ class Graph:
         ends = map(self.edges.__getitem__, self._incident[v])
         return tuple([w if u == v else u for u, w in ends])
 
-    def other_end(self, e: int, v: int) -> int:
-        u, w = self.edges[e]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise GraphError(f"vertex {v} is not an endpoint of edge {e}")
-
     def _edge_map(self) -> dict[tuple[int, int], int]:
         """Edge -> index, built on first use: most graphs never need it."""
         if self._index is None:

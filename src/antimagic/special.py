@@ -24,7 +24,7 @@ import itertools
 from collections import Counter
 from typing import Iterable
 
-from .decompose import cycle_decomposition, cycle_edges, parity_forest
+from .decompose import cycle_decomposition, parity_forest
 from .graph import (
     Graph,
     GraphError,
@@ -249,25 +249,25 @@ def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
     n, m = g.n, g.m
     forest = sorted(parity_forest(gstar).forest_edges)
     in_forest = set(forest)
+    kept = [e for e in range(gstar.m) if e not in in_forest]  # rest id -> gstar id
     # an ascending subset of gstar's canonical edges is canonical and sorted
-    rest = _canonical_graph(n, [gstar.edges[e] for e in range(gstar.m) if e not in in_forest])
-    cycles = [_canonical_rotation(c) for c in cycle_decomposition(rest).cycles]
+    rest = _canonical_graph(n, [gstar.edges[e] for e in kept])
+    dec = cycle_decomposition(rest)
 
     evens = list(range(2, m + 1, 2))
     odds = list(range(1, m + 1, 2))
     reserved = odds[len(odds) - (n - 2):]
-    labels_star = dict(zip(forest, evens))
-    stream = iter(evens[len(forest):] + odds[:len(odds) - (n - 2)])
+    order = list(forest)  # gstar's edges in labeling order: forest, then cycle by cycle
     evens_left = len(evens) - len(forest)
-    for cyc in cycles:
+    for cyc, es in map(_canonical_rotation, dec.cycles, dec.edges):
         k = len(cyc)
         if 0 < evens_left < k:
-            cyc = _avoid_junctions(cyc, evens_left, vn1)
-        for e in cycle_edges(gstar, cyc):
-            labels_star[e] = next(stream)
+            es = _avoid_junctions(cyc, es, evens_left, vn1)
+        order += map(kept.__getitem__, es)
         evens_left = max(0, evens_left - k)
 
-    labels, w = _lift(g, gstar, origin, labels_star.items())
+    # the evens, then the odds below the reserved ones: zip stops there
+    labels, w = _lift(g, gstar, origin, zip(order, evens + odds))
     odd_vertices = [v for v in range(n) if w[v] % 2 == 1]
     if len(odd_vertices) > 2 or vn1 in odd_vertices:
         raise AssertionError("parity bookkeeping broken in dense construction")
@@ -276,24 +276,24 @@ def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
     return None if assign is None else (labels, assign)
 
 
-def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    # start at the smallest vertex, heading toward its smaller neighbor
-    k = len(cycle)
+def _canonical_rotation(cycle: tuple[int, ...], edges: tuple[int, ...]):
+    # start at the smallest vertex, heading toward its smaller neighbor;
+    # edges[j] joins cycle[j] and cycle[j+1] before and after
     i = cycle.index(min(cycle))
-    fwd, back = cycle[(i + 1) % k], cycle[(i - 1) % k]
-    seq = list(cycle[i:]) + list(cycle[:i])
-    if back < fwd:
-        seq = [seq[0]] + seq[1:][::-1]
-    return tuple(seq)
+    seq = cycle[i:] + cycle[:i]
+    es = edges[i:] + edges[:i]
+    if cycle[i - 1] < seq[1]:
+        return seq[:1] + seq[:0:-1], es[::-1]
+    return seq, es
 
 
-def _avoid_junctions(cycle: tuple[int, ...], split: int, banned: int) -> tuple[int, ...]:
+def _avoid_junctions(cycle: tuple[int, ...], edges: tuple[int, ...], split: int, banned: int):
     # parity junctions sit at traversal positions 0 and `split`; rotate so
     # neither is the banned vertex: each position rules out at most one of
-    # the k >= 3 rotations, so one is always left
+    # the k >= 3 rotations, so one is always left.  Returns the rotated edges.
     k = len(cycle)
-    rotations = (cycle[r:] + cycle[:r] for r in range(k))
-    return next(rot for rot in rotations if rot[0] != banned and rot[split % k] != banned)
+    r = next(r for r in range(k) if cycle[r] != banned and cycle[(r + split) % k] != banned)
+    return edges[r:] + edges[:r]
 
 
 def _distinct_totals(w, assign, fixed_sums) -> bool:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from antimagic.decompose import cycle_decomposition, cycle_edges, parity_forest
+from antimagic.decompose import cycle_decomposition, parity_forest
 from antimagic.graph import Graph, GraphError
 
 
@@ -44,11 +44,16 @@ def acyclic(g):
 
 def check_cycle_decomposition(g):
     dec = cycle_decomposition(g)
+    assert len(dec.edges) == len(dec.cycles)
     all_edges = []
-    for cyc in dec.cycles:
-        assert len(cyc) >= 3
-        assert len(set(cyc)) == len(cyc)
-        all_edges.extend(cycle_edges(g, cyc))
+    for cyc, es in zip(dec.cycles, dec.edges):
+        k = len(cyc)
+        assert k >= 3
+        assert len(set(cyc)) == k
+        assert len(es) == k
+        # edge j joins consecutive vertices j and j+1, wrapping around
+        assert list(es) == [g.edge_index(cyc[j], cyc[(j + 1) % k]) for j in range(k)]
+        all_edges.extend(es)
     assert sorted(all_edges) == list(range(g.m))
     return dec
 
