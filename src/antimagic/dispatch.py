@@ -55,10 +55,17 @@ class RunReport:
 
 def recognize_complete_multipartite(g: Graph) -> Optional[list[list[int]]]:
     """Vertex classes if non-adjacency is an equivalence relation, else None."""
+    # A vertex in a class of size s has degree n - s, so the vertices of
+    # degree x fill whole classes of size n - x: most graphs fail here.
+    n = g.n
+    degs = g.degrees()
+    for x in set(degs):
+        if degs.count(x) % (n - x):
+            return None
     classes: list[list[int]] = []
-    assigned = [-1] * g.n
-    everyone = frozenset(range(g.n))
-    for v in range(g.n):
+    assigned = [-1] * n
+    everyone = frozenset(range(n))
+    for v in range(n):
         if assigned[v] >= 0:
             continue
         cls = sorted(everyone.difference(g.neighbors(v)))
@@ -75,7 +82,7 @@ def recognize_complete_multipartite(g: Graph) -> Optional[list[list[int]]]:
     hi_cls = map(cls_of, map(itemgetter(1), g.edges))
     if any(map(eq, lo_cls, hi_cls)):
         return None
-    if 2 * g.m != g.n * g.n - sum(len(cls) ** 2 for cls in classes):
+    if 2 * g.m != n * n - sum(len(cls) ** 2 for cls in classes):
         return None
     return classes
 

@@ -1,3 +1,5 @@
+import itertools
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ import antimagic.dispatch
 import antimagic.oracle
 import antimagic.partite
 import antimagic.special
+from antimagic.corpus import connected_graphs_upto_iso
 from antimagic.dispatch import (ANTIMAGIC, FAILED, METHODS, NOT_APPLICABLE, dispatch_label,
                                 recognize_complete_multipartite)
 from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
@@ -169,10 +172,67 @@ def test_recognizes_complete_multipartite_classes():
 
 
 # Vertices 0 and 3 start the classes {0, 1, 2} and {3, 4, 5, 6}; the edges
-# changed here avoid both, so the classes still form and only the final
-# checks (no edge inside a class, every cross pair an edge) can object.
+# changed here avoid both, so the classes would still form, but each change
+# moves some degree off its class size and the degree precheck objects.
 @pytest.mark.parametrize("drop, add", [([(1, 4)], []), ([], [(4, 5)]), ([(1, 4)], [(4, 5)])],
                          ids=["minus cross edge", "plus class edge", "cross edge moved into class"])
 def test_near_complete_multipartite_is_rejected(drop, add):
     edges = set(complete_partite_graph([3, 4]).edges) - set(drop) | set(add)
     assert recognize_complete_multipartite(Graph(7, edges)) is None
+
+
+# These changes keep every degree and avoid the first vertex of each class,
+# so the precheck passes and the classes form; only the final checks (no edge
+# inside a class, every cross pair an edge) can object.
+@pytest.mark.parametrize("sizes, drop, add", [
+    ([3, 4], [(1, 4), (2, 5)], [(1, 2), (4, 5)]),
+    ([2, 2, 2, 2], [(1, 3), (3, 5), (5, 7), (1, 7)], []),
+], ids=["two cross edges moved into classes", "cross 4-cycle removed"])
+def test_degree_preserving_change_is_rejected(sizes, drop, add):
+    g = complete_partite_graph(sizes)
+    edges = set(g.edges) - set(drop) | set(add)
+    assert recognize_complete_multipartite(Graph(g.n, edges)) is None
+
+
+def _partitions(n, largest):
+    if n == 0:
+        yield []
+    for s in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - s, s):
+            yield [s] + rest
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_recognizes_every_small_multipartite_graph_relabeled(n):
+    rng = random.Random(n)
+    for sizes in _partitions(n, n):
+        g = complete_partite_graph(sizes)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+        # complete_partite_graph lays the classes out as blocks, smallest first
+        bounds = list(itertools.accumulate(sorted(sizes), initial=0))
+        classes = sorted(sorted(perm[v] for v in range(a, b)) for a, b in zip(bounds, bounds[1:]))
+        assert recognize_complete_multipartite(relabeled) == classes
+
+
+def _brute_force_classes(g):
+    """Classes of non-adjacency if it is an equivalence relation whose cross
+    pairs are all edges, else None."""
+    edges = set(g.edges)
+    apart = [[u == v or (min(u, v), max(u, v)) not in edges for v in range(g.n)]
+             for u in range(g.n)]
+    classes = []
+    for v in range(g.n):
+        if not any(v in cls for cls in classes):
+            classes.append([u for u in range(g.n) if apart[v][u]])
+    cls_of = {u: i for i, cls in enumerate(classes) for u in cls}
+    same = all(apart[u][v] == (cls_of[u] == cls_of[v])
+               for u, v in itertools.combinations(range(g.n), 2))
+    return classes if same else None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_recognizer_agrees_with_brute_force(n):
+    for g in connected_graphs_upto_iso(n):
+        assert recognize_complete_multipartite(g) == _brute_force_classes(g)
