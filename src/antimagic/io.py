@@ -236,6 +236,8 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
                 u, v, lab = (int(x) for x in parts)
             except ValueError:
                 raise ParseError("edge line must be 'u v label'", i) from None
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", i)
             key = (u, v) if u < v else (v, u)
             if key in edge_lines:
                 raise ParseError(f"duplicate edge {key}, first on line {edge_lines[key]}", i)
@@ -255,6 +257,9 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
     n = max(vertices, default=-1) + 1
     if vertices != set(range(n)):
         raise ParseError("vertex sums must cover 0..n-1")
+    for (u, v), i in edge_lines.items():
+        if u < 0 or v >= n:
+            raise ParseError(f"edge ({u}, {v}) out of range for n={n}", i)
     g = Graph(n, list(edge_lines))
     by_edge = [0] * g.m
     for (u, v), lab in zip(edge_lines, labels):

@@ -214,3 +214,16 @@ def test_contradictory_certificate_rejected(text, line, message):
     with pytest.raises(ParseError, match=f"^line {line}: {message}$") as info:
         parse_certificate(text)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0 1\n0 2\nOK\n", "self-loop at vertex 0"),
+    ("0 5 1\n0 1\n1 1\nOK\n", r"edge \(0, 5\) out of range for n=2"),
+    ("0 -1 1\n0 1\nOK\n", r"edge \(-1, 0\) out of range for n=1"),
+], ids=["self-loop", "end past n", "negative end"])
+def test_bad_edge_line_named(text, message):
+    # the graph these lines would build cannot exist, and the error says
+    # which line to mend
+    with pytest.raises(ParseError, match=f"^line 1: {message}$") as info:
+        parse_certificate(text)
+    assert info.value.line == 1
