@@ -208,22 +208,12 @@ def test_certificate_with_edges_needs_vertex_lines():
     ("0 1 2\n0 2\n1 2\nCOLLISION 0 1\n", 4,
      "status 'COLLISION 0 1' contradicts the labeling, which gives 'NOT-A-BIJECTION'"),
     ("0 1 1\n1 0 2\n0 3\n1 3\nOK\n", 2, r"duplicate edge \(0, 1\), first on line 1"),
+    ("0 0 1\n0 2\nOK\n", 1, "self-loop at vertex 0"),
+    ("0 5 1\n0 1\n1 1\nOK\n", 1, r"edge \(0, 5\) out of range for n=2"),
+    ("0 -1 1\n0 1\nOK\n", 1, r"edge \(-1, 0\) out of range for n=1"),
 ], ids=["non-integer sum", "wrong sum", "false OK", "false NOT-A-BIJECTION", "false COLLISION",
-        "duplicate edge"])
+        "duplicate edge", "self-loop", "end past n", "negative end"])
 def test_contradictory_certificate_rejected(text, line, message):
     with pytest.raises(ParseError, match=f"^line {line}: {message}$") as info:
         parse_certificate(text)
     assert info.value.line == line
-
-
-@pytest.mark.parametrize("text, message", [
-    ("0 0 1\n0 2\nOK\n", "self-loop at vertex 0"),
-    ("0 5 1\n0 1\n1 1\nOK\n", r"edge \(0, 5\) out of range for n=2"),
-    ("0 -1 1\n0 1\nOK\n", r"edge \(-1, 0\) out of range for n=1"),
-], ids=["self-loop", "end past n", "negative end"])
-def test_bad_edge_line_named(text, message):
-    # the graph these lines would build cannot exist, and the error says
-    # which line to mend
-    with pytest.raises(ParseError, match=f"^line 1: {message}$") as info:
-        parse_certificate(text)
-    assert info.value.line == 1
