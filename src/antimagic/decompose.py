@@ -22,7 +22,7 @@ class ParityForest:
 
 @dataclass(frozen=True)
 class CycleDecomposition:
-    """Edge-disjoint simple cycles covering the whole edge set.
+    """Edge-disjoint simple cycles covering a whole (sub)graph's edge set.
 
     Each cycle is a vertex sequence; ``edges[i][j]`` is the id of the edge
     joining ``cycles[i][j]`` and ``cycles[i][(j+1) % k]``, so the last edge
@@ -34,17 +34,35 @@ class CycleDecomposition:
     edges: tuple[tuple[int, ...], ...]
 
 
-def parity_forest(g: Graph) -> ParityForest:
-    """Subforest whose deletion makes ``g`` even.
+def _subgraph(g: Graph, edge_ids) -> tuple[list[int], list[bool]]:
+    """Vertex degrees of the subgraph of ``g`` on ``edge_ids``, and a mask
+    that is True on every edge of ``g`` outside it."""
+    edges = g.edges
+    deg = [0] * g.n
+    skip = [True] * g.m
+    for e in edge_ids:
+        u, v = edges[e]
+        deg[u] += 1
+        deg[v] += 1
+        skip[e] = False
+    return deg, skip
 
-    Roots a spanning forest (BFS from the smallest vertex of each
-    component), then walks vertices children-first: a vertex whose current
-    degree is odd sends its parent edge into the forest.  Each non-root is
-    finalized exactly once, and the handshake identity forces the roots
-    even as well.  Linear time; ``|F| <= n - (#components)``.
+
+def parity_forest(g: Graph, edge_ids) -> ParityForest:
+    """Subforest whose deletion makes the subgraph of ``g`` on ``edge_ids``
+    even.
+
+    ``edge_ids`` are ascending edge ids of ``g`` (``range(g.m)`` for all of
+    it); the forest is given in the same ids.  Roots a spanning forest of
+    the subgraph (BFS from the smallest vertex of each component), then
+    walks vertices children-first: a vertex whose current degree is odd
+    sends its parent edge into the forest.  Each non-root is finalized
+    exactly once, and the handshake identity forces the roots even as well.
+    Linear time; ``|F| <= n - (#components)``.
     """
     edges = g.edges
     incident = g._incident
+    deg, skip = _subgraph(g, edge_ids)
     parent_edge = [-1] * g.n
     order: list[int] = []
     seen = [False] * g.n
@@ -55,6 +73,8 @@ def parity_forest(g: Graph) -> ParityForest:
         queue = [root]
         for u in queue:  # reads what the loop appends, so it runs the BFS
             for e in incident[u]:
+                if skip[e]:
+                    continue
                 a, b = edges[e]
                 w = a if b == u else b
                 if not seen[w]:
@@ -62,7 +82,6 @@ def parity_forest(g: Graph) -> ParityForest:
                     parent_edge[w] = e
                     queue.append(w)
         order += queue
-    deg = list(g.degrees())
     forest: set[int] = set()
     for v in reversed(order):
         e = parent_edge[v]
@@ -76,25 +95,27 @@ def parity_forest(g: Graph) -> ParityForest:
     return ParityForest(frozenset(forest))
 
 
-def cycle_decomposition(g: Graph) -> CycleDecomposition:
-    """Split an even graph into edge-disjoint simple cycles.
+def cycle_decomposition(g: Graph, edge_ids) -> CycleDecomposition:
+    """Split the subgraph of ``g`` on ``edge_ids``, which must be even, into
+    edge-disjoint simple cycles.
 
-    Walks from each vertex in turn, always along the first unused edge in
+    ``edge_ids`` are ascending edge ids of ``g`` (``range(g.m)`` for all of
+    it), and the cycles' edges are given in the same ids.  Walks from each
+    vertex in turn, always along the first unused edge of the subgraph in
     incidence order, which in a canonical graph is the edge to the smallest
     neighbour; whenever the walk revisits a vertex on the current path the
     enclosed cycle is cut out, with the edges the walk took.  With all
     degrees even, only the start can run out of unused edges, so the walk
     from a start ends exactly when the start does.
     """
-    degs = g.degrees()
-    odd = [v for v in range(g.n) if degs[v] % 2]
+    # unused edges per vertex; the edges off the subgraph start out used
+    left, used = _subgraph(g, edge_ids)
+    odd = [v for v in range(g.n) if left[v] % 2]
     if odd:
         raise GraphError(f"cycle decomposition needs an even graph; odd degree at {odd[0]}")
     edges = g.edges
     incident = g._incident
-    left = list(degs)  # unused edges per vertex
     ptr = [0] * g.n  # no unused edge precedes incident[v][ptr[v]]
-    used = [False] * g.m
     pos = [-1] * g.n  # index on the current path, or -1
     cycles: list[tuple[int, ...]] = []
     edge_seqs: list[tuple[int, ...]] = []

@@ -19,25 +19,12 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("paths need at least 1 vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def petersen_graph() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
 
 
 def random_min_degree_graph(n: int, d: int, seed: int) -> Graph:
@@ -73,24 +60,3 @@ def random_min_degree_graph(n: int, d: int, seed: int) -> Graph:
         deg[v] += 1
     return Graph(n, edges)
 
-
-_NAMED = {
-    "petersen": petersen_graph,
-}
-
-
-def named_graph(name: str) -> Graph:
-    """Fixed library: ``petersen``, ``C<n>``, ``P<n>``, ``K<n>``, ``S<n>``."""
-    key = name.strip().lower()
-    if key in _NAMED:
-        return _NAMED[key]()
-    if len(key) >= 2 and key[0] in "cpks" and key[1:].isdigit():
-        size = int(key[1:])
-        if key[0] == "c":
-            return cycle_graph(size)
-        if key[0] == "p":
-            return path_graph(size)
-        if key[0] == "k":
-            return complete_graph(size)
-        return star_graph(size)
-    raise GraphError(f"unknown named graph {name!r}")

@@ -2,7 +2,7 @@
 
 Two graph formats: a plain edge list (header ``n m`` then one ``u v`` line
 per edge) and the compact one-line ASCII encoding used by standard
-small-graph corpora, so enumerated graph streams can be piped straight in.
+small-graph corpora.
 Certificates are grep-friendly text: one ``u v label`` line per edge, one
 ``vertex sum`` line per vertex, then a status line.
 """
@@ -10,14 +10,9 @@ Certificates are grep-friendly text: one ``u v label`` line per edge, one
 from __future__ import annotations
 
 import binascii
-from typing import Iterator, Optional
+from typing import Optional
 
-from .graph import (Graph, GraphError, Labeling, VerifyReport, _canonical_graph, verify_antimagic,
-                    vertex_sums)
-
-EDGELIST = "edgelist"
-G6LINE = "g6line"
-FORMATS = (EDGELIST, G6LINE)
+from .graph import Graph, Labeling, VerifyReport, _canonical_graph, verify_antimagic, vertex_sums
 
 
 class ParseError(ValueError):
@@ -26,25 +21,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-def parse_graph(text: str, fmt: str = EDGELIST) -> Graph:
-    if fmt == EDGELIST:
-        return parse_edgelist(text)
-    if fmt == G6LINE:
-        stripped = text.strip().splitlines()
-        if len(stripped) != 1:
-            raise ParseError("expected exactly one encoded graph line")
-        return parse_graph6(stripped[0])
-    raise ParseError(f"unknown format {fmt!r}")
-
-
-def emit_graph(g: Graph, fmt: str = EDGELIST) -> str:
-    if fmt == EDGELIST:
-        return emit_edgelist(g)
-    if fmt == G6LINE:
-        return emit_graph6(g) + "\n"
-    raise ParseError(f"unknown format {fmt!r}")
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -276,14 +252,3 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
                 raise ParseError(f"status {claimed!r} contradicts the labeling, which gives {status!r}", i)
     return g, labeling
 
-
-def iter_graphs(text: str, fmt: str = G6LINE) -> Iterator[Graph]:
-    """Graphs from a one-per-line stream (or a single edge-list document)."""
-    if fmt == G6LINE:
-        for line in text.splitlines():
-            if line.strip():
-                yield parse_graph6(line)
-    elif fmt == EDGELIST:
-        yield parse_edgelist(text)
-    else:
-        raise ParseError(f"unknown format {fmt!r}")

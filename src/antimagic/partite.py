@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
+from .graph import Graph, GraphError, Labeling, verify_antimagic
 from .special import label_universal_vertex
 
 

@@ -5,9 +5,9 @@ like every labeler here, it verifies what it returns.
 The degree-(n-2) construction follows a parity scheme: label the graph
 minus the high-degree vertex ``v_n`` so that weight parities are under
 control, then spend the reserved labels on the edges at ``v_n`` so that
-every parity class stays internally distinct.  ``G - v_n`` is built on G's
-own vertex ids, with ``v_n`` left isolated, so weights and labels never
-change coordinates.
+every parity class stays internally distinct.  ``G - v_n`` is the list of
+G's edge ids away from ``v_n``, so weights and labels never change
+coordinates.
 
 The scheme makes one deterministic candidate per graph.  The published
 arguments wave at the final distinctness, and at small scales it can
@@ -25,13 +25,7 @@ from collections import Counter
 from typing import Iterable
 
 from .decompose import cycle_decomposition, parity_forest
-from .graph import (
-    Graph,
-    GraphError,
-    Labeling,
-    _canonical_graph,
-    verify_antimagic,
-)
+from .graph import Graph, GraphError, Labeling, verify_antimagic
 from .oracle import FOUND, heuristic_search
 
 
@@ -100,31 +94,36 @@ def weight_multiplicities_ok(sums: Iterable[int], cap: int) -> bool:
     return all(c <= cap for c in counts.values())
 
 
-def complete_partial_labeling(g: Graph, pool: Iterable[int],
+def complete_partial_labeling(g: Graph, edge_ids: Iterable[int], pool: Iterable[int],
                               assignment: dict[int, int]) -> dict[int, int]:
-    """Complete a partial labeling without concentrating positive weights.
+    """Complete a partial labeling of the subgraph of ``g`` on ``edge_ids``
+    without concentrating positive weights.
 
-    ``assignment`` maps edge ids to distinct labels from ``pool``; the
-    result maps every edge id to a label from ``pool``, the given ones
+    ``edge_ids`` are ascending edge ids of ``g`` (``range(g.m)`` for all of
+    it), and the subgraph keeps all ``r = g.n`` vertices.  ``assignment``
+    maps some of those edge ids to distinct labels from ``pool``; the
+    result maps every one of them to a label from ``pool``, the given ones
     unchanged, and ``assignment`` itself is left alone.  With a pool of
-    ``m+2`` labels, any partial labeling in which no more than
-    ``ceil(r/2)`` vertices share a positive weight extends edge by edge:
-    of any three unused labels at most two can push some weight value past
-    the cap, so a greedy scan (smallest feasible label first) never gets
-    stuck.
+    ``m+2`` labels, for the subgraph's ``m`` edges, any partial labeling in
+    which no more than ``ceil(r/2)`` vertices share a positive weight
+    extends edge by edge: of any three unused labels at most two can push
+    some weight value past the cap, so a greedy scan (smallest feasible
+    label first) never gets stuck.
 
     Restricted to ``r >= 3``: on a single isolated edge both endpoints
     necessarily share one positive weight, so the cap ``ceil(2/2)=1`` is
     unsatisfiable and the guarantee is vacuous.
     """
-    r, m = g.n, g.m
+    r = g.n
+    edge_ids = list(edge_ids)
+    m = len(edge_ids)
     if r < 3:
         raise GraphError("completion contract requires at least 3 vertices")
     pool = set(pool)
     if len(pool) != m + 2:
         raise GraphError(f"pool must hold m+2={m + 2} labels, got {len(pool)}")
-    if not all(0 <= e < m for e in assignment):
-        raise GraphError(f"assigned edge ids must lie in 0..{m - 1}")
+    if not set(assignment).issubset(edge_ids):
+        raise GraphError("assigned edge ids must lie among the subgraph's edge ids")
     used = list(assignment.values())
     if not pool.issuperset(used) or len(set(used)) < len(used):
         raise GraphError("assigned labels must be distinct members of the pool")
@@ -139,7 +138,7 @@ def complete_partial_labeling(g: Graph, pool: Iterable[int],
         raise GraphError("input labeling already violates the weight-multiplicity bound")
     assignment = dict(assignment)
     unused = sorted(pool.difference(used))
-    for e in range(m):
+    for e in edge_ids:
         if e in assignment:
             continue
         u, v = g.edges[e]
@@ -199,10 +198,11 @@ def label_max_degree_n_minus_2(g: Graph) -> Labeling:
         scheme = _lemma44_two_spare_evens
     else:
         scheme = _lemma44_completion
-    origin = [e for e, ends in enumerate(g.edges) if vn not in ends]
-    # an ascending subset of G's canonical edges is canonical and sorted
-    gstar = _canonical_graph(n, [g.edges[e] for e in origin])
-    candidate = scheme(g, vn, vn1, gstar, origin)
+    star = [e for e, ends in enumerate(g.edges) if vn not in ends]
+    evens = list(range(2, m + 1, 2))
+    odds = list(range(1, m + 1, 2))
+    # the hub's neighbors: every vertex but vn and vn1, ascending
+    candidate = scheme(g, vn1, star, evens, odds, list(hub_edge))
     if candidate is not None:
         labels, assign = candidate
         for u, lab in assign.items():
@@ -216,29 +216,30 @@ def label_max_degree_n_minus_2(g: Graph) -> Labeling:
     raise ConstructionError("max-degree n-2 construction and search found no labeling")
 
 
-def _lift(g: Graph, gstar: Graph, origin: list[int], star_items):
-    """G*'s labels on G's edge ids (the hub's edges stay 0), and the
-    vertex sums they give."""
+def _lift(g: Graph, items):
+    """Labels on G's edge ids from (edge id, label) pairs, every other edge
+    at 0, and the vertex sums they give."""
+    edges = g.edges
     labels = [0] * g.m
     w = [0] * g.n
-    for e_s, lab in star_items:
-        labels[origin[e_s]] = lab
-        a, b = gstar.edges[e_s]
+    for e, lab in items:
+        labels[e] = lab
+        a, b = edges[e]
         w[a] += lab
         w[b] += lab
     return labels, w
 
 
-# Each scheme below takes G, the hub ``vn``, its non-neighbor ``vn1``, and
-# ``G - vn`` as ``gstar``: G's non-hub edges on all of G's vertex ids, with
-# ``vn`` isolated, where ``origin[e]`` is the G edge id of gstar's edge e.
-# Weights are read by G vertex id.  A scheme returns the labels of G's
-# non-hub edges plus a map neighbor -> label for the hub's edges, or None
-# when its choices admit no candidate.
+# Each scheme below takes G, the hub's non-neighbor ``vn1``, ``star`` (the
+# ascending G edge ids away from the hub, so G - v_n with v_n isolated), the
+# evens and odds of 1..m, and the hub's neighbors in ascending order, which
+# it must not change.  Everything is in G's own vertex and edge ids.  A
+# scheme returns the labels of G's non-hub edges plus a map neighbor ->
+# label for the hub's edges, or None when its choices admit no candidate.
 
 # -- dense case: m >= 2n-4 ---------------------------------------------------
 
-def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
+def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     """Parity-forest / cycle scheme, with all choices canonical.
 
     The forest takes the smallest evens, the cycles the remaining evens
@@ -246,32 +247,25 @@ def _lemma43(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
     that neither parity junction lands on the non-neighbor.  The top n-2
     odds are reserved for the hub's edges.
     """
-    n, m = g.n, g.m
-    forest = sorted(parity_forest(gstar).forest_edges)
+    forest = sorted(parity_forest(g, star).forest_edges)
     in_forest = set(forest)
-    kept = [e for e in range(gstar.m) if e not in in_forest]  # rest id -> gstar id
-    # an ascending subset of gstar's canonical edges is canonical and sorted
-    rest = _canonical_graph(n, [gstar.edges[e] for e in kept])
-    dec = cycle_decomposition(rest)
+    dec = cycle_decomposition(g, [e for e in star if e not in in_forest])
 
-    evens = list(range(2, m + 1, 2))
-    odds = list(range(1, m + 1, 2))
-    reserved = odds[len(odds) - (n - 2):]
-    order = list(forest)  # gstar's edges in labeling order: forest, then cycle by cycle
+    reserved = odds[len(odds) - len(neighbors):]
+    order = list(forest)  # the non-hub edges in labeling order: forest, then cycle by cycle
     evens_left = len(evens) - len(forest)
     for cyc, es in map(_canonical_rotation, dec.cycles, dec.edges):
         k = len(cyc)
         if 0 < evens_left < k:
             es = _avoid_junctions(cyc, es, evens_left, vn1)
-        order += map(kept.__getitem__, es)
+        order += es
         evens_left = max(0, evens_left - k)
 
     # the evens, then the odds below the reserved ones: zip stops there
-    labels, w = _lift(g, gstar, origin, zip(order, evens + odds))
-    odd_vertices = [v for v in range(n) if w[v] % 2 == 1]
+    labels, w = _lift(g, zip(order, evens + odds))
+    odd_vertices = [v for v in range(g.n) if w[v] % 2 == 1]
     if len(odd_vertices) > 2 or vn1 in odd_vertices:
         raise AssertionError("parity bookkeeping broken in dense construction")
-    neighbors = [u for u in range(n) if u != vn and u != vn1]
     assign = _reserved_assignment(neighbors, w, odd_vertices, reserved, [w[vn1], sum(reserved)])
     return None if assign is None else (labels, assign)
 
@@ -332,35 +326,27 @@ def _reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
 
 # -- sparse case: m <= 2n-5 --------------------------------------------------
 
-def _lemma44_all_evens(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
+def _lemma44_all_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
     # m = 2n-5: the evens exactly cover the graph minus the hub, the odds
     # exactly cover the hub's edges
-    n, m = g.n, g.m
-    evens = list(range(2, m + 1, 2))
-    odds = list(range(1, m + 1, 2))
-    assert len(evens) == gstar.m and len(odds) == n - 2
-    labels, w = _lift(g, gstar, origin, enumerate(evens))
-    neighbors = [u for u in range(n) if u != vn and u != vn1]
+    assert len(evens) == len(star) and len(odds) == len(neighbors)
+    labels, w = _lift(g, zip(star, evens))
     assign = _reserved_assignment(neighbors, w, [], odds, [w[vn1], sum(odds)])
     return None if assign is None else (labels, assign)
 
 
-def _lemma44_two_spare_evens(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
+def _lemma44_two_spare_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
     # m in {2n-6, 2n-7}: one even pair {r1, r2} is split between the last
     # edge of the reduced graph, held back, and the hub edge of the first
     # neighbor v1 off that edge, so both all-even weights (v1 and the
     # non-neighbor) come out distinct
-    n, m = g.n, g.m
-    s = gstar.m
-    evens = list(range(2, m + 1, 2))
-    odds = list(range(1, m + 1, 2))
-    assert len(evens) == s + 1 and len(odds) == n - 3
+    assert len(evens) == len(star) + 1 and len(odds) == len(neighbors) - 1
     r2, r1 = evens[-2], evens[-1]
-    x, y = gstar.edges[s - 1]
-    neighbors = [u for u in range(n) if u != vn and u != vn1]
+    held = star[-1]
+    x, y = g.edges[held]
     v1 = next(u for u in neighbors if u not in (x, y))
-    neighbors.remove(v1)
-    labels, w = _lift(g, gstar, origin, zip(range(s - 1), evens))
+    neighbors = [u for u in neighbors if u != v1]
+    labels, w = _lift(g, zip(star[:-1], evens))
     a1 = w[v1]
     a2 = w[vn1]
     vn1_on_e = vn1 in (x, y)
@@ -373,28 +359,24 @@ def _lemma44_two_spare_evens(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
         ws[y] += c
         assign = _reserved_assignment(neighbors, ws, [], odds, [w_vn1, a1 + o, o + sum(odds)])
         if assign is not None:
-            labels[origin[s - 1]] = c
+            labels[held] = c
             assign[v1] = o
             return labels, assign
     return None
 
 
-def _lemma44_completion(g: Graph, vn: int, vn1: int, gstar: Graph, origin):
+def _lemma44_completion(g: Graph, vn1: int, star, evens, odds, neighbors):
     # m <= 2n-8: label the reduced graph from the largest evens with the
     # multiplicity-capped completion, then spread the leftover labels on
     # the hub edges, relabeling one block of equal-weight neighbors when
     # the non-neighbor's weight is hit
-    n, m = g.n, g.m
-    evens = list(range(2, m + 1, 2))
-    pool = evens[-(gstar.m + 2):]
-    anchor = gstar.incident_edges(vn1)[0]
-    comp = complete_partial_labeling(gstar, pool, {anchor: pool[-1]})
-    labels, w = _lift(g, gstar, origin, comp.items())
+    pool = evens[-(len(star) + 2):]
+    anchor = g.incident_edges(vn1)[0]  # vn1 misses the hub, so this edge is in star
+    comp = complete_partial_labeling(g, star, pool, {anchor: pool[-1]})
+    labels, w = _lift(g, comp.items())
     spare_evens = sorted(set(evens) - set(comp.values()))
-    odds = list(range(1, m + 1, 2))
     reserved = spare_evens + odds
-    assert len(reserved) == n - 2
-    neighbors = [u for u in range(n) if u != vn and u != vn1]
+    assert len(reserved) == len(neighbors)
     w_vn1 = w[vn1]
     assign = _block_relabel(neighbors, w, spare_evens, odds, w_vn1)
     if assign is None or not _distinct_totals(w, assign, [w_vn1, sum(reserved)]):

@@ -9,7 +9,7 @@ from antimagic.graph import Graph, GraphError
 
 
 def check_parity_forest(g):
-    f = parity_forest(g).forest_edges
+    f = parity_forest(g, range(g.m)).forest_edges
     # deletion leaves all degrees even
     deg = list(g.degrees())
     for e in f:
@@ -43,7 +43,7 @@ def acyclic(g):
 
 
 def check_cycle_decomposition(g):
-    dec = cycle_decomposition(g)
+    dec = cycle_decomposition(g, range(g.m))
     assert len(dec.edges) == len(dec.cycles)
     all_edges = []
     for cyc, es in zip(dec.cycles, dec.edges):
@@ -73,6 +73,18 @@ def random_even_graph(rng):
     return Graph(n, sorted(edges))
 
 
+def random_edge_subsets(rng):
+    """A seeded G(n, p) on 2 <= n <= 40 with two ascending edge-id subsets:
+    every edge away from one vertex (the G - v_n shape), and a coin-flip
+    subset."""
+    n = rng.randrange(2, 41)
+    p = rng.random()
+    g = Graph(n, [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p])
+    hub = rng.randrange(n)
+    yield g, [e for e, ends in enumerate(g.edges) if hub not in ends]
+    yield g, [e for e in range(g.m) if rng.random() < 0.5]
+
+
 # sha256 of the cycles of the 300 graphs of test_random_even_graphs_digest
 CYCLES_DIGEST = "a93128c2e5d020422598448b17bdcb54f5632204a12dfb150f85328d2ed543c0"
 
@@ -80,11 +92,11 @@ CYCLES_DIGEST = "a93128c2e5d020422598448b17bdcb54f5632204a12dfb150f85328d2ed543c
 class TestParityForest:
     def test_triangle_needs_nothing(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert parity_forest(g).forest_edges == frozenset()
+        assert parity_forest(g, range(g.m)).forest_edges == frozenset()
 
     def test_path3_forced_to_take_both_edges(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        assert parity_forest(g).forest_edges == frozenset({0, 1})
+        assert parity_forest(g, range(g.m)).forest_edges == frozenset({0, 1})
 
     def test_k4_by_invariant(self):
         g = Graph(4, list(itertools.combinations(range(4), 2)))
@@ -102,6 +114,23 @@ class TestParityForest:
             for r in range(len(pairs) + 1):
                 for chosen in itertools.combinations(pairs, r):
                     check_parity_forest(Graph(n, chosen))
+
+
+def test_edge_subset_matches_its_own_graph():
+    # working on a subset of G's edge ids must give what the subgraph, built
+    # as its own Graph, gives, mapped back through the id list
+    rng = random.Random(14)
+    for _ in range(150):
+        for g, ids in random_edge_subsets(rng):
+            sub = Graph(g.n, [g.edges[e] for e in ids])
+            forest = parity_forest(g, ids).forest_edges
+            assert forest == {ids[e] for e in parity_forest(sub, range(sub.m)).forest_edges}
+            even = [e for e in ids if e not in forest]
+            sub_even = Graph(g.n, [g.edges[e] for e in even])
+            dec = cycle_decomposition(g, even)
+            ref = cycle_decomposition(sub_even, range(sub_even.m))
+            assert dec.cycles == ref.cycles
+            assert dec.edges == tuple(tuple(even[e] for e in es) for es in ref.edges)
 
 
 class TestCycleDecomposition:
@@ -122,7 +151,10 @@ class TestCycleDecomposition:
 
     def test_odd_degree_rejected(self):
         with pytest.raises(GraphError):
-            cycle_decomposition(Graph(3, [(0, 1), (1, 2)]))
+            cycle_decomposition(Graph(3, [(0, 1), (1, 2)]), range(2))
+        # K4 is odd, but only the chosen edges count: triangle 012 plus (0, 3)
+        with pytest.raises(GraphError, match="odd degree at 0"):
+            cycle_decomposition(Graph(4, list(itertools.combinations(range(4), 2))), [0, 1, 2, 3])
 
     def test_k5_decomposes(self):
         g = Graph(5, list(itertools.combinations(range(5), 2)))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from antimagic import special
+from antimagic import graph, special
 from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
 from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
 from antimagic.oracle import FOUND, SearchBudget, exhaustive_search, heuristic_search
@@ -114,13 +114,13 @@ class TestCompletion:
     def test_fully_labeled_returned_unchanged(self):
         g = Graph(3, [(0, 1), (1, 2)])
         assignment = {0: 1, 1: 2}
-        out = complete_partial_labeling(g, [1, 2, 3, 4], assignment)
+        out = complete_partial_labeling(g, range(g.m), [1, 2, 3, 4], assignment)
         assert out == assignment and out is not assignment
 
     def test_single_edge_out_of_contract(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(GraphError):
-            complete_partial_labeling(g, [1, 2, 3], {})
+            complete_partial_labeling(g, range(g.m), [1, 2, 3], {})
 
     def test_path3_prelabeled_brute_force_oracle(self):
         # pool {1,2,3,4}, edge (0,1) fixed at 4: enumerate candidate labels for
@@ -133,30 +133,45 @@ class TestCompletion:
             sums = vertex_sums(g, Labeling([4, lab]))
             if weight_multiplicities_ok(sums, cap):
                 feasible.append(lab)
-        out = complete_partial_labeling(g, [1, 2, 3, 4], assignment)
+        out = complete_partial_labeling(g, range(g.m), [1, 2, 3, 4], assignment)
         assert out[1] == min(feasible) == 1
         assert assignment == {0: 4}
 
     def test_pool_size_enforced(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError):
-            complete_partial_labeling(g, [1, 2, 3], {})
+            complete_partial_labeling(g, range(g.m), [1, 2, 3], {})
 
     def test_rejects_label_outside_pool(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError, match="^assigned labels must be distinct members of the pool$"):
-            complete_partial_labeling(g, [1, 2, 3, 4], {0: 5})
+            complete_partial_labeling(g, range(g.m), [1, 2, 3, 4], {0: 5})
 
     def test_rejects_repeated_assigned_label(self):
         g = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError, match="^assigned labels must be distinct members of the pool$"):
-            complete_partial_labeling(g, [1, 2, 3, 4], {0: 1, 1: 1})
+            complete_partial_labeling(g, range(g.m), [1, 2, 3, 4], {0: 1, 1: 1})
 
     @pytest.mark.parametrize("e", [2, -1])
     def test_rejects_edge_out_of_range(self, e):
         g = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(GraphError, match=r"^assigned edge ids must lie in 0\.\.1$"):
-            complete_partial_labeling(g, [1, 2, 3, 4], {e: 1})
+        with pytest.raises(GraphError, match="^assigned edge ids must lie among the subgraph's edge ids$"):
+            complete_partial_labeling(g, range(g.m), [1, 2, 3, 4], {e: 1})
+
+    def test_rejects_assigned_edge_outside_subgraph(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="^assigned edge ids must lie among the subgraph's edge ids$"):
+            complete_partial_labeling(g, [1], [1, 2, 3], {0: 1})
+
+    def test_edge_subset_matches_its_own_graph(self):
+        # the G - v_n shape: every edge at one vertex left out of the subgraph
+        for g in connected_graphs_upto_iso(6):
+            for v in (0, g.n - 1):
+                ids = [e for e, ends in enumerate(g.edges) if v not in ends]
+                sub = Graph(g.n, [g.edges[e] for e in ids])
+                out = complete_partial_labeling(g, ids, range(1, len(ids) + 3), {})
+                ref = complete_partial_labeling(sub, range(sub.m), range(1, sub.m + 3), {})
+                assert out == {ids[e]: lab for e, lab in ref.items()}
 
     def test_violating_input_rejected(self):
         # four vertices share positive weight 5 while the cap is ceil(6/2)=3
@@ -164,13 +179,13 @@ class TestCompletion:
         assignment = {0: 5, 1: 2, 2: 4, 3: 3, 4: 1}
         assert not weight_multiplicities_ok(vertex_sums(g, Labeling([5, 2, 4, 3, 1])), 3)
         with pytest.raises(GraphError):
-            complete_partial_labeling(g, range(1, 8), assignment)
+            complete_partial_labeling(g, range(g.m), range(1, 8), assignment)
 
     def test_property_preserved_exhaustively(self):
         # every graph on 4..5 vertices, empty start: completion keeps the bound
         for n in (4, 5):
             for g in connected_graphs_upto_iso(n):
-                out = complete_partial_labeling(g, range(1, g.m + 3), {})
+                out = complete_partial_labeling(g, range(g.m), range(1, g.m + 3), {})
                 assert sorted(out) == list(range(g.m))
                 labels = [out[e] for e in range(g.m)]
                 assert len(set(labels)) == g.m and set(labels) <= set(range(1, g.m + 3))
@@ -263,6 +278,22 @@ class TestMaxDegreeNMinus2:
             assert verify_antimagic(g, lab).ok
             folded.update(repr(lab.labels).encode())
         assert folded.hexdigest() == CORPUS_DIGESTS[n]
+
+    def test_route_builds_no_graph(self, monkeypatch):
+        # the route labels G in its own edge ids: neither G - v_n nor what
+        # is left of it after the parity forest is built as a Graph
+        graphs = [g for g in high_max_degree_corpus(8) if g.max_degree() == 6]
+        fill = graph._fill
+        calls = []
+
+        def counting_fill(*args):
+            calls.append(args[1])
+            fill(*args)
+
+        monkeypatch.setattr(graph, "_fill", counting_fill)
+        for g in graphs:
+            label_max_degree_n_minus_2(g)
+        assert calls == []
 
     def test_block_relabel_certifies_without_search(self, no_search, monkeypatch):
         # m = 2n-8: the sorted spare evens hit the non-neighbor's weight, so
