@@ -41,7 +41,8 @@ from itertools import compress, count, filterfalse
 from operator import contains, itemgetter
 from typing import Optional
 
-from .graph import CollisionState, Graph, GraphError, Labeling, _coins, _shuffle, verify_antimagic
+from .graph import (CollisionState, Graph, GraphError, Labeling, _coins, _shuffle, _trusted_labeling,
+                    verify_antimagic)
 # vertex_sums is not called here; the name stays because bench/tracing.py
 # wraps it in this module.
 from .graph import vertex_sums  # noqa: F401
@@ -399,7 +400,7 @@ def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
         best_count = min(best_count, state.collisions)
     if state.collisions:
         return DenseResult(None, resamples, best_count)
-    lab = Labeling(state.labels)
+    lab = _trusted_labeling(state.labels)
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("pipeline produced a non-bijection")
     return DenseResult(lab, resamples, 0)

@@ -122,12 +122,13 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     classes = None
     if method == "auto":
         classes = recognize_complete_multipartite(g)
+        max_deg = g.max_degree()
         # with an edge there are two classes, so no size check is needed
         if classes is not None:
             chosen = "partite"
-        elif g.max_degree() == g.n - 1:
+        elif max_deg == g.n - 1:
             chosen = "universal"
-        elif g.max_degree() == g.n - 2 and g.n >= 4:
+        elif max_deg == g.n - 2 and g.n >= 4:
             chosen = "delta-n2"
         else:
             chosen = "dense" if g.min_degree() >= DenseConfig(d=d).effective_d(g.n) else "oracle"

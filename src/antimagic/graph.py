@@ -31,13 +31,15 @@ class Graph:
 
     Edges are stored with ascending endpoints and sorted lexicographically,
     so any construction that walks "arbitrary" edges in storage order is
-    deterministic and reproducible.  Instances are value-like: the only
-    state set after construction is the edge -> index map, built on first
-    use and the same whoever builds it, so no method's answer ever changes
-    and instances are safe to share across concurrent workers.
+    deterministic and reproducible.  The degree tuple is set at
+    construction, beside the incidence, so degree queries build nothing.
+    Instances are value-like: the only state set after construction is the
+    edge -> index map, built on first use and the same whoever builds it, so
+    no method's answer ever changes and instances are safe to share across
+    concurrent workers.
     """
 
-    __slots__ = ("n", "edges", "_incident", "_index", "_graph6")
+    __slots__ = ("n", "edges", "_incident", "_degrees", "_index", "_graph6")
     n: int
     edges: tuple[tuple[int, int], ...]
 
@@ -68,13 +70,13 @@ class Graph:
         return len(self._incident[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(len, self._incident))
+        return self._degrees
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
+        return max(self._degrees, default=0)
 
     def min_degree(self) -> int:
-        return min(self.degrees(), default=0)
+        return min(self._degrees, default=0)
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Indices of the edges incident with ``v``, ascending."""
@@ -134,6 +136,7 @@ def _fill(g: Graph, n: int, edges) -> None:
     g.n = n
     g.edges = tuple(edges)
     g._incident = tuple(map(tuple, incident))
+    g._degrees = tuple(map(len, incident))
     g._index = None
     g._graph6 = None
 
@@ -179,6 +182,12 @@ class Labeling:
     The constructor checks only structure (one positive label per edge);
     whether the labels form a bijection onto ``{1..m}`` is the verifier's
     business, so that broken labelings can be reported rather than raised.
+
+    :func:`_trusted_labeling` skips those checks.  Only a labeler may use it,
+    on a list of ints it built from ``1..m`` itself, and only when the same
+    function passes the result to :func:`verify_antimagic` before returning
+    it: the verifier's bijection check then covers positivity.  Everything
+    else, input from outside above all, goes through the constructor.
     """
 
     __slots__ = ("labels",)
@@ -207,6 +216,16 @@ class Labeling:
 
     def __repr__(self) -> str:
         return f"Labeling({list(self.labels)})"
+
+
+def _trusted_labeling(labels: list[int]) -> Labeling:
+    """Trusted constructor: a ``Labeling`` on ``labels`` without checks.
+
+    See :class:`Labeling` for when a caller may use it.
+    """
+    lab = Labeling.__new__(Labeling)
+    lab.labels = tuple(labels)
+    return lab
 
 
 @dataclass(frozen=True)
@@ -427,11 +446,19 @@ def verify_antimagic(g: Graph, labeling: Labeling) -> VerifyReport:
     mismatch (the wrong number of labels) raises.  Sums are Python ints, so
     no graph is too large to check.
     """
-    if labeling.m != g.m:
-        raise GraphError(f"labeling has {labeling.m} labels for m={g.m}")
+    labels = labeling.labels
+    m = len(labels)
+    if m != len(g.edges):
+        raise GraphError(f"labeling has {m} labels for m={g.m}")
     # m labels that include each of 1..m are exactly 1..m
-    bijection_ok = set(labeling.labels).issuperset(range(1, g.m + 1))
-    collision = first_collision(vertex_sums(g, labeling))
-    return VerifyReport(ok=bijection_ok and collision is None,
-                        bijection_ok=bijection_ok,
-                        first_collision=collision)
+    bijection_ok = set(labels).issuperset(range(1, m + 1))
+    sums = _sums(g, labels)
+    if len(set(sums)) == len(sums):
+        return _DISTINCT_BIJECTION if bijection_ok else _DISTINCT_NOT_BIJECTION
+    return VerifyReport(ok=False, bijection_ok=bijection_ok,
+                        first_collision=first_collision(sums))
+
+
+# The two reports with no collision, shared: a VerifyReport is frozen.
+_DISTINCT_BIJECTION = VerifyReport(ok=True, bijection_ok=True, first_collision=None)
+_DISTINCT_NOT_BIJECTION = VerifyReport(ok=False, bijection_ok=False, first_collision=None)

@@ -155,15 +155,19 @@ def parse_graph6(line: str) -> Graph:
     bits = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
     # Column v holds the bits of (0, v), ..., (v - 1, v); filing each set bit
     # under its row leaves every row's later ends ascending, so the edges
-    # come out in Graph's order and need no sort or check.
+    # come out in Graph's order and need no sort or check.  One find per
+    # edge walks the whole triangle; the column moves on by arithmetic.
     rows: list[list[int]] = [[] for _ in range(n)]
-    first = 0  # bit index of (0, v)
-    for v in range(1, n):
-        k = bits.find("1", first, first + v)
-        while k >= 0:
-            rows[k - first].append(v)
-            k = bits.find("1", k + 1, first + v)
-        first += v
+    find = bits.find
+    v, first, end = 1, 0, 1  # column v spans bits first .. end - 1
+    k = find("1", 0, nbits)
+    while k >= 0:
+        while k >= end:
+            first = end
+            v += 1
+            end += v
+        rows[k - first].append(v)
+        k = find("1", k + 1, nbits)
     edges = [(u, v) for u, row in enumerate(rows) for v in row]
     canonical = (i == 1 or n > 62) and bits.find("1", nbits) < 0
     return _canonical_graph(n, edges, s if canonical else None)
@@ -214,6 +218,8 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
                 raise ParseError("edge line must be 'u v label'", i) from None
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", i)
+            if lab < 1:
+                raise ParseError(f"labels must be positive, got {lab}", i)
             key = (u, v) if u < v else (v, u)
             if key in edge_lines:
                 raise ParseError(f"duplicate edge {key}, first on line {edge_lines[key]}", i)

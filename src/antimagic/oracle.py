@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import CollisionState, Graph, GraphError, Labeling, _below, _shuffle, verify_antimagic
+from .graph import (CollisionState, Graph, GraphError, Labeling, _below, _shuffle, _trusted_labeling,
+                    verify_antimagic)
 
 FOUND = "found"
 PROVEN_NONE = "proven_none"
@@ -155,7 +156,7 @@ def exhaustive_search(g: Graph, budget: SearchBudget | None = None) -> SearchRes
         return SearchResult(BUDGET_EXCEEDED, None, nodes=exc.nodes)
     if not leaves:
         return SearchResult(PROVEN_NONE, None, nodes=nodes)
-    lab = Labeling(labels)
+    lab = _trusted_labeling(labels)
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("backtracking produced a labeling the verifier rejects")
     return SearchResult(FOUND, lab, nodes=nodes)
@@ -217,7 +218,7 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
             if swap(i, j) > 0:
                 swap(i, j)
         if state.collisions == 0:
-            lab = Labeling(state.labels)
+            lab = _trusted_labeling(state.labels)
             if not verify_antimagic(g, lab).ok:
                 raise AssertionError("search reached zero collisions on a labeling "
                                      "the verifier rejects")

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, GraphError, Labeling, verify_antimagic
+from .graph import Graph, GraphError, Labeling, _trusted_labeling, verify_antimagic
 from .special import label_universal_vertex
 
 
@@ -181,7 +181,7 @@ def _label_bipartite(g: Graph, classes) -> Labeling:
     for i, u in enumerate(rows):
         for j, v in enumerate(cols):
             labels[g.edge_index(u, v)] = mat.entries[i][j]
-    lab = Labeling(labels)
+    lab = _trusted_labeling(labels)
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("bipartite construction produced a collision")
     return lab

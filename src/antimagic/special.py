@@ -25,7 +25,7 @@ from collections import Counter
 from typing import Iterable
 
 from .decompose import cycle_decomposition, parity_forest
-from .graph import Graph, GraphError, Labeling, verify_antimagic
+from .graph import Graph, GraphError, Labeling, _trusted_labeling, verify_antimagic
 from .oracle import FOUND, heuristic_search
 
 
@@ -73,7 +73,7 @@ def label_universal_vertex(g: Graph) -> Labeling:
     order = sorted(hub_edge, key=lambda u: (w[u], u))
     for lab, u in enumerate(order, start=nxt):
         labels[hub_edge[u]] = lab
-    lab = Labeling(labels)
+    lab = _trusted_labeling(labels)
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("universal-vertex construction produced a collision")
     return lab
@@ -207,7 +207,7 @@ def label_max_degree_n_minus_2(g: Graph) -> Labeling:
         labels, assign = candidate
         for u, lab in assign.items():
             labels[hub_edge[u]] = lab
-        lab = Labeling(labels)
+        lab = _trusted_labeling(labels)
         if verify_antimagic(g, lab).ok:
             return lab
     res = heuristic_search(g)

@@ -16,7 +16,7 @@ from antimagic.dense import (
     phase3_pair_labels,
     phase5_assign,
 )
-from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
+from antimagic.graph import Graph, GraphError, _trusted_labeling, verify_antimagic, vertex_sums
 
 
 def cycle(n):
@@ -403,9 +403,9 @@ class TestDriver:
 
         def counting(labels):
             made.append(labels)
-            return Labeling(labels)
+            return _trusted_labeling(labels)
 
-        monkeypatch.setattr(dense, "Labeling", counting)
+        monkeypatch.setattr(dense, "_trusted_labeling", counting)
         g = random_min_degree(20, 4, 0)
         res = label_dense(g, DenseConfig(d=4, rng_seed=0))
         assert res.resamples == 4

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 import random
 import subprocess
 import sys
@@ -17,8 +19,8 @@ from antimagic.dispatch import (ANTIMAGIC, FAILED, METHODS, NOT_APPLICABLE, disp
                                 recognize_complete_multipartite)
 from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
                                   random_min_degree_graph)
-from antimagic.graph import Graph, GraphError, verify_antimagic
-from antimagic.oracle import NOT_FOUND, SearchResult
+from antimagic.graph import Graph, GraphError, _trusted_labeling, verify_antimagic
+from antimagic.oracle import NOT_FOUND, SearchResult, exhaustive_search
 
 
 def test_wall_time_covers_graph_id(monkeypatch):
@@ -164,6 +166,49 @@ def test_certificate_passes_the_verifier_exactly_once(g, method, verifier_calls)
     gate = [ok for graph, labels, ok in verifier_calls
             if graph is g and labels == rep.certificate.labels]
     assert gate == [True]
+
+
+_TRUSTING = (antimagic.dense, antimagic.oracle, antimagic.partite, antimagic.special)
+
+
+def test_every_trusted_labeling_is_verified_once_in_its_module(monkeypatch):
+    # A labeling built without Labeling's checks must go to the verifier next,
+    # in the module that built it, and to no other verifier call.
+    for info in pkgutil.iter_modules(antimagic.__path__):
+        module = importlib.import_module(f"antimagic.{info.name}")
+        trusting = info.name != "graph" and hasattr(module, "_trusted_labeling")
+        assert trusting == (module in _TRUSTING), info.name
+    events = []
+    for module in _TRUSTING + (antimagic.dispatch,):
+        name = module.__name__
+
+        def made(labels, name=name):
+            lab = _trusted_labeling(labels)
+            events.append(("made", name, lab))
+            return lab
+
+        def verified(g, labeling, name=name):
+            events.append(("verified", name, labeling))
+            return verify_antimagic(g, labeling)
+
+        if module in _TRUSTING:
+            monkeypatch.setattr(module, "_trusted_labeling", made)
+        monkeypatch.setattr(module, "verify_antimagic", verified)
+    for n in range(1, 7):
+        for g in connected_graphs_upto_iso(n):
+            dispatch_label(g)
+            if n <= 5:
+                exhaustive_search(g)
+    for seed in range(3):
+        g = random_min_degree_graph(40, 6, seed)
+        assert dispatch_label(g, "dense", d=6, seed=seed).outcome == ANTIMAGIC
+        assert dispatch_label(g, "oracle", seed=seed).outcome == ANTIMAGIC
+    made = [i for i, (kind, _, _) in enumerate(events) if kind == "made"]
+    assert {events[i][1] for i in made} == {module.__name__ for module in _TRUSTING}
+    for i in made:
+        _, name, lab = events[i]
+        assert events[i + 1][:2] == ("verified", name) and events[i + 1][2] is lab
+        assert sum(labeling is lab for _, _, labeling in events) == 2
 
 
 def test_recognizes_complete_multipartite_classes():

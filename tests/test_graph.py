@@ -9,6 +9,8 @@ from antimagic.graph import (
     Graph,
     GraphError,
     Labeling,
+    VerifyReport,
+    _trusted_labeling,
     first_collision,
     verify_antimagic,
     vertex_sums,
@@ -193,6 +195,57 @@ def test_verify_ok_implies_distinct_sums(gl):
         assert len(set(sums)) == g.n
     else:
         assert not rep.bijection_ok or len(set(sums)) < g.n
+
+
+def _reference_report(g, labels):
+    """The antimagic check written out from its definition."""
+    m = g.m
+    bijection_ok = sorted(labels) == list(range(1, m + 1))
+    sums = [sum(lab for (a, b), lab in zip(g.edges, labels) if v in (a, b)) for v in range(g.n)]
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if sums[u] == sums[v]]
+    first = pairs[0] if pairs else None  # pairs are listed in lexicographic order
+    return VerifyReport(ok=bijection_ok and first is None, bijection_ok=bijection_ok,
+                        first_collision=first)
+
+
+def _labelings(rng, m):
+    """A permutation of 1..m, the same with one label repeated, and the same
+    with one label off 1..m (zero, negative or past m)."""
+    perm = list(range(1, m + 1))
+    rng.shuffle(perm)
+    yield perm
+    if m >= 2:
+        i, j = rng.sample(range(m), 2)
+        yield perm[:i] + [perm[j]] + perm[i + 1:]
+    if m >= 1:
+        i = rng.randrange(m)
+        yield perm[:i] + [rng.choice([0, -rng.randrange(1, 5), m + rng.randrange(1, 5)])] + perm[i + 1:]
+
+
+def test_verify_matches_brute_force_reference():
+    rng = random.Random(0)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randrange(1, 10)
+        p = rng.random()
+        g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        for labels in _labelings(rng, g.m):
+            # the trusted constructor takes zero and negative labels unchecked;
+            # the verifier's bijection check must catch them
+            rep = verify_antimagic(g, _trusted_labeling(labels))
+            assert rep == _reference_report(g, labels)
+            if min(labels, default=1) >= 1:
+                assert verify_antimagic(g, Labeling(labels)) == rep
+            seen[rep.bijection_ok, rep.first_collision is None] += 1
+    # every kind of outcome came up, many times over
+    assert len(seen) == 4 and min(seen.values()) >= 20
+
+
+def test_trusted_labeling_equals_the_checked_one():
+    assert _trusted_labeling([3, 1, 2]) == Labeling([3, 1, 2])
+    assert _trusted_labeling([3, 1, 2]).labels == (3, 1, 2)
+    with pytest.raises(GraphError, match="labels must be positive, got 0"):
+        Labeling([1, 0])
 
 
 def test_first_collision_smallest_lexicographic():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from antimagic.dispatch import dispatch_label
-from antimagic.graph import Graph, GraphError, _canonical_graph
+from antimagic.graph import Graph, GraphError, Labeling, _canonical_graph
 from antimagic.generators import complete_graph, complete_partite_graph, cycle_graph, star_graph
 from antimagic.io import (ParseError, emit_certificate, emit_edgelist, emit_graph6, parse_certificate,
                           parse_edgelist, parse_graph6)
@@ -160,6 +160,7 @@ def _same_structure(a, b):
     assert a.n == b.n
     assert a.edges == b.edges
     assert all(a.incident_edges(v) == b.incident_edges(v) for v in range(a.n))
+    assert a.degrees() == b.degrees()
 
 
 def _validated(n, edges):
@@ -180,6 +181,68 @@ def test_edge_subset_builds_what_graph_builds(g, data):
     mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
     kept = [edge for edge, keep in zip(g.edges, mask) if keep]
     _same_structure(_canonical_graph(g.n, kept), _validated(g.n, kept))
+
+
+# The decoder walks the set bits of the whole triangle and moves from column
+# to column by arithmetic, so a lone edge behind many empty columns, the last
+# bit of the triangle and both size fields are its edge cases.
+@pytest.mark.parametrize("n, edges", [
+    (0, []), (1, []), (2, []), (2, [(0, 1)]),
+    (62, [(0, 61)]), (63, [(0, 62)]), (64, [(0, 63)]), (300, [(0, 299)]),
+    (63, [(61, 62)]), (300, [(298, 299)]), (300, [(0, 1), (0, 299), (298, 299)]),
+], ids=["n=0", "n=1", "n=2 empty", "n=2 edge", "n=62 lone", "n=63 lone", "n=64 lone", "n=300 lone",
+        "n=63 last bit", "n=300 last bit", "n=300 first and last bits"])
+def test_one_scan_decode_edge_cases(n, edges):
+    g = parse_graph6(emit_graph6(Graph(n, edges)))
+    _same_structure(g, _validated(n, edges))
+    assert g._graph6 == emit_graph6(Graph(n, edges))
+
+
+# Padding bits lie past the triangle: the decoder ignores them, and the
+# line, not being emit_graph6's, is not kept.
+@pytest.mark.parametrize("n, edges", [(3, [(0, 2)]), (5, [(3, 4)]), (62, [(0, 61), (60, 61)]),
+                                      (63, [(0, 62)])])
+def test_set_padding_bits_keep_the_graph(n, edges):
+    line = emit_graph6(Graph(n, edges))
+    pad = -(n * (n - 1) // 2) % 6
+    assert pad > 0
+    g = parse_graph6(line[:-1] + chr((ord(line[-1]) - 63 | (1 << pad) - 1) + 63))
+    _same_structure(g, _validated(n, edges))
+    assert g._graph6 is None
+
+
+def _random_graphs(seed):
+    rng = random.Random(seed)
+    out = [Graph(0, []), Graph(1, []), Graph(2, []), Graph(6, [(1, 4)])]
+    for _ in range(30):
+        n = rng.randrange(0, 14)
+        p = rng.random()
+        out.append(Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]))
+    return out
+
+
+def _assert_degrees_match_incidence(g):
+    degs = tuple(len(g.incident_edges(v)) for v in range(g.n))
+    assert g.degrees() == degs
+    assert [g.degree(v) for v in range(g.n)] == list(degs)
+    assert g.max_degree() == max(degs, default=0)
+    assert g.min_degree() == min(degs, default=0)
+
+
+# The degree tuple is set once, at construction, whatever the constructor.
+@pytest.mark.parametrize("seed", range(3))
+def test_degrees_agree_with_incidence_for_every_constructor(seed):
+    for g in _random_graphs(seed):
+        builds = [
+            Graph(g.n, [(v, u) for u, v in reversed(g.edges)]),
+            _canonical_graph(g.n, list(g.edges)),
+            parse_graph6(emit_graph6(g)),
+            parse_edgelist(emit_edgelist(g)),
+            parse_certificate(emit_certificate(g, Labeling(range(1, g.m + 1))))[0],
+        ]
+        for h in builds:
+            assert h == g
+            _assert_degrees_match_incidence(h)
 
 
 @pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(5), star_graph(4),
@@ -211,8 +274,10 @@ def test_certificate_with_edges_needs_vertex_lines():
     ("0 0 1\n0 2\nOK\n", 1, "self-loop at vertex 0"),
     ("0 5 1\n0 1\n1 1\nOK\n", 1, r"edge \(0, 5\) out of range for n=2"),
     ("0 -1 1\n0 1\nOK\n", 1, r"edge \(-1, 0\) out of range for n=1"),
+    ("0 1 0\n0 0\n1 0\nOK\n", 1, "labels must be positive, got 0"),
+    ("0 1 2\n1 2 -3\n0 2\n1 -1\n2 -3\nOK\n", 2, "labels must be positive, got -3"),
 ], ids=["non-integer sum", "wrong sum", "false OK", "false NOT-A-BIJECTION", "false COLLISION",
-        "duplicate edge", "self-loop", "end past n", "negative end"])
+        "duplicate edge", "self-loop", "end past n", "negative end", "label 0", "label -3"])
 def test_contradictory_certificate_rejected(text, line, message):
     with pytest.raises(ParseError, match=f"^line {line}: {message}$") as info:
         parse_certificate(text)
