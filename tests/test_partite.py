@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
+from antimagic.generators import complete_partite_graph
 from antimagic.graph import GraphError, verify_antimagic, vertex_sums
 from antimagic.partite import (
     LabelMatrix,
@@ -9,6 +11,7 @@ from antimagic.partite import (
     antimagic_matrix,
     canonical_multipartite_graph,
     label_complete_multipartite,
+    label_multipartite_on,
     rest_weight_contribution,
     small_class_weight,
     snake_fill,
@@ -181,3 +184,44 @@ class TestMultipartite:
                 g = canonical_multipartite_graph(spec)
                 lab = label_complete_multipartite(spec)
                 assert verify_antimagic(g, lab).ok, sizes
+
+
+def class_vectors(total):
+    """Every class-size vector with at least two classes summing to ``total``,
+    ascending within a vector."""
+    def partitions(left, smallest):
+        if left == 0:
+            yield ()
+            return
+        for first in range(smallest, left + 1):
+            for tail in partitions(left - first, first):
+                yield (first,) + tail
+
+    return [sizes for sizes in partitions(total, 1) if len(sizes) >= 2]
+
+
+def blocks(sizes):
+    """The vertex classes of ``complete_partite_graph(sizes)``: consecutive
+    blocks, smallest class first."""
+    out, start = [], 0
+    for s in sorted(sizes):
+        out.append(list(range(start, start + s)))
+        start += s
+    return out
+
+
+# sha256 of the label_multipartite_on certificates of every class vector on
+# 3..12 vertices (class_vectors order), then K_{25,40} and K_{8,20,26}, each on
+# the block layout of complete_partite_graph
+PARTITE_DIGEST = "5c0833fc3fcd9d3b0d4f14d2b14434a39be710a204f8c8a697a5462a03cab920"
+
+
+def test_partite_certificates_are_pinned():
+    folded = hashlib.sha256()
+    vectors = [s for total in range(3, 13) for s in class_vectors(total)]
+    for sizes in vectors + [(25, 40), (8, 20, 26)]:
+        g = complete_partite_graph(sizes)
+        lab = label_multipartite_on(g, blocks(sizes))
+        assert verify_antimagic(g, lab).ok, sizes
+        folded.update(repr(lab.labels).encode())
+    assert folded.hexdigest() == PARTITE_DIGEST
