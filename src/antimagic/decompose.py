@@ -14,13 +14,6 @@ from .graph import Graph, GraphError
 
 
 @dataclass(frozen=True)
-class ParityForest:
-    """Acyclic edge set whose deletion leaves every vertex with even degree."""
-
-    forest_edges: frozenset[int]
-
-
-@dataclass(frozen=True)
 class CycleDecomposition:
     """Edge-disjoint simple cycles covering a whole (sub)graph's edge set.
 
@@ -48,12 +41,12 @@ def _subgraph(g: Graph, edge_ids) -> tuple[list[int], list[bool]]:
     return deg, skip
 
 
-def parity_forest(g: Graph, edge_ids) -> ParityForest:
+def parity_forest(g: Graph, edge_ids) -> list[int]:
     """Subforest whose deletion makes the subgraph of ``g`` on ``edge_ids``
     even.
 
     ``edge_ids`` are ascending edge ids of ``g`` (``range(g.m)`` for all of
-    it); the forest is given in the same ids.  Roots a spanning forest of
+    it); the forest is given in the same ids, ascending.  Roots a spanning forest of
     the subgraph (BFS from the smallest vertex of each component), then
     walks vertices children-first: a vertex whose current degree is odd
     sends its parent edge into the forest.  Each non-root is finalized
@@ -92,7 +85,7 @@ def parity_forest(g: Graph, edge_ids) -> ParityForest:
             deg[w] -= 1
     if any(d % 2 for d in deg):
         raise AssertionError("parity forest failed to even out all degrees")
-    return ParityForest(frozenset(forest))
+    return sorted(forest)
 
 
 def cycle_decomposition(g: Graph, edge_ids) -> CycleDecomposition:

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Sequence
 
 from .graph import Graph, GraphError
-from .partite import PartiteSpec, canonical_multipartite_graph
 
 
 def complete_partite_graph(sizes: Sequence[int]) -> Graph:
-    return canonical_multipartite_graph(PartiteSpec(tuple(sizes)))
+    """All cross-class edges, with the classes as consecutive vertex blocks,
+    smallest class first."""
+    sizes = sorted(sizes)
+    if sizes and sizes[0] < 1:
+        raise GraphError("class sizes must be positive")
+    starts = [0, *itertools.accumulate(sizes)]
+    blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
+    return Graph(starts[-1], [(u, v) for x, y in itertools.combinations(blocks, 2)
+                              for u in x for v in y])
 
 
 def cycle_graph(n: int) -> Graph:

@@ -4,69 +4,19 @@ Bipartite graphs go through the matrix formulation: a snake-filled
 ``m x n`` label matrix already has distinct row sums in arithmetic
 progression and tightly packed column sums, and at most one row/column
 collision, which a single swap of two vertically adjacent cells repairs.
-For three or more classes, the edges inside the large side get the small
-labels, and the closed-form labels on the remaining edges make the weights
-of the large side strictly increasing below the weights of the small side.
+For three or more classes, the edges inside the large side B get the small
+labels, and the closed-form labels on the edges at the smallest class A make
+the weights of B strictly increasing below the weights of A.  The
+maximum-degree n-1 construction is the case |A| = 1 of the same scheme, so
+both build their labels with ``special._label_small_side``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, GraphError, Labeling, _trusted_labeling, verify_antimagic
-from .special import label_universal_vertex
-
-
-@dataclass(frozen=True)
-class LabelMatrix:
-    """Matrix of the labels 1..rows*cols with all row and column sums distinct."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
-
-    def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.entries) for j in range(self.cols))
-
-
-@dataclass(frozen=True)
-class PartiteSpec:
-    """Class sizes of a complete multipartite graph, ascending.
-
-    ``A`` is the first class (one of minimum size); ``B`` is everything
-    else.  ``edges_inside_rest`` counts the edges with both endpoints in
-    ``B`` (the spec's q).
-    """
-
-    class_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        sizes = tuple(int(x) for x in self.class_sizes)
-        if not sizes or any(x < 1 for x in sizes):
-            raise GraphError("class sizes must be positive")
-        object.__setattr__(self, "class_sizes", tuple(sorted(sizes)))
-
-    @property
-    def k(self) -> int:
-        return len(self.class_sizes)
-
-    @property
-    def total(self) -> int:
-        return sum(self.class_sizes)
-
-    @property
-    def rest_size(self) -> int:
-        return self.total - self.class_sizes[0]
-
-    @property
-    def edges_inside_rest(self) -> int:
-        rest = self.class_sizes[1:]
-        return sum(a * b for a, b in itertools.combinations(rest, 2))
+from .special import _label_small_side, label_universal_vertex
 
 
 def snake_fill(rows: int, cols: int) -> list[list[int]]:
@@ -80,7 +30,7 @@ def snake_fill(rows: int, cols: int) -> list[list[int]]:
     return out
 
 
-def antimagic_matrix(rows: int, cols: int) -> LabelMatrix:
+def antimagic_matrix(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
     """Fill an ``rows x cols`` matrix with 1..rows*cols, all sums distinct.
 
     Works on the normalized orientation (wide), transposing the result back
@@ -117,36 +67,10 @@ def antimagic_matrix(rows: int, cols: int) -> LabelMatrix:
     entries = tuple(tuple(row) for row in a)
     if transpose:
         entries = tuple(zip(*entries))
-    mat = LabelMatrix(rows, cols, tuple(tuple(row) for row in entries))
-    sums = mat.row_sums() + mat.col_sums()
+    sums = [sum(row) for row in entries] + [sum(col) for col in zip(*entries)]
     if len(set(sums)) != len(sums):
         raise AssertionError("matrix construction left a sum collision")
-    return mat
-
-
-def canonical_multipartite_graph(spec: PartiteSpec) -> Graph:
-    """All cross-class edges, classes as consecutive vertex blocks."""
-    bounds = [0]
-    for s in spec.class_sizes:
-        bounds.append(bounds[-1] + s)
-    cls = []
-    for i in range(spec.k):
-        cls.append(list(range(bounds[i], bounds[i + 1])))
-    edges = []
-    for i, j in itertools.combinations(range(spec.k), 2):
-        edges.extend((u, v) for u in cls[i] for v in cls[j])
-    return Graph(spec.total, edges)
-
-
-def label_complete_multipartite(spec: PartiteSpec) -> Labeling:
-    """Antimagic labeling of the canonical complete multipartite graph."""
-    g = canonical_multipartite_graph(spec)
-    classes = []
-    start = 0
-    for s in spec.class_sizes:
-        classes.append(list(range(start, start + s)))
-        start += s
-    return label_multipartite_on(g, classes)
+    return entries
 
 
 def label_multipartite_on(g: Graph, classes: Sequence[Sequence[int]]) -> Labeling:
@@ -167,8 +91,12 @@ def label_multipartite_on(g: Graph, classes: Sequence[Sequence[int]]) -> Labelin
     if k == 2:
         return _label_bipartite(g, classes)
     if len(classes[0]) == 1:
+        # _label_small_side(g, classes[0]) would give the same labels, since
+        # the hub label_universal_vertex picks is that class's vertex; the
+        # call keeps the route on the universal-vertex layer that
+        # bench/tracing.py times
         return label_universal_vertex(g)
-    lab = _label_high_partite(g, classes)
+    lab = _trusted_labeling(_label_small_side(g, classes[0]))
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("multipartite construction produced a collision")
     return lab
@@ -176,53 +104,12 @@ def label_multipartite_on(g: Graph, classes: Sequence[Sequence[int]]) -> Labelin
 
 def _label_bipartite(g: Graph, classes) -> Labeling:
     rows, cols = classes
-    mat = antimagic_matrix(len(rows), len(cols))
+    entries = antimagic_matrix(len(rows), len(cols))
     labels = [0] * g.m
     for i, u in enumerate(rows):
         for j, v in enumerate(cols):
-            labels[g.edge_index(u, v)] = mat.entries[i][j]
+            labels[g.edge_index(u, v)] = entries[i][j]
     lab = _trusted_labeling(labels)
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("bipartite construction produced a collision")
     return lab
-
-
-def _label_high_partite(g: Graph, classes) -> Labeling:
-    small = classes[0]
-    n1 = len(small)
-    rest = sorted(v for c in classes[1:] for v in c)
-    m = len(rest)
-    rest_set = set(rest)
-    labels = [0] * g.m
-    w = [0] * g.n
-    nxt = 1
-    for e, (a, b) in enumerate(g.edges):
-        if a in rest_set and b in rest_set:
-            labels[e] = nxt
-            w[a] += nxt
-            w[b] += nxt
-            nxt += 1
-    q = nxt - 1
-    order = sorted(rest, key=lambda u: (w[u], u))
-    for j, u in enumerate(order, start=1):
-        for i, v in enumerate(small, start=1):
-            if j == m and m % 2 == 0:
-                lab = i * m + q
-            elif j % 2 == 1:
-                lab = (i - 1) * m + j + q
-            else:
-                lab = (n1 - i) * m + j + q
-            labels[g.edge_index(v, u)] = lab
-    return Labeling(labels)
-
-
-def rest_weight_contribution(n1: int, m: int, q: int, j: int) -> int:
-    """Total label mass the small class adds to the j-th sorted rest vertex."""
-    return n1 * (2 * q + 2 * j + m * (n1 - 1)) // 2
-
-
-def small_class_weight(n1: int, m: int, q: int, i: int) -> int:
-    """Closed-form weight of the i-th small-class vertex (1-based)."""
-    if m % 2 == 1:
-        return m * (2 * i + 2 * q + n1 * (m - 1)) // 2
-    return m * (4 * i + 2 * q + n1 * (m - 2) - 1) // 2

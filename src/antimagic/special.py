@@ -45,8 +45,11 @@ def label_universal_vertex(g: Graph) -> Labeling:
     order; the edges at ``v`` take the top d labels in order of the
     neighbors' partial sums (ties by vertex id), which makes the neighbor
     weights strictly increase, with ``w(v) = d(m-d) + d(d+1)/2`` strictly
-    on top.  An isolated non-neighbor keeps the unique weight 0.  The
-    labeling is verified before it is returned.
+    on top.  An isolated non-neighbor keeps the unique weight 0.  This is
+    the one-vertex small side of the complete-partite construction for
+    k >= 3 classes, and both build their labels with
+    :func:`_label_small_side`.  The labeling is verified before it is
+    returned.
     """
     n = g.n
     if n < 3:
@@ -60,39 +63,61 @@ def label_universal_vertex(g: Graph) -> Labeling:
     else:
         raise GraphError("no vertex of degree n-1, "
                          "nor of degree n-2 with an isolated non-neighbor")
-    labels = [0] * g.m
-    w = [0] * n
-    nxt = 1
-    for e, (a, b) in enumerate(g.edges):
-        if v not in (a, b):
-            labels[e] = nxt
-            w[a] += nxt
-            w[b] += nxt
-            nxt += 1
-    hub_edge = dict(zip(g.neighbors(v), g.incident_edges(v)))
-    order = sorted(hub_edge, key=lambda u: (w[u], u))
-    for lab, u in enumerate(order, start=nxt):
-        labels[hub_edge[u]] = lab
-    lab = _trusted_labeling(labels)
+    lab = _trusted_labeling(_label_small_side(g, [v]))
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("universal-vertex construction produced a collision")
     return lab
 
 
-def universal_vertex_weight(n: int, m: int) -> int:
-    """Weight of the degree-(n-1) vertex under :func:`label_universal_vertex`."""
-    return (n - 1) * (m - n + 1) + n * (n - 1) // 2
+def _label_small_side(g: Graph, small) -> list[int]:
+    """Unverified labels of the small-side construction.
+
+    ``small`` is an ascending independent set A whose vertices all have the
+    same neighbors B, and every edge of G lies in B or joins A to B.  The q
+    edges off A take 1..q in canonical order.  With B sorted by (partial
+    weight, id) as ``b_1..b_M`` and ``n1 = |A|``, the edge joining
+    ``small[i-1]`` and ``b_j`` takes
+
+        q + i*M          if j = M and M is even,
+        q + (i-1)*M + j  if j is odd,
+        q + (n1-i)*M + j otherwise,
+
+    so each ``b_j`` gains a fixed amount increasing in j and keeps its
+    place, and A's weights land above B's.  For one vertex every label is
+    q + j: the hub edges take q+1..m in order of neighbor weight.
+    """
+    edges = g.edges
+    off = [True] * g.n
+    for v in small:
+        off[v] = False
+    labels = [0] * g.m
+    w = [0] * g.n
+    q = 0
+    for e, (a, b) in enumerate(edges):
+        if off[a] and off[b]:
+            q += 1
+            labels[e] = q
+            w[a] += q
+            w[b] += q
+    # each vertex of A: its neighbor -> the id of the edge joining them
+    at = [dict(zip(g.neighbors(v), g.incident_edges(v))) for v in small]
+    order = sorted(at[0], key=lambda u: (w[u], u))
+    size, n1 = len(order), len(small)
+    for i, edge_to in enumerate(at, start=1):
+        for j, u in enumerate(order, start=1):
+            if j % 2:
+                lab = (i - 1) * size + j
+            elif j == size:
+                lab = i * size
+            else:
+                lab = (n1 - i) * size + j
+            labels[edge_to[u]] = q + lab
+    return labels
 
 
 # ---------------------------------------------------------------------------
 # completion of partial labelings
 # ---------------------------------------------------------------------------
-
-def weight_multiplicities_ok(sums: Iterable[int], cap: int) -> bool:
-    """No positive weight value shared by more than ``cap`` vertices."""
-    counts = Counter(s for s in sums if s > 0)
-    return all(c <= cap for c in counts.values())
-
 
 def complete_partial_labeling(g: Graph, edge_ids: Iterable[int], pool: Iterable[int],
                               assignment: dict[int, int]) -> dict[int, int]:
@@ -247,7 +272,7 @@ def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     that neither parity junction lands on the non-neighbor.  The top n-2
     odds are reserved for the hub's edges.
     """
-    forest = sorted(parity_forest(g, star).forest_edges)
+    forest = parity_forest(g, star)
     in_forest = set(forest)
     dec = cycle_decomposition(g, [e for e in star if e not in in_forest])
 

@@ -9,7 +9,8 @@ from antimagic.graph import Graph, GraphError
 
 
 def check_parity_forest(g):
-    f = parity_forest(g, range(g.m)).forest_edges
+    f = parity_forest(g, range(g.m))
+    assert f == sorted(set(f))  # ascending edge ids, each once
     # deletion leaves all degrees even
     deg = list(g.degrees())
     for e in f:
@@ -92,11 +93,11 @@ CYCLES_DIGEST = "a93128c2e5d020422598448b17bdcb54f5632204a12dfb150f85328d2ed543c
 class TestParityForest:
     def test_triangle_needs_nothing(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert parity_forest(g, range(g.m)).forest_edges == frozenset()
+        assert parity_forest(g, range(g.m)) == []
 
     def test_path3_forced_to_take_both_edges(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        assert parity_forest(g, range(g.m)).forest_edges == frozenset({0, 1})
+        assert parity_forest(g, range(g.m)) == [0, 1]
 
     def test_k4_by_invariant(self):
         g = Graph(4, list(itertools.combinations(range(4), 2)))
@@ -123,8 +124,8 @@ def test_edge_subset_matches_its_own_graph():
     for _ in range(150):
         for g, ids in random_edge_subsets(rng):
             sub = Graph(g.n, [g.edges[e] for e in ids])
-            forest = parity_forest(g, ids).forest_edges
-            assert forest == {ids[e] for e in parity_forest(sub, range(sub.m)).forest_edges}
+            forest = parity_forest(g, ids)
+            assert forest == [ids[e] for e in parity_forest(sub, range(sub.m))]
             even = [e for e in ids if e not in forest]
             sub_even = Graph(g.n, [g.edges[e] for e in even])
             dec = cycle_decomposition(g, even)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,13 +9,20 @@ from antimagic import graph, special
 from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
 from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
 from antimagic.oracle import FOUND, SearchBudget, exhaustive_search, heuristic_search
-from antimagic.special import (
-    complete_partial_labeling,
-    label_max_degree_n_minus_2,
-    label_universal_vertex,
-    universal_vertex_weight,
-    weight_multiplicities_ok,
-)
+from antimagic.special import complete_partial_labeling, label_max_degree_n_minus_2, label_universal_vertex
+
+
+def universal_vertex_weight(n, m):
+    """Closed-form weight of the degree-(n-1) hub under label_universal_vertex:
+    the top n-1 labels, m-n+2..m."""
+    return (n - 1) * (m - n + 1) + n * (n - 1) // 2
+
+
+def weight_multiplicities_ok(sums, cap):
+    """No positive weight value shared by more than ``cap`` vertices: the
+    invariant complete_partial_labeling keeps."""
+    counts = Counter(s for s in sums if s > 0)
+    return all(c <= cap for c in counts.values())
 
 
 def star(k):
