@@ -128,19 +128,17 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ParseError("empty encoded line")
-    i = 0
     if s[0] == "~":
         if len(s) < 4 or s[1] == "~":
             raise ParseError("unsupported or truncated size prefix")
-        n = 0
-        for ch in s[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        i = 4
+        size, i = s[1:4], 4
     else:
-        n = ord(s[0]) - 63
-        i = 1
-    if n < 0:
-        raise ParseError("negative vertex count")
+        size, i = s[0], 1
+    n = 0
+    for ch in size:
+        if not "?" <= ch <= "~":
+            raise ParseError(f"invalid size character {ch!r}")
+        n = (n << 6) | (ord(ch) - 63)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     body = s[i:]

@@ -48,7 +48,13 @@ def test_large_edge_list_parses():
     assert set(g.degrees()) == {4}
 
 
-@pytest.mark.parametrize("line", ["", ">>graph6<<", "~", "~~", "A\x7f", "A>", "Bé", "Bw x", "A "])
+@pytest.mark.parametrize("line", [
+    "", ">>graph6<<", "~", "~~", "A\x7f", "A>", "Bé", "Bw x", "A ",
+    # a size character outside '?'..'~' must not decode to a vertex count
+    pytest.param(chr(127) + "?" * 336, id="size DEL"),
+    pytest.param("é" + "?" * 2395, id="size non-ASCII"),
+    pytest.param("~??" + chr(127) + "?" * 336, id="long size DEL"),
+])
 def test_graph6_rejects(line):
     # "Bé": a non-ASCII character must not become '?', which is valid graph6
     with pytest.raises(ParseError):
