@@ -223,7 +223,11 @@ def label_max_degree_n_minus_2(g: Graph) -> Labeling:
         scheme = _lemma44_two_spare_evens
     else:
         scheme = _lemma44_completion
-    star = [e for e, ends in enumerate(g.edges) if vn not in ends]
+    # the edges away from the hub: every edge id but the hub's own
+    away = [True] * m
+    for e in g.incident_edges(vn):
+        away[e] = False
+    star = list(itertools.compress(range(m), away))
     evens = list(range(2, m + 1, 2))
     odds = list(range(1, m + 1, 2))
     # the hub's neighbors: every vertex but vn and vn1, ascending
