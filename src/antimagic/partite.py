@@ -31,7 +31,8 @@ def snake_fill(rows: int, cols: int) -> list[list[int]]:
 
 
 def antimagic_matrix(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    """Fill an ``rows x cols`` matrix with 1..rows*cols, all sums distinct.
+    """The rows of a ``rows x cols`` matrix holding 1..rows*cols, with all
+    row and column sums distinct.
 
     Works on the normalized orientation (wide), transposing the result back
     when the caller asked for more rows than columns.  ``rows*cols >= 2``:
