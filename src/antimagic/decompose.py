@@ -46,12 +46,12 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
     even.
 
     ``edge_ids`` are ascending edge ids of ``g`` (``range(g.m)`` for all of
-    it); the forest is given in the same ids, ascending.  Roots a spanning forest of
-    the subgraph (BFS from the smallest vertex of each component), then
-    walks vertices children-first: a vertex whose current degree is odd
+    it); the forest is given in the same ids, ascending.  Roots a spanning
+    forest of the subgraph (BFS from the smallest vertex of each component),
+    then walks vertices children-first: a vertex whose current degree is odd
     sends its parent edge into the forest.  Each non-root is finalized
     exactly once, and the handshake identity forces the roots even as well.
-    Linear time; ``|F| <= n - (#components)``.
+    Linear time, plus sorting the forest; ``|F| <= n - (#components)``.
     """
     edges = g.edges
     incident = g._incident
