@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph, GraphError, Labeling, _canonical_graph
 from antimagic.generators import complete_graph, complete_partite_graph, cycle_graph, star_graph
-from antimagic.io import (ParseError, emit_certificate, emit_edgelist, emit_graph6, parse_certificate,
-                          parse_edgelist, parse_graph6)
+from antimagic.io import (GRAPH6_MAX_N, ParseError, emit_certificate, emit_edgelist, emit_graph6,
+                          parse_certificate, parse_edgelist, parse_graph6)
 
 
 @pytest.mark.parametrize("dup", ["1 2", "2 1"])
@@ -152,6 +152,110 @@ def test_parse_edgelist_fuzz(n, m, lines):
     except (ParseError, GraphError):
         return
     assert (g.n, g.m) == (n, m)
+
+
+def _reference_parse_edgelist(text: str) -> Graph:
+    # the per-line edge-list parser, kept verbatim as the reference that
+    # parse_edgelist must agree with on every document
+    lines = text.splitlines()
+    header = None
+    header_no = 0
+    for i, raw in enumerate(lines, start=1):
+        if raw.strip() and not raw.lstrip().startswith("#"):
+            header = raw.split()
+            header_no = i
+            break
+    if header is None:
+        raise ParseError("empty document")
+    if len(header) != 2:
+        raise ParseError("header must be 'n m'", header_no)
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise ParseError("header must hold two integers", header_no) from None
+    if n < 0:
+        raise ParseError(f"vertex count must be non-negative, header says {n}", header_no)
+    if n > GRAPH6_MAX_N:
+        # Graph allocates one incidence list per vertex, so the header alone
+        # must not be able to ask for billions of them
+        raise ParseError(f"at most {GRAPH6_MAX_N} vertices, header says {n}", header_no)
+    edges = set()
+    for i in range(header_no, len(lines)):
+        raw = lines[i].strip()
+        if not raw or raw.startswith("#"):
+            continue
+        parts = raw.split()
+        if len(parts) != 2:
+            raise ParseError("edge line must be 'u v'", i + 1)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("edge endpoints must be integers", i + 1) from None
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", i + 1)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"vertex out of range 0..{n - 1}", i + 1)
+        key = (min(u, v), max(u, v))
+        if key in edges:
+            raise ParseError(f"duplicate edge {key}", i + 1)
+        edges.add(key)
+    if len(edges) != m:
+        raise ParseError(f"header promises {m} edges, found {len(edges)}")
+    return Graph(n, edges)
+
+
+# Tokens and separators beyond _fuzz_lines: int() takes '+3', '0_1' and
+# Unicode digits, str.split() and str.strip() agree on Unicode whitespace,
+# and a '#' starts a comment only at the front of a stripped line.
+_odd_tokens = st.sampled_from(["+3", "0_1", "1#", "#", "#1", "x", "-0", "٣", "12" * 3])
+_separators = st.sampled_from([" ", "  ", "\t", "\xa0", "\x1f"])
+_noise_lines = (_fuzz_lines
+                | st.sampled_from(["", " ", "\t", "#", "# comment", "  # indented comment", "0 1 # note"])
+                | st.lists(st.integers(-1, 12).map(str) | _odd_tokens, min_size=1, max_size=3)
+                .flatmap(lambda tokens: _separators.map(lambda sep: sep.join(tokens)))
+                .flatmap(lambda row: st.sampled_from(["", " ", "\t"]).map(lambda pad: pad + row + pad)))
+
+
+@st.composite
+def edgelist_documents(draw):
+    """Edge-list text, mostly valid graphs, with comments, blank lines, odd
+    tokens and separators, duplicates, bad lines and wrong edge counts."""
+    n = draw(st.integers(-1, 12))
+    pairs = [(u, v) for v in range(max(n, 0)) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=15)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    rows = [f"{v}{sep}{u}" if flip else f"{u}{sep}{v}"
+            for (u, v), flip, sep in zip(edges, flips, draw(st.lists(_separators, min_size=len(edges),
+                                                                      max_size=len(edges))))]
+    for _ in range(draw(st.integers(0, 3))):
+        # a noise line, or a repeat of an edge line in either orientation
+        extra = draw(_noise_lines | (st.sampled_from(rows).map(lambda r: " ".join(r.split()[::-1]))
+                                     if rows else _noise_lines))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    m = draw(st.just(len(edges)) | st.integers(-1, 16))
+    head = draw(st.lists(st.sampled_from(["", "# c", "  #", "\t"]), max_size=2))
+    header = draw(st.sampled_from([f"{n} {m}", f" {n}\t{m} ", f"+{n}\xa0{m}", f"{n} {m} 0"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from(["", newline]))
+    return newline.join([*head, header, *rows]) + tail
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=400)
+@given(edgelist_documents())
+def test_parse_edgelist_matches_the_per_line_reference(text):
+    got, want = _outcome(parse_edgelist, text), _outcome(_reference_parse_edgelist, text)
+    if isinstance(want, Graph):
+        assert isinstance(got, Graph), got
+        _same_structure(got, want)
+    else:
+        assert got == want
 
 
 @given(graph6_lines())
