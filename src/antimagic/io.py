@@ -1,8 +1,11 @@
 """Graph and certificate serialization.
 
-Two graph formats: a plain edge list (header ``n m`` then one ``u v`` line
-per edge) and the compact one-line ASCII encoding used by standard
-small-graph corpora.
+Two graph formats: a plain edge list and the compact one-line ASCII
+encoding (graph6) used by standard small-graph corpora.  An edge list is a
+header line ``n m``, then one ``u v`` line per edge, in either orientation
+and any order; blank lines and lines starting with ``#`` (comments) may
+appear anywhere.  A malformed document raises :class:`ParseError`, which
+names the first bad line.
 Certificates are grep-friendly text: one ``u v label`` line per edge, one
 ``vertex sum`` line per vertex, then a status line.
 """
@@ -10,7 +13,9 @@ Certificates are grep-friendly text: one ``u v label`` line per edge, one
 from __future__ import annotations
 
 import binascii
-from typing import Optional
+from itertools import chain, islice, repeat
+from operator import eq
+from typing import NoReturn, Optional
 
 from .graph import Graph, Labeling, VerifyReport, _canonical_graph, verify_antimagic, vertex_sums
 
@@ -24,6 +29,16 @@ class ParseError(ValueError):
 
 
 def parse_edgelist(text: str) -> Graph:
+    """The graph of an edge-list document.
+
+    The first line that is neither blank nor a comment is the header ``n m``;
+    each later such line is one edge ``u v`` with ``0 <= u, v < n``, in
+    either orientation and in any order.  A comment is a line whose first
+    non-blank character is ``#``.  The document must hold exactly ``m``
+    edges, with no self-loop and no edge twice.  A malformed document raises
+    :class:`ParseError` naming the first bad line, or, for a wrong edge
+    count, no line.
+    """
     lines = text.splitlines()
     header = None
     header_no = 0
@@ -46,6 +61,43 @@ def parse_edgelist(text: str) -> Graph:
         # Graph allocates one incidence list per vertex, so the header alone
         # must not be able to ask for billions of them
         raise ParseError(f"at most {GRAPH6_MAX_N} vertices, header says {n}", header_no)
+    rows = list(map(str.split, lines[header_no:]))
+    if "#" in text or not all(rows):
+        rows = [row for row in rows if row and row[0][0] != "#"]
+    codes = _edge_codes(rows, n)
+    if codes is None:
+        _reject_edge_lines(lines, header_no, n)
+    if len(codes) != m:
+        raise ParseError(f"header promises {m} edges, found {len(codes)}")
+    return _canonical_graph(n, list(map(divmod, codes, repeat(n))))
+
+
+def _edge_codes(rows: list[list[str]], n: int) -> Optional[list[int]]:
+    """The edges on ``rows`` as sorted codes ``u * n + v``, ``u < v``, which
+    order them as Graph stores them; None if a row is no edge or an edge
+    repeats.
+
+    Each check is one pass over the whole document, not a loop per line.
+    """
+    if not set(map(len, rows)) <= {2}:
+        return None
+    try:
+        ends = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        return None
+    us, vs = ends[0::2], ends[1::2]
+    if ends and (min(ends) < 0 or max(ends) >= n) or any(map(eq, us, vs)):
+        return None
+    codes = sorted([u * n + v if u < v else v * n + u for u, v in zip(us, vs)])
+    if any(map(eq, codes, islice(codes, 1, None))):
+        return None
+    return codes
+
+
+def _reject_edge_lines(lines: list[str], header_no: int, n: int) -> NoReturn:
+    """Raise the ParseError for the first bad edge line after the header,
+    as a scan line by line finds it; parse_edgelist calls it once its
+    whole-document checks have found a fault."""
     edges = set()
     for i in range(header_no, len(lines)):
         raw = lines[i].strip()
@@ -66,9 +118,7 @@ def parse_edgelist(text: str) -> Graph:
         if key in edges:
             raise ParseError(f"duplicate edge {key}", i + 1)
         edges.add(key)
-    if len(edges) != m:
-        raise ParseError(f"header promises {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    raise ParseError(f"invalid edge list for n={n}")
 
 
 def emit_edgelist(g: Graph) -> str:
