@@ -46,8 +46,9 @@ def antimagic_matrix(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
     mm, nn = (cols, rows) if transpose else (rows, cols)
     a = snake_fill(mm, nn)
     r = [sum(row) for row in a]
-    c = [sum(a[i][j] for i in range(mm)) for j in range(nn)]
-    hits = [(i, j) for i in range(mm) for j in range(nn) if r[i] == c[j]]
+    c = [sum(col) for col in zip(*a)]
+    shared = set(r).intersection(c)
+    hits = [(i, j) for i, x in enumerate(r) if x in shared for j, y in enumerate(c) if y == x]
     if len(hits) > 1:
         raise AssertionError("snake fill admits at most one row/column collision")
     if hits:
@@ -107,9 +108,10 @@ def _label_bipartite(g: Graph, classes) -> Labeling:
     rows, cols = classes
     entries = antimagic_matrix(len(rows), len(cols))
     labels = [0] * g.m
-    for i, u in enumerate(rows):
-        for j, v in enumerate(cols):
-            labels[g.edge_index(u, v)] = entries[i][j]
+    # A row vertex's edges, ascending, reach the sorted columns in order.
+    for u, row in zip(rows, entries):
+        for e, x in zip(g.incident_edges(u), row):
+            labels[e] = x
     lab = _trusted_labeling(labels)
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("bipartite construction produced a collision")
