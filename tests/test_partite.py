@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from antimagic import partite
 from antimagic.generators import complete_partite_graph
 from antimagic.graph import GraphError, verify_antimagic, vertex_sums
 from antimagic.partite import antimagic_matrix, label_multipartite_on, snake_fill
@@ -43,6 +44,20 @@ def small_class_weight(n1, m, q, i):
     if m % 2 == 1:
         return m * (2 * i + 2 * q + n1 * (m - 1)) // 2
     return m * (4 * i + 2 * q + n1 * (m - 2) - 1) // 2
+
+
+@pytest.fixture
+def universal_calls(monkeypatch):
+    """The graphs the partite route hands to label_universal_vertex."""
+    calls = []
+    real = partite.label_universal_vertex
+
+    def recorded(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(partite, "label_universal_vertex", recorded)
+    return calls
 
 
 def label(sizes):
@@ -138,9 +153,18 @@ class TestMultipartite:
         assert m % 2 == 1
         assert sorted(sums[:n1]) == [small_class_weight(n1, m, q, i) for i in range(1, n1 + 1)]
 
-    def test_k13_delegates_to_universal(self):
+    def test_k13_takes_the_1x3_matrix(self, universal_calls):
+        # two classes take the matrix route, even when one is a single vertex
         g, lab = label((1, 3))
+        assert lab.labels == antimagic_matrix(1, 3)[0] == (1, 2, 3)
         assert sorted(vertex_sums(g, lab)) == [1, 2, 3, 6]
+        assert universal_calls == []
+
+    def test_k123_delegates_to_universal(self, universal_calls):
+        # three or more classes with a one-vertex smallest class do
+        g, lab = label((1, 2, 3))
+        assert universal_calls == [g]
+        assert verify_antimagic(g, lab).ok
 
     def test_k2_rejected(self):
         with pytest.raises(GraphError):
