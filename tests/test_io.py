@@ -210,7 +210,7 @@ def _reference_parse_edgelist(text: str) -> Graph:
 _odd_tokens = st.sampled_from(["+3", "0_1", "1#", "#", "#1", "x", "-0", "٣", "12" * 3])
 _separators = st.sampled_from([" ", "  ", "\t", "\xa0", "\x1f"])
 _noise_lines = (_fuzz_lines
-                | st.sampled_from(["", " ", "\t", "#", "# comment", "  # indented comment", "0 1 # note"])
+                | st.sampled_from(["", " ", "\t", "#", "# comment", "  # indented comment", "#0 1", "0 1 # note"])
                 | st.lists(st.integers(-1, 12).map(str) | _odd_tokens, min_size=1, max_size=3)
                 .flatmap(lambda tokens: _separators.map(lambda sep: sep.join(tokens)))
                 .flatmap(lambda row: st.sampled_from(["", " ", "\t"]).map(lambda pad: pad + row + pad)))
@@ -223,15 +223,15 @@ def edgelist_documents(draw):
     n = draw(st.integers(-1, 12))
     pairs = [(u, v) for v in range(max(n, 0)) for u in range(v)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=15)) if pairs else []
-    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-    rows = [f"{v}{sep}{u}" if flip else f"{u}{sep}{v}"
-            for (u, v), flip, sep in zip(edges, flips, draw(st.lists(_separators, min_size=len(edges),
-                                                                      max_size=len(edges))))]
+    rows = []
+    for u, v in edges:
+        if draw(st.booleans()):
+            u, v = v, u
+        rows.append(f"{u}{draw(_separators)}{v}")
     for _ in range(draw(st.integers(0, 3))):
-        # a noise line, or a repeat of an edge line in either orientation
-        extra = draw(_noise_lines | (st.sampled_from(rows).map(lambda r: " ".join(r.split()[::-1]))
-                                     if rows else _noise_lines))
-        rows.insert(draw(st.integers(0, len(rows))), extra)
+        # a noise line, or an edge line again, the other way round
+        again = st.sampled_from(rows).map(lambda r: " ".join(r.split()[::-1])) if rows else _noise_lines
+        rows.insert(draw(st.integers(0, len(rows))), draw(_noise_lines | again))
     m = draw(st.just(len(edges)) | st.integers(-1, 16))
     head = draw(st.lists(st.sampled_from(["", "# c", "  #", "\t"]), max_size=2))
     header = draw(st.sampled_from([f"{n} {m}", f" {n}\t{m} ", f"+{n}\xa0{m}", f"{n} {m} 0"]))
