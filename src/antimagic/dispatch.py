@@ -3,7 +3,9 @@
 ``dispatch_label`` routes a graph to the most specific labeler whose
 hypothesis it satisfies: complete multipartite structure first, then a
 vertex of degree n-1 or n-2, then the randomized dense pipeline, and
-finally the heuristic search.  Every labeler verifies the labeling it
+finally the heuristic search.  The search runs here and nowhere else: it
+is also where the Δ = n-2 route goes when its scheme makes no candidate,
+and such a report says ``oracle``.  Every labeler verifies the labeling it
 returns on the graph it was given, so a report carries a certificate only
 when it passed :func:`verify_antimagic` exactly once; dispatch does not
 check it again.
@@ -21,9 +23,9 @@ from .dense import DenseConfig, PairingError, check_knobs, label_dense
 # labeling; the name stays because bench/tracing.py wraps it in this module.
 from .graph import Graph, GraphError, Labeling, verify_antimagic  # noqa: F401
 from .io import GRAPH6_MAX_N, emit_graph6
-from .oracle import FOUND, SearchBudget, heuristic_search
+from .oracle import FOUND, PROVEN_NONE, SearchBudget, heuristic_search
 from .partite import label_multipartite_on
-from .special import ConstructionError, label_max_degree_n_minus_2, label_universal_vertex
+from .special import label_max_degree_n_minus_2, label_universal_vertex
 
 ANTIMAGIC = "antimagic"
 FAILED = "failed"
@@ -98,6 +100,12 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     the heuristic search.  ``max_resamples`` is the dense route's budget of
     coin resamples.  Bad values of ``method``, ``d`` or ``max_resamples``
     raise :class:`GraphError` on every route.
+
+    When the Δ = n-2 scheme has no verified candidate, the heuristic search
+    labels the graph and the report says ``oracle``, with a note that says
+    so.  The search's outcome ``proven_none`` (a K2 component or two
+    isolated vertices) is reported ``not_applicable``, with a note naming
+    the obstruction.
     """
     start = time.perf_counter()
     if method not in METHODS:
@@ -133,6 +141,7 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
         else:
             chosen = "dense" if g.min_degree() >= DenseConfig(d=d).effective_d(g.n) else "oracle"
 
+    note = ""
     try:
         if chosen == "partite":
             if classes is None:
@@ -143,18 +152,24 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
         if chosen == "universal":
             return report(ANTIMAGIC, chosen, label_universal_vertex(g))
         if chosen == "delta-n2":
-            return report(ANTIMAGIC, chosen, label_max_degree_n_minus_2(g))
+            lab = label_max_degree_n_minus_2(g)
+            if lab is not None:
+                return report(ANTIMAGIC, chosen, lab)
+            note = "the n-2 scheme had no verified candidate"
         if chosen == "dense":
             res = label_dense(g, DenseConfig(d=d, rng_seed=seed, max_resamples=max_resamples))
             if res.ok:
                 return report(ANTIMAGIC, chosen, res.labeling, res.resamples)
             return report(FAILED, chosen, None, res.resamples,
                           f"no certificate; fewest colliding pairs {res.best_collision_count}")
-        budget = SearchBudget(seed=seed)
-        res = heuristic_search(g, budget)
+        res = heuristic_search(g, SearchBudget(seed=seed))
         if res.status == FOUND:
-            return report(ANTIMAGIC, "oracle", res.labeling)
-        return report(FAILED, "oracle", None, note="heuristic search found no certificate")
-    except (GraphError, ConstructionError, PairingError) as exc:
+            return report(ANTIMAGIC, "oracle", res.labeling, note=note)
+        if res.status == PROVEN_NONE:
+            return report(NOT_APPLICABLE, "oracle", note="a K2 component or two isolated "
+                          "vertices: two sums agree under every labeling")
+        return report(FAILED, "oracle", None,
+                      note="; ".join(filter(None, [note, "heuristic search found no certificate"])))
+    except (GraphError, PairingError) as exc:
         return report(NOT_APPLICABLE if isinstance(exc, GraphError) else FAILED,
                       chosen, note=str(exc))

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import eq, itemgetter
+from operator import itemgetter
 from random import Random
-from typing import Iterable, NoReturn, Optional
+from typing import Iterable, Optional
 
 # Per-vertex sums; index = vertex id.
 WeightMap = tuple[int, ...]
@@ -46,21 +46,19 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
-        pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
-        # A self-loop becomes (-1, u), so the negative-end check below rejects it.
-        canon = [(u, v) if u < v else (v, u) if v < u else (-1, u) for u, v in pairs]
-        # Two stable integer-key sorts give the lexicographic order at a
-        # fraction of the cost of comparing tuples.
-        canon.sort(key=itemgetter(1))
-        canon.sort(key=itemgetter(0))
-        if not canon or canon[0][0] >= 0 and not any(map(eq, canon, islice(canon, 1, None))):
-            try:
-                # no end is negative now, so only an end >= n can fail here
-                _fill(self, n, canon)
-                return
-            except IndexError:
-                pass
-        _reject_edges(n, pairs)
+        # loops and range in input order, then the lexicographically first duplicate
+        canon = []
+        for u, v in edges:
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            canon.append((u, v) if u < v else (v, u))
+        canon.sort()
+        for prev, edge in zip(canon, islice(canon, 1, None)):
+            if prev == edge:
+                raise GraphError(f"duplicate edge {edge}")
+        _fill(self, n, canon)
 
     @property
     def m(self) -> int:
@@ -127,7 +125,7 @@ class Graph:
 def _fill(g: Graph, n: int, edges) -> None:
     """Set ``g``'s slots from ``edges``, which must be canonical and sorted.
 
-    Nothing is checked, except that an end >= n raises IndexError.
+    Nothing is checked.
     """
     incident: list[list[int]] = [[] for _ in range(n)]
     for e, (u, v) in enumerate(edges):
@@ -154,26 +152,6 @@ def _canonical_graph(n: int, edges, graph6: Optional[str] = None) -> Graph:
     _fill(g, n, edges)
     g._graph6 = graph6
     return g
-
-
-def _reject_edges(n: int, pairs) -> NoReturn:
-    """Raise the GraphError for the first bad edge, as a per-edge scan finds it.
-
-    Self-loops and out-of-range ends are reported in input order, then the
-    lexicographically first duplicate.
-    """
-    canon = []
-    for u, v in pairs:
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        canon.append((u, v) if u < v else (v, u))
-    canon.sort()
-    for i in range(1, len(canon)):
-        if canon[i] == canon[i - 1]:
-            raise GraphError(f"duplicate edge {canon[i]}")
-    raise GraphError(f"invalid edge list for n={n}")
 
 
 class Labeling:

@@ -1,12 +1,13 @@
 """Ground-truth certificate search on small graphs.
 
-The exhaustive search decides antimagicness outright (it is the only
-component that can prove a graph has no antimagic labeling); it shares one
+The exhaustive search decides antimagicness outright; it shares one
 backtracking kernel with the labeling count.  The heuristic search scales
 further with a collision-local move: it swaps the label of an edge at a
 colliding vertex with the label of any other edge, and keeps the swap when
-the number of colliding vertex pairs does not rise.  Both only ever return
-labelings that pass the verifier.
+the number of colliding vertex pairs does not rise.  It proves a graph has
+no antimagic labeling only for the two obstructions it checks first, a K2
+component and two isolated vertices.  Both only ever return labelings that
+pass the verifier.
 
 The heuristic search draws through ``graph._shuffle`` and ``graph._below``,
 which reproduce ``Random.shuffle``, ``Random.choice`` and
@@ -178,7 +179,8 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
     colliding vertex pairs rises.  A run ends at zero collisions or after
     ``max_iters * m`` proposals; ``iterations`` counts proposals over all
     runs.  A K2 component or two isolated vertices make a collision no
-    swap removes, so such graphs are ``not_found`` at once.  Any hit is
+    swap removes, so such graphs are ``proven_none`` at once, as
+    :func:`exhaustive_search` reports them too.  Any hit is
     verified before being returned, and one the verifier rejects raises
     ``AssertionError``.
 
@@ -192,7 +194,7 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
     budget = budget or SearchBudget()
     degs = g.degrees()
     if degs.count(0) >= 2 or 1 in degs and any(degs[u] == degs[v] == 1 for u, v in g.edges):
-        return SearchResult(NOT_FOUND, None)
+        return SearchResult(PROVEN_NONE, None)
     m = g.m
     rng = random.Random(budget.seed)
     getrandbits = rng.getrandbits

@@ -9,28 +9,24 @@ every parity class stays internally distinct.  ``G - v_n`` is the list of
 G's edge ids away from ``v_n``, so weights and labels never change
 coordinates.
 
-The scheme makes one deterministic candidate per graph.  The published
-arguments wave at the final distinctness, and at small scales it can
-genuinely fail: the fixed sums of ``v_n`` and its non-neighbor can be
-forced onto a neighbor's total.  The candidate is therefore
-verifier-gated, and a graph whose candidate fails (or that the scheme
-cannot serve at all) goes once to the oracle's collision-local search,
-the kernel the dense route also resamples with.  There are no re-draws.
+The scheme makes one deterministic candidate per graph, and this module
+only constructs: it never searches and never re-draws.  The published
+arguments wave at the final distinctness, and at small scales the scheme
+can fail: the fixed sums of ``v_n`` and its non-neighbor can be forced
+onto a neighbor's total, and then it makes no candidate.  A candidate it
+does make is verifier-gated all the same.  Either way
+:func:`label_max_degree_n_minus_2` returns None, and
+``dispatch.dispatch_label`` hands the graph to the heuristic search.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .decompose import cycle_decomposition, parity_forest
 from .graph import Graph, GraphError, Labeling, _trusted_labeling, verify_antimagic
-from .oracle import FOUND, heuristic_search
-
-
-class ConstructionError(RuntimeError):
-    """Neither the construction nor the search fallback found a labeling."""
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +189,18 @@ def complete_partial_labeling(g: Graph, edge_ids: Iterable[int], pool: Iterable[
 # maximum degree n-2
 # ---------------------------------------------------------------------------
 
-def label_max_degree_n_minus_2(g: Graph) -> Labeling:
-    """Antimagic labeling of a graph with maximum degree exactly n-2.
+def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
+    """Antimagic labeling of a graph with maximum degree exactly n-2, or
+    None when the construction has none.
 
     When the hub's non-neighbor is isolated, :func:`label_universal_vertex`
     labels G as it stands.  Otherwise the edge count picks the scheme:
     dense graphs (m >= 2n-4) get the parity forest / cycle decomposition
     scheme, sparse ones (m <= 2n-5) the all-even scheme with its three
-    edge-count cases.
-    The scheme's one candidate is verified; when there is none or it
-    fails, the labeling comes from :func:`heuristic_search` instead.
+    edge-count cases.  The scheme's one candidate is returned if the
+    verifier accepts it; None means the scheme made no candidate or the
+    verifier rejected it.  A graph that violates the hypothesis raises
+    :class:`GraphError`.
     """
     n = g.n
     if n < 4:
@@ -232,17 +230,13 @@ def label_max_degree_n_minus_2(g: Graph) -> Labeling:
     odds = list(range(1, m + 1, 2))
     # the hub's neighbors: every vertex but vn and vn1, ascending
     candidate = scheme(g, vn1, star, evens, odds, list(hub_edge))
-    if candidate is not None:
-        labels, assign = candidate
-        for u, lab in assign.items():
-            labels[hub_edge[u]] = lab
-        lab = _trusted_labeling(labels)
-        if verify_antimagic(g, lab).ok:
-            return lab
-    res = heuristic_search(g)
-    if res.status == FOUND:
-        return res.labeling
-    raise ConstructionError("max-degree n-2 construction and search found no labeling")
+    if candidate is None:
+        return None
+    labels, assign = candidate
+    for u, lab in assign.items():
+        labels[hub_edge[u]] = lab
+    lab = _trusted_labeling(labels)
+    return lab if verify_antimagic(g, lab).ok else None
 
 
 def _lift(g: Graph, items):

@@ -22,6 +22,8 @@ from antimagic.generators import (complete_graph, complete_partite_graph, cycle_
 from antimagic.graph import Graph, GraphError, _trusted_labeling, verify_antimagic
 from antimagic.oracle import NOT_FOUND, SearchResult, exhaustive_search
 
+HOPELESS_NOTE = "a K2 component or two isolated vertices: two sums agree under every labeling"
+
 
 def test_wall_time_covers_graph_id(monkeypatch):
     slow_id = antimagic.dispatch.emit_graph6
@@ -49,9 +51,11 @@ def test_cold_start_does_not_import_numpy():
 
 
 def test_graph_beyond_graph6_gets_empty_id():
-    # graph6's size field stops at 258047 vertices; labelling must not depend on the id
+    # graph6's size field stops at 258047 vertices; labelling must not depend
+    # on the id.  The 258045 isolated vertices all keep sum 0.
     rep = dispatch_label(Graph(258048, [(0, 1), (1, 2)]))
-    assert rep.outcome == FAILED
+    assert (rep.method, rep.outcome) == ("oracle", NOT_APPLICABLE)
+    assert rep.note == HOPELESS_NOTE
     assert rep.graph_id == ""
 
 
@@ -110,6 +114,19 @@ def test_forced_routes(g, kwargs, outcome, resamples, note):
         assert verify_antimagic(g, rep.certificate).ok
 
 
+# No labeling of these is antimagic, as for K2 and edgeless graphs: the search
+# proves it at once, and the oracle route names the obstruction.
+@pytest.mark.parametrize("g", [
+    Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    Graph(5, [(0, 1), (1, 2), (0, 2)]),
+    Graph(4, [(0, 1), (2, 3)]),
+], ids=["K3+K2", "K3+2K1", "2K2"])
+def test_hopeless_graphs_not_applicable(g):
+    rep = dispatch_label(g)
+    assert (rep.method, rep.outcome, rep.certificate) == ("oracle", NOT_APPLICABLE, None)
+    assert rep.note == HOPELESS_NOTE
+
+
 def test_unknown_method_raises():
     with pytest.raises(GraphError, match="unknown method 'greedy'"):
         dispatch_label(cycle_graph(5), method="greedy")
@@ -123,14 +140,15 @@ def test_bad_dense_parameters_raise_on_every_route(method, kwargs):
 
 
 def test_construction_error_is_reported_failed(monkeypatch):
-    # the n = 5 trap graph's scheme candidate collides; with the search
-    # fallback finding nothing, the labeler raises ConstructionError
+    # the n = 5 trap graph's scheme has no candidate, so dispatch runs the
+    # search; with the search finding nothing, the oracle route fails
     trap = Graph(5, [(0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
-    monkeypatch.setattr(antimagic.special, "heuristic_search",
-                        lambda g: SearchResult(NOT_FOUND, None))
+    monkeypatch.setattr(antimagic.dispatch, "heuristic_search",
+                        lambda g, budget: SearchResult(NOT_FOUND, None))
     rep = dispatch_label(trap)
-    assert (rep.method, rep.outcome, rep.certificate) == ("delta-n2", FAILED, None)
-    assert rep.note == "max-degree n-2 construction and search found no labeling"
+    assert (rep.method, rep.outcome, rep.certificate) == ("oracle", FAILED, None)
+    assert rep.note == ("the n-2 scheme had no verified candidate; "
+                        "heuristic search found no certificate")
 
 
 @pytest.fixture

@@ -119,7 +119,7 @@ class TestExhaustive:
 class TestHeuristic:
     def test_k2_not_found(self):
         res = heuristic_search(Graph(2, [(0, 1)]), SearchBudget(restarts=3))
-        assert res.status == NOT_FOUND
+        assert (res.status, res.labeling) == (PROVEN_NONE, None)
 
     def test_petersen(self):
         g = petersen()
@@ -133,8 +133,11 @@ class TestHeuristic:
         Graph(5, [(0, 1), (1, 2)]),
     ], ids=["edge-and-isolated-vertex", "k2-component", "two-isolated-vertices"])
     def test_hopeless_graphs_not_found_at_once(self, g):
+        # no swap removes the collision, so the search proves none without a
+        # proposal, as the exhaustive search does by walking its tree
         res = heuristic_search(g)
-        assert res.status == NOT_FOUND and res.iterations == 0
+        assert res.status == PROVEN_NONE and res.iterations == 0
+        assert exhaustive_search(g).status == PROVEN_NONE
 
     @pytest.mark.parametrize("g", [
         cycle(1000),

@@ -1,12 +1,11 @@
 import ast
 import importlib
-import os
-import subprocess
-import sys
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).parents[1] / "src" / "antimagic"
 
 
 def test_every_script_target_exists():
@@ -17,13 +16,28 @@ def test_every_script_target_exists():
         assert callable(attrgetter(attr)(importlib.import_module(module))), name
 
 
-def test_labeling_path_imports_no_numpy():
-    # numpy's import alone takes about twice a cold start's whole setup time,
-    # so the labeling path must not pull it in
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, antimagic.dispatch, antimagic.io; print(sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    modules = ast.literal_eval(out.stdout)
-    assert "antimagic.dispatch" in modules
-    assert "numpy" not in modules
+def _calls_and_imports(module):
+    """Names the module calls and dotted names it imports from."""
+    calls, imports = [], []
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.append(getattr(func, "id", None) or getattr(func, "attr", None))
+        elif isinstance(node, ast.ImportFrom):
+            imports += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names]
+    return calls, imports
+
+
+@pytest.mark.parametrize("module", ["special", "partite", "decompose"])
+def test_constructions_import_nothing_from_the_oracle(module):
+    # the theorem routes only construct; falling back to the search is dispatch's call
+    _, imports = _calls_and_imports(module)
+    assert not [name for name in imports if "oracle" in name.split(".")]
+
+
+def test_only_dispatch_calls_the_search():
+    callers = [path.stem for path in sorted(SRC.glob("*.py"))
+               for name in _calls_and_imports(path.stem)[0] if name == "heuristic_search"]
+    assert callers == ["dispatch"]

@@ -7,8 +7,9 @@ import pytest
 
 from antimagic import graph, special
 from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
+from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
-from antimagic.oracle import FOUND, SearchBudget, exhaustive_search, heuristic_search
+from antimagic.oracle import FOUND, exhaustive_search, heuristic_search
 from antimagic.special import complete_partial_labeling, label_max_degree_n_minus_2, label_universal_vertex
 
 
@@ -56,6 +57,8 @@ def random_delta_n2(rng):
 # sha256 of every certificate on the n-vertex Δ >= n-2 corpus, in corpus
 # order, frozen from the construction that labeled G - v_n as a separate
 # induced graph: labeling G on its own vertex ids must give the same labels.
+# Where the n-2 scheme has no candidate, the certificate is the search's,
+# as dispatch_label gives it.
 CORPUS_DIGESTS = {
     4: "c827955e3289661fb8a152d84fbbc25cf31cfae2bce7b4c6144a81868e6c65f2",
     5: "30d521e291ff12e65b60ba75be75250bac9e2d03cc0076e7fde7bc38c51d7726",
@@ -68,14 +71,15 @@ CORPUS_DIGESTS = {
 # test_random_graphs_certified_by_construction, in draw order
 RANDOM_DIGEST = "040663fd861658a0e4a0d7ee61ba47a0cba0ed48dfc507f881e1def3856bd74c"
 
+# Graphs of the n-vertex Δ >= n-2 corpus with maximum degree n-2 on which the
+# n-2 scheme makes no candidate, so dispatch hands them to the search: every
+# one of them stops in _reserved_assignment.  Mending a scheme shows up as an
+# edit here.
+NO_CANDIDATE = {4: 0, 5: 10, 6: 4, 7: 23, 8: 1}
 
-@pytest.fixture
-def no_search(monkeypatch):
-    """Make the search fallback of the n-2 construction an error."""
-    def fail(g, *args, **kwargs):
-        raise AssertionError(f"search fallback on {g!r}")
-
-    monkeypatch.setattr(special, "heuristic_search", fail)
+# n = 5, maximum degree 3, m = 2n-5: the published sparse scheme is
+# infeasible here (the hub sum 9 is forced onto a neighbor total)
+TRAP = Graph(5, [(0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
 
 
 class TestUniversalVertex:
@@ -220,28 +224,31 @@ class TestMaxDegreeNMinus2:
             assert verify_antimagic(g, lab).ok
 
     def test_sparse_paths_with_oracle_cross_check(self):
-        # n=5 instances of each sparse edge-count case (m = 2n-5 and 2n-6)
+        # n=5 instances of each sparse edge-count case (m = 2n-5 and 2n-6);
+        # dispatch certifies both, by the scheme or, without a candidate, the search
         for edges in ([(4, 0), (4, 1), (4, 2), (0, 3), (1, 3)],
                       [(4, 0), (4, 1), (4, 2), (0, 3)]):
             g = Graph(5, edges)
             assert g.max_degree() == 3
-            lab = label_max_degree_n_minus_2(g)
-            assert verify_antimagic(g, lab).ok
+            rep = dispatch_label(g, method="delta-n2")
+            assert verify_antimagic(g, rep.certificate).ok
             assert exhaustive_search(g).status == FOUND
 
     def test_parity_scheme_trap_falls_back(self):
-        # the published sparse scheme is infeasible here (hub sum 9 is forced
-        # onto a neighbor total); the labeler must still certify the graph
-        g = Graph(5, [(0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
-        lab = label_max_degree_n_minus_2(g)
-        assert verify_antimagic(g, lab).ok
+        # the construction has no candidate for the trap graph; dispatch
+        # must still certify it, through the search
+        assert label_max_degree_n_minus_2(TRAP) is None
+        for method in ("auto", "delta-n2"):
+            rep = dispatch_label(TRAP, method=method)
+            assert rep.method == "oracle"
+            assert rep.note == "the n-2 scheme had no verified candidate"
+            assert verify_antimagic(TRAP, rep.certificate).ok
 
     def test_search_fallback_is_deterministic(self):
         # the trap graph takes the search fallback: same graph, same certificate
-        g = Graph(5, [(0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
-        first = label_max_degree_n_minus_2(g)
-        assert first == heuristic_search(g).labeling
-        assert all(label_max_degree_n_minus_2(g) == first for _ in range(3))
+        first = dispatch_label(TRAP, method="delta-n2").certificate
+        assert first == heuristic_search(TRAP).labeling
+        assert all(dispatch_label(TRAP, method="delta-n2").certificate == first for _ in range(3))
 
     def test_dense_path_five_vertices(self):
         # n=5, max degree 3, m=7 >= 2n-4: cycle plus two chords
@@ -278,14 +285,21 @@ class TestMaxDegreeNMinus2:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_small_corpus_exhaustive(self, n):
         folded = hashlib.sha256()
+        no_candidate = 0
         for g in high_max_degree_corpus(n):
             if g.max_degree() == n - 1:
                 lab = label_universal_vertex(g)
             else:
                 lab = label_max_degree_n_minus_2(g)
+                if lab is None:
+                    no_candidate += 1
+                    rep = dispatch_label(g, method="delta-n2")
+                    assert rep.method == "oracle"
+                    lab = rep.certificate
             assert verify_antimagic(g, lab).ok
             folded.update(repr(lab.labels).encode())
         assert folded.hexdigest() == CORPUS_DIGESTS[n]
+        assert no_candidate == NO_CANDIDATE[n]
 
     def test_route_builds_no_graph(self, monkeypatch):
         # the route labels G in its own edge ids: neither G - v_n nor what
@@ -303,7 +317,7 @@ class TestMaxDegreeNMinus2:
             label_max_degree_n_minus_2(g)
         assert calls == []
 
-    def test_block_relabel_certifies_without_search(self, no_search, monkeypatch):
+    def test_block_relabel_certifies_without_search(self, monkeypatch):
         # m = 2n-8: the sorted spare evens hit the non-neighbor's weight, so
         # the equal-weight block moves onto the odds
         g = Graph(10, [(0, 7), (0, 9), (1, 6), (1, 9), (2, 4), (3, 5), (3, 9), (4, 9),
@@ -318,15 +332,16 @@ class TestMaxDegreeNMinus2:
 
         monkeypatch.setattr(special, "_block_relabel", spy)
         lab = label_max_degree_n_minus_2(g)
+        assert lab is not None
         assert verify_antimagic(g, lab).ok
         [(neighbors, w, spare_evens, odds, assign)] = calls
         order = sorted(neighbors, key=lambda u: (w[u], u))
         assert assign != dict(zip(order, spare_evens + odds))
         assert {u: lab[g.edge_index(u, 9)] for u in neighbors} == assign
 
-    def test_random_graphs_certified_by_construction(self, no_search):
+    def test_random_graphs_certified_by_construction(self):
         # seeded stress beyond the corpus: every scheme's one candidate
-        # verifies, so the search fallback is never needed; the digest pins
+        # verifies, so the search is never needed; the digest pins
         # every certificate, so the dense scheme's cycle walk is pinned too
         rng = random.Random(2003)
         folded = hashlib.sha256()
@@ -335,6 +350,7 @@ class TestMaxDegreeNMinus2:
             if g.max_degree() != g.n - 2:
                 continue
             lab = label_max_degree_n_minus_2(g)
+            assert lab is not None
             assert verify_antimagic(g, lab).ok
             folded.update(repr(lab.labels).encode())
         assert folded.hexdigest() == RANDOM_DIGEST
