@@ -82,6 +82,25 @@ NO_CANDIDATE = {4: 0, 5: 10, 6: 4, 7: 23, 8: 1}
 TRAP = Graph(5, [(0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
 
 
+# Graphs with m <= 2n-8 whose sorted spare evens hit the non-neighbor's
+# weight, each with the map from the hub's (last vertex's) neighbors to
+# their hub-edge labels after the equal-weight block has moved
+BLOCK_SHIFTS = [
+    (Graph(10, [(0, 7), (0, 9), (1, 6), (1, 9), (2, 4), (3, 5), (3, 9), (4, 9),
+                (5, 9), (6, 9), (7, 9), (8, 9)]),
+     {0: 1, 1: 10, 3: 7, 4: 11, 5: 9, 6: 5, 7: 3, 8: 8}),
+    (Graph(13, [(0, 3), (0, 12), (1, 9), (1, 12), (2, 8), (2, 12), (3, 12), (4, 11),
+                (4, 12), (5, 6), (5, 12), (6, 12), (7, 12), (8, 11), (8, 12), (10, 11),
+                (10, 12), (11, 12)]),
+     {0: 1, 1: 15, 2: 16, 3: 3, 4: 5, 5: 7, 6: 9, 7: 14, 8: 13, 10: 11, 11: 17}),
+    (Graph(15, [(0, 2), (0, 14), (1, 9), (1, 14), (2, 13), (2, 14), (3, 11), (3, 14),
+                (4, 7), (4, 14), (5, 14), (6, 7), (6, 8), (6, 14), (7, 14), (8, 14),
+                (9, 14), (10, 12), (11, 14), (12, 14), (13, 14)]),
+     {0: 1, 1: 18, 2: 7, 3: 9, 4: 13, 5: 16, 6: 21, 7: 19, 8: 15, 9: 3, 11: 11,
+      12: 17, 13: 5}),
+]
+
+
 class TestUniversalVertex:
     def test_star_k13(self):
         g = star(3)
@@ -318,26 +337,27 @@ class TestMaxDegreeNMinus2:
         assert calls == []
 
     def test_block_relabel_certifies_without_search(self, monkeypatch):
-        # m = 2n-8: the sorted spare evens hit the non-neighbor's weight, so
-        # the equal-weight block moves onto the odds
-        g = Graph(10, [(0, 7), (0, 9), (1, 6), (1, 9), (2, 4), (3, 5), (3, 9), (4, 9),
-                       (5, 9), (6, 9), (7, 9), (8, 9)])
+        # m <= 2n-8: the second spare even hits the non-neighbor's weight,
+        # so the equal-weight block at that place moves onto the odds and
+        # the next neighbors take the even; the hub's neighbor -> label map
+        # is pinned for a block of two (n = 10 and 13) and of one (n = 15)
         block_relabel = special._block_relabel
         calls = []
 
         def spy(neighbors, w, spare_evens, odds, w_vn1):
             assign = block_relabel(neighbors, w, spare_evens, odds, w_vn1)
-            calls.append((neighbors, w, spare_evens, odds, assign))
+            calls.append(assign)
             return assign
 
         monkeypatch.setattr(special, "_block_relabel", spy)
-        lab = label_max_degree_n_minus_2(g)
-        assert lab is not None
-        assert verify_antimagic(g, lab).ok
-        [(neighbors, w, spare_evens, odds, assign)] = calls
-        order = sorted(neighbors, key=lambda u: (w[u], u))
-        assert assign != dict(zip(order, spare_evens + odds))
-        assert {u: lab[g.edge_index(u, 9)] for u in neighbors} == assign
+        for g, expected in BLOCK_SHIFTS:
+            calls.clear()
+            hub = g.n - 1
+            lab = label_max_degree_n_minus_2(g)
+            assert lab is not None
+            assert verify_antimagic(g, lab).ok
+            assert calls == [expected]
+            assert {u: lab[g.edge_index(u, hub)] for u in expected} == expected
 
     def test_random_graphs_certified_by_construction(self):
         # seeded stress beyond the corpus: every scheme's one candidate
