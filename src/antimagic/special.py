@@ -362,7 +362,8 @@ def _lemma44_two_spare_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
     # m in {2n-6, 2n-7}: one even pair {r1, r2} is split between the last
     # edge of the reduced graph, held back, and the hub edge of the first
     # neighbor v1 off that edge, so both all-even weights (v1 and the
-    # non-neighbor) come out distinct
+    # non-neighbor) come out distinct; _reserved_assignment turns down an
+    # order of the pair that makes them equal
     assert len(evens) == len(star) + 1 and len(odds) == len(neighbors) - 1
     r2, r1 = evens[-2], evens[-1]
     held = star[-1]
@@ -370,17 +371,11 @@ def _lemma44_two_spare_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
     v1 = next(u for u in neighbors if u not in (x, y))
     neighbors = [u for u in neighbors if u != v1]
     labels, w = _lift(g, zip(star[:-1], evens))
-    a1 = w[v1]
-    a2 = w[vn1]
-    vn1_on_e = vn1 in (x, y)
     for c, o in ((r1, r2), (r2, r1)):
-        w_vn1 = a2 + (c if vn1_on_e else 0)
-        if a1 + o == w_vn1:
-            continue
         ws = list(w)
         ws[x] += c
         ws[y] += c
-        assign = _reserved_assignment(neighbors, ws, [], odds, [w_vn1, a1 + o, o + sum(odds)])
+        assign = _reserved_assignment(neighbors, ws, [], odds, [ws[vn1], ws[v1] + o, o + sum(odds)])
         if assign is not None:
             labels[held] = c
             assign[v1] = o
@@ -398,47 +393,35 @@ def _lemma44_completion(g: Graph, vn1: int, star, evens, odds, neighbors):
     comp = complete_partial_labeling(g, star, pool, {anchor: pool[-1]})
     labels, w = _lift(g, comp.items())
     spare_evens = sorted(set(evens) - set(comp.values()))
-    reserved = spare_evens + odds
-    assert len(reserved) == len(neighbors)
-    w_vn1 = w[vn1]
-    assign = _block_relabel(neighbors, w, spare_evens, odds, w_vn1)
-    if assign is None or not _distinct_totals(w, assign, [w_vn1, sum(reserved)]):
-        return None
-    return labels, assign
+    assert len(spare_evens) + len(odds) == len(neighbors)
+    return labels, _block_relabel(neighbors, w, spare_evens, odds, w[vn1])
 
 
 def _block_relabel(neighbors, w, spare_evens, odds, w_vn1):
     """Even labels to the lightest neighbors, odds to the rest, with the
     equal-weight block shifted onto odds when some even total hits the
-    non-neighbor's weight."""
+    non-neighbor's weight.
+
+    With the neighbors sorted by (weight, id) and x spare evens, the first
+    neighbor ``order[hit]`` (hit < x) whose total would be ``w_vn1`` starts
+    a block ``order[hit:k]`` of equal weight; the block swaps places with
+    the next ``x - hit`` neighbors, which take the evens it would have had.
+    The shift always fits:
+
+    * the block's weight is positive: every spare even lies below
+      ``pool[-1]``, the anchor's label, and that is at most ``w_vn1``;
+    * the ``x - hit`` neighbors exist: the completion lets at most
+      ceil(n/2) vertices share a positive weight, and that is at most the
+      ceil(m/2) odds behind the evens, since m >= n-1.  The one exception,
+      n odd with m = n-1, has a lone star edge, so at most one neighbor has
+      a positive weight.
+    """
     order = sorted(neighbors, key=lambda u: (w[u], u))
     x = len(spare_evens)
-    assign = {}
-    for i, u in enumerate(order):
-        assign[u] = spare_evens[i] if i < x else odds[i - x]
-    hit = None
-    for i in range(x):
-        if w[order[i]] + spare_evens[i] == w_vn1:
-            hit = i
-            break
-    if hit is None:
-        return assign
-    if w[order[hit]] == 0:
-        return None
-    block_w = w[order[hit]]
-    k = hit
-    while k + 1 < len(order) and w[order[k + 1]] == block_w:
-        k += 1
-    if k + (x - hit) + 1 > len(order):
-        return None
-    assign = {}
-    for i in range(hit):
-        assign[order[i]] = spare_evens[i]
-    for j in range(x - hit):
-        assign[order[k + 1 + j]] = spare_evens[hit + j]
-    odd_iter = iter(odds)
-    for i in range(hit, k + 1):
-        assign[order[i]] = next(odd_iter)
-    for i in range(k + x - hit + 1, len(order)):
-        assign[order[i]] = next(odd_iter)
-    return assign
+    hit = next((i for i in range(x) if w[order[i]] + spare_evens[i] == w_vn1), None)
+    if hit is not None:
+        k = hit + 1
+        while k < len(order) and w[order[k]] == w[order[hit]]:
+            k += 1
+        order[hit:k + x - hit] = order[k:k + x - hit] + order[hit:k]
+    return dict(zip(order, spare_evens + odds))
