@@ -86,40 +86,58 @@ def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[in
     prunes as soon as two saturated vertices collide.  Returns the number
     of antimagic labelings reached (at most 1 with ``first_only``), the
     labels of the one it stopped at, and the nodes visited.
+
+    The search is a loop over positions, not a recursion, so its depth is
+    not bounded by the interpreter's stack: ``labels[order[pos]]`` is the
+    label last placed at ``pos`` (0 before the first), and ``added[pos]``
+    the sums that placement saturated.
     """
     m = g.m
     degs = g.degrees()
     if degs.count(0) >= 2:
         # both sums stay 0, and the pruning only compares saturated vertices
         return 0, [], 0
+    edges = g.edges
     order = _edge_order(g)
     labels = [0] * m
     sums = [0] * g.n
     remaining = list(degs)
     used = [False] * (m + 1)
     saturated: set[int] = set()
+    added: list[list[int]] = [[] for _ in range(m)]
     nodes = leaves = 0
-
-    def rec(pos: int) -> bool:
-        nonlocal nodes, leaves
+    pos = 0
+    while pos >= 0:
         if pos == m:
             leaves += 1
-            return first_only
+            if first_only:
+                break
+            pos -= 1
+            continue
         e = order[pos]
-        u, v = g.edges[e]
-        for lab in range(m, 0, -1):
+        u, v = edges[e]
+        prev = labels[e]
+        if prev:
+            # back from pos+1: take the last placement here back
+            for s in added[pos]:
+                saturated.discard(s)
+            used[prev] = False
+            sums[u] -= prev
+            sums[v] -= prev
+            remaining[u] += 1
+            remaining[v] += 1
+        labels[e] = 0
+        for lab in range(prev - 1 if prev else m, 0, -1):
             if used[lab]:
                 continue
             nodes += 1
             if nodes > max_nodes:
                 raise SearchBudgetExceeded(nodes)
-            used[lab] = True
-            labels[e] = lab
             sums[u] += lab
             sums[v] += lab
             remaining[u] -= 1
             remaining[v] -= 1
-            added = []
+            new = []
             ok = True
             for x in (u, v):
                 if remaining[x] == 0:
@@ -127,20 +145,19 @@ def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[in
                         ok = False
                         break
                     saturated.add(sums[x])
-                    added.append(sums[x])
-            if ok and rec(pos + 1):
-                return True
-            for s in added:
+                    new.append(sums[x])
+            if ok:
+                used[lab] = True
+                labels[e] = lab
+                added[pos] = new
+                break
+            for s in new:
                 saturated.discard(s)
-            used[lab] = False
-            labels[e] = 0
             sums[u] -= lab
             sums[v] -= lab
             remaining[u] += 1
             remaining[v] += 1
-        return False
-
-    rec(0)
+        pos += 1 if labels[e] else -1
     return leaves, labels, nodes
 
 

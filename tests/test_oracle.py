@@ -114,6 +114,15 @@ class TestExhaustive:
     def test_empty_graph(self):
         assert exhaustive_search(Graph(1, [])).status == FOUND
         assert exhaustive_search(Graph(3, [])).status == PROVEN_NONE
+        assert count_antimagic_labelings(Graph(1, [])) == 1
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # one search level per edge: 1,200 edges outnumber the interpreter's
+        # default stack of 1,000 frames, and the search still finishes
+        g = Graph(1201, [(i, i + 1) for i in range(1200)])
+        res = exhaustive_search(g, SearchBudget(max_nodes=5000))
+        assert (res.status, res.nodes) == (FOUND, 1208)
+        assert verify_antimagic(g, res.labeling).ok
 
 
 class TestHeuristic:
