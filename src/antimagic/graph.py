@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
+from operator import index, itemgetter
 from random import Random
 from typing import Iterable, Optional
 
@@ -157,8 +157,9 @@ def _canonical_graph(n: int, edges, graph6: Optional[str] = None) -> Graph:
 class Labeling:
     """Total assignment of positive labels to edges, by canonical edge index.
 
-    The constructor checks only structure (one positive label per edge);
-    whether the labels form a bijection onto ``{1..m}`` is the verifier's
+    The constructor checks only structure (one positive integer label per
+    edge, taken as ``operator.index`` takes it, so a float is refused
+    rather than truncated); whether the labels form a bijection onto ``{1..m}`` is the verifier's
     business, so that broken labelings can be reported rather than raised.
 
     :func:`_trusted_labeling` skips those checks.  Only a labeler may use it,
@@ -171,7 +172,12 @@ class Labeling:
     __slots__ = ("labels",)
 
     def __init__(self, labels: Iterable[int]):
-        labs = tuple(map(int, labels))
+        labs = tuple(labels)
+        try:
+            labs = tuple(map(index, labs))
+        except TypeError:
+            bad = next(x for x in labs if not hasattr(type(x), "__index__"))
+            raise GraphError(f"labels must be integers, got {bad!r}") from None
         if labs and min(labs) < 1:
             bad = next(x for x in labs if x < 1)
             raise GraphError(f"labels must be positive, got {bad}")

@@ -248,6 +248,14 @@ def test_trusted_labeling_equals_the_checked_one():
         Labeling([1, 0])
 
 
+def test_labeling_refuses_non_integer_labels():
+    # a float label is reported, not truncated onto an integer
+    with pytest.raises(GraphError, match=r"^labels must be integers, got 1\.9$"):
+        Labeling([2, 1.9, 1.2])
+    with pytest.raises(GraphError, match="^labels must be integers, got '1'$"):
+        Labeling(iter([1, "1"]))
+
+
 def test_first_collision_smallest_lexicographic():
     assert first_collision([7, 3, 7, 3, 7]) == (0, 2)
     assert first_collision([1, 2, 3]) is None
