@@ -58,11 +58,13 @@ C = 3.0
 
 
 def check_knobs(d: Optional[int], max_resamples: int) -> None:
-    """Raise GraphError unless ``d`` (when given) and ``max_resamples`` are positive."""
-    if d is not None and d < 1:
-        raise GraphError("minimum-degree parameter must be positive")
-    if max_resamples < 1:
-        raise GraphError("max_resamples must be positive")
+    """Raise GraphError unless ``d`` (when given) and ``max_resamples`` are positive integers."""
+    for name, value in (("minimum-degree parameter", 1 if d is None else d),
+                        ("max_resamples", max_resamples)):
+        if not hasattr(type(value), "__index__"):
+            raise GraphError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise GraphError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -397,6 +397,14 @@ class TestDriver:
         with pytest.raises(GraphError, match=f"^{message}$"):
             DenseConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"d": 2.5}, r"minimum-degree parameter must be an integer, got 2\.5"),
+        ({"max_resamples": 1.5}, r"max_resamples must be an integer, got 1\.5"),
+    ], ids=["d=2.5", "max_resamples=1.5"])
+    def test_config_non_integers_rejected(self, kwargs, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            DenseConfig(**kwargs)
+
     def test_one_labeling_per_certificate(self, monkeypatch):
         # several resamples, but only the certified labeling becomes a Labeling
         made = []

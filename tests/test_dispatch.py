@@ -132,7 +132,8 @@ def test_unknown_method_raises():
         dispatch_label(cycle_graph(5), method="greedy")
 
 
-@pytest.mark.parametrize("kwargs", [{"d": 0}, {"max_resamples": 0}], ids=["d=0", "max_resamples=0"])
+@pytest.mark.parametrize("kwargs", [{"d": 0}, {"max_resamples": 0}, {"d": 2.5}, {"max_resamples": 1.5}],
+                         ids=["d=0", "max_resamples=0", "d=2.5", "max_resamples=1.5"])
 @pytest.mark.parametrize("method", METHODS)
 def test_bad_dense_parameters_raise_on_every_route(method, kwargs):
     with pytest.raises(GraphError):
