@@ -230,9 +230,9 @@ def _status_line(report: VerifyReport) -> str:
     return f"COLLISION {u} {v}"
 
 
-def emit_certificate(g: Graph, labeling: Labeling, report: Optional[VerifyReport] = None) -> str:
+def emit_certificate(g: Graph, labeling: Labeling) -> str:
     """Edge labels, vertex sums, then OK or the failure reason."""
-    report = report or verify_antimagic(g, labeling)
+    report = verify_antimagic(g, labeling)
     lines = [f"{u} {v} {labeling[e]}" for e, (u, v) in enumerate(g.edges)]
     sums = vertex_sums(g, labeling)
     lines.extend(f"{v} {sums[v]}" for v in range(g.n))

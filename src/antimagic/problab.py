@@ -208,9 +208,9 @@ def max_point_probability(table: DistributionTable) -> Fraction:
     return Fraction(max(table.counts.values()), table.outcomes)
 
 
-def mod_p_distribution(sample: PairSample, table: Optional[DistributionTable] = None) -> np.ndarray:
+def mod_p_distribution(sample: PairSample) -> np.ndarray:
     """Pr[Q = s mod p] for every residue s, from the exact table."""
-    table = table or sum_distribution(sample)
+    table = sum_distribution(sample)
     p = sample.p
     out = np.zeros(p)
     for s, c in table.counts.items():
