@@ -90,7 +90,8 @@ def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[in
     The search is a loop over positions, not a recursion, so its depth is
     not bounded by the interpreter's stack: ``labels[order[pos]]`` is the
     label last placed at ``pos`` (0 before the first), and ``added[pos]``
-    the sums that placement saturated.
+    the sums that placement saturated.  A placement that collides stays
+    until the next pass over ``pos`` takes it back and tries the next label.
     """
     m = g.m
     degs = g.degrees()
@@ -116,48 +117,39 @@ def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[in
             continue
         e = order[pos]
         u, v = edges[e]
-        prev = labels[e]
-        if prev:
-            # back from pos+1: take the last placement here back
+        lab = labels[e]
+        if lab:
             for s in added[pos]:
                 saturated.discard(s)
-            used[prev] = False
-            sums[u] -= prev
-            sums[v] -= prev
-            remaining[u] += 1
-            remaining[v] += 1
-        labels[e] = 0
-        for lab in range(prev - 1 if prev else m, 0, -1):
-            if used[lab]:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise SearchBudgetExceeded(nodes)
-            sums[u] += lab
-            sums[v] += lab
-            remaining[u] -= 1
-            remaining[v] -= 1
-            new = []
-            ok = True
-            for x in (u, v):
-                if remaining[x] == 0:
-                    if sums[x] in saturated:
-                        ok = False
-                        break
-                    saturated.add(sums[x])
-                    new.append(sums[x])
-            if ok:
-                used[lab] = True
-                labels[e] = lab
-                added[pos] = new
-                break
-            for s in new:
-                saturated.discard(s)
+            used[lab] = False
             sums[u] -= lab
             sums[v] -= lab
             remaining[u] += 1
             remaining[v] += 1
-        pos += 1 if labels[e] else -1
+        lab = (lab or m + 1) - 1
+        while used[lab]:
+            lab -= 1
+        labels[e] = lab
+        if not lab:
+            pos -= 1
+            continue
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchBudgetExceeded(nodes)
+        used[lab] = True
+        sums[u] += lab
+        sums[v] += lab
+        remaining[u] -= 1
+        remaining[v] -= 1
+        added[pos] = new = []
+        for x in (u, v):
+            if remaining[x] == 0:
+                if sums[x] in saturated:
+                    break
+                saturated.add(sums[x])
+                new.append(sums[x])
+        else:
+            pos += 1
     return leaves, labels, nodes
 
 
