@@ -158,9 +158,10 @@ class Labeling:
     """Total assignment of positive labels to edges, by canonical edge index.
 
     The constructor checks only structure (one positive integer label per
-    edge, taken as ``operator.index`` takes it, so a float is refused
-    rather than truncated); whether the labels form a bijection onto ``{1..m}`` is the verifier's
-    business, so that broken labelings can be reported rather than raised.
+    edge, read with ``operator.index``, so a float is refused rather than
+    truncated); whether the labels form a bijection onto ``{1..m}`` is the
+    verifier's business, so that broken labelings can be reported rather
+    than raised.
 
     :func:`_trusted_labeling` skips those checks.  Only a labeler may use it,
     on a list of ints it built from ``1..m`` itself, and only when the same

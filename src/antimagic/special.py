@@ -408,8 +408,9 @@ def _block_relabel(neighbors, w, spare_evens, odds, w_vn1):
     the next ``x - hit`` neighbors, which take the evens it would have had.
     The shift always fits:
 
-    * the block's weight is positive: every spare even lies below
-      ``pool[-1]``, the anchor's label, and that is at most ``w_vn1``;
+    * the block's weight is positive, so a weight-0 neighbor never hits:
+      every spare even lies below the anchor's label (``pool[-1]`` in
+      :func:`_lemma44_completion`), which is part of ``w_vn1``;
     * the ``x - hit`` neighbors exist: the completion lets at most
       ceil(n/2) vertices share a positive weight, and that is at most the
       ceil(m/2) odds behind the evens, since m >= n-1.  The one exception,

@@ -117,8 +117,8 @@ class TestExhaustive:
         assert count_antimagic_labelings(Graph(1, [])) == 1
 
     def test_depth_beyond_the_recursion_limit(self):
-        # one search level per edge: 1,200 edges outnumber the interpreter's
-        # default stack of 1,000 frames, and the search still finishes
+        # one search level per edge: 1,200 edges exceed the interpreter's
+        # default recursion limit of 1,000 frames, and the search still finishes
         g = Graph(1201, [(i, i + 1) for i in range(1200)])
         res = exhaustive_search(g, SearchBudget(max_nodes=5000))
         assert (res.status, res.nodes) == (FOUND, 1208)
