@@ -42,7 +42,7 @@ from operator import contains, itemgetter
 from typing import Optional
 
 from .graph import (CollisionState, Graph, GraphError, Labeling, _coins, _shuffle, _trusted_labeling,
-                    verify_antimagic)
+                    check_knobs, verify_antimagic)
 # vertex_sums is not called here; the name stays because bench/tracing.py
 # wraps it in this module.
 from .graph import vertex_sums  # noqa: F401
@@ -52,36 +52,16 @@ class PairingError(RuntimeError):
     """Phase 2 could not pair the remaining edges without shared endpoints."""
 
 
-# ``DenseConfig.d`` defaults to ceil(C * ln n); the source analysis never
-# pins the constant C.
+# The minimum-degree parameter d defaults to ceil(C * ln n); the source
+# analysis never pins the constant C.
 C = 3.0
 
 
-def check_knobs(d: Optional[int], max_resamples: int) -> None:
-    """Raise GraphError unless ``d`` (when given) and ``max_resamples`` are positive integers."""
-    for name, value in (("minimum-degree parameter", 1 if d is None else d),
-                        ("max_resamples", max_resamples)):
-        if not hasattr(type(value), "__index__"):
-            raise GraphError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise GraphError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class DenseConfig:
-    """Tuning knobs for the dense pipeline; ``d`` defaults to ceil(C ln n)."""
-
-    d: Optional[int] = None
-    max_resamples: int = 1000
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        check_knobs(self.d, self.max_resamples)
-
-    def effective_d(self, n: int) -> int:
-        if self.d is not None:
-            return self.d
-        return max(1, math.ceil(C * math.log(max(n, 2))))
+def effective_d(n: int, d: Optional[int] = None) -> int:
+    """``d`` when given, else the default ceil(C ln n) for ``n`` vertices."""
+    if d is not None:
+        return d
+    return max(1, math.ceil(C * math.log(max(n, 2))))
 
 
 @dataclass(frozen=True)
@@ -127,7 +107,7 @@ class DenseResult:
         return self.labeling is not None
 
 
-def phase1_reduce(g: Graph, cfg: DenseConfig) -> DenseState:
+def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
     """Strip edges between two vertices of degree above d, top labels first.
 
     Degrees only fall, so a single canonical pass is exhaustive: an edge
@@ -136,9 +116,10 @@ def phase1_reduce(g: Graph, cfg: DenseConfig) -> DenseState:
     independent and t <= d*n, while no degree dropped below d keeps
     t >= d*n/2.  An odd t is evened out by one extra removal on an edge at
     a vertex of maximum degree (this alone may push one or two endpoints
-    to d-1).
+    to d-1).  ``d`` defaults to :func:`effective_d`'s ceil(C ln n).
     """
-    d = cfg.effective_d(g.n)
+    check_knobs(d=d)
+    d = effective_d(g.n, d)
     deg = list(g.degrees())
     if min(deg, default=0) < d:
         raise GraphError(f"minimum degree {min(deg, default=0)} is below d={d}")
@@ -365,7 +346,8 @@ def phase5_assign(st: DenseState, rng: random.Random) -> Labeling:
     return Labeling(assemble_labeling(st, _coins(len(st.pair_list), rng)))
 
 
-def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
+def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
+                max_resamples: int = 1000) -> DenseResult:
     """Resample coins on one label pairing until the verifier accepts.
 
     Phases 1-3 and the first coins run once, and the labels are assembled
@@ -376,15 +358,18 @@ def label_dense(g: Graph, cfg: DenseConfig | None = None) -> DenseResult:
     ``max_resamples`` resamples are spent or no coin meets a colliding
     vertex.  Only a labeling with no collision becomes a
     :class:`Labeling`, for the verifier.
+
+    ``d`` is phase 1's minimum-degree parameter (None: ceil(C ln n)), and
+    ``seed`` seeds the run's one ``random.Random``.
     """
-    cfg = cfg or DenseConfig()
-    rng = random.Random(cfg.rng_seed)
-    st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, cfg)), rng)
+    check_knobs(d=d, max_resamples=max_resamples)
+    rng = random.Random(seed)
+    st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d)), rng)
     coins = _coins(len(st.pair_list), rng)
     state = CollisionState(g, assemble_labeling(st, coins))
     best_count = state.collisions
     resamples = 0
-    while state.collisions and resamples < cfg.max_resamples:
+    while state.collisions and resamples < max_resamples:
         flip = sorted({st.pair_index[e] for v in state.colliding for e in st.h_sets[v]})
         if not flip:
             # Every colliding vertex has an empty h_sets.  A high vertex

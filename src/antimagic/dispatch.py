@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Optional
 
-from .dense import DenseConfig, PairingError, check_knobs, label_dense
+from .dense import PairingError, effective_d, label_dense
 # verify_antimagic is not called here, since each labeler verifies its own
 # labeling; the name stays because bench/tracing.py wraps it in this module.
-from .graph import Graph, GraphError, Labeling, verify_antimagic  # noqa: F401
+from .graph import Graph, GraphError, Labeling, check_knobs, verify_antimagic  # noqa: F401
 from .io import GRAPH6_MAX_N, emit_graph6
-from .oracle import FOUND, PROVEN_NONE, SearchBudget, heuristic_search
+from .oracle import FOUND, PROVEN_NONE, heuristic_search
 from .partite import label_multipartite_on
 from .special import label_max_degree_n_minus_2, label_universal_vertex
 
@@ -95,11 +95,13 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
 
     ``method`` is one of ``METHODS``; ``"auto"`` picks the most specific
     route whose hypothesis ``g`` satisfies.  ``d`` is the dense route's
-    minimum-degree parameter (``None``: ceil(C ln n)), which ``"auto"`` also
-    compares with the minimum degree.  ``seed`` seeds the dense pipeline and
-    the heuristic search.  ``max_resamples`` is the dense route's budget of
-    coin resamples.  Bad values of ``method``, ``d`` or ``max_resamples``
-    raise :class:`GraphError` on every route.
+    minimum-degree parameter (``None``: :func:`.dense.effective_d`'s
+    ceil(C ln n)), which ``"auto"`` also compares with the minimum degree.
+    ``seed`` seeds the dense pipeline and the heuristic search.
+    ``max_resamples`` is the dense route's budget of coin resamples.  The
+    three pass to :func:`label_dense` and :func:`heuristic_search` as they
+    are.  Bad values of ``method``, ``d`` or ``max_resamples`` raise
+    :class:`GraphError` on every route.
 
     When the Δ = n-2 scheme has no verified candidate, the heuristic search
     labels the graph and the report says ``oracle``, with a note that says
@@ -110,9 +112,9 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     start = time.perf_counter()
     if method not in METHODS:
         raise GraphError(f"unknown method {method!r}")
-    # bad values of d or max_resamples raise here, whatever the route; a
-    # config is built only where the dense route may run
-    check_knobs(d, max_resamples)
+    # bad values of d or max_resamples raise here, whatever the route, though
+    # only the dense route reads them
+    check_knobs(d=d, max_resamples=max_resamples)
     graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
     def report(outcome, chosen, labeling=None, resamples=0, note=""):
@@ -139,7 +141,7 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
         elif max_deg == g.n - 2 and g.n >= 4:
             chosen = "delta-n2"
         else:
-            chosen = "dense" if g.min_degree() >= DenseConfig(d=d).effective_d(g.n) else "oracle"
+            chosen = "dense" if g.min_degree() >= effective_d(g.n, d) else "oracle"
 
     note = ""
     try:
@@ -157,12 +159,12 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
                 return report(ANTIMAGIC, chosen, lab)
             note = "the n-2 scheme had no verified candidate"
         if chosen == "dense":
-            res = label_dense(g, DenseConfig(d=d, rng_seed=seed, max_resamples=max_resamples))
+            res = label_dense(g, d=d, seed=seed, max_resamples=max_resamples)
             if res.ok:
                 return report(ANTIMAGIC, chosen, res.labeling, res.resamples)
             return report(FAILED, chosen, None, res.resamples,
                           f"no certificate; fewest colliding pairs {res.best_collision_count}")
-        res = heuristic_search(g, SearchBudget(seed=seed))
+        res = heuristic_search(g, seed=seed)
         if res.status == FOUND:
             return report(ANTIMAGIC, "oracle", res.labeling, note=note)
         if res.status == PROVEN_NONE:

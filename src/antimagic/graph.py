@@ -26,6 +26,27 @@ class GraphError(ValueError):
     """Structural problem with a graph, labeling, or operation precondition."""
 
 
+def check_knobs(**knobs) -> None:
+    """Raise GraphError unless every keyword value is a positive integer.
+
+    A value is read through ``__index__``, so a float is refused rather than
+    truncated.  ``d`` may be None, the dense pipeline's default; its message
+    calls it the minimum-degree parameter, and every other knob goes by its
+    own name.
+    """
+    for name, value in knobs.items():
+        if name == "d":
+            if value is None:
+                continue
+            name = "minimum-degree parameter"
+        try:
+            value = index(value)
+        except TypeError:
+            raise GraphError(f"{name} must be an integer, got {value!r}") from None
+        if value < 1:
+            raise GraphError(f"{name} must be positive")
+
+
 class Graph:
     """Simple undirected graph on vertices ``0..n-1`` with canonical edges.
 
@@ -183,10 +204,6 @@ class Labeling:
             bad = next(x for x in labs if x < 1)
             raise GraphError(f"labels must be positive, got {bad}")
         self.labels = labs
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
 
     def __getitem__(self, e: int) -> int:
         return self.labels[e]

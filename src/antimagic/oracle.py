@@ -21,32 +21,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import (CollisionState, Graph, GraphError, Labeling, _below, _shuffle, _trusted_labeling,
+from .graph import (CollisionState, Graph, Labeling, _below, _shuffle, _trusted_labeling, check_knobs,
                     verify_antimagic)
 
 FOUND = "found"
 PROVEN_NONE = "proven_none"
 BUDGET_EXCEEDED = "budget_exceeded"
 NOT_FOUND = "not_found"
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits for both searches; each reads only its own fields.
-
-    ``max_nodes`` caps the exhaustive search tree.  The heuristic search
-    makes ``restarts`` runs from labelings drawn with ``seed``, each of at
-    most ``max_iters * m`` proposed swaps.
-    """
-
-    max_nodes: int = 2_000_000
-    max_iters: int = 300
-    restarts: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.max_nodes, self.max_iters, self.restarts) < 1:
-            raise GraphError("budgets must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,15 +134,15 @@ def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[in
     return leaves, labels, nodes
 
 
-def exhaustive_search(g: Graph, budget: SearchBudget | None = None) -> SearchResult:
+def exhaustive_search(g: Graph, max_nodes: int = 2_000_000) -> SearchResult:
     """First antimagic labeling in backtracking order, or a proof of none.
 
     ``proven_none`` is only reported when the whole space was exhausted
-    within ``budget.max_nodes``.
+    within ``max_nodes`` search nodes.
     """
-    budget = budget or SearchBudget()
+    check_knobs(max_nodes=max_nodes)
     try:
-        leaves, labels, nodes = _backtrack(g, budget.max_nodes, first_only=True)
+        leaves, labels, nodes = _backtrack(g, max_nodes, first_only=True)
     except SearchBudgetExceeded as exc:
         return SearchResult(BUDGET_EXCEEDED, None, nodes=exc.nodes)
     if not leaves:
@@ -177,12 +158,15 @@ def count_antimagic_labelings(g: Graph, max_nodes: int = 50_000_000) -> int:
 
     Raises :class:`SearchBudgetExceeded` past ``max_nodes`` search nodes.
     """
+    check_knobs(max_nodes=max_nodes)
     return _backtrack(g, max_nodes, first_only=False)[0]
 
 
-def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResult:
+def heuristic_search(g: Graph, seed: int = 0, max_iters: int = 300,
+                     restarts: int = 50) -> SearchResult:
     """Random-restart collision-local search over label swaps.
 
+    The search makes ``restarts`` runs from labelings drawn with ``seed``.
     Each proposal swaps the labels of a random edge at a random colliding
     vertex and of a random other edge, and is kept unless the number of
     colliding vertex pairs rises.  A run ends at zero collisions or after
@@ -200,17 +184,17 @@ def heuristic_search(g: Graph, budget: SearchBudget | None = None) -> SearchResu
     :mod:`.graph`.  A rejected swap is undone by swapping back, which keeps
     the order of ``colliding`` that the next draw reads.
     """
-    budget = budget or SearchBudget()
+    check_knobs(max_iters=max_iters, restarts=restarts)
     degs = g.degrees()
     if degs.count(0) >= 2 or 1 in degs and any(degs[u] == degs[v] == 1 for u, v in g.edges):
         return SearchResult(PROVEN_NONE, None)
     m = g.m
-    rng = random.Random(budget.seed)
+    rng = random.Random(seed)
     getrandbits = rng.getrandbits
     incident = g._incident
-    proposals = budget.max_iters * m
+    proposals = max_iters * m
     iterations = 0
-    for _ in range(budget.restarts):
+    for _ in range(restarts):
         labels = list(range(1, m + 1))
         _shuffle(labels, rng)
         state = CollisionState(g, labels)

@@ -182,9 +182,6 @@ class DistributionTable:
     def outcomes(self) -> int:
         return 1 << self.d
 
-    def support(self) -> list[int]:
-        return sorted(self.counts)
-
     def probability(self, s: int) -> Fraction:
         return Fraction(self.counts.get(s, 0), self.outcomes)
 

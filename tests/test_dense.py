@@ -7,7 +7,6 @@ import pytest
 
 from antimagic import dense, graph, oracle
 from antimagic.dense import (
-    DenseConfig,
     PairingError,
     assemble_labeling,
     label_dense,
@@ -65,13 +64,13 @@ def random_min_degree(n, d, seed):
 class TestPhase1:
     def test_regular_graph_removes_nothing(self):
         g = cycle(6)
-        st = phase1_reduce(g, DenseConfig(d=2))
+        st = phase1_reduce(g, d=2)
         assert st.removed == () and st.t == 6
         assert st.high == frozenset()
 
     def test_k4_trace(self):
         g = complete(4)
-        st = phase1_reduce(g, DenseConfig(d=2))
+        st = phase1_reduce(g, d=2)
         assert st.removed[0][1] == 6  # first removal carries the top label
         assert st.t % 2 == 0
         # no surviving edge joins two high-degree vertices
@@ -86,12 +85,20 @@ class TestPhase1:
 
     def test_min_degree_enforced(self):
         with pytest.raises(GraphError):
-            phase1_reduce(cycle(5), DenseConfig(d=3))
+            phase1_reduce(cycle(5), d=3)
+
+    @pytest.mark.parametrize("d, message", [
+        (0, "minimum-degree parameter must be positive"),
+        (2.5, r"minimum-degree parameter must be an integer, got 2\.5"),
+    ], ids=["d=0", "d=2.5"])
+    def test_bad_d_rejected(self, d, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            phase1_reduce(cycle(6), d=d)
 
     def test_t_range_invariant(self):
         for seed in range(5):
             g = random_min_degree(24, 5, seed)
-            st = phase1_reduce(g, DenseConfig(d=5))
+            st = phase1_reduce(g, d=5)
             lo = 5 * 24 // 2 - (1 if st.parity_adjusted else 0)
             assert lo <= st.t <= 5 * 24
             assert st.t % 2 == 0
@@ -107,7 +114,7 @@ class TestPhase1:
         adjusted = 0
         for seed in range(20):
             g = random_min_degree(n, d, seed)
-            st = phase1_reduce(g, DenseConfig(d=d))
+            st = phase1_reduce(g, d=d)
             if not st.parity_adjusted:
                 continue
             adjusted += 1
@@ -124,7 +131,7 @@ class TestPhase1:
 
 class TestPhase2:
     def test_c6_three_disjoint_pairs(self):
-        st = phase2_pair_edges(phase1_reduce(cycle(6), DenseConfig(d=2)))
+        st = phase2_pair_edges(phase1_reduce(cycle(6), d=2))
         assert len(st.pair_list) == 3
         g = cycle(6)
         for a, b in st.pair_list:
@@ -137,7 +144,7 @@ class TestPhase2:
         d = 2
         g = Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
                       (1, 2), (3, 4), (5, 6), (6, 7), (5, 7), (1, 6), (2, 7), (3, 6), (4, 7)])
-        st = phase1_reduce(g, DenseConfig(d=d))
+        st = phase1_reduce(g, d=d)
         st2 = phase2_pair_edges(st)
         for v in st.high:
             dv = reduced_graph(st).degree(v)
@@ -149,14 +156,14 @@ class TestPhase2:
 
     def test_two_adjacent_edges_cannot_pair(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        st = phase1_reduce(g, DenseConfig(d=1))
+        st = phase1_reduce(g, d=1)
         assert st.t == 2
         with pytest.raises(PairingError):
             phase2_pair_edges(st)
 
     def test_pair_accounting(self):
         g = random_min_degree(20, 4, 3)
-        st = phase2_pair_edges(phase1_reduce(g, DenseConfig(d=4)))
+        st = phase2_pair_edges(phase1_reduce(g, d=4))
         spill_total = sum(len(v) for v in st.spill.values())
         assert spill_total + 2 * sum(
             1 for a, b in st.pair_list
@@ -232,7 +239,7 @@ class TestPhase2Reference:
     def test_matches_quadratic_greedy(self, n, d):
         repaired = 0
         for seed in range(30):
-            st = phase1_reduce(random_min_degree(n, d, seed), DenseConfig(d=d))
+            st = phase1_reduce(random_min_degree(n, d, seed), d=d)
             pair_list, spill, rep = reference_phase2(st)
             got = phase2_pair_edges(st)
             assert got.pair_list == pair_list
@@ -241,7 +248,7 @@ class TestPhase2Reference:
         assert repaired > 0  # every size reaches the leftover-repair branch
 
     def test_both_raise_when_pairing_is_impossible(self):
-        st = phase1_reduce(Graph(3, [(0, 1), (1, 2)]), DenseConfig(d=1))
+        st = phase1_reduce(Graph(3, [(0, 1), (1, 2)]), d=1)
         with pytest.raises(PairingError):
             reference_phase2(st)
         with pytest.raises(PairingError):
@@ -298,22 +305,26 @@ class TestDraws:
 
 
 class TestPhase3:
+    def test_needs_phase2(self):
+        with pytest.raises(GraphError, match="^phase 2 has not run$"):
+            phase3_pair_labels(phase1_reduce(cycle(6), d=2), random.Random(0))
+
     def test_t2_single_pair(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        st = phase1_reduce(g, DenseConfig(d=1))
+        st = phase1_reduce(g, d=1)
         st = phase3_pair_labels(phase2_pair_edges(st), random.Random(0))
         assert st.label_pairs == ((1, 2),)
 
     def test_deterministic_per_seed(self):
         g = cycle(8)
-        st = phase2_pair_edges(phase1_reduce(g, DenseConfig(d=2)))
+        st = phase2_pair_edges(phase1_reduce(g, d=2))
         a = phase3_pair_labels(st, random.Random(42)).label_pairs
         b = phase3_pair_labels(st, random.Random(42)).label_pairs
         assert a == b
 
     def test_t4_pairings_uniform(self):
         g = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-        st = phase2_pair_edges(phase1_reduce(g, DenseConfig(d=1)))
+        st = phase2_pair_edges(phase1_reduce(g, d=1))
         assert st.t == 4
         rng = random.Random(123)
         freq = Counter()
@@ -329,7 +340,7 @@ class TestPhase3:
         # each spill set's label total must not depend on any coin outcome
         g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4), (5, 6),
                       (1, 5), (2, 6), (3, 5), (4, 6), (5, 0)])
-        st = phase1_reduce(g, DenseConfig(d=2))
+        st = phase1_reduce(g, d=2)
         st = phase3_pair_labels(phase2_pair_edges(st), random.Random(5))
         if not any(st.spill.values()):
             pytest.skip("instance has no spill-over edges")
@@ -340,9 +351,13 @@ class TestPhase3:
 
 
 class TestPhase5:
+    def test_needs_phase3(self):
+        with pytest.raises(GraphError, match="^phase 3 has not run$"):
+            phase5_assign(phase2_pair_edges(phase1_reduce(cycle(6), d=2)), random.Random(0))
+
     def test_all_heads_canonical_orientation(self):
         g = cycle(6)
-        st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, DenseConfig(d=2))),
+        st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d=2)),
                                 random.Random(9))
         lab = phase5_assign(st, _AllHeads())
         for idx, (e1, e2) in enumerate(st.pair_list):
@@ -351,7 +366,7 @@ class TestPhase5:
 
     def test_two_outcomes_for_single_pair(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, DenseConfig(d=1))),
+        st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d=1)),
                                 random.Random(0))
         rng = random.Random(31)
         seen = Counter()
@@ -364,7 +379,7 @@ class TestPhase5:
 
     def test_pipeline_yields_bijection(self):
         g = cycle(6)
-        st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, DenseConfig(d=2))),
+        st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d=2)),
                                 random.Random(3))
         lab = phase5_assign(st, random.Random(4))
         assert sorted(lab.labels) == list(range(1, 7))
@@ -373,7 +388,7 @@ class TestPhase5:
 class TestDriver:
     def test_success_on_easy_graph(self):
         g = random_min_degree(32, 11, 0)
-        res = label_dense(g, DenseConfig(d=11, rng_seed=0))
+        res = label_dense(g, d=11, seed=0)
         assert res.ok
         assert verify_antimagic(g, res.labeling).ok
 
@@ -381,13 +396,12 @@ class TestDriver:
         # phase 1 strips K2's one edge for parity, so no coin meets a vertex
         # and the run stops before any resample, whatever the budget
         g = Graph(2, [(0, 1)])
-        res = label_dense(g, DenseConfig(d=1))
+        res = label_dense(g, d=1)
         assert not res.ok
         assert (res.resamples, res.best_collision_count) == (0, 1)
 
     def test_default_d_from_size(self):
-        cfg = DenseConfig()
-        assert cfg.effective_d(128) == 15  # ceil(3 ln 128)
+        assert dense.effective_d(128) == 15  # ceil(3 ln 128)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"d": 0}, "minimum-degree parameter must be positive"),
@@ -395,7 +409,7 @@ class TestDriver:
     ], ids=["d=0", "max_resamples=0"])
     def test_config_values_below_one_rejected(self, kwargs, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
-            DenseConfig(**kwargs)
+            label_dense(cycle(6), **kwargs)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"d": 2.5}, r"minimum-degree parameter must be an integer, got 2\.5"),
@@ -403,7 +417,7 @@ class TestDriver:
     ], ids=["d=2.5", "max_resamples=1.5"])
     def test_config_non_integers_rejected(self, kwargs, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
-            DenseConfig(**kwargs)
+            label_dense(cycle(6), **kwargs)
 
     def test_one_labeling_per_certificate(self, monkeypatch):
         # several resamples, but only the certified labeling becomes a Labeling
@@ -415,14 +429,14 @@ class TestDriver:
 
         monkeypatch.setattr(dense, "_trusted_labeling", counting)
         g = random_min_degree(20, 4, 0)
-        res = label_dense(g, DenseConfig(d=4, rng_seed=0))
+        res = label_dense(g, d=4, seed=0)
         assert res.resamples == 4
         assert len(made) == 1 and list(res.labeling.labels) == made[0]
 
     def test_deterministic_given_seed(self):
         g = random_min_degree(24, 7, 5)
-        a = label_dense(g, DenseConfig(d=7, rng_seed=11))
-        b = label_dense(g, DenseConfig(d=7, rng_seed=11))
+        a = label_dense(g, d=7, seed=11)
+        b = label_dense(g, d=7, seed=11)
         assert a.labeling == b.labeling and a.resamples == b.resamples
 
     # Certificates and resamples frozen from the implementation that rebuilt
@@ -435,7 +449,7 @@ class TestDriver:
     ])
     def test_resample_loop_frozen(self, resamples, labels):
         g = random_min_degree(20, 4, 0)
-        res = label_dense(g, DenseConfig(d=4, rng_seed=0))
+        res = label_dense(g, d=4, seed=0)
         assert res.resamples == resamples
         assert list(res.labeling.labels) == labels
 
@@ -449,7 +463,7 @@ class TestDriver:
     ])
     def test_certificates_frozen_at_scale(self, seed, resamples, digest):
         g = random_min_degree(300, 8, seed)
-        res = label_dense(g, DenseConfig(d=8, rng_seed=seed))
+        res = label_dense(g, d=8, seed=seed)
         assert res.resamples == resamples
         text = ",".join(map(str, res.labeling.labels))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -460,7 +474,7 @@ class TestDriver:
         k = 12
         g = Graph(1 << k, [(v, v | 1 << i) for v in range(1 << k) for i in range(k)
                            if not v >> i & 1])
-        res = label_dense(g, DenseConfig(d=k, rng_seed=0))
+        res = label_dense(g, d=k, seed=0)
         assert res.resamples == 256
         text = ",".join(map(str, res.labeling.labels))
         assert hashlib.sha256(text.encode()).hexdigest() == (

@@ -145,7 +145,7 @@ def test_construction_error_is_reported_failed(monkeypatch):
     # search; with the search finding nothing, the oracle route fails
     trap = Graph(5, [(0, 3), (1, 2), (1, 4), (2, 4), (3, 4)])
     monkeypatch.setattr(antimagic.dispatch, "heuristic_search",
-                        lambda g, budget: SearchResult(NOT_FOUND, None))
+                        lambda g, seed: SearchResult(NOT_FOUND, None))
     rep = dispatch_label(trap)
     assert (rep.method, rep.outcome, rep.certificate) == ("oracle", FAILED, None)
     assert rep.note == ("the n-2 scheme had no verified candidate; "

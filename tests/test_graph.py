@@ -42,6 +42,14 @@ class TestGraph:
         with pytest.raises(GraphError):
             Graph(2, [(0, 2)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="^vertex count must be non-negative, got -1$"):
+            Graph(-1, [])
+
+    def test_edge_index_of_non_edge_raises(self):
+        with pytest.raises(GraphError, match=r"^no edge \(0, 2\)$"):
+            cycle4().edge_index(2, 0)
+
     def test_degrees_and_neighbors(self):
         g = cycle4()
         assert g.degrees() == (2, 2, 2, 2)

@@ -370,6 +370,18 @@ def test_certificate_with_edges_needs_vertex_lines():
         parse_certificate("0 1 1\nOK\n")
 
 
+def test_certificate_vertex_lines_cover_every_vertex():
+    with pytest.raises(ParseError, match=r"^vertex sums must cover 0\.\.n-1$"):
+        parse_certificate("0 2 1\n0 1\n2 1\n")
+
+
+def test_blank_certificate_lines_are_skipped():
+    g = cycle_graph(5)
+    cert = dispatch_label(g).certificate
+    text = emit_certificate(g, cert).replace("\n", "\n \n")
+    assert parse_certificate("\n" + text) == (g, cert)
+
+
 # K2 labelled 1 collides (both sums 1); K2 labelled 2 is not a bijection;
 # P3 labelled 1, 2 is antimagic (sums 1, 3, 2).
 @pytest.mark.parametrize("text, line, message", [
@@ -386,8 +398,11 @@ def test_certificate_with_edges_needs_vertex_lines():
     ("0 -1 1\n0 1\nOK\n", 1, r"edge \(-1, 0\) out of range for n=1"),
     ("0 1 0\n0 0\n1 0\nOK\n", 1, "labels must be positive, got 0"),
     ("0 1 2\n1 2 -3\n0 2\n1 -1\n2 -3\nOK\n", 2, "labels must be positive, got -3"),
+    ("0 1 1\n1 2 two\n0 1\n1 3\n2 2\nOK\n", 2, "edge line must be 'u v label'"),
+    ("0 1 1\n0 1 1 1\n0 1\n1 1\n", 2, "unrecognized certificate line"),
 ], ids=["non-integer sum", "wrong sum", "false OK", "false NOT-A-BIJECTION", "false COLLISION",
-        "duplicate edge", "self-loop", "end past n", "negative end", "label 0", "label -3"])
+        "duplicate edge", "self-loop", "end past n", "negative end", "label 0", "label -3",
+        "non-integer label", "four fields"])
 def test_contradictory_certificate_rejected(text, line, message):
     with pytest.raises(ParseError, match=f"^line {line}: {message}$") as info:
         parse_certificate(text)

@@ -13,7 +13,6 @@ from antimagic.oracle import (
     FOUND,
     NOT_FOUND,
     PROVEN_NONE,
-    SearchBudget,
     SearchBudgetExceeded,
     count_antimagic_labelings,
     exhaustive_search,
@@ -82,7 +81,7 @@ class TestExhaustive:
 
     def test_budget_exceeded_is_explicit(self):
         g = Graph(6, list(itertools.combinations(range(6), 2)))
-        res = exhaustive_search(g, SearchBudget(max_nodes=5))
+        res = exhaustive_search(g, max_nodes=5)
         assert res.status == BUDGET_EXCEEDED
 
     def test_count_budget_raises_public_error(self):
@@ -120,19 +119,19 @@ class TestExhaustive:
         # one search level per edge: 1,200 edges exceed the interpreter's
         # default recursion limit of 1,000 frames, and the search still finishes
         g = Graph(1201, [(i, i + 1) for i in range(1200)])
-        res = exhaustive_search(g, SearchBudget(max_nodes=5000))
+        res = exhaustive_search(g, max_nodes=5000)
         assert (res.status, res.nodes) == (FOUND, 1208)
         assert verify_antimagic(g, res.labeling).ok
 
 
 class TestHeuristic:
     def test_k2_not_found(self):
-        res = heuristic_search(Graph(2, [(0, 1)]), SearchBudget(restarts=3))
+        res = heuristic_search(Graph(2, [(0, 1)]), restarts=3)
         assert (res.status, res.labeling) == (PROVEN_NONE, None)
 
     def test_petersen(self):
         g = petersen()
-        res = heuristic_search(g, SearchBudget(seed=1))
+        res = heuristic_search(g, seed=1)
         assert res.status == FOUND
         assert verify_antimagic(g, res.labeling).ok
 
@@ -155,14 +154,14 @@ class TestHeuristic:
         random_regular(1000, 4, 2),
     ], ids=["C1000", "torus-25x30", "3-regular-n1000", "4-regular-n1000"])
     def test_found_on_large_sparse_graphs(self, g):
-        res = heuristic_search(g, SearchBudget(seed=3))
+        res = heuristic_search(g, seed=3)
         assert res.status == FOUND
         assert verify_antimagic(g, res.labeling).ok
 
     def test_same_seed_same_labeling(self):
         g = torus(6, 7)
-        a = heuristic_search(g, SearchBudget(seed=5))
-        b = heuristic_search(g, SearchBudget(seed=5))
+        a = heuristic_search(g, seed=5)
+        b = heuristic_search(g, seed=5)
         assert a.status == FOUND
         assert a.labeling == b.labeling and a.iterations == b.iterations
 
@@ -191,7 +190,7 @@ class TestHeuristic:
     def test_trajectory_frozen(self, g, kwargs, digest):
         h = hashlib.sha256()
         for seed in range(3):
-            res = heuristic_search(g, SearchBudget(seed=seed, **kwargs))
+            res = heuristic_search(g, seed=seed, **kwargs)
             labels = res.labeling.labels if res.labeling else ()
             h.update(f"{res.status} {','.join(map(str, labels))} {res.iterations}\n".encode())
         assert h.hexdigest() == digest
@@ -200,7 +199,7 @@ class TestHeuristic:
         # two disjoint paths on 3 vertices: the leaves carry the labels 1..4,
         # and each middle sum equals a leaf or the other middle
         g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        res = heuristic_search(g, SearchBudget(max_iters=3, restarts=2))
+        res = heuristic_search(g, max_iters=3, restarts=2)
         # two runs of max_iters * m = 12 proposals each
         assert (res.status, res.labeling, res.iterations) == (NOT_FOUND, None, 24)
         assert exhaustive_search(g).status == PROVEN_NONE
@@ -216,17 +215,34 @@ class TestHeuristic:
     def test_agrees_with_exhaustive_on_small_corpus(self):
         for g in connected_graphs_upto_iso(4):
             ex = exhaustive_search(g)
-            h = heuristic_search(g, SearchBudget(seed=7))
+            h = heuristic_search(g, seed=7)
             if ex.status == FOUND:
                 assert h.status == FOUND
             else:
                 assert ex.status == PROVEN_NONE and h.status == NOT_FOUND
 
 
+SEARCH_BY_KNOB = {"max_nodes": exhaustive_search, "max_iters": heuristic_search,
+                  "restarts": heuristic_search}
+
+
 @pytest.mark.parametrize("field", ["max_nodes", "max_iters", "restarts"])
 def test_budget_values_below_one_rejected(field):
-    with pytest.raises(GraphError, match="^budgets must be positive$"):
-        SearchBudget(**{field: 0})
+    with pytest.raises(GraphError, match=f"^{field} must be positive$"):
+        SEARCH_BY_KNOB[field](cycle(5), **{field: 0})
+
+
+@pytest.mark.parametrize("search, kwargs, message", [
+    (heuristic_search, {"max_iters": 1.5}, r"max_iters must be an integer, got 1\.5"),
+    (heuristic_search, {"restarts": 2.5}, r"restarts must be an integer, got 2\.5"),
+    (exhaustive_search, {"max_nodes": 2.5}, r"max_nodes must be an integer, got 2\.5"),
+    (count_antimagic_labelings, {"max_nodes": 0}, "max_nodes must be positive"),
+    (count_antimagic_labelings, {"max_nodes": 2.5}, r"max_nodes must be an integer, got 2\.5"),
+], ids=["heuristic-max_iters=1.5", "heuristic-restarts=2.5", "exhaustive-max_nodes=2.5",
+        "count-max_nodes=0", "count-max_nodes=2.5"])
+def test_bad_budget_raises_naming_the_knob(search, kwargs, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        search(cycle(5), **kwargs)
 
 
 def test_conjecture_holds_up_to_5_vertices():

@@ -168,8 +168,12 @@ class TestExperiments:
         assert summary.trials == 50
         assert 0 <= summary.passed <= 50
         assert len(summary.rows) == 50
+        assert summary.pass_fraction == summary.passed / summary.trials
+        assert summary.ok == (summary.pass_fraction >= 0.95)
 
     def test_point_mass_experiment_smoke(self):
         summary = run_point_mass_experiment(60, 8, 20, seed=2)
         assert summary.passed == 20  # generous threshold at this scale
+        assert summary.pass_fraction == summary.passed / summary.trials == 1.0
+        assert summary.ok
         assert summary.worst_statistic <= 10.0
