@@ -54,6 +54,19 @@ def random_delta_n2(rng):
     return Graph(n, sorted(rest) + [(u, hub) for u in range(n - 1) if u != skip])
 
 
+def seeded_delta_n2(rng, n, m):
+    """Random graph on n vertices with m edges whose last vertex is a hub of
+    degree n-2; the hub's non-neighbor gets an edge first, so it is never
+    isolated and the graph takes the scheme its edge count picks."""
+    hub, skip = n - 1, rng.randrange(n - 1)
+    u = (skip + 1 + rng.randrange(n - 2)) % (n - 1)
+    rest = {(min(skip, u), max(skip, u))}
+    while len(rest) < m - (n - 2):
+        a, b = sorted(rng.sample(range(n - 1), 2))
+        rest.add((a, b))
+    return Graph(n, sorted(rest) + [(v, hub) for v in range(n - 1) if v != skip])
+
+
 # sha256 of every certificate on the n-vertex Δ >= n-2 corpus, in corpus
 # order, frozen from the construction that labeled G - v_n as a separate
 # induced graph: labeling G on its own vertex ids must give the same labels.
@@ -70,6 +83,11 @@ CORPUS_DIGESTS = {
 # sha256 of the certificates of the 400 seeded graphs of
 # test_random_graphs_certified_by_construction, in draw order
 RANDOM_DIGEST = "040663fd861658a0e4a0d7ee61ba47a0cba0ed48dfc507f881e1def3856bd74c"
+
+# sha256 of the certificates of the eight seeded graphs of
+# test_large_graphs_certified_by_construction: at n = 300 and 1000, one per
+# scheme (m = 3n-4, 2n-5, 2n-6 or 2n-7, 3n/2), in that order
+LARGE_DIGEST = "8bac5bd05e791e64de037f84de885fcc41aaea218a039b5e1043c7183aed8fc4"
 
 # Graphs of the n-vertex Δ >= n-2 corpus with maximum degree n-2 on which the
 # n-2 scheme makes no candidate, so dispatch hands them to the search: every
@@ -362,3 +380,19 @@ class TestMaxDegreeNMinus2:
             assert verify_antimagic(g, lab).ok
             folded.update(repr(lab.labels).encode())
         assert folded.hexdigest() == RANDOM_DIGEST
+
+    def test_large_graphs_certified_by_construction(self):
+        # the sizes the large-graphs workload serves, which RANDOM_DIGEST
+        # (n <= 120) does not reach: every scheme's candidate verifies, and
+        # the digest pins the certificates
+        rng = random.Random(300)
+        folded = hashlib.sha256()
+        for n in (300, 1000):
+            for m in (3 * n - 4, 2 * n - 5, 2 * n - 6 if n == 300 else 2 * n - 7, 3 * n // 2):
+                g = seeded_delta_n2(rng, n, m)
+                assert g.max_degree() == n - 2 and g.m == m
+                lab = label_max_degree_n_minus_2(g)
+                assert lab is not None
+                assert verify_antimagic(g, lab).ok
+                folded.update(repr(lab.labels).encode())
+        assert folded.hexdigest() == LARGE_DIGEST
