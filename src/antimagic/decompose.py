@@ -32,12 +32,12 @@ def _subgraph(g: Graph, edge_ids) -> tuple[list[int], list[bool]]:
     that is True on every edge of ``g`` outside it."""
     edges = g.edges
     deg = [0] * g.n
-    skip = [True] * g.m
+    skip = [True] * len(edges)
     for e in edge_ids:
+        skip[e] = False
         u, v = edges[e]
         deg[u] += 1
         deg[v] += 1
-        skip[e] = False
     return deg, skip
 
 
@@ -60,8 +60,8 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
     order: list[int] = []
     seen = [False] * g.n
     for root in range(g.n):
-        if seen[root]:
-            continue
+        if seen[root] or not deg[root]:
+            continue  # a vertex off the subgraph is a tree of its own, with no parent edge
         seen[root] = True
         queue = [root]
         for u in queue:  # reads what the loop appends, so it runs the BFS
@@ -69,21 +69,21 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
                 if skip[e]:
                     continue
                 a, b = edges[e]
-                w = a if b == u else b
+                w = a + b - u
                 if not seen[w]:
                     seen[w] = True
                     parent_edge[w] = e
                     queue.append(w)
         order += queue
-    forest: set[int] = set()
+    forest: list[int] = []  # each vertex has one parent edge, so none repeats
     for v in reversed(order):
         e = parent_edge[v]
-        if e >= 0 and deg[v] % 2 == 1:
-            forest.add(e)
-            u, w = edges[e]
-            deg[u] -= 1
-            deg[w] -= 1
-    if any(d % 2 for d in deg):
+        if e >= 0 and deg[v] & 1:
+            forest.append(e)
+            a, b = edges[e]
+            deg[a] -= 1
+            deg[b] -= 1
+    if any(map((1).__and__, deg)):
         raise AssertionError("parity forest failed to even out all degrees")
     return sorted(forest)
 
@@ -103,9 +103,9 @@ def cycle_decomposition(g: Graph, edge_ids) -> CycleDecomposition:
     """
     # unused edges per vertex; the edges off the subgraph start out used
     left, used = _subgraph(g, edge_ids)
-    odd = [v for v in range(g.n) if left[v] % 2]
-    if odd:
-        raise GraphError(f"cycle decomposition needs an even graph; odd degree at {odd[0]}")
+    if any(map((1).__and__, left)):
+        odd = next(v for v, d in enumerate(left) if d & 1)
+        raise GraphError(f"cycle decomposition needs an even graph; odd degree at {odd}")
     edges = g.edges
     incident = g._incident
     ptr = [0] * g.n  # no unused edge precedes incident[v][ptr[v]]
@@ -122,13 +122,14 @@ def cycle_decomposition(g: Graph, edge_ids) -> CycleDecomposition:
         while left[v]:
             inc = incident[v]
             i = ptr[v]
-            while used[inc[i]]:
-                i += 1
-            ptr[v] = i + 1
             e = inc[i]
+            while used[e]:
+                i += 1
+                e = inc[i]
+            ptr[v] = i + 1
             used[e] = True
             a, b = edges[e]
-            w = a if b == v else b
+            w = a + b - v
             left[v] -= 1
             left[w] -= 1
             path_edges.append(e)
@@ -137,10 +138,10 @@ def cycle_decomposition(g: Graph, edge_ids) -> CycleDecomposition:
                 pos[w] = len(path)
                 path.append(w)
             else:
-                cyc = path[j:]
-                cycles.append(tuple(cyc))
+                tail = path[j + 1:]  # the cycle is w, then tail
+                cycles.append((w, *tail))
                 edge_seqs.append(tuple(path_edges[j:]))
-                for u in cyc[1:]:
+                for u in tail:
                     pos[u] = -1
                 del path[j + 1:]
                 del path_edges[j:]

@@ -205,14 +205,23 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
     n = g.n
     if n < 4:
         raise GraphError("construction requires n >= 4")
-    if g.max_degree() != n - 2:
-        raise GraphError(f"maximum degree must be exactly n-2={n - 2}, got {g.max_degree()}")
-    vn = g.degrees().index(n - 2)
-    hub_edge = dict(zip(g.neighbors(vn), g.incident_edges(vn)))
-    vn1 = next(u for u in range(n) if u != vn and u not in hub_edge)
-    if g.degree(vn1) == 0:
+    degs = g._degrees
+    if max(degs) != n - 2:
+        raise GraphError(f"maximum degree must be exactly n-2={n - 2}, got {max(degs)}")
+    vn = degs.index(n - 2)
+    edges = g.edges
+    m = len(edges)
+    # the hub's incidence ascends, so its neighbors do: neighbor -> hub edge
+    # id, and the edges away from the hub are every other edge id
+    hub_edge = {}
+    away = [True] * m
+    for e in g._incident[vn]:
+        a, b = edges[e]
+        hub_edge[a + b - vn] = e
+        away[e] = False
+    vn1 = n * (n - 1) // 2 - vn - sum(hub_edge)  # the one vertex left out
+    if not degs[vn1]:
         return label_universal_vertex(g)
-    m = g.m
     if m >= 2 * n - 4:
         scheme = _lemma43
     elif m == 2 * n - 5:
@@ -221,14 +230,9 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
         scheme = _lemma44_two_spare_evens
     else:
         scheme = _lemma44_completion
-    # the edges away from the hub: every edge id but the hub's own
-    away = [True] * m
-    for e in g.incident_edges(vn):
-        away[e] = False
     star = list(itertools.compress(range(m), away))
     evens = list(range(2, m + 1, 2))
     odds = list(range(1, m + 1, 2))
-    # the hub's neighbors: every vertex but vn and vn1, ascending
     candidate = scheme(g, vn1, star, evens, odds, list(hub_edge))
     if candidate is None:
         return None
@@ -269,81 +273,82 @@ def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     and then the small odds; the mixed cycle, if any, is only rotated so
     that neither parity junction lands on the non-neighbor.  The top n-2
     odds are reserved for the hub's edges.
+
+    The two junctions are the only odd weights.  The forest has at most
+    n-2 edges (G - v_n has the isolated v_n), and there are at least n-2
+    evens, so the forest is all even.  Each vertex of a cycle meets two
+    consecutive edges of it, which have the same parity except where the
+    evens end: at traversal positions 0 and ``evens_left`` of the mixed
+    cycle.
     """
     forest = parity_forest(g, star)
-    in_forest = set(forest)
-    dec = cycle_decomposition(g, [e for e in star if e not in in_forest])
+    if forest:
+        in_forest = set(forest)
+        star = [e for e in star if e not in in_forest]
+    dec = cycle_decomposition(g, star)
 
-    reserved = odds[len(odds) - len(neighbors):]
-    order = list(forest)  # the non-hub edges in labeling order: forest, then cycle by cycle
+    order = forest  # the non-hub edges in labeling order: forest, then cycle by cycle
+    odd_vertices = []
     evens_left = len(evens) - len(forest)
-    for cyc, es in map(_canonical_rotation, dec.cycles, dec.edges):
+    for cyc, es in zip(dec.cycles, dec.edges):
+        # start at the smallest vertex, heading toward its smaller neighbor:
+        # traversal position t is cyc[(i + step*t) % k], and es[j] joins
+        # cyc[j] and cyc[j+1]
         k = len(cyc)
+        i = cyc.index(min(cyc))
+        step = -1 if cyc[i - 1] < cyc[i + 1 - k] else 1
         if 0 < evens_left < k:
-            es = _avoid_junctions(cyc, es, evens_left, vn1)
-        order += es
-        evens_left = max(0, evens_left - k)
+            # the mixed cycle: start r places on, so that neither junction
+            # is the non-neighbor; each junction rules out at most one of
+            # the k >= 3 starts
+            r = next(r for r in range(k)
+                     if vn1 not in (cyc[(i + step * r) % k], cyc[(i + step * (r + evens_left)) % k]))
+            i = (i + step * r) % k
+            odd_vertices = [cyc[i], cyc[(i + step * evens_left) % k]]
+        order += es[i:] + es[:i] if step > 0 else es[i - 1::-1] + es[:i - 1:-1]
+        evens_left -= k
 
     # the evens, then the odds below the reserved ones: zip stops there
     labels, w = _lift(g, zip(order, evens + odds))
-    odd_vertices = [v for v in range(g.n) if w[v] % 2 == 1]
-    if len(odd_vertices) > 2 or vn1 in odd_vertices:
-        raise AssertionError("parity bookkeeping broken in dense construction")
+    reserved = odds[len(odds) - len(neighbors):]
     assign = _reserved_assignment(neighbors, w, odd_vertices, reserved, [w[vn1], sum(reserved)])
     return None if assign is None else (labels, assign)
 
 
-def _canonical_rotation(cycle: tuple[int, ...], edges: tuple[int, ...]):
-    # start at the smallest vertex, heading toward its smaller neighbor;
-    # edges[j] joins cycle[j] and cycle[j+1] before and after
-    i = cycle.index(min(cycle))
-    seq = cycle[i:] + cycle[:i]
-    es = edges[i:] + edges[:i]
-    if cycle[i - 1] < seq[1]:
-        return seq[:1] + seq[:0:-1], es[::-1]
-    return seq, es
-
-
-def _avoid_junctions(cycle: tuple[int, ...], edges: tuple[int, ...], split: int, banned: int):
-    # parity junctions sit at traversal positions 0 and `split`; rotate so
-    # neither is the banned vertex: each position rules out at most one of
-    # the k >= 3 rotations, so one is always left.  Returns the rotated edges.
-    k = len(cycle)
-    r = next(r for r in range(k) if cycle[r] != banned and cycle[(r + split) % k] != banned)
-    return edges[r:] + edges[:r]
-
-
-def _distinct_totals(w, assign, fixed_sums) -> bool:
-    sums = [w[u] + lab for u, lab in assign.items()] + list(fixed_sums)
-    return len(set(sums)) == len(sums)
-
-
 def _reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
-    """Assignment of the reserved labels to the hub's neighbors, or None.
+    """Assignment of the ascending ``reserved`` labels to the hub's
+    ascending ``neighbors``, or None.
 
     With no odd-weight neighbor, the sorted default: lighter neighbors get
-    smaller labels.  With two, the first pair of labels for them (a
-    parity-aware scan) that keeps their totals apart.  Either way the
-    neighbor totals and ``fixed_sums`` (the other vertices' weights) must
-    come out pairwise distinct.
+    smaller labels, ties by id.  With two, the first ordered pair of labels
+    for them that keeps every total apart, the rest taking the sorted
+    default.  Either way the neighbor
+    totals and ``fixed_sums`` (the other vertices' weights) must come out
+    pairwise distinct.
+
+    The sorted default needs only a check against the fixed sums.  With the
+    neighbors in (weight, id) order, consecutive ones have w_i <= w_{i+1}
+    and labels l_i < l_{i+1}, so w_i + l_i < w_{i+1} + l_{i+1}: the totals
+    strictly increase, so they are pairwise distinct.  The fixed sums are
+    checked to be pairwise distinct first, so all of them are distinct
+    exactly when no total is a fixed sum.
     """
     if len(set(fixed_sums)) < len(fixed_sums):
         return None  # the forced sums already collide; no assignment can help
-    order = sorted(neighbors, key=lambda u: (w[u], u))
-    labels = sorted(reserved)
+    # a stable sort of the ascending ids by weight: (weight, id) order
+    order = sorted(neighbors, key=w.__getitem__)
     if not odd_vertices:
-        base = dict(zip(order, labels))
-        return base if _distinct_totals(w, base, fixed_sums) else None
-    vj, vk = sorted(odd_vertices, key=lambda u: (w[u], u))
-    rest = [u for u in order if u not in (vj, vk)]
-    for alpha, beta in itertools.permutations(labels, 2):
-        if w[vj] + alpha == w[vk] + beta:
-            continue
-        cand = dict(zip(rest, sorted(set(labels) - {alpha, beta})))
-        cand[vj] = alpha
-        cand[vk] = beta
-        if _distinct_totals(w, cand, fixed_sums):
-            return cand
+        if set(fixed_sums).isdisjoint([w[u] + lab for u, lab in zip(order, reserved)]):
+            return dict(zip(order, reserved))
+        return None
+    (wj, vj), (wk, vk) = sorted(zip(map(w.__getitem__, odd_vertices), odd_vertices))
+    rest = [u for u in order if u != vj and u != vk]
+    for alpha, beta in itertools.permutations(reserved, 2):
+        left = [lab for lab in reserved if lab != alpha and lab != beta]
+        sums = [w[u] + lab for u, lab in zip(rest, left)]
+        sums += [wj + alpha, wk + beta, *fixed_sums]
+        if len(set(sums)) == len(sums):
+            return dict(zip(rest + [vj, vk], left + [alpha, beta]))
     return None
 
 

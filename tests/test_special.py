@@ -10,7 +10,9 @@ from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
 from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
 from antimagic.oracle import FOUND, exhaustive_search, heuristic_search
-from antimagic.special import complete_partial_labeling, label_max_degree_n_minus_2, label_universal_vertex
+from antimagic import special
+from antimagic.special import (_reserved_assignment, complete_partial_labeling, label_max_degree_n_minus_2,
+                               label_universal_vertex)
 
 
 def universal_vertex_weight(n, m):
@@ -52,6 +54,35 @@ def random_delta_n2(rng):
         u, v = sorted(rng.sample(range(n - 1), 2))
         rest.add((u, v))
     return Graph(n, sorted(rest) + [(u, hub) for u in range(n - 1) if u != skip])
+
+
+def _distinct_totals(w, assign, fixed_sums) -> bool:
+    sums = [w[u] + lab for u, lab in assign.items()] + list(fixed_sums)
+    return len(set(sums)) == len(sums)
+
+
+def reference_reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
+    """special._reserved_assignment as it was written before it was made
+    faster: a dict per candidate, each checked in full by _distinct_totals.
+    The fast routine must return an equal dict, or None, wherever this does."""
+    if len(set(fixed_sums)) < len(fixed_sums):
+        return None
+    order = sorted(neighbors, key=lambda u: (w[u], u))
+    labels = sorted(reserved)
+    if not odd_vertices:
+        base = dict(zip(order, labels))
+        return base if _distinct_totals(w, base, fixed_sums) else None
+    vj, vk = sorted(odd_vertices, key=lambda u: (w[u], u))
+    rest = [u for u in order if u not in (vj, vk)]
+    for alpha, beta in itertools.permutations(labels, 2):
+        if w[vj] + alpha == w[vk] + beta:
+            continue
+        cand = dict(zip(rest, sorted(set(labels) - {alpha, beta})))
+        cand[vj] = alpha
+        cand[vk] = beta
+        if _distinct_totals(w, cand, fixed_sums):
+            return cand
+    return None
 
 
 def seeded_delta_n2(rng, n, m):
@@ -240,6 +271,50 @@ class TestCompletion:
                 assert len(set(labels)) == g.m and set(labels) <= set(range(1, g.m + 3))
                 cap = (g.n + 1) // 2
                 assert weight_multiplicities_ok(vertex_sums(g, Labeling(labels)), cap)
+
+
+class TestReservedAssignment:
+    def test_matches_reference_on_seeded_inputs(self):
+        # as the schemes call it: ascending neighbors, odd reserved labels,
+        # and either no odd-weight neighbor or exactly two; small weights
+        # and fixed sums make every kind of outcome common
+        rng = random.Random(14)
+        kinds = Counter()
+        for _ in range(4000):
+            k = rng.randrange(2, 8)
+            neighbors = sorted(rng.sample(range(k + 2), k))
+            w = [2 * rng.randrange(6) for _ in range(k + 2)]
+            odd = rng.sample(neighbors, 2) if rng.randrange(2) else []
+            for u in odd:
+                w[u] += 1
+            reserved = sorted(rng.sample(range(1, 4 * k, 2), k))
+            fixed = [rng.randrange(4 * k) for _ in range(rng.choice((2, 3)))]
+            got = _reserved_assignment(neighbors, w, odd, reserved, fixed)
+            assert got == reference_reserved_assignment(neighbors, w, odd, reserved, fixed)
+            collide = len(set(fixed)) < len(fixed)
+            kinds[len(odd), len(fixed), collide, got is None] += 1
+        for odd in (0, 2):
+            for nfixed in (2, 3):
+                assert kinds[odd, nfixed, True, True] > 0      # fixed sums collide
+                assert kinds[odd, nfixed, False, True] > 0     # the default or the scan fails
+                assert kinds[odd, nfixed, False, False] > 0    # an assignment is found
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_matches_reference_on_corpus_inputs(self, n, monkeypatch):
+        # every call the n-2 schemes make on the corpus
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _reserved_assignment(*args)
+
+        monkeypatch.setattr(special, "_reserved_assignment", recording)
+        for g in high_max_degree_corpus(n):
+            if g.max_degree() == n - 2:
+                label_max_degree_n_minus_2(g)
+        assert calls
+        for args in calls:
+            assert _reserved_assignment(*args) == reference_reserved_assignment(*args)
 
 
 class TestMaxDegreeNMinus2:
