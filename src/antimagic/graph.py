@@ -32,7 +32,9 @@ def check_knobs(**knobs) -> None:
     A value is read through ``__index__``, so a float is refused rather than
     truncated.  ``d`` may be None, the dense pipeline's default; its message
     calls it the minimum-degree parameter, and every other knob goes by its
-    own name.
+    own name.  ``seed`` may be any integer, zero and negatives included, but
+    not None: that would seed from the operating system, and the same call
+    would no longer give the same labeling.
     """
     for name, value in knobs.items():
         if name == "d":
@@ -43,7 +45,7 @@ def check_knobs(**knobs) -> None:
             value = index(value)
         except TypeError:
             raise GraphError(f"{name} must be an integer, got {value!r}") from None
-        if value < 1:
+        if value < 1 and name != "seed":
             raise GraphError(f"{name} must be positive")
 
 
@@ -65,11 +67,20 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        # n and the ends are read through __index__, as Labeling reads labels
+        try:
+            n = index(n)
+        except TypeError:
+            raise GraphError(f"vertex count must be an integer, got {n!r}") from None
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         # loops and range in input order, then the lexicographically first duplicate
         canon = []
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = map(index, edge)
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {edge!r} is not a pair of integers") from None
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):

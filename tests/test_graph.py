@@ -46,6 +46,31 @@ class TestGraph:
         with pytest.raises(GraphError, match="^vertex count must be non-negative, got -1$"):
             Graph(-1, [])
 
+    @pytest.mark.parametrize("n, edges, message", [
+        (2.5, [], r"vertex count must be an integer, got 2\.5"),
+        (None, [], "vertex count must be an integer, got None"),
+        (3, [(0, 1.0)], r"edge \(0, 1\.0\) is not a pair of integers"),
+        (3, [(0, 1), (0,)], r"edge \(0,\) is not a pair of integers"),
+        (3, [(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair of integers"),
+        (3, [5], "edge 5 is not a pair of integers"),
+        (3, ["01"], "edge '01' is not a pair of integers"),
+    ], ids=["float n", "None n", "float end", "one end", "three ends", "int edge", "str edge"])
+    def test_rejects_non_integer_input_naming_it(self, n, edges, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            Graph(n, edges)
+
+    def test_reads_integers_through_index(self):
+        class Index:
+            def __init__(self, k):
+                self.k = k
+
+            def __index__(self):
+                return self.k
+
+        g = Graph(Index(3), [(0, Index(2)), (True, 2)])
+        assert (g.n, g.edges) == (3, ((0, 2), (1, 2)))
+        assert type(g.n) is int and all(type(x) is int for e in g.edges for x in e)
+
     def test_edge_index_of_non_edge_raises(self):
         with pytest.raises(GraphError, match=r"^no edge \(0, 2\)$"):
             cycle4().edge_index(2, 0)
