@@ -38,7 +38,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import compress, count, filterfalse
-from operator import contains, itemgetter
+from operator import contains, index, itemgetter
 from typing import Optional
 
 from .graph import (CollisionState, Graph, GraphError, Labeling, _coins, _shuffle, _trusted_labeling,
@@ -360,10 +360,10 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
     :class:`Labeling`, for the verifier.
 
     ``d`` is phase 1's minimum-degree parameter (None: ceil(C ln n)), and
-    ``seed`` seeds the run's one ``random.Random``.
+    ``seed``, any integer, seeds the run's one ``random.Random``.
     """
-    check_knobs(d=d, max_resamples=max_resamples)
-    rng = random.Random(seed)
+    check_knobs(d=d, max_resamples=max_resamples, seed=seed)
+    rng = random.Random(index(seed))
     st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d)), rng)
     coins = _coins(len(st.pair_list), rng)
     state = CollisionState(g, assemble_labeling(st, coins))

@@ -100,8 +100,8 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     ``seed`` seeds the dense pipeline and the heuristic search.
     ``max_resamples`` is the dense route's budget of coin resamples.  The
     three pass to :func:`label_dense` and :func:`heuristic_search` as they
-    are.  Bad values of ``method``, ``d`` or ``max_resamples`` raise
-    :class:`GraphError` on every route.
+    are.  Bad values of ``method``, ``d``, ``max_resamples`` or ``seed``
+    raise :class:`GraphError` on every route.
 
     When the Δ = n-2 scheme has no verified candidate, the heuristic search
     labels the graph and the report says ``oracle``, with a note that says
@@ -112,9 +112,9 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     start = time.perf_counter()
     if method not in METHODS:
         raise GraphError(f"unknown method {method!r}")
-    # bad values of d or max_resamples raise here, whatever the route, though
-    # only the dense route reads them
-    check_knobs(d=d, max_resamples=max_resamples)
+    # bad values of d, max_resamples or seed raise here, whatever the route,
+    # though only the dense route and the search read them
+    check_knobs(d=d, max_resamples=max_resamples, seed=seed)
     graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
     def report(outcome, chosen, labeling=None, resamples=0, note=""):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
 from .graph import (CollisionState, Graph, Labeling, _below, _shuffle, _trusted_labeling, check_knobs,
@@ -166,7 +167,8 @@ def heuristic_search(g: Graph, seed: int = 0, max_iters: int = 300,
                      restarts: int = 50) -> SearchResult:
     """Random-restart collision-local search over label swaps.
 
-    The search makes ``restarts`` runs from labelings drawn with ``seed``.
+    The search makes ``restarts`` runs from labelings drawn with ``seed``,
+    any integer.
     Each proposal swaps the labels of a random edge at a random colliding
     vertex and of a random other edge, and is kept unless the number of
     colliding vertex pairs rises.  A run ends at zero collisions or after
@@ -184,12 +186,12 @@ def heuristic_search(g: Graph, seed: int = 0, max_iters: int = 300,
     :mod:`.graph`.  A rejected swap is undone by swapping back, which keeps
     the order of ``colliding`` that the next draw reads.
     """
-    check_knobs(max_iters=max_iters, restarts=restarts)
+    check_knobs(max_iters=max_iters, restarts=restarts, seed=seed)
     degs = g.degrees()
     if degs.count(0) >= 2 or 1 in degs and any(degs[u] == degs[v] == 1 for u, v in g.edges):
         return SearchResult(PROVEN_NONE, None)
     m = g.m
-    rng = random.Random(seed)
+    rng = random.Random(index(seed))
     getrandbits = rng.getrandbits
     incident = g._incident
     proposals = max_iters * m

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,8 @@ from antimagic.dispatch import (ANTIMAGIC, FAILED, METHODS, NOT_APPLICABLE, disp
 from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
                                   random_min_degree_graph)
 from antimagic.graph import Graph, GraphError, _trusted_labeling, verify_antimagic
-from antimagic.oracle import NOT_FOUND, SearchResult, exhaustive_search
+from antimagic.dense import label_dense
+from antimagic.oracle import NOT_FOUND, SearchResult, exhaustive_search, heuristic_search
 
 HOPELESS_NOTE = "a K2 component or two isolated vertices: two sums agree under every labeling"
 
@@ -138,6 +140,42 @@ def test_unknown_method_raises():
 def test_bad_dense_parameters_raise_on_every_route(method, kwargs):
     with pytest.raises(GraphError):
         dispatch_label(complete_graph(5), method=method, **kwargs)
+
+
+BAD_SEEDS = [[1], None, 1.5, "1"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=["list", "None", "float", "str"])
+@pytest.mark.parametrize("method", METHODS)
+def test_bad_seed_raises_on_every_route(method, seed):
+    # None would seed from the operating system, so it is refused too
+    with pytest.raises(GraphError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        dispatch_label(complete_graph(5), method=method, seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=["list", "None", "float", "str"])
+@pytest.mark.parametrize("label", [label_dense, heuristic_search], ids=["dense", "search"])
+def test_bad_seed_raises_in_each_seeded_labeler(label, seed):
+    with pytest.raises(GraphError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        label(random_min_degree_graph(40, 6, 0), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, -1, -(2 ** 70), 2 ** 70])
+def test_any_integer_seed_is_reproducible(seed):
+    # zero, negatives and big integers all seed; the same seed gives the
+    # same certificate on the two seeded routes, and __index__ is honored
+    g = random_min_degree_graph(40, 6, 0)
+
+    class Seed:
+        def __index__(self):
+            return seed
+
+    for method in ("dense", "oracle"):
+        rep = dispatch_label(g, method, d=6, seed=seed)
+        assert rep.outcome == ANTIMAGIC
+        assert dispatch_label(g, method, d=6, seed=Seed()).certificate == rep.certificate
+    assert label_dense(g, d=6, seed=seed).labeling == label_dense(g, d=6, seed=Seed()).labeling
+    assert heuristic_search(g, seed=seed).labeling == heuristic_search(g, seed=Seed()).labeling
 
 
 def test_construction_error_is_reported_failed(monkeypatch):
