@@ -33,7 +33,8 @@ def parse_edgelist(text: str) -> Graph:
 
     The first line that is neither blank nor a comment is the header ``n m``;
     each later such line is one edge ``u v`` with ``0 <= u, v < n``, in
-    either orientation and in any order.  A comment is a line whose first
+    either orientation and in any order.  Each number is an optional sign
+    and ASCII digits.  A comment is a line whose first
     non-blank character is ``#``.  The document must hold exactly ``m``
     edges, with no self-loop and no edge twice.  A malformed document raises
     :class:`ParseError` naming the first bad line, or, for a wrong edge
@@ -52,7 +53,7 @@ def parse_edgelist(text: str) -> Graph:
     if len(header) != 2:
         raise ParseError("header must be 'n m'", header_no)
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _ints(header)
     except ValueError:
         raise ParseError("header must hold two integers", header_no) from None
     if n < 0:
@@ -72,6 +73,20 @@ def parse_edgelist(text: str) -> Graph:
     return _canonical_graph(n, list(map(divmod, codes, repeat(n))))
 
 
+def _ints(fields: list[str]) -> list[int]:
+    """The integers ``fields`` hold, each an optional sign and ASCII digits;
+    ValueError if one is anything else.
+
+    A field has no whitespace, since it comes from ``str.split()``, and
+    ``int()`` alone would also take '_' between digits and non-ASCII
+    digits.  So one check of the joined fields covers a whole document.
+    """
+    joined = "".join(fields)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError("not a plain decimal integer")
+    return list(map(int, fields))
+
+
 def _edge_codes(rows: list[list[str]], n: int) -> Optional[list[int]]:
     """The edges on ``rows`` as sorted codes ``u * n + v``, ``u < v``, which
     order them as Graph stores them; None if a row is no edge or an edge
@@ -82,7 +97,7 @@ def _edge_codes(rows: list[list[str]], n: int) -> Optional[list[int]]:
     if not set(map(len, rows)) <= {2}:
         return None
     try:
-        ends = list(map(int, chain.from_iterable(rows)))
+        ends = _ints(list(chain.from_iterable(rows)))
     except ValueError:
         return None
     us, vs = ends[0::2], ends[1::2]
@@ -107,7 +122,7 @@ def _reject_edge_lines(lines: list[str], header_no: int, n: int) -> NoReturn:
         if len(parts) != 2:
             raise ParseError("edge line must be 'u v'", i + 1)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ints(parts)
         except ValueError:
             raise ParseError("edge endpoints must be integers", i + 1) from None
         if u == v:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,16 +28,28 @@ def test_duplicate_edge_reports_its_line(dup):
     ("\n-1 0\n", "vertex count must be non-negative, header says -1", 2),
     ("3 2\n0 1\n1 2 7\n", "edge line must be 'u v'", 3),
     ("3 1\n# edge\n0 one\n", "edge endpoints must be integers", 3),
+    ("3 1\n0 1_0\n", "edge endpoints must be integers", 2),
+    ("3 2\n0 1\n1 \u0662\n", "edge endpoints must be integers", 3),
+    ("3 2\n0 1_0\n0 2\n0 2\n", "edge endpoints must be integers", 2),
+    ("3_0 1\n0 1\n", "header must hold two integers", 1),
+    ("\uff13 1\n0 1\n", "header must hold two integers", 1),
     ("3 1\n2 2\n", "self-loop at vertex 2", 2),
     ("3 2\n0 1\n\n1 3\n", "vertex out of range 0..2", 4),
     ("3 2\n0 1\n", "header promises 2 edges, found 1", None),
 ], ids=["empty", "comment only", "short header", "non-integer header", "huge n", "negative n",
-        "long edge line", "non-integer end", "self-loop", "out of range", "edge count"])
+        "long edge line", "non-integer end", "underscore end", "Arabic-Indic digit end",
+        "underscore before duplicate", "underscore header", "fullwidth digit header",
+        "self-loop", "out of range", "edge count"])
 def test_edgelist_rejects(text, message, line):
     with pytest.raises(ParseError) as exc:
         parse_edgelist(text)
     assert exc.value.line == line
     assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_comments_may_hold_underscores_and_non_ascii_text():
+    g = parse_edgelist("# n_m, café \u0662\n3 2\n0 +1\n  # 1_0\n2 1\n")
+    assert (g.n, g.edges) == (3, ((0, 1), (1, 2)))
 
 
 def test_large_edge_list_parses():
@@ -154,9 +167,17 @@ def test_parse_edgelist_fuzz(n, m, lines):
     assert (g.n, g.m) == (n, m)
 
 
+def _int(token: str) -> int:
+    # an optional sign and ASCII digits; int() alone also takes '0_1' and '٣'
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _reference_parse_edgelist(text: str) -> Graph:
-    # the per-line edge-list parser, kept verbatim as the reference that
-    # parse_edgelist must agree with on every document
+    # the per-line edge-list parser, kept as the reference that
+    # parse_edgelist must agree with on every document; it reads each
+    # number with _int
     lines = text.splitlines()
     header = None
     header_no = 0
@@ -170,7 +191,7 @@ def _reference_parse_edgelist(text: str) -> Graph:
     if len(header) != 2:
         raise ParseError("header must be 'n m'", header_no)
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _int(header[0]), _int(header[1])
     except ValueError:
         raise ParseError("header must hold two integers", header_no) from None
     if n < 0:
@@ -188,7 +209,7 @@ def _reference_parse_edgelist(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError("edge line must be 'u v'", i + 1)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise ParseError("edge endpoints must be integers", i + 1) from None
         if u == v:
@@ -205,7 +226,7 @@ def _reference_parse_edgelist(text: str) -> Graph:
 
 
 # Tokens and separators beyond _fuzz_lines: int() takes '+3', '0_1' and
-# Unicode digits, str.split() and str.strip() agree on Unicode whitespace,
+# Unicode digits, of which only '+3' is a number here, str.split() and str.strip() agree on Unicode whitespace,
 # and a '#' starts a comment only at the front of a stripped line.
 _odd_tokens = st.sampled_from(["+3", "0_1", "1#", "#", "#1", "x", "-0", "٣", "12" * 3])
 _separators = st.sampled_from([" ", "  ", "\t", "\xa0", "\x1f"])
