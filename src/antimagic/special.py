@@ -322,9 +322,8 @@ def _reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
     With no odd-weight neighbor, the sorted default: lighter neighbors get
     smaller labels, ties by id.  With two, the first ordered pair of labels
     for them that keeps every total apart, the rest taking the sorted
-    default.  Either way the neighbor
-    totals and ``fixed_sums`` (the other vertices' weights) must come out
-    pairwise distinct.
+    default.  Either way the neighbor totals and ``fixed_sums`` (the other
+    vertices' weights) must come out pairwise distinct.
 
     The sorted default needs only a check against the fixed sums.  With the
     neighbors in (weight, id) order, consecutive ones have w_i <= w_{i+1}
