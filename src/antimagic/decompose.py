@@ -34,10 +34,10 @@ def _subgraph(g: Graph, edge_ids) -> tuple[list[int], list[bool]]:
     deg = [0] * g.n
     skip = [True] * len(edges)
     for e in edge_ids:
-        skip[e] = False
         u, v = edges[e]
         deg[u] += 1
         deg[v] += 1
+        skip[e] = False
     return deg, skip
 
 
@@ -48,7 +48,7 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
     ``edge_ids`` are ascending edge ids of ``g`` (``range(g.m)`` for all of
     it); the forest is given in the same ids, ascending.  Roots a spanning
     forest of the subgraph (BFS from the smallest vertex of each component),
-    then walks vertices children-first: a vertex whose current degree is odd
+    then walks each tree children-first: a vertex whose current degree is odd
     sends its parent edge into the forest.  Each non-root is finalized
     exactly once, and the handshake identity forces the roots even as well.
     Linear time, plus sorting the forest; ``|F| <= n - (#components)``.
@@ -57,8 +57,8 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
     incident = g._incident
     deg, skip = _subgraph(g, edge_ids)
     parent_edge = [-1] * g.n
-    order: list[int] = []
     seen = [False] * g.n
+    forest: list[int] = []  # each vertex has one parent edge, so none repeats
     for root in range(g.n):
         if seen[root] or not deg[root]:
             continue  # a vertex off the subgraph is a tree of its own, with no parent edge
@@ -74,15 +74,16 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
                     seen[w] = True
                     parent_edge[w] = e
                     queue.append(w)
-        order += queue
-    forest: list[int] = []  # each vertex has one parent edge, so none repeats
-    for v in reversed(order):
-        e = parent_edge[v]
-        if e >= 0 and deg[v] & 1:
-            forest.append(e)
-            a, b = edges[e]
-            deg[a] -= 1
-            deg[b] -= 1
+        # children first, without the root: it has no parent edge, and the
+        # handshake identity leaves it even.  Components share no edge, so
+        # each is finished before the next is found.
+        for v in queue[:0:-1]:
+            if deg[v] & 1:
+                e = parent_edge[v]
+                forest.append(e)
+                a, b = edges[e]
+                deg[a] -= 1
+                deg[b] -= 1
     if any(map((1).__and__, deg)):
         raise AssertionError("parity forest failed to even out all degrees")
     return sorted(forest)

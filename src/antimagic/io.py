@@ -65,7 +65,7 @@ def parse_edgelist(text: str) -> Graph:
     rows = list(map(str.split, lines[header_no:]))
     if "#" in text or not all(rows):
         rows = [row for row in rows if row and row[0][0] != "#"]
-    codes = _edge_codes(rows, n)
+    codes = _edge_codes(rows, n, _plain(text))
     if codes is None:
         _reject_edge_lines(lines, header_no, n)
     if len(codes) != m:
@@ -73,31 +73,38 @@ def parse_edgelist(text: str) -> Graph:
     return _canonical_graph(n, list(map(divmod, codes, repeat(n))))
 
 
-def _ints(fields: list[str]) -> list[int]:
-    """The integers ``fields`` hold, each an optional sign and ASCII digits;
-    ValueError if one is anything else.
+def _plain(text: str) -> bool:
+    """True when ``int()`` can read a field of ``text`` only as an optional
+    sign and ASCII digits.
 
     A field has no whitespace, since it comes from ``str.split()``, and
-    ``int()`` alone would also take '_' between digits and non-ASCII
-    digits.  So one check of the joined fields covers a whole document.
+    ``int()`` would also take '_' between digits and non-ASCII digits.
     """
-    joined = "".join(fields)
-    if not joined.isascii() or "_" in joined:
+    return text.isascii() and "_" not in text
+
+
+def _ints(fields: list[str]) -> list[int]:
+    """The integers ``fields`` hold; ValueError unless each is an optional
+    sign and ASCII digits."""
+    if not _plain("".join(fields)):
         raise ValueError("not a plain decimal integer")
     return list(map(int, fields))
 
 
-def _edge_codes(rows: list[list[str]], n: int) -> Optional[list[int]]:
+def _edge_codes(rows: list[list[str]], n: int, plain: bool) -> Optional[list[int]]:
     """The edges on ``rows`` as sorted codes ``u * n + v``, ``u < v``, which
     order them as Graph stores them; None if a row is no edge or an edge
     repeats.
 
     Each check is one pass over the whole document, not a loop per line.
+    ``plain`` says that the whole document passes :func:`_plain`, so its
+    fields need no look of their own.
     """
     if not set(map(len, rows)) <= {2}:
         return None
+    tokens = list(chain.from_iterable(rows))
     try:
-        ends = _ints(list(chain.from_iterable(rows)))
+        ends = list(map(int, tokens)) if plain else _ints(tokens)
     except ValueError:
         return None
     us, vs = ends[0::2], ends[1::2]

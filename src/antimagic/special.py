@@ -340,7 +340,10 @@ def _reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
         if set(fixed_sums).isdisjoint([w[u] + lab for u, lab in zip(order, reserved)]):
             return dict(zip(order, reserved))
         return None
-    (wj, vj), (wk, vk) = sorted(zip(map(w.__getitem__, odd_vertices), odd_vertices))
+    vj, vk = odd_vertices
+    if (w[vk], vk) < (w[vj], vj):
+        vj, vk = vk, vj
+    wj, wk = w[vj], w[vk]
     rest = [u for u in order if u != vj and u != vk]
     for alpha, beta in itertools.permutations(reserved, 2):
         left = [lab for lab in reserved if lab != alpha and lab != beta]
