@@ -177,3 +177,45 @@ class TestExperiments:
         assert summary.pass_fraction == summary.passed / summary.trials == 1.0
         assert summary.ok
         assert summary.worst_statistic <= 10.0
+
+
+# Each row's statistic and ok flag, frozen from the numpy version of the lab.
+# Floats compare to a relative 1e-12, since a vectorized cos may differ in
+# the last bits from one CPU to the next; the flags compare exactly.
+CHARACTER_BOUND_ROWS = (  # run_character_bound_experiment(300, 30, 20, seed=1)
+    0.401950417033586, 0.5347979430425949, 0.3979814332474397, 0.4367521495373861,
+    0.57208261045848, 0.7531873577068823, 0.7278466010446883, 0.5870928007773578,
+    0.6376632407103867, 0.7030351820227134, 0.5176287561746323, 0.5704146924000791,
+    0.7329724322608647, 0.6716395827696513, 0.4357572375490495, 0.7261711351748087,
+    0.5922146407020218, 0.31271011282563815, 0.5587233782900186, 0.503998145067713,
+)
+POINT_MASS_ROWS = (  # run_point_mass_experiment(60, 8, 20, seed=2)
+    3.97747564417433, 3.3145630368119416, 2.6516504294495533, 5.303300858899107,
+    3.97747564417433, 3.97747564417433, 3.97747564417433, 3.97747564417433,
+    3.3145630368119416, 2.6516504294495533, 3.3145630368119416, 3.3145630368119416,
+    4.640388251536718, 2.6516504294495533, 1.988737822087165, 3.97747564417433,
+    3.97747564417433, 3.3145630368119416, 2.6516504294495533, 3.97747564417433,
+)
+# The residues Q takes mod p = 80 on TestFourierIdentity's sample, each once
+# in 2^4 draws
+MOD_P_SUPPORT = {3, 5, 12, 14, 19, 21, 23, 25, 28, 30, 32, 34, 39, 41, 48, 50}
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize("run, args, frozen", [
+        (run_character_bound_experiment, (300, 30, 20, 1), CHARACTER_BOUND_ROWS),
+        (run_point_mass_experiment, (60, 8, 20, 2), POINT_MASS_ROWS),
+    ], ids=["character-bound", "point-mass"])
+    def test_experiment_rows(self, run, args, frozen):
+        summary = run(*args)
+        assert summary.passed == 20 and summary.ok
+        assert [ok for _, _, ok in summary.rows] == [True] * 20
+        assert [trial for trial, _, _ in summary.rows] == list(range(20))
+        assert [stat for _, stat, _ in summary.rows] == pytest.approx(frozen, rel=1e-12, abs=0)
+        assert summary.worst_statistic == pytest.approx(max(frozen), rel=1e-12, abs=0)
+
+    def test_mod_p_distribution(self):
+        s = sample_pairs(40, 4, random.Random(21))
+        assert s.p == 80
+        expected = [1 / 16 if r in MOD_P_SUPPORT else 0.0 for r in range(80)]
+        assert list(mod_p_distribution(s)) == pytest.approx(expected, rel=0, abs=1e-15)
