@@ -267,7 +267,8 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
 
     The certificate must agree with itself: each vertex line's sum is the sum
     of the labels at that vertex, and each status line is the one the
-    verifier gives the labeling.  A line that contradicts the rest raises
+    verifier gives the labeling.  Each number is an optional sign and ASCII
+    digits, as in an edge list.  A line that contradicts the rest raises
     :class:`ParseError` with its line number.
     """
     labels = []
@@ -283,7 +284,7 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
             continue
         if len(parts) == 3:
             try:
-                u, v, lab = (int(x) for x in parts)
+                u, v, lab = _ints(parts)
             except ValueError:
                 raise ParseError("edge line must be 'u v label'", i) from None
             if u == v:
@@ -297,7 +298,7 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
             labels.append(lab)
         elif len(parts) == 2:
             try:
-                vertex_lines.append((int(parts[0]), int(parts[1]), i))
+                vertex_lines.append((*_ints(parts), i))
             except ValueError:
                 raise ParseError("vertex line must be 'v sum'", i) from None
         else:

@@ -421,9 +421,16 @@ def test_blank_certificate_lines_are_skipped():
     ("0 1 2\n1 2 -3\n0 2\n1 -1\n2 -3\nOK\n", 2, "labels must be positive, got -3"),
     ("0 1 1\n1 2 two\n0 1\n1 3\n2 2\nOK\n", 2, "edge line must be 'u v label'"),
     ("0 1 1\n0 1 1 1\n0 1\n1 1\n", 2, "unrecognized certificate line"),
+    # the path 0-1-2 labelled 1, 2, with one field that int() reads but the
+    # sign-and-ASCII-digits rule of every other number in io does not
+    ("0 1 1\n1 2 2\n0 1\n1 \u0663\n2 2\nOK\n", 4, "vertex line must be 'v sum'"),
+    ("0 1 1\n1 2 2\n0 1\n1 0_3\n2 2\nOK\n", 4, "vertex line must be 'v sum'"),
+    ("0 1 1\n1 2 \u0662\n0 1\n1 3\n2 2\nOK\n", 2, "edge line must be 'u v label'"),
+    ("0 1 1\n1 2_0 2\n0 1\n1 3\n2 2\nOK\n", 2, "edge line must be 'u v label'"),
 ], ids=["non-integer sum", "wrong sum", "false OK", "false NOT-A-BIJECTION", "false COLLISION",
         "duplicate edge", "self-loop", "end past n", "negative end", "label 0", "label -3",
-        "non-integer label", "four fields"])
+        "non-integer label", "four fields", "Arabic-Indic sum", "underscore sum",
+        "Arabic-Indic label", "underscore end"])
 def test_contradictory_certificate_rejected(text, line, message):
     with pytest.raises(ParseError, match=f"^line {line}: {message}$") as info:
         parse_certificate(text)
