@@ -2,22 +2,24 @@
 
 Enumeration is by orbit: walk all edge-subset bitmasks of the labeled
 complete graph, and whenever an unseen mask appears, mark its whole
-isomorphism orbit (all vertex permutations, applied as precomputed bit
-shuffles) as seen.  Practical up to 7 vertices; the max-degree corpora at
-8 vertices are built instead by joining a new vertex onto the 7-vertex
-classes, which covers every isomorphism class of the target family.
+isomorphism orbit (its images under all vertex permutations) as seen, so
+each class is represented by the smallest mask of its orbit.  Practical up
+to 7 vertices; the max-degree corpora at 8 vertices are built instead by
+joining a new vertex onto the 7-vertex classes, which covers every
+isomorphism class of the target family.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from array import array
 from functools import lru_cache
-
-import numpy as np
 
 from .graph import Graph, GraphError
 
 MAX_ENUMERATION_N = 7
+CHUNK = 7  # edge-mask bits per table lookup in the orbit walk
 
 
 def _edge_positions(n: int) -> dict[tuple[int, int], int]:
@@ -31,19 +33,26 @@ def _edge_positions(n: int) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(n: int) -> np.ndarray:
+def _chunk_images(n: int) -> list[list[int]]:
+    """The images of every chunk of an edge mask under all n! vertex
+    permutations, packed into one int per chunk value.
+
+    Chunk c holds mask bits CHUNK*c up to CHUNK*(c+1).  Entry [c][v] holds,
+    in its i-th 32-bit field, the image under the i-th permutation of the
+    mask whose chunk c is v and whose other bits are clear.  So OR-ing one
+    entry per chunk packs the images of a whole mask.
+    """
     pos = _edge_positions(n)
-    nbits = n * (n - 1) // 2
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        row = [0] * nbits
-        for (u, v), k in pos.items():
-            pu, pv = perm[u], perm[v]
-            if pu > pv:
-                pu, pv = pv, pu
-            row[k] = pos[(pu, pv)]
-        tables.append(row)
-    return np.array(tables, dtype=np.int64)
+    perms = list(itertools.permutations(range(n)))
+    singles = [int.from_bytes(array("I", [1 << pos[min(p[u], p[v]), max(p[u], p[v])] for p in perms]).tobytes(),
+                              "little") for u, v in pos]
+    chunks = []
+    for c in range(0, len(singles), CHUNK):
+        values = [0]
+        for single in singles[c:c + CHUNK]:
+            values += [packed | single for packed in values]
+        chunks.append(values)
+    return chunks
 
 
 def _mask_to_graph(n: int, mask: int) -> Graph:
@@ -56,19 +65,19 @@ def graphs_upto_iso(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of graphs on ``n`` vertices."""
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise GraphError(f"exhaustive enumeration supports 1 <= n <= {MAX_ENUMERATION_N}")
-    nbits = n * (n - 1) // 2
-    tables = _perm_tables(n)
-    bitw = np.arange(nbits, dtype=np.int64)
-    seen = bytearray(1 << nbits)
+    chunks = _chunk_images(n)
+    width = math.factorial(n) * array("I").itemsize
+    seen = bytearray(1 << n * (n - 1) // 2)
     reps = []
-    for mask in range(1 << nbits):
-        if seen[mask]:
-            continue
+    mask = 0
+    while mask >= 0:
         reps.append(mask)
-        bits = np.int64(mask) >> bitw & 1
-        orbit = np.bitwise_or.reduce(bits[None, :] << tables, axis=1)
-        for om in orbit.tolist():
-            seen[om] = 1
+        packed = 0
+        for c, values in enumerate(chunks):
+            packed |= values[(mask >> CHUNK * c) & ((1 << CHUNK) - 1)]
+        for image in array("I", packed.to_bytes(width, "little")):
+            seen[image] = 1
+        mask = seen.find(0, mask + 1)
     return tuple(_mask_to_graph(n, mask) for mask in reps)
 
 

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .graph import GraphError
 
 # Recorded defaults for the bound constants the source analysis leaves
@@ -105,17 +103,18 @@ def character_product(sample: PairSample, x: int) -> float:
     return abs(character_product_complex(sample, x))
 
 
-def character_magnitudes(sample: PairSample) -> np.ndarray:
+def character_magnitudes(sample: PairSample) -> list[float]:
     """|T(x)| for x = 1..p-1 via the cosine form of each factor.
 
-    Each factor satisfies |(w^(ax) + w^(bx))/2| = |cos((b-a) pi x / p)|,
-    which vectorizes; the complex route is kept for cross-checking.
+    Each factor satisfies |(w^(ax) + w^(bx))/2| = |cos(((b-a) x mod p) pi / p)|,
+    so one table of |cos(k pi / p)| over the residues k serves every factor;
+    the complex route is kept for cross-checking.
     """
     p = sample.p
-    gaps = np.array(sample.gaps(), dtype=np.int64)
-    x = np.arange(1, p, dtype=np.int64)
-    ang = ((gaps[:, None] * x[None, :]) % p) * (math.pi / p)
-    return np.abs(np.cos(ang)).prod(axis=0)
+    step = math.pi / p
+    cosines = [abs(math.cos(k * step)) for k in range(p)]
+    gaps = sample.gaps()
+    return [math.prod([cosines[g * x % p] for g in gaps]) for x in range(1, p)]
 
 
 @dataclass(frozen=True)
@@ -148,22 +147,17 @@ def check_character_bounds(sample: PairSample,
     Report-only; region membership is decided in exact integer arithmetic.
     """
     p = sample.p
-    absT = character_magnitudes(sample)
-    x = np.arange(1, p, dtype=np.int64)
-    folded = np.minimum(x, p - x)
-    near = (folded * folded) < sample.d
-
-    def region(mask, bound_values):
-        if not mask.any():
-            return True, None, 0.0
-        ratios = absT[mask] / bound_values
-        i = int(np.argmax(ratios))
-        return bool(ratios[i] <= 1.0), int(x[mask][i]), float(ratios[i])
-
-    ok_near, worst_near_x, near_ratio = region(
-        near, np.exp(-near_decay * folded[near].astype(float) ** 2))
-    ok_far, worst_far_x, far_ratio = region(~near, far_multiplier / sample.t ** 2)
-    return BoundReport(ok_near, ok_far, worst_near_x, worst_far_x, near_ratio, far_ratio)
+    far_bound = far_multiplier / sample.t ** 2
+    worst = {True: (None, 0.0), False: (None, 0.0)}  # near? -> (first maximizer, its ratio)
+    for x, magnitude in enumerate(character_magnitudes(sample), start=1):
+        square = min(x, p - x) ** 2
+        near = square < sample.d
+        ratio = magnitude / (math.exp(-near_decay * square) if near else far_bound)
+        worst_x, worst_ratio = worst[near]
+        if worst_x is None or ratio > worst_ratio:
+            worst[near] = (x, ratio)
+    (near_x, near_ratio), (far_x, far_ratio) = worst[True], worst[False]
+    return BoundReport(near_ratio <= 1.0, far_ratio <= 1.0, near_x, far_x, near_ratio, far_ratio)
 
 
 class DistributionTable:
@@ -205,24 +199,22 @@ def max_point_probability(table: DistributionTable) -> Fraction:
     return Fraction(max(table.counts.values()), table.outcomes)
 
 
-def mod_p_distribution(sample: PairSample) -> np.ndarray:
+def mod_p_distribution(sample: PairSample) -> list[float]:
     """Pr[Q = s mod p] for every residue s, from the exact table."""
     table = sum_distribution(sample)
-    p = sample.p
-    out = np.zeros(p)
+    counts = [0] * sample.p
     for s, c in table.counts.items():
-        out[s % p] += c
-    return out / table.outcomes
+        counts[s % sample.p] += c
+    return [c / table.outcomes for c in counts]
 
 
-def mod_p_distribution_fourier(sample: PairSample) -> np.ndarray:
-    """Pr[Q = s mod p] via (1/p) sum_x T(x) w^(-sx), real part."""
+def mod_p_distribution_fourier(sample: PairSample) -> list[float]:
+    """Pr[Q = s mod p] via (1/p) sum_x T(x) w^(-sx), real part: the Fourier
+    side of the exact table."""
     p = sample.p
-    tvals = np.array([character_product_complex(sample, x) for x in range(p)])
-    s = np.arange(p)
-    x = np.arange(p)
-    phases = np.exp(-2j * np.pi * np.outer(s, x) / p)
-    return (phases @ tvals).real / p
+    tvals = [character_product_complex(sample, x) for x in range(p)]
+    roots = [cmath.exp(-2j * math.pi * k / p) for k in range(p)]
+    return [sum(roots[s * x % p] * tx for x, tx in enumerate(tvals)).real / p for s in range(p)]
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from antimagic import problab
 from antimagic.graph import GraphError
 from antimagic.problab import (
     DistributionTable,
@@ -78,7 +78,7 @@ class TestCharacterProduct:
     def test_magnitude_never_exceeds_one(self):
         rng = random.Random(3)
         s = sample_pairs(50, 10, rng)
-        assert float(np.max(character_magnitudes(s))) <= 1.0 + 1e-12
+        assert max(character_magnitudes(s)) <= 1.0 + 1e-12
 
 
 class TestBoundCheck:
@@ -159,7 +159,8 @@ class TestFourierIdentity:
         s = sample_pairs(40, 4, rng)
         exact = mod_p_distribution(s)
         fourier = mod_p_distribution_fourier(s)
-        assert np.max(np.abs(exact - fourier)) < 1e-9
+        assert len(exact) == len(fourier) == s.p
+        assert max(abs(a - b) for a, b in zip(exact, fourier)) < 1e-9
 
 
 class TestExperiments:
@@ -170,6 +171,24 @@ class TestExperiments:
         assert len(summary.rows) == 50
         assert summary.pass_fraction == summary.passed / summary.trials
         assert summary.ok == (summary.pass_fraction >= 0.95)
+
+    def test_character_bound_experiment_calibrated_cell(self):
+        # the cell the bound constants were calibrated on: every sample passes
+        summary = run_character_bound_experiment(300, 30, 20, seed=1)
+        assert summary.passed == 20 and summary.ok
+
+    def test_character_bound_experiment_fails_a_broken_character(self, monkeypatch):
+        # with every phase doubled, |cos(2 pi g x / p)| is no longer |T(x)|,
+        # and the calibrated cell must say so
+        def doubled(sample):
+            p = sample.p
+            return [math.prod(abs(math.cos(2 * math.pi * (g * x % p) / p)) for g in sample.gaps())
+                    for x in range(1, p)]
+
+        monkeypatch.setattr(problab, "character_magnitudes", doubled)
+        summary = run_character_bound_experiment(300, 30, 20, seed=1)
+        assert summary.passed == 0 and not summary.ok
+        assert summary.worst_statistic > 100
 
     def test_point_mass_experiment_smoke(self):
         summary = run_point_mass_experiment(60, 8, 20, seed=2)
