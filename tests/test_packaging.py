@@ -1,5 +1,7 @@
 import ast
 import importlib
+import subprocess
+import sys
 from operator import attrgetter
 from pathlib import Path
 
@@ -14,6 +16,22 @@ def test_every_script_target_exists():
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(attrgetter(attr)(importlib.import_module(module))), name
+
+
+def test_no_module_needs_numpy():
+    # with numpy blocked, every module still imports and the lab and the corpora still run
+    code = ("import sys; sys.modules['numpy'] = None; sys.path.insert(0, sys.argv[1]); "
+            "import importlib, pkgutil, antimagic; "
+            "names = [m.name for m in pkgutil.iter_modules(antimagic.__path__)]; "
+            "[importlib.import_module('antimagic.' + name) for name in names]; "
+            "from antimagic.corpus import graphs_upto_iso; "
+            "from antimagic.problab import run_character_bound_experiment; "
+            "assert len(graphs_upto_iso(5)) == 34; "
+            "assert run_character_bound_experiment(100, 8, 2, seed=1).trials == 2; "
+            "print(' '.join(names))")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC.parent)], capture_output=True, text=True,
+                         check=True)
+    assert sorted(out.stdout.split()) == sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
 
 
 def _calls_and_imports(module):
