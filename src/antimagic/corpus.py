@@ -43,9 +43,10 @@ def _chunk_images(n: int) -> list[list[int]]:
     entry per chunk packs the images of a whole mask.
     """
     pos = _edge_positions(n)
+    either = {**pos, **{(v, u): k for (u, v), k in pos.items()}}  # both orientations of each edge
     perms = list(itertools.permutations(range(n)))
-    singles = [int.from_bytes(array("I", [1 << pos[min(p[u], p[v]), max(p[u], p[v])] for p in perms]).tobytes(),
-                              "little") for u, v in pos]
+    singles = [int.from_bytes(array("I", [1 << either[p[u], p[v]] for p in perms]).tobytes(), "little")
+               for u, v in pos]
     chunks = []
     for c in range(0, len(singles), CHUNK):
         values = [0]
@@ -77,7 +78,7 @@ def graphs_upto_iso(n: int) -> tuple[Graph, ...]:
             packed |= values[(mask >> CHUNK * c) & ((1 << CHUNK) - 1)]
         for image in array("I", packed.to_bytes(width, "little")):
             seen[image] = 1
-        mask = seen.find(0, mask + 1)
+        mask = seen.find(0, mask + 1)  # the next unseen mask, or -1
     return tuple(_mask_to_graph(n, mask) for mask in reps)
 
 
