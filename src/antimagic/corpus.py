@@ -19,7 +19,7 @@ from functools import lru_cache
 from .graph import Graph, GraphError
 
 MAX_ENUMERATION_N = 7
-CHUNK = 7  # edge-mask bits per table lookup in the orbit walk
+_CHUNK = 7  # edge-mask bits per table lookup in the orbit walk
 
 
 def _edge_positions(n: int) -> dict[tuple[int, int], int]:
@@ -32,15 +32,14 @@ def _edge_positions(n: int) -> dict[tuple[int, int], int]:
     return pos
 
 
-@lru_cache(maxsize=None)
 def _chunk_images(n: int) -> list[list[int]]:
     """The images of every chunk of an edge mask under all n! vertex
     permutations, packed into one int per chunk value.
 
-    Chunk c holds mask bits CHUNK*c up to CHUNK*(c+1).  Entry [c][v] holds,
-    in its i-th 32-bit field, the image under the i-th permutation of the
-    mask whose chunk c is v and whose other bits are clear.  So OR-ing one
-    entry per chunk packs the images of a whole mask.
+    Chunk c holds mask bits _CHUNK*c up to _CHUNK*(c+1).  Entry [c][v]
+    holds, in its i-th 32-bit field, the image under the i-th permutation
+    of the mask whose chunk c is v and whose other bits are clear.  So
+    OR-ing one entry per chunk packs the images of a whole mask.
     """
     pos = _edge_positions(n)
     either = {**pos, **{(v, u): k for (u, v), k in pos.items()}}  # both orientations of each edge
@@ -48,9 +47,9 @@ def _chunk_images(n: int) -> list[list[int]]:
     singles = [int.from_bytes(array("I", [1 << either[p[u], p[v]] for p in perms]).tobytes(), "little")
                for u, v in pos]
     chunks = []
-    for c in range(0, len(singles), CHUNK):
+    for c in range(0, len(singles), _CHUNK):
         values = [0]
-        for single in singles[c:c + CHUNK]:
+        for single in singles[c:c + _CHUNK]:
             values += [packed | single for packed in values]
         chunks.append(values)
     return chunks
@@ -75,7 +74,7 @@ def graphs_upto_iso(n: int) -> tuple[Graph, ...]:
         reps.append(mask)
         packed = 0
         for c, values in enumerate(chunks):
-            packed |= values[(mask >> CHUNK * c) & ((1 << CHUNK) - 1)]
+            packed |= values[(mask >> _CHUNK * c) & ((1 << _CHUNK) - 1)]
         for image in array("I", packed.to_bytes(width, "little")):
             seen[image] = 1
         mask = seen.find(0, mask + 1)  # the next unseen mask, or -1

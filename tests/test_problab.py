@@ -172,23 +172,22 @@ class TestExperiments:
         assert summary.pass_fraction == summary.passed / summary.trials
         assert summary.ok == (summary.pass_fraction >= 0.95)
 
-    def test_character_bound_experiment_calibrated_cell(self):
-        # the cell the bound constants were calibrated on: every sample passes
+    def test_calibrated_cell_fails_a_broken_character(self, monkeypatch):
+        # every sample passes the cell the bound constants were calibrated on;
+        # with every phase doubled, |cos(2 pi g x / p)| is no longer |T(x)|,
+        # and the same cell must say so
         summary = run_character_bound_experiment(300, 30, 20, seed=1)
         assert summary.passed == 20 and summary.ok
 
-    def test_character_bound_experiment_fails_a_broken_character(self, monkeypatch):
-        # with every phase doubled, |cos(2 pi g x / p)| is no longer |T(x)|,
-        # and the calibrated cell must say so
         def doubled(sample):
             p = sample.p
             return [math.prod(abs(math.cos(2 * math.pi * (g * x % p) / p)) for g in sample.gaps())
                     for x in range(1, p)]
 
         monkeypatch.setattr(problab, "character_magnitudes", doubled)
-        summary = run_character_bound_experiment(300, 30, 20, seed=1)
-        assert summary.passed == 0 and not summary.ok
-        assert summary.worst_statistic > 100
+        broken = run_character_bound_experiment(300, 30, 20, seed=1)
+        assert broken.passed == 0 and not broken.ok
+        assert broken.worst_statistic > 100
 
     def test_point_mass_experiment_smoke(self):
         summary = run_point_mass_experiment(60, 8, 20, seed=2)
