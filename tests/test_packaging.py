@@ -59,3 +59,21 @@ def test_only_dispatch_calls_the_search():
     callers = [path.stem for path in sorted(SRC.glob("*.py"))
                for name in _calls_and_imports(path.stem)[0] if name == "heuristic_search"]
     assert callers == ["dispatch"]
+
+
+def test_only_the_tracer_shims_are_unused_imports():
+    # a top-level import that no name in its module refers to; the two
+    # expected ones are imported only for bench/tracing.py to wrap
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        # the base of an attribute such as math.log is a Name node too
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == {("dense", "vertex_sums"), ("dispatch", "verify_antimagic")}

@@ -9,6 +9,7 @@ from antimagic import graph
 from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
 from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
+from antimagic.io import parse_graph6
 from antimagic.oracle import FOUND, exhaustive_search, heuristic_search
 from antimagic import special
 from antimagic.special import (_reserved_assignment, complete_partial_labeling, label_max_degree_n_minus_2,
@@ -147,6 +148,21 @@ BLOCK_SHIFTS = [
                 (9, 14), (10, 12), (11, 14), (12, 14), (13, 14)]),
      {0: 1, 1: 18, 2: 7, 3: 9, 4: 13, 5: 16, 6: 21, 7: 19, 8: 15, 9: 3, 11: 11,
       12: 17, 13: 5}),
+]
+
+
+# Graphs on which a Δ = n-2 scheme passes over its first choice, each with
+# the map from the hub's neighbors to their hub-edge labels: either the
+# two-odd scan of _reserved_assignment takes a label pair later than the two
+# smallest reserved labels, or _lemma44_two_spare_evens turns down its first
+# order of the even pair and takes the second
+LATER_CHOICES = [
+    ("D{[", "later pair", {1: 7, 2: 3, 3: 5}),
+    ("Ey`w", "later pair", {0: 7, 2: 3, 3: 5, 5: 9}),
+    ("F}_Dw", "later pair", {1: 3, 2: 7, 3: 11, 4: 5, 6: 9}),
+    ("EoAw", "second order", {0: 5, 2: 3, 3: 6, 4: 1}),
+    ("Eya?", "second order", {1: 5, 2: 6, 4: 1, 5: 3}),
+    ("Fo?Ew", "second order", {0: 7, 1: 6, 3: 1, 4: 3, 5: 5}),
 ]
 
 
@@ -439,6 +455,28 @@ class TestMaxDegreeNMinus2:
             assert lab is not None
             assert verify_antimagic(g, lab).ok
             assert {u: lab[g.edge_index(u, g.n - 1)] for u in expected} == expected
+
+    @pytest.mark.parametrize("line, branch, expected", LATER_CHOICES, ids=[row[0] for row in LATER_CHOICES])
+    def test_later_choices_pinned(self, line, branch, expected, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append((args, _reserved_assignment(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(special, "_reserved_assignment", recording)
+        g = parse_graph6(line)
+        lab = label_max_degree_n_minus_2(g)
+        assert lab is not None
+        assert verify_antimagic(g, lab).ok
+        hub = g.degrees().index(g.n - 2)
+        assert {u: lab[g.edge_index(u, hub)] for u in g.neighbors(hub)} == expected
+        if branch == "later pair":
+            [((_, w, odd, reserved, _), got)] = calls
+            vj, vk = sorted(odd, key=lambda u: (w[u], u))
+            assert (got[vj], got[vk]) != (reserved[0], reserved[1])
+        else:
+            assert [got is None for _, got in calls] == [True, False]
 
     def test_random_graphs_certified_by_construction(self):
         # seeded stress beyond the corpus: every scheme's one candidate
