@@ -38,7 +38,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import compress, count, filterfalse
-from operator import contains, index, itemgetter
+from operator import index, itemgetter
 from typing import Optional
 
 from .graph import (CollisionState, Graph, GraphError, Labeling, _coins, _shuffle, _trusted_labeling,
@@ -166,27 +166,18 @@ def _reduced_incidence(g: Graph, reduced: tuple[int, ...]) -> dict[int, tuple[in
         u, v = edges[e]
         incident[u].append(e)
         incident[v].append(e)
-    h_sets = {}
-    for v, edges_v in enumerate(incident):
-        h_sets[v] = tuple(edges_v)
-        # Freeing each list as its tuple is made keeps the count of live
-        # containers flat, so no garbage collection runs in this loop.
-        incident[v] = None
-    return h_sets
+    return dict(enumerate(map(tuple, incident)))
 
 
-def _disjoint_pairs(rest: list[int], edges) -> tuple[list[int], list[int]]:
+def _disjoint_pairs(rest: list[int], edges) -> list[tuple[int, int]]:
     """Pair the ascending edge ids ``rest`` so that no pair shares an endpoint.
 
     Each edge, in order, takes the first later unpaired edge that shares no
     endpoint with it; edges left over are fixed by splitting an earlier
-    pair.  Returns the pairs as two aligned lists, smaller id first.
+    pair.  Returns the pairs, each with its smaller id first.
     """
-    # itemgetter fetches every end in one call, but given a single id it
-    # returns that edge itself rather than a tuple of edges
-    ends = itemgetter(*rest)(edges) if len(rest) > 1 else [edges[e] for e in rest]
+    ends = [edges[e] for e in rest]
     firsts = list(map(itemgetter(0), ends))
-    second = itemgetter(1)
     last = len(rest)
     # Positions in ``rest``.  Every position from ``front`` on is unpaired;
     # ``waiting`` holds, ascending, the unpaired positions between the
@@ -194,71 +185,55 @@ def _disjoint_pairs(rest: list[int], edges) -> tuple[list[int], list[int]]:
     # met the edge then looking for a partner.  Later edges of u's block
     # share u; every edge after the block has both ends above u, so it
     # meets (u, v) exactly when it contains v.
-    lows: list[int] = []
-    highs: list[int] = []
+    pairs: list[tuple[int, int]] = []
     stuck: list[int] = []
     waiting: list[int] = []
     front = 0
     while waiting or front < last:
         start = waiting[0] if waiting else front
         end = bisect_right(firsts, firsts[start], start)
-        if waiting:
-            cut = bisect_left(waiting, end)
-            todo = waiting[:cut]
-            del waiting[:cut]
-            if front < end:
-                todo += range(front, end)
-                front = end
-        else:
-            # Nothing waits, so the block's unpaired edges run from ``front``
-            # to its end and their partners follow the block, in step, until
-            # a partner meets its edge.
-            k = end - start if end - start < last - end else last - end
-            met = map(contains, ends[end:end + k], map(second, ends[start:start + k]))
-            hit = next(compress(count(), met), k)
-            lows += rest[start:start + hit]
-            highs += rest[end:end + hit]
-            front = end + hit
-            todo = range(start + hit, end)
+        cut = bisect_left(waiting, end)
+        todo = waiting[:cut]
+        del waiting[:cut]
+        if front < end:
+            todo += range(front, end)
+            front = end
         for i in todo:
             v = ends[i][1]
             for idx, w in enumerate(waiting):
                 if v not in ends[w]:
-                    lows.append(rest[i])
-                    highs.append(rest[waiting.pop(idx)])
+                    pairs.append((rest[i], rest[waiting.pop(idx)]))
                     break
             else:
                 while front < last and v in ends[front]:
                     waiting.append(front)
                     front += 1
                 if front < last:
-                    lows.append(rest[i])
-                    highs.append(rest[front])
+                    pairs.append((rest[i], rest[front]))
                     front += 1
                 else:
                     stuck.append(rest[i])
     if not stuck:
         # An edge precedes its partner in ``rest``, so it has the smaller id.
-        return lows, highs
-    disjoint_pairs = list(zip(lows, highs))
+        return pairs
     for k in range(0, len(stuck), 2):
         if k + 1 == len(stuck):
             raise AssertionError("even edge count cannot strand a single edge")
         e, f = stuck[k], stuck[k + 1]
         misses_e = set(edges[e]).isdisjoint
         misses_f = set(edges[f]).isdisjoint
-        for idx, (a, b) in enumerate(disjoint_pairs):
+        for idx, (a, b) in enumerate(pairs):
             if misses_e(edges[a]) and misses_f(edges[b]):
-                disjoint_pairs[idx] = (e, a)
-                disjoint_pairs.append((f, b))
+                pairs[idx] = (e, a)
+                pairs.append((f, b))
                 break
             if misses_e(edges[b]) and misses_f(edges[a]):
-                disjoint_pairs[idx] = (e, b)
-                disjoint_pairs.append((f, a))
+                pairs[idx] = (e, b)
+                pairs.append((f, a))
                 break
         else:
             raise PairingError("could not pair leftover edges without shared endpoints")
-    return list(map(min, disjoint_pairs)), list(map(max, disjoint_pairs))
+    return [(a, b) if a < b else (b, a) for a, b in pairs]
 
 
 def phase2_pair_edges(st: DenseState) -> DenseState:
@@ -286,15 +261,14 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
         raise AssertionError("spill sets must be disjoint")
 
     rest = list(filterfalse(spill_edges.__contains__, st.reduced_edges))
-    lows, highs = _disjoint_pairs(rest, st.graph.edges)
+    pairs = _disjoint_pairs(rest, st.graph.edges)
     # A spill set ascends, so its pairs too have the smaller id first.
     for v in sorted(spill):
         chunk = spill[v]
-        lows += chunk[0::2]
-        highs += chunk[1::2]
+        pairs += zip(chunk[0::2], chunk[1::2])
     # The pairs share no edge, so their smaller ids differ and sorting
     # compares those alone.
-    pair_list = tuple(sorted(zip(lows, highs)))
+    pair_list = tuple(sorted(pairs))
     pair_index = dict(zip(map(itemgetter(0), pair_list), count()))
     pair_index.update(zip(map(itemgetter(1), pair_list), count()))
     if len(pair_index) != st.t:
