@@ -12,6 +12,7 @@ anywhere unless it passes this check.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from operator import index, itemgetter
@@ -56,13 +57,11 @@ class Graph:
     so any construction that walks "arbitrary" edges in storage order is
     deterministic and reproducible.  The degree tuple is set at
     construction, beside the incidence, so degree queries build nothing.
-    Instances are value-like: the only state set after construction is the
-    edge -> index map, built on first use and the same whoever builds it, so
-    no method's answer ever changes and instances are safe to share across
-    concurrent workers.
+    Instances are value-like: nothing changes after construction, so
+    instances are safe to share across concurrent workers.
     """
 
-    __slots__ = ("n", "edges", "_incident", "_degrees", "_index", "_graph6")
+    __slots__ = ("n", "edges", "_incident", "_degrees", "_graph6")
     n: int
     edges: tuple[tuple[int, int], ...]
 
@@ -116,18 +115,12 @@ class Graph:
         ends = map(self.edges.__getitem__, self._incident[v])
         return tuple([w if u == v else u for u, w in ends])
 
-    def _edge_map(self) -> dict[tuple[int, int], int]:
-        """Edge -> index, built on first use: most graphs never need it."""
-        if self._index is None:
-            self._index = dict(zip(self.edges, range(len(self.edges))))
-        return self._index
-
     def edge_index(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
-        try:
-            return (self._index or self._edge_map())[key]
-        except KeyError:
-            raise GraphError(f"no edge {key}") from None
+        e = bisect_left(self.edges, key)
+        if e == len(self.edges) or self.edges[e] != key:
+            raise GraphError(f"no edge {key}")
+        return e
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -167,7 +160,6 @@ def _fill(g: Graph, n: int, edges) -> None:
     g.edges = tuple(edges)
     g._incident = tuple(map(tuple, incident))
     g._degrees = tuple(map(len, incident))
-    g._index = None
     g._graph6 = None
 
 

@@ -65,7 +65,7 @@ def parse_edgelist(text: str) -> Graph:
     rows = list(map(str.split, lines[header_no:]))
     if "#" in text or not all(rows):
         rows = [row for row in rows if row and row[0][0] != "#"]
-    codes = _edge_codes(rows, n, _plain(text))
+    codes = _edge_codes(rows, n)
     if codes is None:
         _reject_edge_lines(lines, header_no, n)
     if len(codes) != m:
@@ -73,38 +73,30 @@ def parse_edgelist(text: str) -> Graph:
     return _canonical_graph(n, list(map(divmod, codes, repeat(n))))
 
 
-def _plain(text: str) -> bool:
-    """True when ``int()`` can read a field of ``text`` only as an optional
+def _ints(fields: list[str]) -> list[int]:
+    """The integers ``fields`` hold; ValueError unless each is an optional
     sign and ASCII digits.
 
     A field has no whitespace, since it comes from ``str.split()``, and
     ``int()`` would also take '_' between digits and non-ASCII digits.
     """
-    return text.isascii() and "_" not in text
-
-
-def _ints(fields: list[str]) -> list[int]:
-    """The integers ``fields`` hold; ValueError unless each is an optional
-    sign and ASCII digits."""
-    if not _plain("".join(fields)):
+    joined = "".join(fields)
+    if not joined.isascii() or "_" in joined:
         raise ValueError("not a plain decimal integer")
     return list(map(int, fields))
 
 
-def _edge_codes(rows: list[list[str]], n: int, plain: bool) -> Optional[list[int]]:
+def _edge_codes(rows: list[list[str]], n: int) -> Optional[list[int]]:
     """The edges on ``rows`` as sorted codes ``u * n + v``, ``u < v``, which
     order them as Graph stores them; None if a row is no edge or an edge
     repeats.
 
     Each check is one pass over the whole document, not a loop per line.
-    ``plain`` says that the whole document passes :func:`_plain`, so its
-    fields need no look of their own.
     """
     if not set(map(len, rows)) <= {2}:
         return None
-    tokens = list(chain.from_iterable(rows))
     try:
-        ends = list(map(int, tokens)) if plain else _ints(tokens)
+        ends = _ints(list(chain.from_iterable(rows)))
     except ValueError:
         return None
     us, vs = ends[0::2], ends[1::2]
@@ -314,10 +306,9 @@ def parse_certificate(text: str) -> tuple[Graph, Labeling]:
         if u < 0 or v >= n:
             raise ParseError(f"edge ({u}, {v}) out of range for n={n}", i)
     g = Graph(n, list(edge_lines))
-    by_edge = [0] * g.m
-    for (u, v), lab in zip(edge_lines, labels):
-        by_edge[g.edge_index(u, v)] = lab
-    labeling = Labeling(by_edge)
+    # Graph stores the edges sorted, and the keys are distinct, so sorting
+    # the (edge, label) pairs puts the labels in edge-id order
+    labeling = Labeling([lab for _, lab in sorted(zip(edge_lines, labels))])
     actual = vertex_sums(g, labeling)
     for v, total, i in vertex_lines:
         if total != actual[v]:
