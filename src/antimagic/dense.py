@@ -200,9 +200,10 @@ def _disjoint_pairs(rest: list[int], edges) -> list[tuple[int, int]]:
             front = end
         for i in todo:
             v = ends[i][1]
-            for idx, w in enumerate(waiting):
+            for w in waiting:
                 if v not in ends[w]:
-                    pairs.append((rest[i], rest[waiting.pop(idx)]))
+                    waiting.remove(w)
+                    pairs.append((rest[i], rest[w]))
                     break
             else:
                 while front < last and v in ends[front]:
