@@ -9,13 +9,13 @@ every parity class stays internally distinct.  ``G - v_n`` is the list of
 G's edge ids away from ``v_n``, so weights and labels never change
 coordinates.
 
-The scheme makes one deterministic candidate per graph, and this module
-only constructs: it never searches and never re-draws.  The published
-arguments wave at the final distinctness, and at small scales the scheme
-can fail: the fixed sums of ``v_n`` and its non-neighbor can be forced
-onto a neighbor's total, and then it makes no candidate.  A candidate it
-does make is verifier-gated all the same.  Either way
-:func:`label_max_degree_n_minus_2` returns None, and
+Each scheme yields a short, deterministic sequence of complete
+candidates, and the verifier alone picks one: the first it accepts.  This
+module only constructs: it never re-draws and never repairs.  The
+published arguments wave at the final distinctness, and at small scales
+the scheme can fail: the fixed sums of ``v_n`` and its non-neighbor can be
+forced onto a neighbor's total, and then the verifier turns down every
+candidate.  Then :func:`label_max_degree_n_minus_2` returns None, and
 ``dispatch.dispatch_label`` hands the graph to the heuristic search.
 """
 
@@ -197,10 +197,9 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
     labels G as it stands.  Otherwise the edge count picks the scheme:
     dense graphs (m >= 2n-4) get the parity forest / cycle decomposition
     scheme, sparse ones (m <= 2n-5) the all-even scheme with its three
-    edge-count cases.  The scheme's one candidate is returned if the
-    verifier accepts it; None means the scheme made no candidate or the
-    verifier rejected it.  A graph that violates the hypothesis raises
-    :class:`GraphError`.
+    edge-count cases.  The first of the scheme's candidates that the
+    verifier accepts is returned; None means the verifier turned down every
+    one.  A graph that violates the hypothesis raises :class:`GraphError`.
     """
     n = g.n
     if n < 4:
@@ -233,14 +232,13 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
     star = list(itertools.compress(range(m), away))
     evens = list(range(2, m + 1, 2))
     odds = list(range(1, m + 1, 2))
-    candidate = scheme(g, vn1, star, evens, odds, list(hub_edge))
-    if candidate is None:
-        return None
-    labels, assign = candidate
-    for u, lab in assign.items():
-        labels[hub_edge[u]] = lab
-    lab = _trusted_labeling(labels)
-    return lab if verify_antimagic(g, lab).ok else None
+    for labels, assign in scheme(g, vn1, star, evens, odds, list(hub_edge)):
+        for u, lab in assign.items():
+            labels[hub_edge[u]] = lab
+        lab = _trusted_labeling(labels)
+        if verify_antimagic(g, lab).ok:
+            return lab
+    return None
 
 
 def _lift(g: Graph, items):
@@ -261,8 +259,10 @@ def _lift(g: Graph, items):
 # ascending G edge ids away from the hub, so G - v_n with v_n isolated), the
 # evens and odds of 1..m, and the hub's neighbors in ascending order, which
 # it must not change.  Everything is in G's own vertex and edge ids.  A
-# scheme returns the labels of G's non-hub edges plus a map neighbor ->
-# label for the hub's edges, or None when its choices admit no candidate.
+# scheme yields candidates, each the labels of G's non-hub edges plus a map
+# neighbor -> label for the hub's edges, and judges none of them: the caller
+# writes the hub labels, freezes the candidate and asks the verifier before
+# it asks for the next one, so a scheme may yield one labels list again.
 
 # -- dense case: m >= 2n-4 ---------------------------------------------------
 
@@ -311,47 +311,56 @@ def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     # the evens, then the odds below the reserved ones: zip stops there
     labels, w = _lift(g, zip(order, evens + odds))
     reserved = odds[len(odds) - len(neighbors):]
-    assign = _reserved_assignment(neighbors, w, odd_vertices, reserved, [w[vn1], sum(reserved)])
-    return None if assign is None else (labels, assign)
+    if odd_vertices:
+        assigns = _reserved_assignment(neighbors, w, odd_vertices, reserved, [w[vn1], sum(reserved)])
+    else:
+        assigns = [_sorted_default(neighbors, w, reserved)]
+    for assign in assigns:
+        yield labels, assign
+
+
+def _sorted_default(neighbors, w, labels):
+    """The ascending ``labels`` on the hub's ascending ``neighbors`` in
+    (weight, id) order: lighter neighbors get smaller labels.
+
+    Consecutive neighbors in that order have w_i <= w_{i+1} and labels
+    l_i < l_{i+1}, so w_i + l_i < w_{i+1} + l_{i+1}: the totals strictly
+    increase, so they are pairwise distinct.  A candidate built on the
+    default can therefore only fail where a total hits another vertex's
+    weight (the non-neighbor's, the hub's, or a fixed total of the scheme),
+    and the verifier sees exactly that.
+    """
+    # a stable sort of the ascending ids by weight: (weight, id) order
+    return dict(zip(sorted(neighbors, key=w.__getitem__), labels))
 
 
 def _reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
-    """Assignment of the ascending ``reserved`` labels to the hub's
-    ascending ``neighbors``, or None.
+    """Assignments of the ascending ``reserved`` labels to the hub's
+    ascending ``neighbors``, two of which, ``odd_vertices``, have odd
+    weight.
 
-    With no odd-weight neighbor, the sorted default: lighter neighbors get
-    smaller labels, ties by id.  With two, the first ordered pair of labels
-    for them that keeps every total apart, the rest taking the sorted
-    default.  Either way the neighbor totals and ``fixed_sums`` (the other
-    vertices' weights) must come out pairwise distinct.
-
-    The sorted default needs only a check against the fixed sums.  With the
-    neighbors in (weight, id) order, consecutive ones have w_i <= w_{i+1}
-    and labels l_i < l_{i+1}, so w_i + l_i < w_{i+1} + l_{i+1}: the totals
-    strictly increase, so they are pairwise distinct.  The fixed sums are
-    checked to be pairwise distinct first, so all of them are distinct
-    exactly when no total is a fixed sum.
+    The scan walks the ordered label pairs in ``itertools.permutations``
+    order, the first label of a pair going to the lighter of the two (by
+    weight, then id) and the rest of the neighbors taking the sorted
+    default, and yields each assignment whose neighbor totals and
+    ``fixed_sums`` (the other vertices' weights) come out pairwise distinct.
+    It searches, so it checks each pair itself; where the fixed sums already
+    collide no pair can help, and it yields nothing without scanning the
+    k^2 pairs.
     """
     if len(set(fixed_sums)) < len(fixed_sums):
-        return None  # the forced sums already collide; no assignment can help
+        return
     # a stable sort of the ascending ids by weight: (weight, id) order
     order = sorted(neighbors, key=w.__getitem__)
-    if not odd_vertices:
-        if set(fixed_sums).isdisjoint([w[u] + lab for u, lab in zip(order, reserved)]):
-            return dict(zip(order, reserved))
-        return None
-    vj, vk = odd_vertices
-    if (w[vk], vk) < (w[vj], vj):
-        vj, vk = vk, vj
+    vj, vk = [u for u in order if u in odd_vertices]
     wj, wk = w[vj], w[vk]
-    rest = [u for u in order if u != vj and u != vk]
+    rest = [u for u in order if u not in odd_vertices]
     for alpha, beta in itertools.permutations(reserved, 2):
         left = [lab for lab in reserved if lab != alpha and lab != beta]
         sums = [w[u] + lab for u, lab in zip(rest, left)]
         sums += [wj + alpha, wk + beta, *fixed_sums]
         if len(set(sums)) == len(sums):
-            return dict(zip(rest + [vj, vk], left + [alpha, beta]))
-    return None
+            yield dict(zip(rest + [vj, vk], left + [alpha, beta]))
 
 
 # -- sparse case: m <= 2n-5 --------------------------------------------------
@@ -361,16 +370,16 @@ def _lemma44_all_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
     # exactly cover the hub's edges
     assert len(evens) == len(star) and len(odds) == len(neighbors)
     labels, w = _lift(g, zip(star, evens))
-    assign = _reserved_assignment(neighbors, w, [], odds, [w[vn1], sum(odds)])
-    return None if assign is None else (labels, assign)
+    yield labels, _sorted_default(neighbors, w, odds)
 
 
 def _lemma44_two_spare_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
     # m in {2n-6, 2n-7}: one even pair {r1, r2} is split between the last
     # edge of the reduced graph, held back, and the hub edge of the first
-    # neighbor v1 off that edge, so both all-even weights (v1 and the
-    # non-neighbor) come out distinct; _reserved_assignment turns down an
-    # order of the pair that makes them equal
+    # neighbor v1 off that edge, so that the two all-even weights (v1 and
+    # the non-neighbor) can come out distinct; an order of the pair that
+    # makes them equal is turned down by the verifier, so both orders are
+    # candidates, (r1, r2) first
     assert len(evens) == len(star) + 1 and len(odds) == len(neighbors) - 1
     r2, r1 = evens[-2], evens[-1]
     held = star[-1]
@@ -379,15 +388,13 @@ def _lemma44_two_spare_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
     neighbors = [u for u in neighbors if u != v1]
     labels, w = _lift(g, zip(star[:-1], evens))
     for c, o in ((r1, r2), (r2, r1)):
+        labels[held] = c
         ws = list(w)
         ws[x] += c
         ws[y] += c
-        assign = _reserved_assignment(neighbors, ws, [], odds, [ws[vn1], ws[v1] + o, o + sum(odds)])
-        if assign is not None:
-            labels[held] = c
-            assign[v1] = o
-            return labels, assign
-    return None
+        assign = _sorted_default(neighbors, ws, odds)
+        assign[v1] = o
+        yield labels, assign
 
 
 def _lemma44_completion(g: Graph, vn1: int, star, evens, odds, neighbors):
@@ -401,7 +408,7 @@ def _lemma44_completion(g: Graph, vn1: int, star, evens, odds, neighbors):
     labels, w = _lift(g, comp.items())
     spare_evens = sorted(set(evens) - set(comp.values()))
     assert len(spare_evens) + len(odds) == len(neighbors)
-    return labels, _block_relabel(neighbors, w, spare_evens, odds, w[vn1])
+    yield labels, _block_relabel(neighbors, w, spare_evens, odds, w[vn1])
 
 
 def _block_relabel(neighbors, w, spare_evens, odds, w_vn1):

@@ -8,12 +8,13 @@ import pytest
 from antimagic import graph
 from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
 from antimagic.dispatch import dispatch_label
+from antimagic.generators import complete_graph, cycle_graph, star_graph
 from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
 from antimagic.io import parse_graph6
 from antimagic.oracle import FOUND, exhaustive_search, heuristic_search
 from antimagic import special
-from antimagic.special import (_reserved_assignment, complete_partial_labeling, label_max_degree_n_minus_2,
-                               label_universal_vertex)
+from antimagic.special import (_reserved_assignment, _sorted_default, complete_partial_labeling,
+                               label_max_degree_n_minus_2, label_universal_vertex)
 
 
 def universal_vertex_weight(n, m):
@@ -27,18 +28,6 @@ def weight_multiplicities_ok(sums, cap):
     invariant complete_partial_labeling keeps."""
     counts = Counter(s for s in sums if s > 0)
     return all(c <= cap for c in counts.values())
-
-
-def star(k):
-    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
-
-
-def complete(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def random_delta_n2(rng):
@@ -63,9 +52,13 @@ def _distinct_totals(w, assign, fixed_sums) -> bool:
 
 
 def reference_reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
-    """special._reserved_assignment as it was written before it was made
-    faster: a dict per candidate, each checked in full by _distinct_totals.
-    The fast routine must return an equal dict, or None, wherever this does."""
+    """The reserved-label assignment of the n-2 schemes as it was written
+    before it was made faster: a dict per candidate, each checked in full by
+    _distinct_totals.  With two odd-weight neighbors, the first assignment
+    special._reserved_assignment yields must equal this, or it must yield
+    none where this gives None; with none, special._sorted_default must
+    equal this where it gives a dict and make a total collide where it
+    gives None."""
     if len(set(fixed_sums)) < len(fixed_sums):
         return None
     order = sorted(neighbors, key=lambda u: (w[u], u))
@@ -102,8 +95,8 @@ def seeded_delta_n2(rng, n, m):
 # sha256 of every certificate on the n-vertex Δ >= n-2 corpus, in corpus
 # order, frozen from the construction that labeled G - v_n as a separate
 # induced graph: labeling G on its own vertex ids must give the same labels.
-# Where the n-2 scheme has no candidate, the certificate is the search's,
-# as dispatch_label gives it.
+# Where the verifier accepts no candidate of the n-2 scheme, the certificate
+# is the search's, as dispatch_label gives it.
 CORPUS_DIGESTS = {
     4: "c827955e3289661fb8a152d84fbbc25cf31cfae2bce7b4c6144a81868e6c65f2",
     5: "30d521e291ff12e65b60ba75be75250bac9e2d03cc0076e7fde7bc38c51d7726",
@@ -122,10 +115,18 @@ RANDOM_DIGEST = "040663fd861658a0e4a0d7ee61ba47a0cba0ed48dfc507f881e1def3856bd74
 LARGE_DIGEST = "8bac5bd05e791e64de037f84de885fcc41aaea218a039b5e1043c7183aed8fc4"
 
 # Graphs of the n-vertex Δ >= n-2 corpus with maximum degree n-2 on which the
-# n-2 scheme makes no candidate, so dispatch hands them to the search: every
-# one of them stops in _reserved_assignment.  Mending a scheme shows up as an
-# edit here.
+# verifier accepts no candidate of the n-2 scheme, so dispatch hands them to
+# the search.  Mending a scheme shows up as an edit here and in TURNED_DOWN.
 NO_CANDIDATE = {4: 0, 5: 10, 6: 4, 7: 23, 8: 1}
+
+# The candidates of the n-2 schemes that the verifier turns down on the same
+# graphs, as (on graphs counted in NO_CANDIDATE, on graphs that a later
+# candidate labels).  The first are sorted defaults with a total on the
+# hub's sum; the second are first orders of the even pair that
+# _lemma44_two_spare_evens passes over.  The other 5 graphs of NO_CANDIDATE
+# (4 at n = 6, 1 at n = 8) reach no verifier: their fixed sums collide, so
+# the two-odd scan of _reserved_assignment yields nothing.
+TURNED_DOWN = {4: (0, 0), 5: (10, 0), 6: (0, 4), 7: (23, 8), 8: (0, 9)}
 
 # n = 5, maximum degree 3, m = 2n-5: the published sparse scheme is
 # infeasible here (the hub sum 9 is forced onto a neighbor total)
@@ -154,8 +155,8 @@ BLOCK_SHIFTS = [
 # Graphs on which a Δ = n-2 scheme passes over its first choice, each with
 # the map from the hub's neighbors to their hub-edge labels: either the
 # two-odd scan of _reserved_assignment takes a label pair later than the two
-# smallest reserved labels, or _lemma44_two_spare_evens turns down its first
-# order of the even pair and takes the second
+# smallest reserved labels, or the verifier turns down the first order of
+# the even pair of _lemma44_two_spare_evens and accepts the second
 LATER_CHOICES = [
     ("D{[", "later pair", {1: 7, 2: 3, 3: 5}),
     ("Ey`w", "later pair", {0: 7, 2: 3, 3: 5, 5: 9}),
@@ -166,9 +167,24 @@ LATER_CHOICES = [
 ]
 
 
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The verdict of every verifier call that special makes, in call
+    order."""
+    calls = []
+
+    def recording(*args):
+        report = verify_antimagic(*args)
+        calls.append(report.ok)
+        return report
+
+    monkeypatch.setattr(special, "verify_antimagic", recording)
+    return calls
+
+
 class TestUniversalVertex:
     def test_star_k13(self):
-        g = star(3)
+        g = star_graph(3)
         lab = label_universal_vertex(g)
         sums = vertex_sums(g, lab)
         assert sorted(sums) == [1, 2, 3, 6]
@@ -180,7 +196,7 @@ class TestUniversalVertex:
             label_universal_vertex(Graph(2, [(0, 1)]))
 
     def test_k4_derived_weights(self):
-        g = complete(4)
+        g = complete_graph(4)
         lab = label_universal_vertex(g)
         sums = vertex_sums(g, lab)
         assert sorted(sums) == [7, 9, 11, 15]
@@ -189,7 +205,7 @@ class TestUniversalVertex:
 
     def test_no_hub_rejected(self):
         with pytest.raises(GraphError):
-            label_universal_vertex(cycle(4))
+            label_universal_vertex(cycle_graph(4))
 
     def test_hub_weight_is_strict_max_and_neighbors_increase(self):
         for g in connected_graphs_upto_iso(5):
@@ -305,10 +321,19 @@ class TestReservedAssignment:
                 w[u] += 1
             reserved = sorted(rng.sample(range(1, 4 * k, 2), k))
             fixed = [rng.randrange(4 * k) for _ in range(rng.choice((2, 3)))]
-            got = _reserved_assignment(neighbors, w, odd, reserved, fixed)
-            assert got == reference_reserved_assignment(neighbors, w, odd, reserved, fixed)
+            ref = reference_reserved_assignment(neighbors, w, odd, reserved, fixed)
+            if odd:
+                assert next(_reserved_assignment(neighbors, w, odd, reserved, fixed), None) == ref
+            else:
+                got = _sorted_default(neighbors, w, reserved)
+                if ref is not None:
+                    assert got == ref
+                else:
+                    # the candidate the verifier turns down
+                    sums = [w[u] + lab for u, lab in got.items()] + fixed
+                    assert len(set(sums)) < len(sums)
             collide = len(set(fixed)) < len(fixed)
-            kinds[len(odd), len(fixed), collide, got is None] += 1
+            kinds[len(odd), len(fixed), collide, ref is None] += 1
         for odd in (0, 2):
             for nfixed in (2, 3):
                 assert kinds[odd, nfixed, True, True] > 0      # fixed sums collide
@@ -317,32 +342,39 @@ class TestReservedAssignment:
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_matches_reference_on_corpus_inputs(self, n, monkeypatch):
-        # every call the n-2 schemes make on the corpus
-        calls = []
+        # every call the n-2 schemes make on the corpus, of the two-odd scan
+        # and of the sorted default; the default's totals strictly
+        # increase, so the reference with no fixed sums always gives a dict
+        scans, defaults = [], []
 
-        def recording(*args):
-            calls.append(args)
-            return _reserved_assignment(*args)
+        def recording(calls, routine):
+            def record(*args):
+                calls.append(args)
+                return routine(*args)
+            return record
 
-        monkeypatch.setattr(special, "_reserved_assignment", recording)
+        monkeypatch.setattr(special, "_reserved_assignment", recording(scans, _reserved_assignment))
+        monkeypatch.setattr(special, "_sorted_default", recording(defaults, _sorted_default))
         for g in high_max_degree_corpus(n):
             if g.max_degree() == n - 2:
                 label_max_degree_n_minus_2(g)
-        assert calls
-        for args in calls:
-            assert _reserved_assignment(*args) == reference_reserved_assignment(*args)
+        assert scans and defaults
+        for args in scans:
+            assert next(_reserved_assignment(*args), None) == reference_reserved_assignment(*args)
+        for neighbors, w, labels in defaults:
+            assert _sorted_default(neighbors, w, labels) == reference_reserved_assignment(neighbors, w, [], labels, [])
 
 
 class TestMaxDegreeNMinus2:
     def test_c4_lookup(self):
-        g = cycle(4)
+        g = cycle_graph(4)
         lab = label_max_degree_n_minus_2(g)
         assert verify_antimagic(g, lab).ok
 
     def test_all_tiny_graphs(self):
         # the four max-degree-2 graphs on 4 vertices
         graphs = [
-            cycle(4),
+            cycle_graph(4),
             Graph(4, [(0, 1), (1, 2), (2, 3)]),          # P4
             Graph(4, [(0, 1), (1, 2), (0, 2)]),          # triangle + isolated
             Graph(4, [(0, 1), (1, 2)]),                  # P3 + isolated
@@ -362,10 +394,11 @@ class TestMaxDegreeNMinus2:
             assert verify_antimagic(g, rep.certificate).ok
             assert exhaustive_search(g).status == FOUND
 
-    def test_parity_scheme_trap_falls_back(self):
-        # the construction has no candidate for the trap graph; dispatch
-        # must still certify it, through the search
+    def test_parity_scheme_trap_falls_back(self, verdicts):
+        # the verifier turns down the construction's one candidate for the
+        # trap graph; dispatch must still certify it, through the search
         assert label_max_degree_n_minus_2(TRAP) is None
+        assert verdicts == [False]
         for method in ("auto", "delta-n2"):
             rep = dispatch_label(TRAP, method=method)
             assert rep.method == "oracle"
@@ -405,20 +438,25 @@ class TestMaxDegreeNMinus2:
         assert verify_antimagic(g, lab).ok
 
     def test_wrong_degree_rejected(self):
+        with pytest.raises(GraphError, match="^construction requires n >= 4$"):
+            label_max_degree_n_minus_2(Graph(3, [(0, 1)]))
         with pytest.raises(GraphError):
-            label_max_degree_n_minus_2(complete(5))
+            label_max_degree_n_minus_2(complete_graph(5))
         with pytest.raises(GraphError):
-            label_max_degree_n_minus_2(cycle(6))
+            label_max_degree_n_minus_2(cycle_graph(6))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_small_corpus_exhaustive(self, n):
+    def test_small_corpus_exhaustive(self, n, verdicts):
         folded = hashlib.sha256()
         no_candidate = 0
+        turned_down = [0, 0]
         for g in high_max_degree_corpus(n):
+            verdicts.clear()
             if g.max_degree() == n - 1:
                 lab = label_universal_vertex(g)
             else:
                 lab = label_max_degree_n_minus_2(g)
+                turned_down[lab is not None] += verdicts.count(False)
                 if lab is None:
                     no_candidate += 1
                     rep = dispatch_label(g, method="delta-n2")
@@ -428,6 +466,7 @@ class TestMaxDegreeNMinus2:
             folded.update(repr(lab.labels).encode())
         assert folded.hexdigest() == CORPUS_DIGESTS[n]
         assert no_candidate == NO_CANDIDATE[n]
+        assert tuple(turned_down) == TURNED_DOWN[n]
 
     def test_route_builds_no_graph(self, monkeypatch):
         # the route labels G in its own edge ids: neither G - v_n nor what
@@ -457,12 +496,12 @@ class TestMaxDegreeNMinus2:
             assert {u: lab[g.edge_index(u, g.n - 1)] for u in expected} == expected
 
     @pytest.mark.parametrize("line, branch, expected", LATER_CHOICES, ids=[row[0] for row in LATER_CHOICES])
-    def test_later_choices_pinned(self, line, branch, expected, monkeypatch):
-        calls = []
+    def test_later_choices_pinned(self, line, branch, expected, verdicts, monkeypatch):
+        scans = []
 
         def recording(*args):
-            calls.append((args, _reserved_assignment(*args)))
-            return calls[-1][1]
+            scans.append(args)
+            return _reserved_assignment(*args)
 
         monkeypatch.setattr(special, "_reserved_assignment", recording)
         g = parse_graph6(line)
@@ -472,15 +511,19 @@ class TestMaxDegreeNMinus2:
         hub = g.degrees().index(g.n - 2)
         assert {u: lab[g.edge_index(u, hub)] for u in g.neighbors(hub)} == expected
         if branch == "later pair":
-            [((_, w, odd, reserved, _), got)] = calls
+            # the scan's first assignment is accepted, and it is not (r0, r1)
+            [(_, w, odd, reserved, _)] = scans
             vj, vk = sorted(odd, key=lambda u: (w[u], u))
-            assert (got[vj], got[vk]) != (reserved[0], reserved[1])
+            assert (expected[vj], expected[vk]) != (reserved[0], reserved[1])
+            assert verdicts == [True]
         else:
-            assert [got is None for _, got in calls] == [True, False]
+            # the first order is turned down, the second accepted
+            assert scans == []
+            assert verdicts == [False, True]
 
     def test_random_graphs_certified_by_construction(self):
-        # seeded stress beyond the corpus: every scheme's one candidate
-        # verifies, so the search is never needed; the digest pins
+        # seeded stress beyond the corpus: the verifier accepts a candidate
+        # of every graph, so the search is never needed; the digest pins
         # every certificate, so the dense scheme's cycle walk is pinned too
         rng = random.Random(2003)
         folded = hashlib.sha256()
