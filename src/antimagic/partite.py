@@ -83,12 +83,9 @@ def label_multipartite_on(g: Graph, classes: Sequence[Sequence[int]]) -> Labelin
     """
     classes = sorted((sorted(c) for c in classes), key=lambda c: (len(c), c))
     k = len(classes)
-    n = g.n
-    if n == 1:
-        return Labeling([])
     if k == 1:
-        raise GraphError("an edgeless graph on 2+ vertices has all sums zero")
-    if n == 2:
+        raise GraphError("one class makes an edgeless graph, not a complete multipartite one")
+    if g.n == 2:
         raise GraphError("K2 is not antimagic")
     if k == 2:
         return _label_bipartite(g, classes)

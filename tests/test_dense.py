@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 from collections import Counter
 
@@ -15,15 +14,8 @@ from antimagic.dense import (
     phase3_pair_labels,
     phase5_assign,
 )
+from antimagic.generators import complete_graph, cycle_graph
 from antimagic.graph import Graph, GraphError, _trusted_labeling, verify_antimagic, vertex_sums
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
 
 
 def reduced_graph(st):
@@ -63,13 +55,13 @@ def random_min_degree(n, d, seed):
 
 class TestPhase1:
     def test_regular_graph_removes_nothing(self):
-        g = cycle(6)
+        g = cycle_graph(6)
         st = phase1_reduce(g, d=2)
         assert st.removed == () and st.t == 6
         assert st.high == frozenset()
 
     def test_k4_trace(self):
-        g = complete(4)
+        g = complete_graph(4)
         st = phase1_reduce(g, d=2)
         assert st.removed[0][1] == 6  # first removal carries the top label
         assert st.t % 2 == 0
@@ -85,7 +77,7 @@ class TestPhase1:
 
     def test_min_degree_enforced(self):
         with pytest.raises(GraphError):
-            phase1_reduce(cycle(5), d=3)
+            phase1_reduce(cycle_graph(5), d=3)
 
     @pytest.mark.parametrize("d, message", [
         (0, "minimum-degree parameter must be positive"),
@@ -93,7 +85,7 @@ class TestPhase1:
     ], ids=["d=0", "d=2.5"])
     def test_bad_d_rejected(self, d, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
-            phase1_reduce(cycle(6), d=d)
+            phase1_reduce(cycle_graph(6), d=d)
 
     def test_t_range_invariant(self):
         for seed in range(5):
@@ -131,9 +123,9 @@ class TestPhase1:
 
 class TestPhase2:
     def test_c6_three_disjoint_pairs(self):
-        st = phase2_pair_edges(phase1_reduce(cycle(6), d=2))
+        st = phase2_pair_edges(phase1_reduce(cycle_graph(6), d=2))
         assert len(st.pair_list) == 3
-        g = cycle(6)
+        g = cycle_graph(6)
         for a, b in st.pair_list:
             assert not (set(g.edges[a]) & set(g.edges[b]))
         # the pairs cover each of the 6 edges exactly once
@@ -307,7 +299,7 @@ class TestDraws:
 class TestPhase3:
     def test_needs_phase2(self):
         with pytest.raises(GraphError, match="^phase 2 has not run$"):
-            phase3_pair_labels(phase1_reduce(cycle(6), d=2), random.Random(0))
+            phase3_pair_labels(phase1_reduce(cycle_graph(6), d=2), random.Random(0))
 
     def test_t2_single_pair(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -316,7 +308,7 @@ class TestPhase3:
         assert st.label_pairs == ((1, 2),)
 
     def test_deterministic_per_seed(self):
-        g = cycle(8)
+        g = cycle_graph(8)
         st = phase2_pair_edges(phase1_reduce(g, d=2))
         a = phase3_pair_labels(st, random.Random(42)).label_pairs
         b = phase3_pair_labels(st, random.Random(42)).label_pairs
@@ -353,10 +345,10 @@ class TestPhase3:
 class TestPhase5:
     def test_needs_phase3(self):
         with pytest.raises(GraphError, match="^phase 3 has not run$"):
-            phase5_assign(phase2_pair_edges(phase1_reduce(cycle(6), d=2)), random.Random(0))
+            phase5_assign(phase2_pair_edges(phase1_reduce(cycle_graph(6), d=2)), random.Random(0))
 
     def test_all_heads_canonical_orientation(self):
-        g = cycle(6)
+        g = cycle_graph(6)
         st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d=2)),
                                 random.Random(9))
         lab = phase5_assign(st, _AllHeads())
@@ -378,7 +370,7 @@ class TestPhase5:
             assert abs(count / 2000 - 0.5) < 0.05
 
     def test_pipeline_yields_bijection(self):
-        g = cycle(6)
+        g = cycle_graph(6)
         st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d=2)),
                                 random.Random(3))
         lab = phase5_assign(st, random.Random(4))
@@ -409,7 +401,7 @@ class TestDriver:
     ], ids=["d=0", "max_resamples=0"])
     def test_config_values_below_one_rejected(self, kwargs, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
-            label_dense(cycle(6), **kwargs)
+            label_dense(cycle_graph(6), **kwargs)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"d": 2.5}, r"minimum-degree parameter must be an integer, got 2\.5"),
@@ -417,7 +409,7 @@ class TestDriver:
     ], ids=["d=2.5", "max_resamples=1.5"])
     def test_config_non_integers_rejected(self, kwargs, message):
         with pytest.raises(GraphError, match=f"^{message}$"):
-            label_dense(cycle(6), **kwargs)
+            label_dense(cycle_graph(6), **kwargs)
 
     def test_one_labeling_per_certificate(self, monkeypatch):
         # several resamples, but only the certified labeling becomes a Labeling

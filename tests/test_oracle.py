@@ -6,7 +6,7 @@ import pytest
 
 from antimagic.corpus import connected_graphs_upto_iso
 from antimagic import oracle
-from antimagic.generators import random_min_degree_graph
+from antimagic.generators import cycle_graph, random_min_degree_graph
 from antimagic.graph import Graph, GraphError, Labeling, VerifyReport, verify_antimagic
 from antimagic.oracle import (
     BUDGET_EXCEEDED,
@@ -18,10 +18,6 @@ from antimagic.oracle import (
     exhaustive_search,
     heuristic_search,
 )
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def torus(a, b):
@@ -69,7 +65,7 @@ class TestExhaustive:
         assert verify_antimagic(Graph(3, [(0, 1), (1, 2)]), res.labeling).ok
 
     def test_c4_found_and_count_frozen(self):
-        g = cycle(4)
+        g = cycle_graph(4)
         assert exhaustive_search(g).status == FOUND
         # independent oracle: enumerate all 4! labelings directly
         brute = sum(
@@ -91,7 +87,7 @@ class TestExhaustive:
         assert info.value.nodes == 6
 
     def test_deterministic(self):
-        g = cycle(5)
+        g = cycle_graph(5)
         a = exhaustive_search(g)
         b = exhaustive_search(g)
         assert a.labeling == b.labeling and a.nodes == b.nodes
@@ -148,7 +144,7 @@ class TestHeuristic:
         assert exhaustive_search(g).status == PROVEN_NONE
 
     @pytest.mark.parametrize("g", [
-        cycle(1000),
+        cycle_graph(1000),
         torus(25, 30),
         random_regular(1000, 3, 1),
         random_regular(1000, 4, 2),
@@ -171,10 +167,10 @@ class TestHeuristic:
     # collision bookkeeping together.  Short runs force restarts and the
     # not_found path.
     @pytest.mark.parametrize("g, kwargs, digest", [
-        (cycle(20), {}, "eec3b16a4cf1f4c220b494d7f705f13a045e74118d91911a2b0b956b3d4731fb"),
-        (cycle(77), {}, "0e5d1f00c43a77938ffad510b89cc607f5e98846a10794876f8ccb98d2f6145d"),
-        (cycle(120), {}, "c0343dcea6ac458ba0d68f74e15617cc047773a90d19b416377a01cc131cb4d5"),
-        (cycle(120), {"max_iters": 1}, "40b2428efbf078458938e036b977326ecaf53877f524a550b65826c5fc6582b8"),
+        (cycle_graph(20), {}, "eec3b16a4cf1f4c220b494d7f705f13a045e74118d91911a2b0b956b3d4731fb"),
+        (cycle_graph(77), {}, "0e5d1f00c43a77938ffad510b89cc607f5e98846a10794876f8ccb98d2f6145d"),
+        (cycle_graph(120), {}, "c0343dcea6ac458ba0d68f74e15617cc047773a90d19b416377a01cc131cb4d5"),
+        (cycle_graph(120), {"max_iters": 1}, "40b2428efbf078458938e036b977326ecaf53877f524a550b65826c5fc6582b8"),
         (random_regular(40, 3, 0), {}, "0db6d8f917dd6f1ffb436e258f802996327806b6f49b69f183386fb4943debdc"),
         (random_regular(120, 3, 1), {}, "b462f6166a54562eedf13682754e8d0c3c5ea4f73e7b3002d305e76f2380b0b2"),
         (random_regular(30, 4, 2), {}, "1ea9177623680150139f6bf46636fc7322499943899fbab201112bd91303f759"),
@@ -210,7 +206,7 @@ class TestHeuristic:
         rejected = VerifyReport(ok=False, bijection_ok=False, first_collision=None)
         monkeypatch.setattr(oracle, "verify_antimagic", lambda g, lab: rejected)
         with pytest.raises(AssertionError):
-            heuristic_search(cycle(10))
+            heuristic_search(cycle_graph(10))
 
     def test_agrees_with_exhaustive_on_small_corpus(self):
         for g in connected_graphs_upto_iso(4):
@@ -229,7 +225,7 @@ SEARCH_BY_KNOB = {"max_nodes": exhaustive_search, "max_iters": heuristic_search,
 @pytest.mark.parametrize("field", ["max_nodes", "max_iters", "restarts"])
 def test_budget_values_below_one_rejected(field):
     with pytest.raises(GraphError, match=f"^{field} must be positive$"):
-        SEARCH_BY_KNOB[field](cycle(5), **{field: 0})
+        SEARCH_BY_KNOB[field](cycle_graph(5), **{field: 0})
 
 
 @pytest.mark.parametrize("search, kwargs, message", [
@@ -242,7 +238,7 @@ def test_budget_values_below_one_rejected(field):
         "count-max_nodes=0", "count-max_nodes=2.5"])
 def test_bad_budget_raises_naming_the_knob(search, kwargs, message):
     with pytest.raises(GraphError, match=f"^{message}$"):
-        search(cycle(5), **kwargs)
+        search(cycle_graph(5), **kwargs)
 
 
 def test_conjecture_holds_up_to_5_vertices():

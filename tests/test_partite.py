@@ -170,6 +170,13 @@ class TestMultipartite:
         with pytest.raises(GraphError):
             label((1, 1))
 
+    @pytest.mark.parametrize("sizes", [(1,), (2,)])
+    def test_one_class_rejected(self, sizes):
+        # K1 and the edgeless pair: dispatch_label answers every edgeless
+        # graph before it routes, so only a direct call gets here
+        with pytest.raises(GraphError, match="^one class makes an edgeless graph, not a complete multipartite one$"):
+            label(sizes)
+
     def test_k333_orderings(self):
         g, lab = label((3, 3, 3))
         assert verify_antimagic(g, lab).ok
