@@ -37,7 +37,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import compress, count, filterfalse
+from itertools import compress, filterfalse
 from operator import index, itemgetter
 from typing import Optional
 
@@ -68,29 +68,31 @@ def effective_d(n: int, d: Optional[int] = None) -> int:
 class DenseState:
     """Everything the pipeline accumulates across phases.
 
-    Phase 1 sets ``removed``, the (edge id, label) pairs it stripped, and
-    ``reduced_edges``, the ascending ids of the surviving edges; ``high``
-    holds the vertices whose reduced degree is at least d+1 (the parity
-    adjustment can leave up to two vertices one below d).  Phase 2 sets
-    ``pair_list`` with each pair's position in ``pair_index``, the spill-over
-    sets ``spill`` and the incident sets ``h_sets`` that remain after them;
-    phase 3 sets ``label_pairs``, aligned with ``pair_list``.
+    Phase 1 sets ``removed``, the ids of the edges it stripped in stripping
+    order, where ``removed[i]`` takes label m - i, and ``reduced_edges``, the
+    ascending ids of the surviving edges; ``high`` holds the vertices whose
+    reduced degree is at least d+1 (the parity adjustment can leave up to
+    two vertices one below d).  Phase 2 sets ``pair_list``, with each
+    edge's position in it at ``pair_index[e]``, the spill-over sets
+    ``spill`` and the incident sets ``h_sets``, by vertex, that remain after
+    them; phase 3 sets ``label_pairs``, the shuffled labels 1..t, whose
+    entries 2i and 2i+1 go to ``pair_list[i]``.
     """
 
     graph: Graph
     d: int
     reduced_edges: tuple[int, ...]
-    removed: tuple[tuple[int, int], ...]
+    removed: tuple[int, ...]
     high: frozenset[int]
     t: int
     parity_adjusted: bool
     # phase 2
     pair_list: Optional[tuple[tuple[int, int], ...]] = None
-    pair_index: Optional[dict[int, int]] = None
+    pair_index: Optional[list[int]] = None
     spill: Optional[dict[int, tuple[int, ...]]] = None
-    h_sets: Optional[dict[int, tuple[int, ...]]] = None
+    h_sets: Optional[list[tuple[int, ...]]] = None
     # phase 3
-    label_pairs: Optional[tuple[tuple[int, int], ...]] = None
+    label_pairs: Optional[list[int]] = None
 
 
 @dataclass(frozen=True)
@@ -123,14 +125,12 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
     deg = list(g.degrees())
     if min(deg, default=0) < d:
         raise GraphError(f"minimum degree {min(deg, default=0)} is below d={d}")
-    removed: list[tuple[int, int]] = []
-    kept = [True] * g.m
-    next_label = g.m
+    removed: list[int] = []
+    kept = bytearray(b"\x01") * g.m
     for e, (u, v) in enumerate(g.edges):
         if deg[u] > d and deg[v] > d:
-            kept[e] = False
-            removed.append((e, next_label))
-            next_label -= 1
+            kept[e] = 0
+            removed.append(e)
             deg[u] -= 1
             deg[v] -= 1
     reduced = list(compress(range(g.m), kept))
@@ -144,8 +144,8 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
         top = max(deg)
         extra = min((e for v in range(g.n) if deg[v] == top
                      for e in g.incident_edges(v) if kept[e]), key=key)
-        kept[extra] = False
-        removed.append((extra, next_label))
+        kept[extra] = 0
+        removed.append(extra)
         u, v = g.edges[extra]
         deg[u] -= 1
         deg[v] -= 1
@@ -156,17 +156,6 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
         graph=g, d=d, reduced_edges=tuple(reduced), removed=tuple(removed),
         high=high, t=len(reduced), parity_adjusted=adjusted,
     )
-
-
-def _reduced_incidence(g: Graph, reduced: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """Each vertex's surviving edges, ascending, from one pass over them."""
-    edges = g.edges
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for e in reduced:
-        u, v = edges[e]
-        incident[u].append(e)
-        incident[v].append(e)
-    return dict(enumerate(map(tuple, incident)))
 
 
 def _disjoint_pairs(rest: list[int], edges) -> list[tuple[int, int]]:
@@ -247,7 +236,12 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     leftovers are fixed by splitting an existing pair, which a counting
     argument guarantees whenever enough pairs exist.
     """
-    h_sets = _reduced_incidence(st.graph, st.reduced_edges)
+    kept = bytearray(b"\x01") * st.graph.m
+    for e in st.removed:
+        kept[e] = 0
+    # Each vertex's surviving edges, ascending: its incidence with the
+    # stripped edges left out, holding the graph's own id ints.
+    h_sets = [tuple(compress(inc, map(kept.__getitem__, inc))) for inc in st.graph._incident]
     spill: dict[int, tuple[int, ...]] = {}
     for v in sorted(st.high):
         dv = len(h_sets[v])
@@ -270,9 +264,10 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     # The pairs share no edge, so their smaller ids differ and sorting
     # compares those alone.
     pair_list = tuple(sorted(pairs))
-    pair_index = dict(zip(map(itemgetter(0), pair_list), count()))
-    pair_index.update(zip(map(itemgetter(1), pair_list), count()))
-    if len(pair_index) != st.t:
+    pair_index = [-1] * st.graph.m
+    for i, (a, b) in enumerate(pair_list):
+        pair_index[a] = pair_index[b] = i
+    if pair_index.count(-1) != st.graph.m - st.t:
         raise AssertionError("pairing must cover every remaining edge exactly once")
     return replace(st, pair_list=pair_list, pair_index=pair_index, spill=spill, h_sets=h_sets)
 
@@ -281,36 +276,42 @@ def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
     """Uniform random pairing of the labels 1..t, pinned to the edge pairs.
 
     A shuffle chunked into consecutive pairs is a uniform perfect matching
-    of the labels; ``label_pairs[i]`` (smaller label first) goes to
-    ``pair_list[i]``.  The shuffle reproduces ``rng.shuffle`` call for call,
-    so it leaves ``rng`` in the same state.
+    of the labels: ``label_pairs`` is the shuffled list itself, and its
+    entries 2i and 2i+1, in either order, go to ``pair_list[i]``.  The
+    shuffle reproduces ``rng.shuffle`` call for call, so it leaves ``rng``
+    in the same state.
     """
     if st.pair_list is None:
         raise GraphError("phase 2 has not run")
     labels = list(range(1, st.t + 1))
     _shuffle(labels, rng)
-    it = iter(labels)
     # Both edges of a spill pair meet their high vertex, so its spill-over
     # sum is fixed here, whichever way the later coins fall.
-    return replace(st, label_pairs=tuple([(a, b) if a < b else (b, a) for a, b in zip(it, it)]))
+    return replace(st, label_pairs=labels)
 
 
 def assemble_labeling(st: DenseState, coins: list[int]) -> list[int]:
     """Combine phase-1 labels with a coin orientation per pair, as a list
     of labels by edge id.
 
-    Heads (0) sends the smaller label to the canonically smaller edge.
+    ``removed[i]`` takes label m - i.  Pair i takes ``label_pairs`` entries
+    2i and 2i+1; heads (0) sends the smaller of them to the canonically
+    smaller edge.
     """
-    labels = [0] * st.graph.m
-    for e, lab in st.removed:
+    m = st.graph.m
+    labels = [0] * m
+    for e, lab in zip(st.removed, range(m, 0, -1)):
         labels[e] = lab
-    for (e1, e2), (lo, hi), coin in zip(st.pair_list, st.label_pairs, coins):
+    it = iter(st.label_pairs)
+    for (e1, e2), a, b, coin in zip(st.pair_list, it, it, coins):
+        if a > b:
+            a, b = b, a
         if coin:
-            labels[e1] = hi
-            labels[e2] = lo
+            labels[e1] = b
+            labels[e2] = a
         else:
-            labels[e1] = lo
-            labels[e2] = hi
+            labels[e1] = a
+            labels[e2] = b
     return labels
 
 
@@ -362,7 +363,11 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
         best_count = min(best_count, state.collisions)
     if state.collisions:
         return DenseResult(None, resamples, best_count)
-    lab = _trusted_labeling(state.labels)
+    labels = state.labels
+    # The verifier builds a set of all m labels; let the per-edge pipeline
+    # data go first.
+    del st, state, coins
+    lab = _trusted_labeling(labels)
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("pipeline produced a non-bijection")
     return DenseResult(lab, resamples, 0)

@@ -150,6 +150,10 @@ _B64_TO_G6 = bytes.maketrans(_B64, _G6)
 _G6_TO_B64 = bytes.maketrans(_G6, _B64)
 
 
+# Body characters that parse_graph6 decodes at a time: a whole number of
+# base64 quanta (4 characters), 6 * 16384 = 98,304 bits.
+_G6_CHUNK = 16384
+
 # The largest vertex count graph6's short size field (``~`` + 18 bits) holds.
 GRAPH6_MAX_N = 258047
 
@@ -186,6 +190,10 @@ def parse_graph6(line: str) -> Graph:
     :func:`emit_graph6` writes for the graph (the one-character size for
     n <= 62, zero padding bits), the graph records it, so that encoding the
     graph again costs nothing.
+
+    The body is decoded ``_G6_CHUNK`` characters at a time, so beyond the
+    line and the graph the parse holds one chunk's bits, never the whole
+    triangle's.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
@@ -205,33 +213,42 @@ def parse_graph6(line: str) -> Graph:
         n = (n << 6) | (ord(ch) - 63)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    body = s[i:]
-    if len(body) != need:
-        raise ParseError(f"expected {need} data characters, got {len(body)}")
-    raw = body.encode("ascii", "ignore")  # never "replace": it makes '?', a valid character
-    if len(raw) != need or raw.translate(None, _G6):
-        bad = next(ch for ch in body if not "?" <= ch <= "~")
-        raise ParseError(f"invalid character {bad!r}")
-    quanta = raw.translate(_G6_TO_B64) + b"A" * (-need % 4)
-    data = binascii.a2b_base64(quanta)
-    bits = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
+    if len(s) - i != need:
+        raise ParseError(f"expected {need} data characters, got {len(s) - i}")
     # Column v holds the bits of (0, v), ..., (v - 1, v); filing each set bit
     # under its row leaves every row's later ends ascending, so the edges
     # come out in Graph's order and need no sort or check.  One find per
     # edge walks the whole triangle; the column moves on by arithmetic.
+    # Bit positions count from the start of the current chunk.
     rows: list[list[int]] = [[] for _ in range(n)]
-    find = bits.find
     v, first, end = 1, 0, 1  # column v spans bits first .. end - 1
-    k = find("1", 0, nbits)
-    while k >= 0:
-        while k >= end:
-            first = end
-            v += 1
-            end += v
-        rows[k - first].append(v)
-        k = find("1", k + 1, nbits)
+    left = nbits  # triangle bits from the current chunk's start on
+    bits, stop = "", 0
+    for start in range(i, len(s), _G6_CHUNK):
+        text = s[start:start + _G6_CHUNK]
+        raw = text.encode("ascii", "ignore")  # never "replace": it makes '?', a valid character
+        if len(raw) != len(text) or raw.translate(None, _G6):
+            bad = next(ch for ch in text if not "?" <= ch <= "~")
+            raise ParseError(f"invalid character {bad!r}")
+        data = binascii.a2b_base64(raw.translate(_G6_TO_B64) + b"A" * (-len(raw) % 4))
+        bits = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
+        stop = min(left, len(bits))
+        find = bits.find
+        k = find("1", 0, stop)
+        while k >= 0:
+            while k >= end:
+                first = end
+                v += 1
+                end += v
+            rows[k - first].append(v)
+            k = find("1", k + 1, stop)
+        first -= len(bits)
+        end -= len(bits)
+        left -= len(bits)
     edges = [(u, v) for u, row in enumerate(rows) for v in row]
-    canonical = (i == 1 or n > 62) and bits.find("1", nbits) < 0
+    del rows
+    # past the triangle, the last chunk holds only padding bits
+    canonical = (i == 1 or n > 62) and bits.find("1", stop) < 0
     return _canonical_graph(n, edges, s if canonical else None)
 
 

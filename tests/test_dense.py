@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -14,13 +15,19 @@ from antimagic.dense import (
     phase3_pair_labels,
     phase5_assign,
 )
-from antimagic.generators import complete_graph, cycle_graph
-from antimagic.graph import Graph, GraphError, _trusted_labeling, verify_antimagic, vertex_sums
+from antimagic.generators import complete_graph, cycle_graph, random_min_degree_graph
+from antimagic.graph import Graph, GraphError, _trusted_labeling, verify_antimagic
 
 
 def reduced_graph(st):
     """The edges phase 1 kept, as a graph of their own."""
     return Graph(st.graph.n, [st.graph.edges[e] for e in st.reduced_edges])
+
+
+def label_pairs(st):
+    """Phase 3's label pairs, entries 2i and 2i+1, each smaller label first."""
+    it = iter(st.label_pairs)
+    return tuple((a, b) if a < b else (b, a) for a, b in zip(it, it))
 
 
 class _AllHeads(random.Random):
@@ -63,7 +70,8 @@ class TestPhase1:
     def test_k4_trace(self):
         g = complete_graph(4)
         st = phase1_reduce(g, d=2)
-        assert st.removed[0][1] == 6  # first removal carries the top label
+        labels = assemble_labeling(phase3_pair_labels(phase2_pair_edges(st), random.Random(0)), [0, 0])
+        assert labels[st.removed[0]] == 6  # first removal carries the top label
         assert st.t % 2 == 0
         # no surviving edge joins two high-degree vertices
         rg = reduced_graph(st)
@@ -110,7 +118,7 @@ class TestPhase1:
             if not st.parity_adjusted:
                 continue
             adjusted += 1
-            extra = st.removed[-1][0]
+            extra = st.removed[-1]
             before = st.reduced_edges + (extra,)
             deg = Counter(x for e in before for x in g.edges[e])
 
@@ -305,7 +313,7 @@ class TestPhase3:
         g = Graph(4, [(0, 1), (2, 3)])
         st = phase1_reduce(g, d=1)
         st = phase3_pair_labels(phase2_pair_edges(st), random.Random(0))
-        assert st.label_pairs == ((1, 2),)
+        assert label_pairs(st) == ((1, 2),)
 
     def test_deterministic_per_seed(self):
         g = cycle_graph(8)
@@ -322,7 +330,7 @@ class TestPhase3:
         freq = Counter()
         trials = 100_000
         for _ in range(trials):
-            lp = phase3_pair_labels(st, rng).label_pairs
+            lp = label_pairs(phase3_pair_labels(st, rng))
             freq[frozenset(lp)] += 1
         assert len(freq) == 3  # the 3 perfect pairings of {1,2,3,4}
         for count in freq.values():
@@ -352,8 +360,9 @@ class TestPhase5:
         st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d=2)),
                                 random.Random(9))
         lab = phase5_assign(st, _AllHeads())
+        pairs = label_pairs(st)
         for idx, (e1, e2) in enumerate(st.pair_list):
-            lo, hi = st.label_pairs[idx]
+            lo, hi = pairs[idx]
             assert lab[e1] == lo and lab[e2] == hi
 
     def test_two_outcomes_for_single_pair(self):
@@ -471,3 +480,19 @@ class TestDriver:
         text = ",".join(map(str, res.labeling.labels))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "231cf214f32e5692121a102f9fa0df4a35c5b6912b93019a6163e7082127e898")
+
+
+def test_peak_memory_per_edge():
+    # The pipeline holds each kind of per-edge data once: the phase-1 ids,
+    # one filtered incidence, the pair index and the shuffled labels, all
+    # dropped before the verifier builds its own set of the labels.
+    g = random_min_degree_graph(600, 40, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = label_dense(g, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok
+    assert (peak - base) / g.m <= 200

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antimagic import io
 from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph, GraphError, Labeling, _canonical_graph
 from antimagic.generators import complete_graph, complete_partite_graph, cycle_graph, star_graph
@@ -340,6 +341,70 @@ def test_set_padding_bits_keep_the_graph(n, edges):
     g = parse_graph6(line[:-1] + chr((ord(line[-1]) - 63 | (1 << pad) - 1) + 63))
     _same_structure(g, _validated(n, edges))
     assert g._graph6 is None
+
+
+# parse_graph6 expands the body io._G6_CHUNK characters (6 bits each) at a
+# time, so a chunk edge falls every 6 * _G6_CHUNK bits.  A triangle {0, b, c}
+# puts its last bit, the one of (b, c), at c(c - 1)/2 + b: the three cases
+# put that bit last in a chunk, first in the next and one short of last.
+def _triangle_ending_at(bit):
+    c = 2
+    while (c + 1) * c // 2 <= bit:
+        c += 1
+    b = bit - c * (c - 1) // 2
+    assert 0 < b < c
+    return [(0, b), (0, c), (b, c)]
+
+
+@pytest.mark.parametrize("chunks, shift", [(1, -1), (1, 0), (1, -2), (2, -1), (2, 0), (2, -2)],
+                         ids=["last bit of chunk 1", "first bit of chunk 2", "one short of chunk 1's end",
+                              "last bit of chunk 2", "first bit of chunk 3", "one short of chunk 2's end"])
+def test_graph6_triangle_at_a_chunk_edge(chunks, shift):
+    edges = _triangle_ending_at(chunks * 6 * io._G6_CHUNK + shift)
+    for n in (edges[-1][1] + 1, edges[-1][1] + 2):
+        line = emit_graph6(Graph(n, edges))
+        g = parse_graph6(line)
+        _same_structure(g, _validated(n, edges))
+        assert g._graph6 == line
+
+
+def test_graph6_set_padding_bit_in_the_last_chunk():
+    # n = 446: 99,235 bits, so a second chunk and five padding bits
+    n = 446
+    assert n * (n - 1) // 2 > 6 * io._G6_CHUNK and n * (n - 1) // 2 % 6 == 1
+    edges = [(0, 1), (0, 445), (444, 445)] + _triangle_ending_at(6 * io._G6_CHUNK)
+    line = emit_graph6(Graph(n, edges))
+    g = parse_graph6(line[:-1] + chr((ord(line[-1]) - 63 | 1) + 63))
+    _same_structure(g, _validated(n, edges))
+    assert g._graph6 is None
+
+
+def test_graph6_spanning_three_chunks_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(7)
+    n = 700
+    assert n * (n - 1) // 2 > 2 * 6 * io._G6_CHUNK
+    edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.05]
+    ref = nx.empty_graph(n)
+    ref.add_edges_from(edges)
+    line = nx.to_graph6_bytes(ref, header=False).rstrip(b"\n").decode("ascii")
+    g = parse_graph6(line)
+    _same_structure(g, _validated(n, edges))
+    assert g._graph6 == line == emit_graph6(Graph(n, edges))
+
+
+def test_graph6_every_alignment_with_small_chunks(monkeypatch):
+    # one base64 quantum per chunk: the triangles of n = 0..60 end at every
+    # offset a chunk allows, at the chunk edge itself and one character past it
+    monkeypatch.setattr(io, "_G6_CHUNK", 4)
+    rng = random.Random(3)
+    for n in range(61):
+        for p in (0.1, 0.5, 1.0):
+            edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+            line = emit_graph6(Graph(n, edges))
+            g = parse_graph6(line)
+            _same_structure(g, _validated(n, edges))
+            assert g._graph6 == line
 
 
 def _random_graphs(seed):

@@ -61,11 +61,11 @@ def test_only_dispatch_calls_the_search():
     assert callers == ["dispatch"]
 
 
-def test_only_the_tracer_shims_are_unused_imports():
-    # a top-level import that no name in its module refers to; the two
-    # expected ones are imported only for bench/tracing.py to wrap
+def _unused_imports(directory):
+    """(module, name) for each top-level import that no name in its module
+    refers to, over the modules in ``directory``."""
     unused = set()
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         tree = ast.parse(path.read_text())
         imported = set()
         for node in tree.body:
@@ -76,4 +76,13 @@ def test_only_the_tracer_shims_are_unused_imports():
         # the base of an attribute such as math.log is a Name node too
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
-    assert unused == {("dense", "vertex_sums"), ("dispatch", "verify_antimagic")}
+    return unused
+
+
+def test_only_the_tracer_shims_are_unused_imports():
+    # the two expected ones are imported only for bench/tracing.py to wrap
+    assert _unused_imports(SRC) == {("dense", "vertex_sums"), ("dispatch", "verify_antimagic")}
+
+
+def test_tests_have_no_unused_imports():
+    assert _unused_imports(Path(__file__).parent) == set()

@@ -12,7 +12,6 @@ from antimagic.problab import (
     PairSample,
     character_magnitudes,
     character_product,
-    character_product_complex,
     check_character_bounds,
     max_point_probability,
     mod_p_distribution,
