@@ -100,7 +100,7 @@ def high_max_degree_corpus(n: int) -> tuple[Graph, ...]:
     out: list[Graph] = []
     hub = n - 1
     for h in base:
-        edges = list(h.edges) + [(u, hub) for u in range(n - 1)]
+        edges = list(zip(h.lo, h.hi)) + [(u, hub) for u in range(n - 1)]
         out.append(Graph(n, edges))
     for k in base:
         degs = k.degrees()
@@ -108,7 +108,7 @@ def high_max_degree_corpus(n: int) -> tuple[Graph, ...]:
             # the join must not create a universal vertex elsewhere
             if any(degs[u] > n - 3 for u in range(n - 1) if u != z):
                 continue
-            edges = list(k.edges) + [(u, hub) for u in range(n - 1) if u != z]
+            edges = list(zip(k.lo, k.hi)) + [(u, hub) for u in range(n - 1) if u != z]
             g = Graph(n, edges)
             assert g.max_degree() == n - 2
             out.append(g)

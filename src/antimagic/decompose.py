@@ -17,26 +17,25 @@ from .graph import Graph, GraphError
 class CycleDecomposition:
     """Edge-disjoint simple cycles covering a whole (sub)graph's edge set.
 
-    Each cycle is a vertex sequence; ``edges[i][j]`` is the id of the edge
-    joining ``cycles[i][j]`` and ``cycles[i][(j+1) % k]``, so the last edge
-    of a cycle closes it.  Only defined for even graphs, so there is never a
+    Each cycle is a vertex sequence; ``cycle_edges[i][j]`` is the id of the
+    edge joining ``cycles[i][j]`` and ``cycles[i][(j+1) % k]``, so the last
+    edge of a cycle closes it.  Only defined for even graphs, so there is never a
     leftover edge.
     """
 
     cycles: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, ...], ...]
+    cycle_edges: tuple[tuple[int, ...], ...]
 
 
 def _subgraph(g: Graph, edge_ids) -> tuple[list[int], list[bool]]:
     """Vertex degrees of the subgraph of ``g`` on ``edge_ids``, and a mask
     that is True on every edge of ``g`` outside it."""
-    edges = g.edges
+    lo, hi = g.lo, g.hi
     deg = [0] * g.n
-    skip = [True] * len(edges)
+    skip = [True] * len(lo)
     for e in edge_ids:
-        u, v = edges[e]
-        deg[u] += 1
-        deg[v] += 1
+        deg[lo[e]] += 1
+        deg[hi[e]] += 1
         skip[e] = False
     return deg, skip
 
@@ -53,7 +52,7 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
     exactly once, and the handshake identity forces the roots even as well.
     Linear time, plus sorting the forest; ``|F| <= n - (#components)``.
     """
-    edges = g.edges
+    lo, hi = g.lo, g.hi
     incident = g._incident
     deg, skip = _subgraph(g, edge_ids)
     parent_edge = [-1] * g.n
@@ -68,8 +67,7 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
             for e in incident[u]:
                 if skip[e]:
                     continue
-                a, b = edges[e]
-                w = a + b - u
+                w = lo[e] + hi[e] - u
                 if not seen[w]:
                     seen[w] = True
                     parent_edge[w] = e
@@ -81,9 +79,8 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
             if deg[v] & 1:
                 e = parent_edge[v]
                 forest.append(e)
-                a, b = edges[e]
-                deg[a] -= 1
-                deg[b] -= 1
+                deg[lo[e]] -= 1
+                deg[hi[e]] -= 1
     if any(map((1).__and__, deg)):
         raise AssertionError("parity forest failed to even out all degrees")
     return sorted(forest)
@@ -107,7 +104,7 @@ def cycle_decomposition(g: Graph, edge_ids) -> CycleDecomposition:
     if any(map((1).__and__, left)):
         odd = next(v for v, d in enumerate(left) if d & 1)
         raise GraphError(f"cycle decomposition needs an even graph; odd degree at {odd}")
-    edges = g.edges
+    lo, hi = g.lo, g.hi
     incident = g._incident
     ptr = [0] * g.n  # no unused edge precedes incident[v][ptr[v]]
     pos = [-1] * g.n  # index on the current path, or -1
@@ -129,8 +126,7 @@ def cycle_decomposition(g: Graph, edge_ids) -> CycleDecomposition:
                 e = inc[i]
             ptr[v] = i + 1
             used[e] = True
-            a, b = edges[e]
-            w = a + b - v
+            w = lo[e] + hi[e] - v
             left[v] -= 1
             left[w] -= 1
             path_edges.append(e)

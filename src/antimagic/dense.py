@@ -37,8 +37,8 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import compress, filterfalse
-from operator import index, itemgetter
+from itertools import compress, count, filterfalse
+from operator import index
 from typing import Optional
 
 from .graph import (CollisionState, Graph, GraphError, Labeling, _coins, _shuffle, _trusted_labeling,
@@ -73,10 +73,17 @@ class DenseState:
     ascending ids of the surviving edges; ``high`` holds the vertices whose
     reduced degree is at least d+1 (the parity adjustment can leave up to
     two vertices one below d).  Phase 2 sets ``pair_list``, with each
-    edge's position in it at ``pair_index[e]``, the spill-over sets
-    ``spill`` and the incident sets ``h_sets``, by vertex, that remain after
-    them; phase 3 sets ``label_pairs``, the shuffled labels 1..t, whose
-    entries 2i and 2i+1 go to ``pair_list[i]``.
+    edge's position in it at ``pair_index[e]`` (-1 for a stripped edge),
+    and the high vertices' spill-over sets ``spill``; the edges a vertex
+    keeps past its spill set are worked out from these and the graph's
+    incidence when they are read (:func:`_leftover`), so the state holds no
+    incidence of its own.  Phase 3 sets ``label_pairs``, the shuffled
+    labels 1..t, whose entries 2i and 2i+1 go to ``pair_list[i]``.
+
+    Every edge's ends are read from the graph's ``lo`` and ``hi``.  Beyond
+    the graph, the state takes about 91 bytes per edge at m = 111,596: 40
+    for the phase-1 ids, 32 for the pairs and their index, 19 for the
+    labels.
     """
 
     graph: Graph
@@ -90,7 +97,6 @@ class DenseState:
     pair_list: Optional[tuple[tuple[int, int], ...]] = None
     pair_index: Optional[list[int]] = None
     spill: Optional[dict[int, tuple[int, ...]]] = None
-    h_sets: Optional[list[tuple[int, ...]]] = None
     # phase 3
     label_pairs: Optional[list[int]] = None
 
@@ -125,9 +131,10 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
     deg = list(g.degrees())
     if min(deg, default=0) < d:
         raise GraphError(f"minimum degree {min(deg, default=0)} is below d={d}")
+    lo, hi = g.lo, g.hi
     removed: list[int] = []
     kept = bytearray(b"\x01") * g.m
-    for e, (u, v) in enumerate(g.edges):
+    for e, u, v in zip(count(), lo, hi):
         if deg[u] > d and deg[v] > d:
             kept[e] = 0
             removed.append(e)
@@ -137,7 +144,7 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
     adjusted = False
     if len(reduced) % 2 == 1:
         def key(e):
-            u, v = g.edges[e]
+            u, v = lo[e], hi[e]
             return (-max(deg[u], deg[v]), -min(deg[u], deg[v]), e)
         # The key's first term is smallest exactly on the edges at a vertex
         # of maximum remaining degree, so the minimum lies among those.
@@ -146,9 +153,8 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
                      for e in g.incident_edges(v) if kept[e]), key=key)
         kept[extra] = 0
         removed.append(extra)
-        u, v = g.edges[extra]
-        deg[u] -= 1
-        deg[v] -= 1
+        deg[lo[extra]] -= 1
+        deg[hi[extra]] -= 1
         reduced.remove(extra)
         adjusted = True
     high = frozenset(v for v in range(g.n) if deg[v] >= d + 1)
@@ -158,15 +164,16 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
     )
 
 
-def _disjoint_pairs(rest: list[int], edges) -> list[tuple[int, int]]:
-    """Pair the ascending edge ids ``rest`` so that no pair shares an endpoint.
+def _disjoint_pairs(rest: list[int], lo, hi) -> list[tuple[int, int]]:
+    """Pair the ascending edge ids ``rest`` of the graph with edge ends
+    ``lo`` and ``hi`` so that no pair shares an endpoint.
 
     Each edge, in order, takes the first later unpaired edge that shares no
     endpoint with it; edges left over are fixed by splitting an earlier
     pair.  Returns the pairs, each with its smaller id first.
     """
-    ends = [edges[e] for e in rest]
-    firsts = list(map(itemgetter(0), ends))
+    firsts = list(map(lo.__getitem__, rest))
+    seconds = list(map(hi.__getitem__, rest))
     last = len(rest)
     # Positions in ``rest``.  Every position from ``front`` on is unpaired;
     # ``waiting`` holds, ascending, the unpaired positions between the
@@ -188,14 +195,14 @@ def _disjoint_pairs(rest: list[int], edges) -> list[tuple[int, int]]:
             todo += range(front, end)
             front = end
         for i in todo:
-            v = ends[i][1]
+            v = seconds[i]
             for w in waiting:
-                if v not in ends[w]:
+                if v != firsts[w] and v != seconds[w]:
                     waiting.remove(w)
                     pairs.append((rest[i], rest[w]))
                     break
             else:
-                while front < last and v in ends[front]:
+                while front < last and (v == firsts[front] or v == seconds[front]):
                     waiting.append(front)
                     front += 1
                 if front < last:
@@ -206,18 +213,22 @@ def _disjoint_pairs(rest: list[int], edges) -> list[tuple[int, int]]:
     if not stuck:
         # An edge precedes its partner in ``rest``, so it has the smaller id.
         return pairs
+
+    def ends(e):
+        return lo[e], hi[e]
+
     for k in range(0, len(stuck), 2):
         if k + 1 == len(stuck):
             raise AssertionError("even edge count cannot strand a single edge")
         e, f = stuck[k], stuck[k + 1]
-        misses_e = set(edges[e]).isdisjoint
-        misses_f = set(edges[f]).isdisjoint
+        misses_e = set(ends(e)).isdisjoint
+        misses_f = set(ends(f)).isdisjoint
         for idx, (a, b) in enumerate(pairs):
-            if misses_e(edges[a]) and misses_f(edges[b]):
+            if misses_e(ends(a)) and misses_f(ends(b)):
                 pairs[idx] = (e, a)
                 pairs.append((f, b))
                 break
-            if misses_e(edges[b]) and misses_f(edges[a]):
+            if misses_e(ends(b)) and misses_f(ends(a)):
                 pairs[idx] = (e, b)
                 pairs.append((f, a))
                 break
@@ -236,27 +247,28 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     leftovers are fixed by splitting an existing pair, which a counting
     argument guarantees whenever enough pairs exist.
     """
-    kept = bytearray(b"\x01") * st.graph.m
+    g = st.graph
+    kept = bytearray(b"\x01") * g.m
     for e in st.removed:
         kept[e] = 0
-    # Each vertex's surviving edges, ascending: its incidence with the
-    # stripped edges left out, holding the graph's own id ints.
-    h_sets = [tuple(compress(inc, map(kept.__getitem__, inc))) for inc in st.graph._incident]
     spill: dict[int, tuple[int, ...]] = {}
     for v in sorted(st.high):
-        dv = len(h_sets[v])
+        # v's surviving edges, ascending: its incidence with the stripped
+        # edges left out, holding the graph's own id ints
+        inc = g._incident[v]
+        h = tuple(compress(inc, map(kept.__getitem__, inc)))
+        dv = len(h)
         lo = max(0, dv - st.d - 1)
         size = lo + (lo % 2)
         if size > dv - st.d + 1:
             raise AssertionError("no even spill size fits the degree window")
-        spill[v] = h_sets[v][:size]
-        h_sets[v] = h_sets[v][size:]
+        spill[v] = h[:size]
     spill_edges = {e for edges in spill.values() for e in edges}
     if len(spill_edges) != sum(len(v) for v in spill.values()):
         raise AssertionError("spill sets must be disjoint")
 
     rest = list(filterfalse(spill_edges.__contains__, st.reduced_edges))
-    pairs = _disjoint_pairs(rest, st.graph.edges)
+    pairs = _disjoint_pairs(rest, g.lo, g.hi)
     # A spill set ascends, so its pairs too have the smaller id first.
     for v in sorted(spill):
         chunk = spill[v]
@@ -264,12 +276,21 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     # The pairs share no edge, so their smaller ids differ and sorting
     # compares those alone.
     pair_list = tuple(sorted(pairs))
-    pair_index = [-1] * st.graph.m
+    pair_index = [-1] * g.m
     for i, (a, b) in enumerate(pair_list):
         pair_index[a] = pair_index[b] = i
-    if pair_index.count(-1) != st.graph.m - st.t:
+    if pair_index.count(-1) != g.m - st.t:
         raise AssertionError("pairing must cover every remaining edge exactly once")
-    return replace(st, pair_list=pair_list, pair_index=pair_index, spill=spill, h_sets=h_sets)
+    return replace(st, pair_list=pair_list, pair_index=pair_index, spill=spill)
+
+
+def _leftover(st: DenseState, v: int) -> list[int]:
+    """The edges phase 2 leaves at ``v`` once its spill-over set is gone,
+    ascending: the incident edges phase 1 kept (those with a pair), past
+    the spill set, which is their first stretch."""
+    pair_index = st.pair_index
+    kept = [e for e in st.graph._incident[v] if pair_index[e] >= 0]
+    return kept[len(st.spill.get(v, ())):]
 
 
 def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
@@ -329,8 +350,8 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
     Phases 1-3 and the first coins run once, and the labels are assembled
     once into a list that a :class:`CollisionState` takes over.  While
     collisions remain, one resample redraws the coins of every pair that
-    meets a colliding vertex's incident set ``h_sets[v]``; a coin that
-    changes swaps its pair's two labels in place.  The run fails when
+    meets a colliding vertex's leftover edges (:func:`_leftover`); a coin
+    that changes swaps its pair's two labels in place.  The run fails when
     ``max_resamples`` resamples are spent or no coin meets a colliding
     vertex.  Only a labeling with no collision becomes a
     :class:`Labeling`, for the verifier.
@@ -346,9 +367,9 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
     best_count = state.collisions
     resamples = 0
     while state.collisions and resamples < max_resamples:
-        flip = sorted({st.pair_index[e] for v in state.colliding for e in st.h_sets[v]})
+        flip = sorted({st.pair_index[e] for v in state.colliding for e in _leftover(st, v)})
         if not flip:
-            # Every colliding vertex has an empty h_sets.  A high vertex
+            # Every colliding vertex has no leftover edge.  A high vertex
             # keeps d or d+1 edges after its spill set, so each of these is
             # a low vertex whose edges phase 1 stripped, which happens only
             # at d = 1.  Phase 1 is deterministic, so their sums are the same

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import eq, itemgetter
+from operator import eq
 from typing import Optional
 
 from .dense import PairingError, effective_d, label_dense
@@ -80,8 +80,8 @@ def recognize_complete_multipartite(g: Graph) -> Optional[list[list[int]]]:
     # pairs; there are (n^2 - sum |class|^2) / 2 of those, so m reaching
     # that count means every cross-class pair is an edge.
     cls_of = assigned.__getitem__
-    lo_cls = map(cls_of, map(itemgetter(0), g.edges))
-    hi_cls = map(cls_of, map(itemgetter(1), g.edges))
+    lo_cls = map(cls_of, g.lo)
+    hi_cls = map(cls_of, g.hi)
     if any(map(eq, lo_cls, hi_cls)):
         return None
     if 2 * g.m != n * n - sum(len(cls) ** 2 for cls in classes):

@@ -12,9 +12,9 @@ anywhere unless it passes this check.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from operator import index, itemgetter
 from random import Random
 from typing import Iterable, Optional
@@ -53,17 +53,26 @@ def check_knobs(**knobs) -> None:
 class Graph:
     """Simple undirected graph on vertices ``0..n-1`` with canonical edges.
 
-    Edges are stored with ascending endpoints and sorted lexicographically,
-    so any construction that walks "arbitrary" edges in storage order is
-    deterministic and reproducible.  The degree tuple is set at
-    construction, beside the incidence, so degree queries build nothing.
-    Instances are value-like: nothing changes after construction, so
-    instances are safe to share across concurrent workers.
+    Edge ``e`` joins ``lo[e] < hi[e]``, and the edges are sorted
+    lexicographically by ``(lo, hi)``, so any construction that walks
+    "arbitrary" edges in storage order is deterministic and reproducible.
+    The ends are kept in these two flat lists, a slot each, not as one
+    ``(u, v)`` tuple per edge: about 16 bytes per edge, where a pair and
+    its slot take 64, since the parsers give all the edges at a vertex one
+    shared int.  Beside them sit each vertex's ascending incidence, a tuple of
+    edge ids in which an edge's two ends share one id int (about 46 bytes
+    per edge), and the degree tuple, set at construction, so degree queries
+    build nothing.  A parsed graph takes about 64 bytes per edge at
+    m = 111,596.  :attr:`edges` builds the pairs afresh on each read, for
+    callers outside the package.  Instances are value-like: nothing changes
+    after construction (no code changes ``lo`` or ``hi``), so instances are
+    safe to share across concurrent workers.
     """
 
-    __slots__ = ("n", "edges", "_incident", "_degrees", "_graph6")
+    __slots__ = ("n", "lo", "hi", "_incident", "_degrees", "_graph6")
     n: int
-    edges: tuple[tuple[int, int], ...]
+    lo: list[int]
+    hi: list[int]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         # n and the ends are read through __index__, as Labeling reads labels
@@ -89,11 +98,17 @@ class Graph:
         for prev, edge in zip(canon, islice(canon, 1, None)):
             if prev == edge:
                 raise GraphError(f"duplicate edge {edge}")
-        _fill(self, n, canon)
+        _fill(self, n, list(map(itemgetter(0), canon)), list(map(itemgetter(1), canon)))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.lo)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as ``(lo[e], hi[e])`` pairs, for callers outside the
+        package; each read builds all m pairs afresh."""
+        return tuple(zip(self.lo, self.hi))
 
     def degree(self, v: int) -> int:
         return len(self._incident[v])
@@ -112,14 +127,18 @@ class Graph:
         return self._incident[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        ends = map(self.edges.__getitem__, self._incident[v])
-        return tuple([w if u == v else u for u, w in ends])
+        lo, hi = self.lo, self.hi
+        return tuple([hi[e] if lo[e] == v else lo[e] for e in self._incident[v]])
 
     def edge_index(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        e = bisect_left(self.edges, key)
-        if e == len(self.edges) or self.edges[e] != key:
-            raise GraphError(f"no edge {key}")
+        if u > v:
+            u, v = v, u
+        lo = self.lo
+        start = bisect_left(lo, u)
+        end = bisect_right(lo, u, start)
+        e = bisect_left(self.hi, v, start, end)
+        if e == end or self.hi[e] != v:
+            raise GraphError(f"no edge {(u, v)}")
         return e
 
     def is_connected(self) -> bool:
@@ -138,42 +157,47 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.lo == other.lo and self.hi == other.hi
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, tuple(self.lo), tuple(self.hi)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _fill(g: Graph, n: int, edges) -> None:
-    """Set ``g``'s slots from ``edges``, which must be canonical and sorted.
+def _fill(g: Graph, n: int, lo: list[int], hi: list[int]) -> None:
+    """Set ``g``'s slots from the edge ends ``lo`` and ``hi``, which must be
+    canonical and sorted.
 
-    Nothing is checked.
+    Builds the incidence, one id int per edge shared by both ends: about
+    46 bytes per edge beside the 16 of the two lists.  Nothing is checked.
     """
     incident: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(edges):
+    for e, u, v in zip(count(), lo, hi):
         incident[u].append(e)
         incident[v].append(e)
     g.n = n
-    g.edges = tuple(edges)
+    g.lo = lo
+    g.hi = hi
     g._incident = tuple(map(tuple, incident))
     g._degrees = tuple(map(len, incident))
     g._graph6 = None
 
 
-def _canonical_graph(n: int, edges, graph6: Optional[str] = None) -> Graph:
-    """Trusted constructor: a ``Graph`` on ``edges`` without validation.
+def _canonical_graph(n: int, lo: list[int], hi: list[int],
+                     graph6: Optional[str] = None) -> Graph:
+    """Trusted constructor: a ``Graph`` on the edges ``(lo[e], hi[e])``
+    without validation.
 
-    The caller guarantees what ``Graph.__init__`` would check: every edge is
-    ``(u, v)`` with ``0 <= u < v < n``, and the list is strictly increasing
-    in lexicographic order, so it holds no loop and no duplicate.
-    ``graph6``, when given, is the graph's graph6 line as ``io.emit_graph6``
-    would write it.
+    The caller guarantees what ``Graph.__init__`` would check: ``lo`` and
+    ``hi`` have one entry per edge, ``0 <= lo[e] < hi[e] < n``, and the
+    pairs are strictly increasing in lexicographic order, so they hold no
+    loop and no duplicate.  ``graph6``, when given, is the graph's graph6
+    line as ``io.emit_graph6`` would write it.
     """
     g = Graph.__new__(Graph)
-    _fill(g, n, edges)
+    _fill(g, n, lo, hi)
     g._graph6 = graph6
     return g
 
@@ -293,7 +317,9 @@ class CollisionState:
     ``members`` maps each sum to the vertices carrying it, ``collisions``
     counts colliding vertex pairs and ``colliding`` is the set of vertices
     whose sum is shared.  :meth:`swap` updates all of it by touching only
-    the swapped edges' endpoints.  Bijectivity is left to
+    the swapped edges' endpoints, which it reads from the graph's ``lo``
+    and ``hi`` lists.  Beyond the graph the state takes about 36 bytes per
+    edge, the label list and its ints.  Bijectivity is left to
     :func:`verify_antimagic`.
 
     The iteration order of ``colliding`` is part of the contract, because
@@ -339,9 +365,10 @@ class CollisionState:
         b = labels[j]
         labels[i] = b
         labels[j] = a
-        edges = self.g.edges
-        ei = edges[i]
-        ej = edges[j]
+        lo = self.g.lo
+        hi = self.g.hi
+        ei = (lo[i], hi[i])
+        ej = (lo[j], hi[j])
         sums = self.sums
         members = self.members
         get = members.get
@@ -453,7 +480,7 @@ def verify_antimagic(g: Graph, labeling: Labeling) -> VerifyReport:
     """
     labels = labeling.labels
     m = len(labels)
-    if m != len(g.edges):
+    if m != len(g.lo):
         raise GraphError(f"labeling has {m} labels for m={g.m}")
     # m labels that include each of 1..m are exactly 1..m
     bijection_ok = set(labels).issuperset(range(1, m + 1))

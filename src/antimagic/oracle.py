@@ -55,9 +55,10 @@ def _edge_order(g: Graph) -> list[int]:
     # edges at low-degree vertices first: their endpoints saturate early,
     # which feeds the collision pruning
     degs = g.degrees()
+    lo, hi = g.lo, g.hi
     return sorted(range(g.m),
-                  key=lambda e: (min(degs[g.edges[e][0]], degs[g.edges[e][1]]),
-                                 max(degs[g.edges[e][0]], degs[g.edges[e][1]]),
+                  key=lambda e: (min(degs[lo[e]], degs[hi[e]]),
+                                 max(degs[lo[e]], degs[hi[e]]),
                                  e))
 
 
@@ -80,7 +81,7 @@ def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[in
     if degs.count(0) >= 2:
         # both sums stay 0, and the pruning only compares saturated vertices
         return 0, [], 0
-    edges = g.edges
+    lo, hi = g.lo, g.hi
     order = _edge_order(g)
     labels = [0] * m
     sums = [0] * g.n
@@ -98,7 +99,7 @@ def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[in
             pos -= 1
             continue
         e = order[pos]
-        u, v = edges[e]
+        u, v = lo[e], hi[e]
         lab = labels[e]
         if lab:
             for s in added[pos]:
@@ -188,7 +189,7 @@ def heuristic_search(g: Graph, seed: int = 0, max_iters: int = 300,
     """
     check_knobs(max_iters=max_iters, restarts=restarts, seed=seed)
     degs = g.degrees()
-    if degs.count(0) >= 2 or 1 in degs and any(degs[u] == degs[v] == 1 for u, v in g.edges):
+    if degs.count(0) >= 2 or 1 in degs and any(degs[u] == degs[v] == 1 for u, v in zip(g.lo, g.hi)):
         return SearchResult(PROVEN_NONE, None)
     m = g.m
     rng = random.Random(index(seed))

@@ -82,14 +82,13 @@ def _label_small_side(g: Graph, small) -> list[int]:
     place, and A's weights land above B's.  For one vertex every label is
     q + j: the hub edges take q+1..m in order of neighbor weight.
     """
-    edges = g.edges
     off = [True] * g.n
     for v in small:
         off[v] = False
     labels = [0] * g.m
     w = [0] * g.n
     q = 0
-    for e, (a, b) in enumerate(edges):
+    for e, a, b in zip(itertools.count(), g.lo, g.hi):
         if off[a] and off[b]:
             q += 1
             labels[e] = q
@@ -149,11 +148,11 @@ def complete_partial_labeling(g: Graph, edge_ids: Iterable[int], pool: Iterable[
     if not pool.issuperset(used) or len(set(used)) < len(used):
         raise GraphError("assigned labels must be distinct members of the pool")
     cap = (r + 1) // 2
+    lo, hi = g.lo, g.hi
     sums = [0] * r
     for e, lab in assignment.items():
-        u, v = g.edges[e]
-        sums[u] += lab
-        sums[v] += lab
+        sums[lo[e]] += lab
+        sums[hi[e]] += lab
     counts = Counter(s for s in sums if s > 0)
     if any(c > cap for c in counts.values()):
         raise GraphError("input labeling already violates the weight-multiplicity bound")
@@ -162,7 +161,7 @@ def complete_partial_labeling(g: Graph, edge_ids: Iterable[int], pool: Iterable[
     for e in edge_ids:
         if e in assignment:
             continue
-        u, v = g.edges[e]
+        u, v = lo[e], hi[e]
         chosen = None
         for lab in unused:
             wu, wv = sums[u] + lab, sums[v] + lab
@@ -208,15 +207,14 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
     if max(degs) != n - 2:
         raise GraphError(f"maximum degree must be exactly n-2={n - 2}, got {max(degs)}")
     vn = degs.index(n - 2)
-    edges = g.edges
-    m = len(edges)
+    lo, hi = g.lo, g.hi
+    m = len(lo)
     # the hub's incidence ascends, so its neighbors do: neighbor -> hub edge
     # id, and the edges away from the hub are every other edge id
     hub_edge = {}
     away = [True] * m
     for e in g._incident[vn]:
-        a, b = edges[e]
-        hub_edge[a + b - vn] = e
+        hub_edge[lo[e] + hi[e] - vn] = e
         away[e] = False
     vn1 = n * (n - 1) // 2 - vn - sum(hub_edge)  # the one vertex left out
     if not degs[vn1]:
@@ -244,14 +242,13 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
 def _lift(g: Graph, items):
     """Labels on G's edge ids from (edge id, label) pairs, every other edge
     at 0, and the vertex sums they give."""
-    edges = g.edges
+    lo, hi = g.lo, g.hi
     labels = [0] * g.m
     w = [0] * g.n
     for e, lab in items:
         labels[e] = lab
-        a, b = edges[e]
-        w[a] += lab
-        w[b] += lab
+        w[lo[e]] += lab
+        w[hi[e]] += lab
     return labels, w
 
 
@@ -290,7 +287,7 @@ def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     order = forest  # the non-hub edges in labeling order: forest, then cycle by cycle
     odd_vertices = []
     evens_left = len(evens) - len(forest)
-    for cyc, es in zip(dec.cycles, dec.edges):
+    for cyc, es in zip(dec.cycles, dec.cycle_edges):
         # start at the smallest vertex, heading toward its smaller neighbor:
         # traversal position t is cyc[(i + step*t) % k], and es[j] joins
         # cyc[j] and cyc[j+1]
@@ -383,7 +380,7 @@ def _lemma44_two_spare_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
     assert len(evens) == len(star) + 1 and len(odds) == len(neighbors) - 1
     r2, r1 = evens[-2], evens[-1]
     held = star[-1]
-    x, y = g.edges[held]
+    x, y = g.lo[held], g.hi[held]
     v1 = next(u for u in neighbors if u not in (x, y))
     neighbors = [u for u in neighbors if u != v1]
     labels, w = _lift(g, zip(star[:-1], evens))

@@ -13,13 +13,14 @@ def check_parity_forest(g):
     assert f == sorted(set(f))  # ascending edge ids, each once
     # deletion leaves all degrees even
     deg = list(g.degrees())
+    edges = g.edges
     for e in f:
-        u, v = g.edges[e]
+        u, v = edges[e]
         deg[u] -= 1
         deg[v] -= 1
     assert all(d % 2 == 0 for d in deg)
     # forest is acyclic: |F| restricted to any component is < its vertex count
-    sub = Graph(g.n, [g.edges[e] for e in f])
+    sub = Graph(g.n, [edges[e] for e in f])
     assert acyclic(sub)
     return f
 
@@ -45,9 +46,9 @@ def acyclic(g):
 
 def check_cycle_decomposition(g):
     dec = cycle_decomposition(g, range(g.m))
-    assert len(dec.edges) == len(dec.cycles)
+    assert len(dec.cycle_edges) == len(dec.cycles)
     all_edges = []
-    for cyc, es in zip(dec.cycles, dec.edges):
+    for cyc, es in zip(dec.cycles, dec.cycle_edges):
         k = len(cyc)
         assert k >= 3
         assert len(set(cyc)) == k
@@ -123,15 +124,16 @@ def test_edge_subset_matches_its_own_graph():
     rng = random.Random(14)
     for _ in range(150):
         for g, ids in random_edge_subsets(rng):
-            sub = Graph(g.n, [g.edges[e] for e in ids])
+            edges = g.edges
+            sub = Graph(g.n, [edges[e] for e in ids])
             forest = parity_forest(g, ids)
             assert forest == [ids[e] for e in parity_forest(sub, range(sub.m))]
             even = [e for e in ids if e not in forest]
-            sub_even = Graph(g.n, [g.edges[e] for e in even])
+            sub_even = Graph(g.n, [edges[e] for e in even])
             dec = cycle_decomposition(g, even)
             ref = cycle_decomposition(sub_even, range(sub_even.m))
             assert dec.cycles == ref.cycles
-            assert dec.edges == tuple(tuple(even[e] for e in es) for es in ref.edges)
+            assert dec.cycle_edges == tuple(tuple(even[e] for e in es) for es in ref.cycle_edges)
 
 
 class TestCycleDecomposition:

@@ -81,6 +81,25 @@ class TestGraph:
         assert g.neighbors(0) == (1, 3)
         assert g.edge_index(3, 2) == g.edge_index(2, 3)
 
+    def test_ends_neighbors_and_edge_ids_agree_with_the_edge_list(self):
+        # edge e joins lo[e] < hi[e] in lexicographic order; neighbors and
+        # edge_index find a vertex's edges in the two lists by bisection
+        rng = random.Random(5)
+        for n in (0, 1, 2, 7, 30):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+            g = Graph(n, [(v, u) for u, v in reversed(edges)])
+            assert g.lo == [u for u, _ in edges] and g.hi == [v for _, v in edges]
+            assert g == Graph(n, edges) and hash(g) == hash(Graph(n, edges))
+            for v in range(n):
+                assert g.neighbors(v) == tuple(sorted(u + w - v for u, w in edges if v in (u, w)))
+                for w in range(n):
+                    key = (min(v, w), max(v, w))
+                    if key in edges:
+                        assert g.edge_index(v, w) == edges.index(key)
+                    else:
+                        with pytest.raises(GraphError):
+                            g.edge_index(v, w)
+
     def test_connectivity(self):
         assert cycle4().is_connected()
         assert not Graph(3, [(0, 1)]).is_connected()
@@ -127,8 +146,9 @@ class TestEdgeValidation:
         edges = _long_edge_list()
         g = Graph(50, iter(edges))
         assert g.edges == tuple(sorted((min(e), max(e)) for e in edges))
+        pairs = g.edges
         for w in range(50):
-            assert g.incident_edges(w) == tuple(e for e, uv in enumerate(g.edges) if w in uv)
+            assert g.incident_edges(w) == tuple(e for e, uv in enumerate(pairs) if w in uv)
 
 
 class TestVertexSums:

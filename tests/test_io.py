@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from antimagic import io
 from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph, GraphError, Labeling, _canonical_graph
-from antimagic.generators import complete_graph, complete_partite_graph, cycle_graph, star_graph
+from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
+                                  random_min_degree_graph, star_graph)
 from antimagic.io import (GRAPH6_MAX_N, ParseError, emit_certificate, emit_edgelist, emit_graph6,
                           parse_certificate, parse_edgelist, parse_graph6)
 
@@ -312,7 +314,9 @@ def test_edge_subset_builds_what_graph_builds(g, data):
     # unchecked, as the max-degree n-2 construction builds G - v_n
     mask = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
     kept = [edge for edge, keep in zip(g.edges, mask) if keep]
-    _same_structure(_canonical_graph(g.n, kept), _validated(g.n, kept))
+    lo = [u for u, _ in kept]
+    hi = [v for _, v in kept]
+    _same_structure(_canonical_graph(g.n, lo, hi), _validated(g.n, kept))
 
 
 # The decoder walks the set bits of the whole triangle and moves from column
@@ -407,6 +411,24 @@ def test_graph6_every_alignment_with_small_chunks(monkeypatch):
             assert g._graph6 == line
 
 
+def test_parsed_graph_takes_at_most_70_bytes_per_edge():
+    # Graph keeps the edge ends in the flat lists lo and hi, a slot each,
+    # not as one pair per edge: a parsed graph takes about 65 bytes per
+    # edge, the two ends 16 of them and the incidence the rest, where the
+    # pairs took 112
+    g = random_min_degree_graph(800, 50, 0)
+    assert g.m >= 20000
+    for parse, text in ((parse_graph6, emit_graph6(g)), (parse_edgelist, emit_edgelist(g))):
+        tracemalloc.start()
+        try:
+            h = parse(text)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h == g
+        assert size / g.m <= 70, parse.__name__
+
+
 def _random_graphs(seed):
     rng = random.Random(seed)
     out = [Graph(0, []), Graph(1, []), Graph(2, []), Graph(6, [(1, 4)])]
@@ -431,7 +453,7 @@ def test_degrees_agree_with_incidence_for_every_constructor(seed):
     for g in _random_graphs(seed):
         builds = [
             Graph(g.n, [(v, u) for u, v in reversed(g.edges)]),
-            _canonical_graph(g.n, list(g.edges)),
+            _canonical_graph(g.n, g.lo, g.hi),
             parse_graph6(emit_graph6(g)),
             parse_edgelist(emit_edgelist(g)),
             parse_certificate(emit_certificate(g, Labeling(range(1, g.m + 1))))[0],

@@ -86,3 +86,13 @@ def test_only_the_tracer_shims_are_unused_imports():
 
 def test_tests_have_no_unused_imports():
     assert _unused_imports(Path(__file__).parent) == set()
+
+
+def test_no_module_reads_the_edge_pairs():
+    # Graph.edges builds one (lo, hi) tuple per edge on every read, for
+    # callers outside the package; inside it the ends are read from lo and
+    # hi, so the per-edge tuples never come back on a labeling path
+    readers = sorted({path.stem for path in SRC.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr == "edges"})
+    assert readers == []

@@ -279,8 +279,9 @@ class TestCompletion:
         # the G - v_n shape: every edge at one vertex left out of the subgraph
         for g in connected_graphs_upto_iso(6):
             for v in (0, g.n - 1):
-                ids = [e for e, ends in enumerate(g.edges) if v not in ends]
-                sub = Graph(g.n, [g.edges[e] for e in ids])
+                edges = g.edges
+                ids = [e for e, ends in enumerate(edges) if v not in ends]
+                sub = Graph(g.n, [edges[e] for e in ids])
                 out = complete_partial_labeling(g, ids, range(1, len(ids) + 3), {})
                 ref = complete_partial_labeling(sub, range(sub.m), range(1, sub.m + 3), {})
                 assert out == {ids[e]: lab for e, lab in ref.items()}
