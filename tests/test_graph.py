@@ -82,8 +82,8 @@ class TestGraph:
         assert g.edge_index(3, 2) == g.edge_index(2, 3)
 
     def test_ends_neighbors_and_edge_ids_agree_with_the_edge_list(self):
-        # edge e joins lo[e] < hi[e] in lexicographic order; neighbors and
-        # edge_index find a vertex's edges in the two lists by bisection
+        # edge e joins lo[e] < hi[e] in lexicographic order; neighbors reads
+        # the two lists along the incidence, and edge_index bisects them
         rng = random.Random(5)
         for n in (0, 1, 2, 7, 30):
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
