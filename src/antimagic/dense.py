@@ -37,7 +37,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import compress, count, filterfalse
+from itertools import chain, compress, count, filterfalse
 from operator import index
 from typing import Optional
 
@@ -68,33 +68,39 @@ def effective_d(n: int, d: Optional[int] = None) -> int:
 class DenseState:
     """Everything the pipeline accumulates across phases.
 
-    Phase 1 sets ``removed``, the ids of the edges it stripped in stripping
-    order, where ``removed[i]`` takes label m - i, and ``reduced_edges``, the
-    ascending ids of the surviving edges; ``high`` holds the vertices whose
-    reduced degree is at least d+1 (the parity adjustment can leave up to
-    two vertices one below d).  Phase 2 sets ``pair_list``, with each
-    edge's position in it at ``pair_index[e]`` (-1 for a stripped edge),
-    and the high vertices' spill-over sets ``spill``; the edges a vertex
-    keeps past its spill set are worked out from these and the graph's
-    incidence when they are read (:func:`_leftover`), so the state holds no
-    incidence of its own.  Phase 3 sets ``label_pairs``, the shuffled
-    labels 1..t, whose entries 2i and 2i+1 go to ``pair_list[i]``.
+    Phase 1 sets ``kept``, one byte per edge, 1 on the edges it kept and 0
+    on those it stripped, and ``extra``, the edge its parity adjustment
+    stripped last (None when no adjustment ran).  The stripped edges take
+    the top labels in stripping order, ascending ids and then ``extra``
+    (:func:`_stripped`), the i-th taking label m - i.  ``high`` holds the
+    vertices whose reduced degree is at least d+1 (the parity adjustment
+    can leave up to two vertices one below d).  Phase 2 sets the pairs,
+    pair i being ``(pair_first[i], pair_second[i])`` with the smaller id
+    first and ``pair_first`` ascending, each edge's pair at
+    ``pair_index[e]`` (-1 for a stripped edge), and the high vertices'
+    spill-over sets ``spill``; the edges a vertex keeps past its spill set
+    are worked out from ``kept``, ``spill`` and the graph's incidence when
+    they are read (:func:`_leftover`), so the state holds no incidence of
+    its own.  Phase 3 sets ``label_pairs``, the shuffled labels 1..t, whose
+    entries 2i and 2i+1 go to pair i.
 
-    Every edge's ends are read from the graph's ``lo`` and ``hi``.  Beyond
-    the graph, the state takes about 91 bytes per edge at m = 111,596: 40
-    for the phase-1 ids, 32 for the pairs and their index, 19 for the
-    labels.
+    Every edge's ends are read from the graph's ``lo`` and ``hi``, and the
+    pairs hold the graph's own edge id ints, taken from its incidence.
+    Beyond the graph, the state takes about 43 bytes per edge at
+    m = 111,596, where phase 1 keeps half the edges: 2.5 for ``kept`` and
+    ``high``, 21 for the pairs (8 for ``pair_index``, 8 for its ints, 4 for
+    the two lists), 20 for the labels.
     """
 
     graph: Graph
     d: int
-    reduced_edges: tuple[int, ...]
-    removed: tuple[int, ...]
+    kept: bytearray
+    extra: Optional[int]
     high: frozenset[int]
     t: int
-    parity_adjusted: bool
     # phase 2
-    pair_list: Optional[tuple[tuple[int, int], ...]] = None
+    pair_first: Optional[list[int]] = None
+    pair_second: Optional[list[int]] = None
     pair_index: Optional[list[int]] = None
     spill: Optional[dict[int, tuple[int, ...]]] = None
     # phase 3
@@ -132,17 +138,15 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
     if min(deg, default=0) < d:
         raise GraphError(f"minimum degree {min(deg, default=0)} is below d={d}")
     lo, hi = g.lo, g.hi
-    removed: list[int] = []
     kept = bytearray(b"\x01") * g.m
     for e, u, v in zip(count(), lo, hi):
         if deg[u] > d and deg[v] > d:
             kept[e] = 0
-            removed.append(e)
             deg[u] -= 1
             deg[v] -= 1
-    reduced = list(compress(range(g.m), kept))
-    adjusted = False
-    if len(reduced) % 2 == 1:
+    t = kept.count(1)
+    extra = None
+    if t % 2 == 1:
         def key(e):
             u, v = lo[e], hi[e]
             return (-max(deg[u], deg[v]), -min(deg[u], deg[v]), e)
@@ -152,28 +156,49 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
         extra = min((e for v in range(g.n) if deg[v] == top
                      for e in g.incident_edges(v) if kept[e]), key=key)
         kept[extra] = 0
-        removed.append(extra)
         deg[lo[extra]] -= 1
         deg[hi[extra]] -= 1
-        reduced.remove(extra)
-        adjusted = True
+        t -= 1
     high = frozenset(v for v in range(g.n) if deg[v] >= d + 1)
-    return DenseState(
-        graph=g, d=d, reduced_edges=tuple(reduced), removed=tuple(removed),
-        high=high, t=len(reduced), parity_adjusted=adjusted,
-    )
+    return DenseState(graph=g, d=d, kept=kept, extra=extra, high=high, t=t)
 
 
-def _disjoint_pairs(rest: list[int], lo, hi) -> list[tuple[int, int]]:
+# Swaps the bytes 0 and 1: it turns ``kept`` into its complement.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _stripped(st: DenseState):
+    """The edges phase 1 stripped, as an iterator in stripping order:
+    ascending ids, then the parity-adjusted edge.  The i-th takes label
+    m - i."""
+    gone = st.kept.translate(_FLIP)
+    last = ()
+    if st.extra is not None:
+        gone[st.extra] = 0
+        last = (st.extra,)
+    return chain(compress(range(len(gone)), gone), last)
+
+
+def _edge_ids(g: Graph):
+    """Every edge id of ``g``, ascending, as the int objects its incidence
+    holds: the edges whose smaller end is u are the last stretch of u's
+    incidence, from the first id whose ``lo`` is u."""
+    lo = g.lo
+    return chain.from_iterable(inc[bisect_left(inc, bisect_left(lo, u)):]
+                               for u, inc in enumerate(g._incident))
+
+
+def _disjoint_pairs(rest: list[int], lo, hi) -> tuple[list[int], list[int]]:
     """Pair the ascending edge ids ``rest`` of the graph with edge ends
     ``lo`` and ``hi`` so that no pair shares an endpoint.
 
     Each edge, in order, takes the first later unpaired edge that shares no
     endpoint with it; edges left over are fixed by splitting an earlier
-    pair.  Returns the pairs, each with its smaller id first.
+    pair.  Returns the pairs as two lists, ``first`` and ``second``, pair k
+    being ``(first[k], second[k])`` with its smaller id first.
     """
-    firsts = list(map(lo.__getitem__, rest))
-    seconds = list(map(hi.__getitem__, rest))
+    us = list(map(lo.__getitem__, rest))
+    vs = list(map(hi.__getitem__, rest))
     last = len(rest)
     # Positions in ``rest``.  Every position from ``front`` on is unpaired;
     # ``waiting`` holds, ascending, the unpaired positions between the
@@ -181,13 +206,14 @@ def _disjoint_pairs(rest: list[int], lo, hi) -> list[tuple[int, int]]:
     # met the edge then looking for a partner.  Later edges of u's block
     # share u; every edge after the block has both ends above u, so it
     # meets (u, v) exactly when it contains v.
-    pairs: list[tuple[int, int]] = []
+    first: list[int] = []
+    second: list[int] = []
     stuck: list[int] = []
     waiting: list[int] = []
     front = 0
     while waiting or front < last:
         start = waiting[0] if waiting else front
-        end = bisect_right(firsts, firsts[start], start)
+        end = bisect_right(us, us[start], start)
         cut = bisect_left(waiting, end)
         todo = waiting[:cut]
         del waiting[:cut]
@@ -195,24 +221,26 @@ def _disjoint_pairs(rest: list[int], lo, hi) -> list[tuple[int, int]]:
             todo += range(front, end)
             front = end
         for i in todo:
-            v = seconds[i]
+            v = vs[i]
             for w in waiting:
-                if v != firsts[w] and v != seconds[w]:
+                if v != us[w] and v != vs[w]:
                     waiting.remove(w)
-                    pairs.append((rest[i], rest[w]))
+                    first.append(rest[i])
+                    second.append(rest[w])
                     break
             else:
-                while front < last and (v == firsts[front] or v == seconds[front]):
+                while front < last and (v == us[front] or v == vs[front]):
                     waiting.append(front)
                     front += 1
                 if front < last:
-                    pairs.append((rest[i], rest[front]))
+                    first.append(rest[i])
+                    second.append(rest[front])
                     front += 1
                 else:
                     stuck.append(rest[i])
     if not stuck:
         # An edge precedes its partner in ``rest``, so it has the smaller id.
-        return pairs
+        return first, second
 
     def ends(e):
         return lo[e], hi[e]
@@ -223,18 +251,23 @@ def _disjoint_pairs(rest: list[int], lo, hi) -> list[tuple[int, int]]:
         e, f = stuck[k], stuck[k + 1]
         misses_e = set(ends(e)).isdisjoint
         misses_f = set(ends(f)).isdisjoint
-        for idx, (a, b) in enumerate(pairs):
+        for idx, a, b in zip(count(), first, second):
             if misses_e(ends(a)) and misses_f(ends(b)):
-                pairs[idx] = (e, a)
-                pairs.append((f, b))
+                first[idx], second[idx] = e, a
+                first.append(f)
+                second.append(b)
                 break
             if misses_e(ends(b)) and misses_f(ends(a)):
-                pairs[idx] = (e, b)
-                pairs.append((f, a))
+                first[idx], second[idx] = e, b
+                first.append(f)
+                second.append(a)
                 break
         else:
             raise PairingError("could not pair leftover edges without shared endpoints")
-    return [(a, b) if a < b else (b, a) for a, b in pairs]
+    for idx, a, b in zip(count(), first, second):
+        if a > b:
+            first[idx], second[idx] = b, a
+    return first, second
 
 
 def phase2_pair_edges(st: DenseState) -> DenseState:
@@ -248,49 +281,53 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     argument guarantees whenever enough pairs exist.
     """
     g = st.graph
-    kept = bytearray(b"\x01") * g.m
-    for e in st.removed:
-        kept[e] = 0
     spill: dict[int, tuple[int, ...]] = {}
     for v in sorted(st.high):
-        # v's surviving edges, ascending: its incidence with the stripped
-        # edges left out, holding the graph's own id ints
-        inc = g._incident[v]
-        h = tuple(compress(inc, map(kept.__getitem__, inc)))
+        h = _kept_at(st, v)
         dv = len(h)
         lo = max(0, dv - st.d - 1)
         size = lo + (lo % 2)
         if size > dv - st.d + 1:
             raise AssertionError("no even spill size fits the degree window")
-        spill[v] = h[:size]
+        spill[v] = tuple(h[:size])
     spill_edges = {e for edges in spill.values() for e in edges}
     if len(spill_edges) != sum(len(v) for v in spill.values()):
         raise AssertionError("spill sets must be disjoint")
 
-    rest = list(filterfalse(spill_edges.__contains__, st.reduced_edges))
-    pairs = _disjoint_pairs(rest, g.lo, g.hi)
+    rest = list(filterfalse(spill_edges.__contains__, compress(_edge_ids(g), st.kept)))
+    first, second = _disjoint_pairs(rest, g.lo, g.hi)
     # A spill set ascends, so its pairs too have the smaller id first.
     for v in sorted(spill):
         chunk = spill[v]
-        pairs += zip(chunk[0::2], chunk[1::2])
-    # The pairs share no edge, so their smaller ids differ and sorting
-    # compares those alone.
-    pair_list = tuple(sorted(pairs))
+        first += chunk[0::2]
+        second += chunk[1::2]
+    # Order the pairs by their smaller ids, which differ since the pairs
+    # share no edge.  Until then ``pair_index`` holds each pair's larger id
+    # at its smaller one.
     pair_index = [-1] * g.m
-    for i, (a, b) in enumerate(pair_list):
+    for a, b in zip(first, second):
+        pair_index[a] = b
+    first.sort()
+    second = list(map(pair_index.__getitem__, first))
+    for i, a, b in zip(count(), first, second):
         pair_index[a] = pair_index[b] = i
     if pair_index.count(-1) != g.m - st.t:
         raise AssertionError("pairing must cover every remaining edge exactly once")
-    return replace(st, pair_list=pair_list, pair_index=pair_index, spill=spill)
+    return replace(st, pair_first=first, pair_second=second, pair_index=pair_index, spill=spill)
+
+
+def _kept_at(st: DenseState, v: int) -> list[int]:
+    """The edges at ``v`` that phase 1 kept, ascending, as the graph's own
+    id ints."""
+    inc = st.graph._incident[v]
+    return list(compress(inc, map(st.kept.__getitem__, inc)))
 
 
 def _leftover(st: DenseState, v: int) -> list[int]:
     """The edges phase 2 leaves at ``v`` once its spill-over set is gone,
-    ascending: the incident edges phase 1 kept (those with a pair), past
-    the spill set, which is their first stretch."""
-    pair_index = st.pair_index
-    kept = [e for e in st.graph._incident[v] if pair_index[e] >= 0]
-    return kept[len(st.spill.get(v, ())):]
+    ascending: the edges at ``v`` that phase 1 kept, past the spill set,
+    which is their first stretch."""
+    return _kept_at(st, v)[len(st.spill.get(v, ())):]
 
 
 def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
@@ -298,11 +335,11 @@ def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
 
     A shuffle chunked into consecutive pairs is a uniform perfect matching
     of the labels: ``label_pairs`` is the shuffled list itself, and its
-    entries 2i and 2i+1, in either order, go to ``pair_list[i]``.  The
+    entries 2i and 2i+1, in either order, go to pair i.  The
     shuffle reproduces ``rng.shuffle`` call for call, so it leaves ``rng``
     in the same state.
     """
-    if st.pair_list is None:
+    if st.pair_first is None:
         raise GraphError("phase 2 has not run")
     labels = list(range(1, st.t + 1))
     _shuffle(labels, rng)
@@ -315,16 +352,16 @@ def assemble_labeling(st: DenseState, coins: list[int]) -> list[int]:
     """Combine phase-1 labels with a coin orientation per pair, as a list
     of labels by edge id.
 
-    ``removed[i]`` takes label m - i.  Pair i takes ``label_pairs`` entries
-    2i and 2i+1; heads (0) sends the smaller of them to the canonically
-    smaller edge.
+    The i-th stripped edge (:func:`_stripped`) takes label m - i.  Pair i
+    takes ``label_pairs`` entries 2i and 2i+1; heads (0) sends the smaller
+    of them to the canonically smaller edge.
     """
     m = st.graph.m
     labels = [0] * m
-    for e, lab in zip(st.removed, range(m, 0, -1)):
+    for e, lab in zip(_stripped(st), range(m, 0, -1)):
         labels[e] = lab
     it = iter(st.label_pairs)
-    for (e1, e2), a, b, coin in zip(st.pair_list, it, it, coins):
+    for e1, e2, a, b, coin in zip(st.pair_first, st.pair_second, it, it, coins):
         if a > b:
             a, b = b, a
         if coin:
@@ -340,7 +377,7 @@ def phase5_assign(st: DenseState, rng: random.Random) -> Labeling:
     """Independent fair coin per pair, then assemble the total labeling."""
     if st.label_pairs is None:
         raise GraphError("phase 3 has not run")
-    return Labeling(assemble_labeling(st, _coins(len(st.pair_list), rng)))
+    return Labeling(assemble_labeling(st, _coins(len(st.pair_first), rng)))
 
 
 def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
@@ -362,7 +399,8 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
     check_knobs(d=d, max_resamples=max_resamples, seed=seed)
     rng = random.Random(index(seed))
     st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d)), rng)
-    coins = _coins(len(st.pair_list), rng)
+    first, second = st.pair_first, st.pair_second
+    coins = _coins(len(first), rng)
     state = CollisionState(g, assemble_labeling(st, coins))
     best_count = state.collisions
     resamples = 0
@@ -379,16 +417,17 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
         for idx, coin in zip(flip, _coins(len(flip), rng)):
             if coin != coins[idx]:
                 coins[idx] = coin
-                state.swap(*st.pair_list[idx])
+                state.swap(first[idx], second[idx])
         resamples += 1
         best_count = min(best_count, state.collisions)
     if state.collisions:
         return DenseResult(None, resamples, best_count)
     labels = state.labels
-    # The verifier builds a set of all m labels; let the per-edge pipeline
-    # data go first.
-    del st, state, coins
+    # Let the per-edge pipeline data go before the Labeling copies the
+    # labels, and the label list before the verifier tallies them.
+    del st, state, coins, first, second
     lab = _trusted_labeling(labels)
+    del labels
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("pipeline produced a non-bijection")
     return DenseResult(lab, resamples, 0)

@@ -367,45 +367,51 @@ class CollisionState:
         labels[j] = a
         lo = self.g.lo
         hi = self.g.hi
-        ei = (lo[i], hi[i])
-        ej = (lo[j], hi[j])
+        p = lo[i]
+        q = hi[i]
+        r = lo[j]
+        s = hi[j]
         sums = self.sums
         members = self.members
         get = members.get
         colliding = self.colliding
         collisions = self.collisions
-        # Each endpoint of one edge only, since a vertex on both edges gains
-        # and loses the same amount: ei's ends gain b - a, ej's lose it.
-        for ends, other, dx in ((ei, ej, b - a), (ej, ei, a - b)):
-            for x in ends:
-                if x in other:
+        dx = b - a
+        # The ends in edge order, i's then j's: i's gain b - a and j's lose
+        # it, except a vertex on both edges, whose sum does not change.
+        for x in (p, q, r, s):
+            if x == p or x == q:
+                if x == r or x == s:
                     continue
                 old = sums[x]
                 new = old + dx
-                sums[x] = new
-                group = members[old]
-                if len(group) > 1:
-                    group.remove(x)
-                    k = len(group)
-                    collisions -= k
-                    colliding.discard(x)
-                    if k == 1:
-                        colliding -= group
-                    group = None
-                else:
-                    # x was alone, so not colliding; its set moves with it
-                    # if the new sum is free
-                    del members[old]
-                joined = get(new)
-                if joined is None:
-                    members[new] = group or {x}
-                else:
-                    k = len(joined)
-                    collisions += k
-                    if k == 1:
-                        colliding |= joined
-                    colliding.add(x)
-                    joined.add(x)
+            else:
+                old = sums[x]
+                new = old - dx
+            sums[x] = new
+            group = members[old]
+            if len(group) > 1:
+                group.remove(x)
+                k = len(group)
+                collisions -= k
+                colliding.discard(x)
+                if k == 1:
+                    colliding -= group
+                group = None
+            else:
+                # x was alone, so not colliding; its set moves with it
+                # if the new sum is free
+                del members[old]
+            joined = get(new)
+            if joined is None:
+                members[new] = group or {x}
+            else:
+                k = len(joined)
+                collisions += k
+                if k == 1:
+                    colliding |= joined
+                colliding.add(x)
+                joined.add(x)
         change = collisions - self.collisions
         self.collisions = collisions
         return change
@@ -470,20 +476,37 @@ def _coins(n: int, rng: Random) -> list[int]:
     return out
 
 
+def _is_permutation(labels) -> bool:
+    """Whether the m ints in ``labels`` are exactly 1..m.
+
+    Ints in 1..m are 1..m when they mark every slot 1..m of a tally: m + 1
+    bytes, where a set of the labels would take about 40 bytes per label.
+    """
+    m = len(labels)
+    if m and (min(labels) < 1 or max(labels) > m):
+        return False
+    seen = bytearray(m + 1)
+    for x in labels:
+        seen[x] = 1
+    return seen.count(0) == 1
+
+
 def verify_antimagic(g: Graph, labeling: Labeling) -> VerifyReport:
     """Check that ``labeling`` is an antimagic labeling of ``g``.
 
     Verification is total: missing or duplicated labels come back as
     ``bijection_ok=False`` rather than an exception.  Only a structural
     mismatch (the wrong number of labels) raises.  Sums are Python ints, so
-    no graph is too large to check.
+    no graph is too large to check.  Beyond its input the check takes one
+    byte per edge for the bijection tally (:func:`_is_permutation`), then
+    the vertex sums and the set that compares them: about 3 bytes per edge
+    at n = 4,000, m = 111,596.
     """
     labels = labeling.labels
     m = len(labels)
     if m != len(g.lo):
         raise GraphError(f"labeling has {m} labels for m={g.m}")
-    # m labels that include each of 1..m are exactly 1..m
-    bijection_ok = set(labels).issuperset(range(1, m + 1))
+    bijection_ok = _is_permutation(labels)
     sums = _sums(g, labels)
     if len(set(sums)) == len(sums):
         return _DISTINCT_BIJECTION if bijection_ok else _DISTINCT_NOT_BIJECTION

