@@ -387,8 +387,9 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
     Phases 1-3 and the first coins run once, and the labels are assembled
     once into a list that a :class:`CollisionState` takes over.  While
     collisions remain, one resample redraws the coins of every pair that
-    meets a colliding vertex's leftover edges (:func:`_leftover`); a coin
-    that changes swaps its pair's two labels in place.  The run fails when
+    meets a colliding vertex's leftover edges (:func:`_leftover`); a new
+    coin that differs from the one the pair's labels show swaps the two
+    labels in place.  The run fails when
     ``max_resamples`` resamples are spent or no coin meets a colliding
     vertex.  Only a labeling with no collision becomes a
     :class:`Labeling`, for the verifier.
@@ -400,8 +401,8 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
     rng = random.Random(index(seed))
     st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d)), rng)
     first, second = st.pair_first, st.pair_second
-    coins = _coins(len(first), rng)
-    state = CollisionState(g, assemble_labeling(st, coins))
+    state = CollisionState(g, assemble_labeling(st, _coins(len(first), rng)))
+    labels = state.labels
     best_count = state.collisions
     resamples = 0
     while state.collisions and resamples < max_resamples:
@@ -415,17 +416,17 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
             # nor a fresh pairing can separate them.
             break
         for idx, coin in zip(flip, _coins(len(flip), rng)):
-            if coin != coins[idx]:
-                coins[idx] = coin
-                state.swap(first[idx], second[idx])
+            # a pair's coin is 1 where its smaller edge holds the larger label
+            e1, e2 = first[idx], second[idx]
+            if coin != (labels[e1] > labels[e2]):
+                state.swap(e1, e2)
         resamples += 1
         best_count = min(best_count, state.collisions)
     if state.collisions:
         return DenseResult(None, resamples, best_count)
-    labels = state.labels
     # Let the per-edge pipeline data go before the Labeling copies the
     # labels, and the label list before the verifier tallies them.
-    del st, state, coins, first, second
+    del st, state, first, second
     lab = _trusted_labeling(labels)
     del labels
     if not verify_antimagic(g, lab).ok:

@@ -273,13 +273,10 @@ class VerifyReport:
 
 
 def vertex_sums(g: Graph, labeling: Labeling) -> WeightMap:
-    """Per-vertex sums of the labels; edges past a short labeling's end add nothing."""
-    m = g.m
+    """Per-vertex sums of a labeling with one label per edge."""
     labels = labeling.labels
-    if len(labels) > m:
-        raise GraphError(f"edge index {m} out of range for m={m}")
-    if len(labels) < m:
-        labels += (0,) * (m - len(labels))
+    if len(labels) != len(g.lo):
+        raise GraphError(f"labeling has {len(labels)} labels for m={g.m}")
     return tuple(_sums(g, labels))
 
 
@@ -293,19 +290,18 @@ def _sums(g: Graph, labels) -> list[int]:
 
 
 def first_collision(sums: Iterable[int]) -> Optional[tuple[int, int]]:
-    """Lexicographically smallest pair of vertices with equal sums, if any."""
-    sums = list(sums)
-    if len(set(sums)) == len(sums):
-        return None
-    groups: dict[int, list[int]] = {}
-    for v, s in enumerate(sums):
-        groups.setdefault(s, []).append(v)
+    """Lexicographically smallest pair of vertices with equal sums, if any.
+
+    One pass keeps the first vertex of each sum.  The smallest pair is the
+    first two vertices of some sum, and each vertex that repeats a sum makes
+    a candidate pair with that sum's first vertex.
+    """
+    first: dict[int, int] = {}
     best = None
-    for members in groups.values():
-        if len(members) >= 2:
-            pair = (members[0], members[1])  # members ascend by construction
-            if best is None or pair < best:
-                best = pair
+    for v, s in enumerate(sums):
+        u = first.setdefault(s, v)
+        if u != v and (best is None or (u, v) < best):
+            best = (u, v)
     return best
 
 

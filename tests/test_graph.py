@@ -169,10 +169,12 @@ class TestVertexSums:
         assert vertex_sums(g, Labeling(labels)) == (5, 3, 5, 7)
 
     def test_short_labeling_leaves_later_edges_unlabeled(self):
-        assert vertex_sums(path3(), Labeling([5])) == (5, 5, 0)
+        # no edge goes unlabeled: a short labeling is refused
+        with pytest.raises(GraphError, match=r"^labeling has 1 labels for m=2$"):
+            vertex_sums(path3(), Labeling([5]))
 
     def test_long_labeling_is_out_of_range(self):
-        with pytest.raises(GraphError, match=r"^edge index 2 out of range for m=2$"):
+        with pytest.raises(GraphError, match=r"^labeling has 3 labels for m=2$"):
             vertex_sums(path3(), Labeling([1, 2, 3]))
 
 
@@ -335,6 +337,14 @@ def test_labeling_refuses_non_integer_labels():
 def test_first_collision_smallest_lexicographic():
     assert first_collision([7, 3, 7, 3, 7]) == (0, 2)
     assert first_collision([1, 2, 3]) is None
+    # the first repeat in the scan is (1, 2), but the smallest pair is (0, 3)
+    assert first_collision([4, 9, 9, 4]) == (0, 3)
+    rng = random.Random(0)
+    for _ in range(300):
+        sums = [rng.randrange(rng.randint(1, 12)) for _ in range(rng.randint(0, 12))]
+        pairs = [(u, v) for u in range(len(sums)) for v in range(u + 1, len(sums))
+                 if sums[u] == sums[v]]
+        assert first_collision(sums) == min(pairs, default=None), sums
 
 
 @given(graph_and_labeling(), st.data())

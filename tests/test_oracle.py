@@ -122,7 +122,7 @@ class TestExhaustive:
 
 class TestHeuristic:
     def test_k2_not_found(self):
-        res = heuristic_search(Graph(2, [(0, 1)]), restarts=3)
+        res = heuristic_search(Graph(2, [(0, 1)]))
         assert (res.status, res.labeling) == (PROVEN_NONE, None)
 
     def test_petersen(self):
@@ -164,29 +164,27 @@ class TestHeuristic:
     # sha256 over seeds 0-2 of each run's status, labels and proposal count.
     # The proposals draw from tuple(state.colliding), whose order follows the
     # exact add/discard sequence, so these pin the generator calls and the
-    # collision bookkeeping together.  Short runs force restarts and the
-    # not_found path.
-    @pytest.mark.parametrize("g, kwargs, digest", [
-        (cycle_graph(20), {}, "eec3b16a4cf1f4c220b494d7f705f13a045e74118d91911a2b0b956b3d4731fb"),
-        (cycle_graph(77), {}, "0e5d1f00c43a77938ffad510b89cc607f5e98846a10794876f8ccb98d2f6145d"),
-        (cycle_graph(120), {}, "c0343dcea6ac458ba0d68f74e15617cc047773a90d19b416377a01cc131cb4d5"),
-        (cycle_graph(120), {"max_iters": 1}, "40b2428efbf078458938e036b977326ecaf53877f524a550b65826c5fc6582b8"),
-        (random_regular(40, 3, 0), {}, "0db6d8f917dd6f1ffb436e258f802996327806b6f49b69f183386fb4943debdc"),
-        (random_regular(120, 3, 1), {}, "b462f6166a54562eedf13682754e8d0c3c5ea4f73e7b3002d305e76f2380b0b2"),
-        (random_regular(30, 4, 2), {}, "1ea9177623680150139f6bf46636fc7322499943899fbab201112bd91303f759"),
-        (random_regular(100, 4, 3), {}, "a43563a4427dde96d8128a6a6cf12a9d3b9ee6c32efc4d4f27748086ab84e3f8"),
-        (torus(5, 8), {}, "68c50de2c63fc7879ff3a7e38d228a4dae88c5d757d0495b2ed0843e4de58ec1"),
-        (torus(10, 12), {}, "7827e9c0724f4b32b893ab0f2ac4214fd6d8cfd6b5283e085a0b661a3d81ec55"),
-        (random_tree(60, 4), {}, "d06779bb1bb50040c16f2c3b90d8936db9a2a872e05e0fbee45d76bad746257a"),
-        (random_tree(120, 5), {}, "6698c84a659eb41a0a6f0ec87ea98792f6cf5abf882b431afcfb198e9bb51b65"),
-        (random_min_degree_graph(50, 3, 6), {}, "d79f66a3a5667c9d3a916b2cf43f854697c33c41c5d4587fc1ccf218e1bb5206"),
-    ], ids=["C20", "C77", "C120", "C120-short-runs", "3-regular-n40", "3-regular-n120",
+    # collision bookkeeping together.
+    @pytest.mark.parametrize("g, digest", [
+        (cycle_graph(20), "eec3b16a4cf1f4c220b494d7f705f13a045e74118d91911a2b0b956b3d4731fb"),
+        (cycle_graph(77), "0e5d1f00c43a77938ffad510b89cc607f5e98846a10794876f8ccb98d2f6145d"),
+        (cycle_graph(120), "c0343dcea6ac458ba0d68f74e15617cc047773a90d19b416377a01cc131cb4d5"),
+        (random_regular(40, 3, 0), "0db6d8f917dd6f1ffb436e258f802996327806b6f49b69f183386fb4943debdc"),
+        (random_regular(120, 3, 1), "b462f6166a54562eedf13682754e8d0c3c5ea4f73e7b3002d305e76f2380b0b2"),
+        (random_regular(30, 4, 2), "1ea9177623680150139f6bf46636fc7322499943899fbab201112bd91303f759"),
+        (random_regular(100, 4, 3), "a43563a4427dde96d8128a6a6cf12a9d3b9ee6c32efc4d4f27748086ab84e3f8"),
+        (torus(5, 8), "68c50de2c63fc7879ff3a7e38d228a4dae88c5d757d0495b2ed0843e4de58ec1"),
+        (torus(10, 12), "7827e9c0724f4b32b893ab0f2ac4214fd6d8cfd6b5283e085a0b661a3d81ec55"),
+        (random_tree(60, 4), "d06779bb1bb50040c16f2c3b90d8936db9a2a872e05e0fbee45d76bad746257a"),
+        (random_tree(120, 5), "6698c84a659eb41a0a6f0ec87ea98792f6cf5abf882b431afcfb198e9bb51b65"),
+        (random_min_degree_graph(50, 3, 6), "d79f66a3a5667c9d3a916b2cf43f854697c33c41c5d4587fc1ccf218e1bb5206"),
+    ], ids=["C20", "C77", "C120", "3-regular-n40", "3-regular-n120",
             "4-regular-n30", "4-regular-n100", "torus-5x8", "torus-10x12", "tree-n60",
             "tree-n120", "min-degree-3-n50"])
-    def test_trajectory_frozen(self, g, kwargs, digest):
+    def test_trajectory_frozen(self, g, digest):
         h = hashlib.sha256()
         for seed in range(3):
-            res = heuristic_search(g, seed=seed, **kwargs)
+            res = heuristic_search(g, seed=seed)
             labels = res.labeling.labels if res.labeling else ()
             h.update(f"{res.status} {','.join(map(str, labels))} {res.iterations}\n".encode())
         assert h.hexdigest() == digest
@@ -195,14 +193,13 @@ class TestHeuristic:
         # two disjoint paths on 3 vertices: the leaves carry the labels 1..4,
         # and each middle sum equals a leaf or the other middle
         g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        res = heuristic_search(g, max_iters=3, restarts=2)
-        # two runs of max_iters * m = 12 proposals each
-        assert (res.status, res.labeling, res.iterations) == (NOT_FOUND, None, 24)
+        res = heuristic_search(g)
+        # the whole budget, PROPOSALS_PER_EDGE * m proposals
+        assert (res.status, res.labeling, res.iterations) == (NOT_FOUND, None, 60_000)
         assert exhaustive_search(g).status == PROVEN_NONE
 
     def test_rejected_labeling_raises(self, monkeypatch):
-        # zero collisions and still rejected is a fault, not a reason to
-        # try the next run
+        # zero collisions and still rejected is a fault, not a miss
         rejected = VerifyReport(ok=False, bijection_ok=False, first_collision=None)
         monkeypatch.setattr(oracle, "verify_antimagic", lambda g, lab: rejected)
         with pytest.raises(AssertionError):
@@ -218,23 +215,17 @@ class TestHeuristic:
                 assert ex.status == PROVEN_NONE and h.status == NOT_FOUND
 
 
-SEARCH_BY_KNOB = {"max_nodes": exhaustive_search, "max_iters": heuristic_search,
-                  "restarts": heuristic_search}
-
-
-@pytest.mark.parametrize("field", ["max_nodes", "max_iters", "restarts"])
+@pytest.mark.parametrize("field", ["max_nodes"])
 def test_budget_values_below_one_rejected(field):
     with pytest.raises(GraphError, match=f"^{field} must be positive$"):
-        SEARCH_BY_KNOB[field](cycle_graph(5), **{field: 0})
+        exhaustive_search(cycle_graph(5), **{field: 0})
 
 
 @pytest.mark.parametrize("search, kwargs, message", [
-    (heuristic_search, {"max_iters": 1.5}, r"max_iters must be an integer, got 1\.5"),
-    (heuristic_search, {"restarts": 2.5}, r"restarts must be an integer, got 2\.5"),
     (exhaustive_search, {"max_nodes": 2.5}, r"max_nodes must be an integer, got 2\.5"),
     (count_antimagic_labelings, {"max_nodes": 0}, "max_nodes must be positive"),
     (count_antimagic_labelings, {"max_nodes": 2.5}, r"max_nodes must be an integer, got 2\.5"),
-], ids=["heuristic-max_iters=1.5", "heuristic-restarts=2.5", "exhaustive-max_nodes=2.5",
+], ids=["exhaustive-max_nodes=2.5",
         "count-max_nodes=0", "count-max_nodes=2.5"])
 def test_bad_budget_raises_naming_the_knob(search, kwargs, message):
     with pytest.raises(GraphError, match=f"^{message}$"):

@@ -1,5 +1,10 @@
 import ast
+import inspect
 from pathlib import Path
+
+from antimagic.dense import label_dense, phase1_reduce
+from antimagic.dispatch import dispatch_label
+from antimagic.oracle import count_antimagic_labelings, exhaustive_search, heuristic_search
 
 SRC = Path(__file__).parents[1] / "src" / "antimagic"
 
@@ -37,3 +42,24 @@ def test_every_unreferenced_public_name_is_listed():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert defined - referenced == UNREFERENCED
+
+
+# Every settable value of the entry point and the labelers, with its default.
+# Each knob is one more setting that the tests and the benchmark must cover,
+# so a change that adds, drops or moves one edits this table.
+NO_DEFAULT = inspect.Parameter.empty
+KNOBS = {
+    dispatch_label: [("g", NO_DEFAULT), ("method", "auto"), ("d", None), ("seed", 0),
+                     ("max_resamples", 1000)],
+    label_dense: [("g", NO_DEFAULT), ("d", None), ("seed", 0), ("max_resamples", 1000)],
+    phase1_reduce: [("g", NO_DEFAULT), ("d", None)],
+    heuristic_search: [("g", NO_DEFAULT), ("seed", 0)],
+    exhaustive_search: [("g", NO_DEFAULT), ("max_nodes", 2_000_000)],
+    count_antimagic_labelings: [("g", NO_DEFAULT), ("max_nodes", 50_000_000)],
+}
+
+
+def test_knobs_are_pinned():
+    found = {fn.__name__: [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+             for fn in KNOBS}
+    assert found == {fn.__name__: knobs for fn, knobs in KNOBS.items()}
