@@ -92,6 +92,36 @@ def seeded_delta_n2(rng, n, m):
     return Graph(n, sorted(rest) + [(v, hub) for v in range(n - 1) if v != skip])
 
 
+def corpus_inputs():
+    """The graphs of the n-vertex Δ >= n-2 corpus, n = 4..8, with maximum
+    degree n-2."""
+    for n in range(4, 9):
+        for g in high_max_degree_corpus(n):
+            if g.max_degree() == n - 2:
+                yield g
+
+
+def random_inputs():
+    """The seeded graphs behind RANDOM_DIGEST: 400 draws of random_delta_n2,
+    less those whose hub ends up with a degree other than n-2."""
+    rng = random.Random(2003)
+    for _ in range(400):
+        g = random_delta_n2(rng)
+        if g.max_degree() == g.n - 2:
+            yield g
+
+
+def large_inputs():
+    """The eight seeded graphs behind LARGE_DIGEST: at n = 300 and 1000, one
+    per scheme (m = 3n-4, 2n-5, 2n-6 or 2n-7, 3n/2), in that order."""
+    rng = random.Random(300)
+    for n in (300, 1000):
+        for m in (3 * n - 4, 2 * n - 5, 2 * n - 6 if n == 300 else 2 * n - 7, 3 * n // 2):
+            g = seeded_delta_n2(rng, n, m)
+            assert g.max_degree() == n - 2 and g.m == m
+            yield g
+
+
 # sha256 of every certificate on the n-vertex Δ >= n-2 corpus, in corpus
 # order, frozen from the construction that labeled G - v_n as a separate
 # induced graph: labeling G on its own vertex ids must give the same labels.
@@ -113,6 +143,15 @@ RANDOM_DIGEST = "040663fd861658a0e4a0d7ee61ba47a0cba0ed48dfc507f881e1def3856bd74
 # test_large_graphs_certified_by_construction: at n = 300 and 1000, one per
 # scheme (m = 3n-4, 2n-5, 2n-6 or 2n-7, 3n/2), in that order
 LARGE_DIGEST = "8bac5bd05e791e64de037f84de885fcc41aaea218a039b5e1043c7183aed8fc4"
+
+# (verifier calls, sha256 of their labels in call order) of
+# test_candidate_stream_frozen, per input generator: every candidate that
+# special builds and asks the verifier about, not only the accepted ones
+CANDIDATE_STREAMS = {
+    "corpus_inputs": (7268, "dcc7122b202d62e2e2246bc4146dfd5c963fcccd2abb1c0215f930cf04598ae3"),
+    "random_inputs": (400, "740582f8ecb30a663d6879791a14014e0638133af5307708c26a6ed9e3c38566"),
+    "large_inputs": (8, "8bac5bd05e791e64de037f84de885fcc41aaea218a039b5e1043c7183aed8fc4"),
+}
 
 # Graphs of the n-vertex Δ >= n-2 corpus with maximum degree n-2 on which the
 # verifier accepts no candidate of the n-2 scheme, so dispatch hands them to
@@ -526,12 +565,8 @@ class TestMaxDegreeNMinus2:
         # seeded stress beyond the corpus: the verifier accepts a candidate
         # of every graph, so the search is never needed; the digest pins
         # every certificate, so the dense scheme's cycle walk is pinned too
-        rng = random.Random(2003)
         folded = hashlib.sha256()
-        for _ in range(400):
-            g = random_delta_n2(rng)
-            if g.max_degree() != g.n - 2:
-                continue
+        for g in random_inputs():
             lab = label_max_degree_n_minus_2(g)
             assert lab is not None
             assert verify_antimagic(g, lab).ok
@@ -542,14 +577,31 @@ class TestMaxDegreeNMinus2:
         # the sizes the large-graphs workload serves, which RANDOM_DIGEST
         # (n <= 120) does not reach: every scheme's candidate verifies, and
         # the digest pins the certificates
-        rng = random.Random(300)
         folded = hashlib.sha256()
-        for n in (300, 1000):
-            for m in (3 * n - 4, 2 * n - 5, 2 * n - 6 if n == 300 else 2 * n - 7, 3 * n // 2):
-                g = seeded_delta_n2(rng, n, m)
-                assert g.max_degree() == n - 2 and g.m == m
-                lab = label_max_degree_n_minus_2(g)
-                assert lab is not None
-                assert verify_antimagic(g, lab).ok
-                folded.update(repr(lab.labels).encode())
+        for g in large_inputs():
+            lab = label_max_degree_n_minus_2(g)
+            assert lab is not None
+            assert verify_antimagic(g, lab).ok
+            folded.update(repr(lab.labels).encode())
         assert folded.hexdigest() == LARGE_DIGEST
+
+    @pytest.mark.parametrize("inputs", [corpus_inputs, random_inputs, large_inputs],
+                             ids=["corpus", "random", "large"])
+    def test_candidate_stream_frozen(self, inputs, monkeypatch):
+        # every candidate the route hands the verifier, accepted or not, in
+        # call order: a faster route must build the same candidates and ask
+        # about the same ones.  A change that mends a scheme (ROADMAP items
+        # 7 and 14) adds or drops candidates, and edits this pin on purpose.
+        folded = hashlib.sha256()
+        calls = 0
+
+        def recording(g, lab):
+            nonlocal calls
+            calls += 1
+            folded.update(repr(lab.labels).encode())
+            return verify_antimagic(g, lab)
+
+        monkeypatch.setattr(special, "verify_antimagic", recording)
+        for g in inputs():
+            label_max_degree_n_minus_2(g)
+        assert (calls, folded.hexdigest()) == CANDIDATE_STREAMS[inputs.__name__]
