@@ -52,20 +52,23 @@ def _distinct_totals(w, assign, fixed_sums) -> bool:
 
 
 def reference_reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
-    """The reserved-label assignment of the n-2 schemes as it was written
-    before it was made faster: a dict per candidate, each checked in full by
-    _distinct_totals.  With two odd-weight neighbors, the first assignment
-    special._reserved_assignment yields must equal this, or it must yield
-    none where this gives None; with none, special._sorted_default must
-    equal this where it gives a dict and make a total collide where it
-    gives None."""
+    """The reserved-label assignments of the n-2 schemes as they were written
+    before they were made faster: a dict per candidate, each checked in full
+    by _distinct_totals.  With two odd-weight neighbors it yields every
+    valid assignment in itertools.permutations order of the label pairs,
+    which special._reserved_assignment must match in full; with none it
+    yields the sorted default where its totals come out distinct, so
+    special._sorted_default must equal it where it yields one and make a
+    total collide where it yields none."""
     if len(set(fixed_sums)) < len(fixed_sums):
-        return None
+        return
     order = sorted(neighbors, key=lambda u: (w[u], u))
     labels = sorted(reserved)
     if not odd_vertices:
         base = dict(zip(order, labels))
-        return base if _distinct_totals(w, base, fixed_sums) else None
+        if _distinct_totals(w, base, fixed_sums):
+            yield base
+        return
     vj, vk = sorted(odd_vertices, key=lambda u: (w[u], u))
     rest = [u for u in order if u not in (vj, vk)]
     for alpha, beta in itertools.permutations(labels, 2):
@@ -75,8 +78,7 @@ def reference_reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_su
         cand[vj] = alpha
         cand[vk] = beta
         if _distinct_totals(w, cand, fixed_sums):
-            return cand
-    return None
+            yield cand
 
 
 def seeded_delta_n2(rng, n, m):
@@ -352,6 +354,7 @@ class TestReservedAssignment:
         # and fixed sums make every kind of outcome common
         rng = random.Random(14)
         kinds = Counter()
+        later = Counter()  # two-odd inputs by whether the scan yields a second assignment
         for _ in range(4000):
             k = rng.randrange(2, 8)
             neighbors = sorted(rng.sample(range(k + 2), k))
@@ -361,24 +364,26 @@ class TestReservedAssignment:
                 w[u] += 1
             reserved = sorted(rng.sample(range(1, 4 * k, 2), k))
             fixed = [rng.randrange(4 * k) for _ in range(rng.choice((2, 3)))]
-            ref = reference_reserved_assignment(neighbors, w, odd, reserved, fixed)
+            refs = list(reference_reserved_assignment(neighbors, w, odd, reserved, fixed))
             if odd:
-                assert next(_reserved_assignment(neighbors, w, odd, reserved, fixed), None) == ref
+                assert list(_reserved_assignment(neighbors, w, odd, reserved, fixed)) == refs
             else:
                 got = _sorted_default(neighbors, w, reserved)
-                if ref is not None:
-                    assert got == ref
+                if refs:
+                    assert [got] == refs
                 else:
                     # the candidate the verifier turns down
                     sums = [w[u] + lab for u, lab in got.items()] + fixed
                     assert len(set(sums)) < len(sums)
             collide = len(set(fixed)) < len(fixed)
-            kinds[len(odd), len(fixed), collide, ref is None] += 1
+            kinds[len(odd), len(fixed), collide, not refs] += 1
+            later[len(refs) > 1] += bool(odd)
         for odd in (0, 2):
             for nfixed in (2, 3):
                 assert kinds[odd, nfixed, True, True] > 0      # fixed sums collide
                 assert kinds[odd, nfixed, False, True] > 0     # the default or the scan fails
                 assert kinds[odd, nfixed, False, False] > 0    # an assignment is found
+        assert later[True] > 0  # the later yields, which a turned-down candidate reads, are compared too
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_matches_reference_on_corpus_inputs(self, n, monkeypatch):
@@ -400,9 +405,10 @@ class TestReservedAssignment:
                 label_max_degree_n_minus_2(g)
         assert scans and defaults
         for args in scans:
-            assert next(_reserved_assignment(*args), None) == reference_reserved_assignment(*args)
+            assert list(_reserved_assignment(*args)) == list(reference_reserved_assignment(*args))
         for neighbors, w, labels in defaults:
-            assert _sorted_default(neighbors, w, labels) == reference_reserved_assignment(neighbors, w, [], labels, [])
+            assert [_sorted_default(neighbors, w, labels)] == list(
+                reference_reserved_assignment(neighbors, w, [], labels, []))
 
 
 class TestMaxDegreeNMinus2:
@@ -523,6 +529,40 @@ class TestMaxDegreeNMinus2:
         for g in graphs:
             label_max_degree_n_minus_2(g)
         assert calls == []
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_dense_scheme_calls_each_walk_once(self, n, monkeypatch):
+        # bench/tracing.py times the two walks through special's own
+        # bindings, so the route must call them there: once each on a
+        # dense-scheme graph (m >= 2n-4), and neither on a sparse-scheme
+        # graph or one whose non-neighbor is isolated
+        calls = Counter()
+
+        def counting(name):
+            routine = getattr(special, name)
+
+            def count(*args):
+                calls[name] += 1
+                return routine(*args)
+            return count
+
+        for name in ("parity_forest", "cycle_decomposition"):
+            monkeypatch.setattr(special, name, counting(name))
+        schemes = Counter()
+        for g in high_max_degree_corpus(n):
+            degs = g.degrees()
+            if max(degs) != n - 2:
+                continue
+            hub = degs.index(n - 2)
+            non_neighbor = next(v for v in range(n) if v != hub and v not in g.neighbors(hub))
+            dense = degs[non_neighbor] > 0 and g.m >= 2 * n - 4
+            sparse = degs[non_neighbor] > 0 and g.m <= 2 * n - 5
+            schemes[dense, sparse] += 1
+            calls.clear()
+            label_max_degree_n_minus_2(g)
+            once = 1 if dense else 0
+            assert (calls["parity_forest"], calls["cycle_decomposition"]) == (once, once)
+        assert schemes[True, False] and schemes[False, True]
 
     def test_block_relabel_certifies_without_search(self):
         # m <= 2n-8: the second spare even hits the non-neighbor's weight,
