@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import add
 from typing import Iterable, Optional
 
 from .decompose import cycle_decomposition, parity_forest
@@ -209,14 +210,11 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
     vn = degs.index(n - 2)
     lo, hi = g.lo, g.hi
     m = len(lo)
-    # the hub's incidence ascends, so its neighbors do: neighbor -> hub edge
-    # id, and the edges away from the hub are every other edge id
-    hub_edge = {}
-    away = [True] * m
-    for e in g._incident[vn]:
-        hub_edge[lo[e] + hi[e] - vn] = e
-        away[e] = False
-    vn1 = n * (n - 1) // 2 - vn - sum(hub_edge)  # the one vertex left out
+    # the hub's incidence ascends, so its neighbors do; the edges away from
+    # the hub are every other edge id
+    hub_edges = g._incident[vn]
+    neighbors = [lo[e] + hi[e] - vn for e in hub_edges]
+    vn1 = n * (n - 1) // 2 - vn - sum(neighbors)  # the one vertex left out
     if not degs[vn1]:
         return label_universal_vertex(g)
     if m >= 2 * n - 4:
@@ -227,12 +225,13 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
         scheme = _lemma44_two_spare_evens
     else:
         scheme = _lemma44_completion
+    away = [True] * m
+    for e in hub_edges:
+        away[e] = False
     star = list(itertools.compress(range(m), away))
-    evens = list(range(2, m + 1, 2))
-    odds = list(range(1, m + 1, 2))
-    for labels, assign in scheme(g, vn1, star, evens, odds, list(hub_edge)):
-        for u, lab in assign.items():
-            labels[hub_edge[u]] = lab
+    for labels, assign in scheme(g, vn1, star, range(2, m + 1, 2), range(1, m + 1, 2), neighbors):
+        for e, u in zip(hub_edges, neighbors):
+            labels[e] = assign[u]
         lab = _trusted_labeling(labels)
         if verify_antimagic(g, lab).ok:
             return lab
@@ -254,22 +253,27 @@ def _lift(g: Graph, items):
 
 # Each scheme below takes G, the hub's non-neighbor ``vn1``, ``star`` (the
 # ascending G edge ids away from the hub, so G - v_n with v_n isolated), the
-# evens and odds of 1..m, and the hub's neighbors in ascending order, which
-# it must not change.  Everything is in G's own vertex and edge ids.  A
-# scheme yields candidates, each the labels of G's non-hub edges plus a map
-# neighbor -> label for the hub's edges, and judges none of them: the caller
-# writes the hub labels, freezes the candidate and asks the verifier before
-# it asks for the next one, so a scheme may yield one labels list again.
+# evens and odds of 1..m as ranges, and the hub's neighbors in ascending
+# order, which it must not change.  Everything is in G's own vertex and edge
+# ids.  A scheme yields candidates, each the labels of G's non-hub edges plus
+# a map neighbor -> label for the hub's edges, and judges none of them: the
+# caller writes the hub labels, freezes the candidate and asks the verifier
+# before it asks for the next one, so a scheme may yield one labels list
+# again.
 
 # -- dense case: m >= 2n-4 ---------------------------------------------------
 
 def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     """Parity-forest / cycle scheme, with all choices canonical.
 
-    The forest takes the smallest evens, the cycles the remaining evens
-    and then the small odds; the mixed cycle, if any, is only rotated so
-    that neither parity junction lands on the non-neighbor.  The top n-2
-    odds are reserved for the hub's edges.
+    The non-hub edges are labeled in one order, forest first and then cycle
+    by cycle, with the evens and then the odds below the top n-2, which are
+    reserved for the hub's edges.  Each cycle is traversed from its
+    smallest vertex toward that vertex's smaller neighbor; the mixed cycle,
+    where the evens run out, starts as many places on as it takes to keep
+    both parity junctions off the non-neighbor.  With two junctions the
+    reserved labels go out by :func:`_reserved_assignment`'s scan, and
+    without one as :func:`_sorted_default`.
 
     The two junctions are the only odd weights.  The forest has at most
     n-2 edges (G - v_n has the isolated v_n), and there are at least n-2
@@ -278,16 +282,15 @@ def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     evens end: at traversal positions 0 and ``evens_left`` of the mixed
     cycle.
     """
-    forest = parity_forest(g, star)
-    if forest:
-        in_forest = set(forest)
+    order = parity_forest(g, star)  # then each cycle: the non-hub edges in labeling order
+    if order:
+        in_forest = set(order)
         star = [e for e in star if e not in in_forest]
-    dec = cycle_decomposition(g, star)
+    cycles, cycle_edges = cycle_decomposition(g, star)
 
-    order = forest  # the non-hub edges in labeling order: forest, then cycle by cycle
-    odd_vertices = []
-    evens_left = len(evens) - len(forest)
-    for cyc, es in zip(dec.cycles, dec.cycle_edges):
+    odd_vertices = None
+    evens_left = len(evens) - len(order)
+    for cyc, es in zip(cycles, cycle_edges):
         # start at the smallest vertex, heading toward its smaller neighbor:
         # traversal position t is cyc[(i + step*t) % k], and es[j] joins
         # cyc[j] and cyc[j+1]
@@ -295,25 +298,24 @@ def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
         i = cyc.index(min(cyc))
         step = -1 if cyc[i - 1] < cyc[i + 1 - k] else 1
         if 0 < evens_left < k:
-            # the mixed cycle: start r places on, so that neither junction
-            # is the non-neighbor; each junction rules out at most one of
-            # the k >= 3 starts
-            r = next(r for r in range(k)
-                     if vn1 not in (cyc[(i + step * r) % k], cyc[(i + step * (r + evens_left)) % k]))
-            i = (i + step * r) % k
+            # the mixed cycle: step the start on until neither junction is
+            # the non-neighbor; each junction rules out at most one of the
+            # k >= 3 starts
+            while vn1 == cyc[i] or vn1 == cyc[(i + step * evens_left) % k]:
+                i = (i + step) % k
             odd_vertices = [cyc[i], cyc[(i + step * evens_left) % k]]
         order += es[i:] + es[:i] if step > 0 else es[i - 1::-1] + es[:i - 1:-1]
         evens_left -= k
 
     # the evens, then the odds below the reserved ones: zip stops there
-    labels, w = _lift(g, zip(order, evens + odds))
+    labels, w = _lift(g, zip(order, itertools.chain(evens, odds)))
     reserved = odds[len(odds) - len(neighbors):]
     if odd_vertices:
-        assigns = _reserved_assignment(neighbors, w, odd_vertices, reserved, [w[vn1], sum(reserved)])
+        for assign in _reserved_assignment(neighbors, w, odd_vertices, reserved,
+                                           [w[vn1], sum(reserved)]):
+            yield labels, assign
     else:
-        assigns = [_sorted_default(neighbors, w, reserved)]
-    for assign in assigns:
-        yield labels, assign
+        yield labels, _sorted_default(neighbors, w, reserved)
 
 
 def _sorted_default(neighbors, w, labels):
@@ -332,32 +334,39 @@ def _sorted_default(neighbors, w, labels):
 
 
 def _reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
-    """Assignments of the ascending ``reserved`` labels to the hub's
-    ascending ``neighbors``, two of which, ``odd_vertices``, have odd
-    weight.
+    """Assignments of the ascending ``reserved`` labels, one per neighbor,
+    to the hub's ascending ``neighbors``, two of which, ``odd_vertices``,
+    have odd weight.
 
-    The scan walks the ordered label pairs in ``itertools.permutations``
-    order, the first label of a pair going to the lighter of the two (by
-    weight, then id) and the rest of the neighbors taking the sorted
-    default, and yields each assignment whose neighbor totals and
-    ``fixed_sums`` (the other vertices' weights) come out pairwise distinct.
-    It searches, so it checks each pair itself; where the fixed sums already
-    collide no pair can help, and it yields nothing without scanning the
-    k^2 pairs.
+    Each ordered pair of labels, in ``itertools.permutations`` order, goes
+    to the two odd-weight neighbors, the first label to the lighter of them
+    (by weight, then id), and the other labels go to the other neighbors as
+    the sorted default.  The assignment is yielded when its neighbor totals
+    and ``fixed_sums`` (the other vertices' weights) come out pairwise
+    distinct.  It searches, so it checks each pair itself; where the fixed
+    sums already collide no pair can help, and it yields nothing without
+    scanning the k^2 pairs.
     """
     if len(set(fixed_sums)) < len(fixed_sums):
         return
     # a stable sort of the ascending ids by weight: (weight, id) order
-    order = sorted(neighbors, key=w.__getitem__)
-    vj, vk = [u for u in order if u in odd_vertices]
+    rest = sorted(neighbors, key=w.__getitem__)
+    vj, vk = odd_vertices
+    if (w[vk], vk) < (w[vj], vj):
+        vj, vk = vk, vj
+    rest.remove(vj)
+    rest.remove(vk)
     wj, wk = w[vj], w[vk]
-    rest = [u for u in order if u not in odd_vertices]
+    rest_w = list(map(w.__getitem__, rest))
+    size = len(neighbors) + len(fixed_sums)  # one total per neighbor, and the fixed sums
+    rest += (vj, vk)
     for alpha, beta in itertools.permutations(reserved, 2):
-        left = [lab for lab in reserved if lab != alpha and lab != beta]
-        sums = [w[u] + lab for u, lab in zip(rest, left)]
-        sums += [wj + alpha, wk + beta, *fixed_sums]
-        if len(set(sums)) == len(sums):
-            yield dict(zip(rest + [vj, vk], left + [alpha, beta]))
+        left = list(reserved)
+        left.remove(alpha)
+        left.remove(beta)
+        if len({wj + alpha, wk + beta, *fixed_sums, *map(add, rest_w, left)}) == size:
+            left += (alpha, beta)
+            yield dict(zip(rest, left))
 
 
 # -- sparse case: m <= 2n-5 --------------------------------------------------
@@ -436,4 +445,4 @@ def _block_relabel(neighbors, w, spare_evens, odds, w_vn1):
         while k < len(order) and w[order[k]] == w[order[hit]]:
             k += 1
         order[hit:k + x - hit] = order[k:k + x - hit] + order[hit:k]
-    return dict(zip(order, spare_evens + odds))
+    return dict(zip(order, itertools.chain(spare_evens, odds)))
