@@ -159,6 +159,26 @@ class TestCycleDecomposition:
         with pytest.raises(GraphError, match="odd degree at 0"):
             cycle_decomposition(Graph(4, list(itertools.combinations(range(4), 2))), [0, 1, 2, 3])
 
+    def test_odd_degree_names_the_smallest_odd_vertex(self):
+        # the walk meets an odd degree only when it is stranded away from its
+        # start, after it has cut out some cycles; the error must still name
+        # the smallest odd vertex of the whole subgraph
+        rng = random.Random(7)
+        raised = 0
+        for _ in range(150):
+            for g, ids in random_edge_subsets(rng):
+                deg = [0] * g.n
+                for e in ids:
+                    deg[g.lo[e]] += 1
+                    deg[g.hi[e]] += 1
+                odd = [v for v, d in enumerate(deg) if d % 2]
+                if odd:
+                    raised += 1
+                    with pytest.raises(GraphError, match=f"^cycle decomposition needs an even graph; "
+                                                         f"odd degree at {odd[0]}$"):
+                        cycle_decomposition(g, ids)
+        assert raised > 100
+
     def test_k5_decomposes(self):
         g = Graph(5, list(itertools.combinations(range(5), 2)))
         check_cycle_decomposition(g)
