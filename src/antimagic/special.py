@@ -282,14 +282,15 @@ def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     evens end: at traversal positions 0 and ``evens_left`` of the mixed
     cycle.
     """
-    order = parity_forest(g, star)  # then each cycle: the non-hub edges in labeling order
-    if order:
-        in_forest = set(order)
+    forest = parity_forest(g, star)
+    if forest:
+        in_forest = set(forest)
         star = [e for e in star if e not in in_forest]
     cycles, cycle_edges = cycle_decomposition(g, star)
 
-    odd_vertices = None
-    evens_left = len(evens) - len(order)
+    order = forest  # the non-hub edges in labeling order: forest, then cycle by cycle
+    odd_vertices = []
+    evens_left = len(evens) - len(forest)
     for cyc, es in zip(cycles, cycle_edges):
         # start at the smallest vertex, heading toward its smaller neighbor:
         # traversal position t is cyc[(i + step*t) % k], and es[j] joins
