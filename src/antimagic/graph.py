@@ -281,7 +281,23 @@ def vertex_sums(g: Graph, labeling: Labeling) -> WeightMap:
 
 
 def _sums(g: Graph, labels) -> list[int]:
-    """Per-vertex sums of ``labels``, which holds one label per edge of ``g``."""
+    """Per-vertex sums of ``labels``, which holds one label per edge of ``g``.
+
+    The loop is picked by density.  When m <= 4n (average degree at most
+    8), one pass over the edges adds each label to both ends; on denser
+    graphs each vertex sums its incidence, whose ``sum`` adds in C.  On
+    random graphs with n = 30 to 4,000 (Python 3.11, 2 vCPUs), the pass
+    over the edges takes 0.5 to 0.8 of the incidence loop's time at
+    m = 2n, 0.8 to 1.3 at m = 4n, the crossover, and 1.1 to 1.6 at m = 6n.
+    Either way the sums take one list of n ints beyond the input.
+    """
+    n = g.n
+    if len(g.lo) <= 4 * n:
+        sums = [0] * n
+        for lab, u, v in zip(labels, g.lo, g.hi):
+            sums[u] += lab
+            sums[v] += lab
+        return sums
     get = labels.__getitem__
     # itemgetter fetches a whole incidence in one call, but it needs two or
     # more indices to return a tuple
@@ -314,9 +330,10 @@ class CollisionState:
     counts colliding vertex pairs and ``colliding`` is the set of vertices
     whose sum is shared.  :meth:`swap` updates all of it by touching only
     the swapped edges' endpoints, which it reads from the graph's ``lo``
-    and ``hi`` lists.  Beyond the graph the state takes about 36 bytes per
-    edge, the label list and its ints.  Bijectivity is left to
-    :func:`verify_antimagic`.
+    and ``hi`` lists.  The constructor takes the sums from :func:`_sums`,
+    one pass over the edges when m <= 4n and the incidence loop above that.
+    Beyond the graph the state takes about 36 bytes per edge, the label
+    list and its ints.  Bijectivity is left to :func:`verify_antimagic`.
 
     The iteration order of ``colliding`` is part of the contract, because
     the search draws from ``tuple(colliding)``.  That order follows the
@@ -496,7 +513,9 @@ def verify_antimagic(g: Graph, labeling: Labeling) -> VerifyReport:
     no graph is too large to check.  Beyond its input the check takes one
     byte per edge for the bijection tally (:func:`_is_permutation`), then
     the vertex sums and the set that compares them: about 3 bytes per edge
-    at n = 4,000, m = 111,596.
+    at n = 4,000, m = 111,596.  The sums come from :func:`_sums`, one pass
+    over the edges when m <= 4n and the incidence loop above that, where
+    the pass over the edges is the slower of the two.
     """
     labels = labeling.labels
     m = len(labels)

@@ -1,11 +1,16 @@
 """Graph and certificate serialization.
 
 Two graph formats: a plain edge list and the compact one-line ASCII
-encoding (graph6) used by standard small-graph corpora.  An edge list is a
-header line ``n m``, then one ``u v`` line per edge, in either orientation
-and any order; blank lines and lines starting with ``#`` (comments) may
-appear anywhere.  A malformed document raises :class:`ParseError`, which
-names the first bad line.
+encoding (graph6) used by standard small-graph corpora.  A graph6 line
+gives n in one of two forms: the short form, one character, for n <= 62,
+or the long form, ``~`` and three characters, for n up to
+``GRAPH6_MAX_N``.  A short-form body, at most 316 characters, is decoded
+in one pass through lookup tables; a long-form body is decoded a chunk at
+a time, so its parse holds one chunk's bits, never the whole triangle's.
+An edge list is a header line ``n m``, then one ``u v`` line per edge, in
+either orientation and any order; blank lines and lines starting with
+``#`` (comments) may appear anywhere.  A malformed document raises
+:class:`ParseError`, which names the first bad line.
 Certificates are grep-friendly text: one ``u v label`` line per edge, one
 ``vertex sum`` line per vertex, then a status line.
 """
@@ -153,12 +158,21 @@ def emit_edgelist(g: Graph) -> str:
 
 # graph6 packs the upper triangle column by column, (0,1), (0,2), (1,2),
 # (0,3), ..., six bits to a character 63..126: base64 with another alphabet.
-# So the O(n^2) body goes through binascii, and Python touches only the edges.
+# So the O(n^2) body of a long-form line goes through binascii, and Python
+# touches only the edges.
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6 = bytes(range(63, 127))
 _B64_TO_G6 = bytes.maketrans(_B64, _G6)
 _G6_TO_B64 = bytes.maketrans(_G6, _B64)
 
+# A short-form body (n <= 62) is at most 316 characters, decoded in one
+# pass through tables: _G6_BITS[c] lists the offsets 0..5 of the set bits
+# of character c, highest bit first (empty for a character outside
+# '?'..'~', which the decoder refuses before it reads the table), and bit
+# k of the triangle is the pair (_G6_ROW[k], _G6_COL[k]).
+_G6_BITS = [()] * 63 + [tuple(o for o in range(6) if x >> 5 - o & 1) for x in range(64)] + [()] * 129
+_G6_ROW = [u for v in range(62) for u in range(v)]
+_G6_COL = [v for v in range(62) for _ in range(v)]
 
 # Body characters that parse_graph6 decodes at a time: a whole number of
 # base64 quanta (4 characters), 6 * 16384 = 98,304 bits.
@@ -196,17 +210,19 @@ def emit_graph6(g: Graph) -> str:
 def parse_graph6(line: str) -> Graph:
     """The graph on one graph6 line; an optional ``>>graph6<<`` header is skipped.
 
-    When the line, stripped and without the header, is exactly what
-    :func:`emit_graph6` writes for the graph (the one-character size for
-    n <= 62, zero padding bits), the graph records it, so that encoding the
-    graph again costs nothing.
+    A line gives n in one of two forms: the short form, one size character,
+    for n <= 62, or the long form, ``~`` and three size characters, for
+    any n up to ``GRAPH6_MAX_N``.  When the line, stripped and without the
+    header, is exactly what :func:`emit_graph6` writes for the graph (the
+    short form for n <= 62, zero padding bits), the graph records it, so
+    that encoding the graph again costs nothing.
 
-    The body is decoded ``_G6_CHUNK`` characters at a time, so beyond the
-    line and the graph the parse holds one chunk's bits, never the whole
-    triangle's.  The decoder files each edge's larger end under its
-    smaller one, and the graph's end lists ``lo`` and ``hi`` are read off
-    those rows: no tuple per edge is made, and the graph takes about 65
-    bytes per edge, 16 of them for the two ends.
+    A short-form body, at most 316 characters, is decoded in one pass
+    through lookup tables.  A long-form body is decoded ``_G6_CHUNK``
+    characters at a time, so beyond the line and the graph the parse holds
+    one chunk's bits, never the whole triangle's.  Either way the graph's
+    end lists ``lo`` and ``hi`` are built with no tuple per edge, and the
+    graph takes about 65 bytes per edge, 16 of them for the two ends.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
@@ -228,6 +244,46 @@ def parse_graph6(line: str) -> Graph:
     need = (nbits + 5) // 6
     if len(s) - i != need:
         raise ParseError(f"expected {need} data characters, got {len(s) - i}")
+    if i == 1:
+        # bit k of the triangle is at offset k % 6 of character k // 6; set
+        # bits past the triangle are padding and come last, so they are
+        # popped off the end
+        raw = _body_bytes(s[1:])
+        ks = [k + o for k, c in zip(range(0, nbits, 6), raw) for o in _G6_BITS[c]]
+        canonical = not ks or ks[-1] < nbits
+        while ks and ks[-1] >= nbits:
+            ks.pop()
+        # the bits come column by column, so within a row the columns
+        # ascend, and a stable sort by row puts the edges in Graph's order
+        row = _G6_ROW.__getitem__
+        ks.sort(key=row)
+        lo = list(map(row, ks))
+        hi = list(map(_G6_COL.__getitem__, ks))
+    else:
+        lo, hi, canonical = _decode_long(s, n, nbits)
+        canonical = canonical and n > 62
+    return _canonical_graph(n, lo, hi, s if canonical else None)
+
+
+def _body_bytes(text: str) -> bytes:
+    """``text``, a run of graph6 body characters, as ASCII bytes; ParseError
+    names the first character outside '?'..'~'."""
+    raw = text.encode("ascii", "ignore")  # never "replace": it makes '?', a valid character
+    if len(raw) != len(text) or raw.translate(None, _G6):
+        bad = next(ch for ch in text if not "?" <= ch <= "~")
+        raise ParseError(f"invalid character {bad!r}")
+    return raw
+
+
+def _decode_long(s: str, n: int, nbits: int) -> tuple[list[int], list[int], bool]:
+    """The edge ends ``lo`` and ``hi`` of the long-form line ``s``, whose
+    body of ``nbits`` triangle bits starts at index 4, and whether all its
+    padding bits are zero.
+
+    The body is expanded ``_G6_CHUNK`` characters at a time.  The decoder
+    files each edge's larger end under its smaller one, and the end lists
+    are read off those rows.
+    """
     # Column v holds the bits of (0, v), ..., (v - 1, v); filing each set bit
     # under its row leaves every row's later ends ascending, so the edges
     # come out in Graph's order and need no sort or check.  One find per
@@ -237,12 +293,8 @@ def parse_graph6(line: str) -> Graph:
     v, first, end = 1, 0, 1  # column v spans bits first .. end - 1
     left = nbits  # triangle bits from the current chunk's start on
     bits, stop = "", 0
-    for start in range(i, len(s), _G6_CHUNK):
-        text = s[start:start + _G6_CHUNK]
-        raw = text.encode("ascii", "ignore")  # never "replace": it makes '?', a valid character
-        if len(raw) != len(text) or raw.translate(None, _G6):
-            bad = next(ch for ch in text if not "?" <= ch <= "~")
-            raise ParseError(f"invalid character {bad!r}")
+    for start in range(4, len(s), _G6_CHUNK):
+        raw = _body_bytes(s[start:start + _G6_CHUNK])
         data = binascii.a2b_base64(raw.translate(_G6_TO_B64) + b"A" * (-len(raw) % 4))
         bits = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")
         stop = min(left, len(bits))
@@ -265,8 +317,7 @@ def parse_graph6(line: str) -> Graph:
     hi = list(chain.from_iterable(rows))
     del rows
     # past the triangle, the last chunk holds only padding bits
-    canonical = (i == 1 or n > 62) and bits.find("1", stop) < 0
-    return _canonical_graph(n, lo, hi, s if canonical else None)
+    return lo, hi, bits.find("1", stop) < 0
 
 
 def _status_line(report: VerifyReport) -> str:

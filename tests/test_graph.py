@@ -1,10 +1,12 @@
 import random
 import tracemalloc
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from antimagic import graph
 from antimagic.generators import complete_graph, random_min_degree_graph
 from antimagic.graph import (
     CollisionState,
@@ -381,3 +383,65 @@ def test_collision_state_owns_the_given_list():
 def test_collision_state_needs_one_label_per_edge(labels):
     with pytest.raises(GraphError, match=rf"^{len(labels)} labels for m=4$"):
         CollisionState(cycle4(), labels)
+
+
+# _sums adds each label to both ends in one pass over the edges when
+# m <= 4n, and sums each vertex's incidence above that.  These graphs sit on
+# both sides of the switch: m = 4n and m = 4n + 1, then the latter with one
+# isolated vertex more, which puts the same edges back on the edge side.
+def _reference_sums(g, labels):
+    return [sum(lab for (a, b), lab in zip(g.edges, labels) if v in (a, b)) for v in range(g.n)]
+
+
+def _random_graph(rng, n, m):
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    return Graph(n, rng.sample(pairs, m))
+
+
+def _switch_cases():
+    rng = random.Random(11)
+    cases = [(Graph(0, []), False), (Graph(1, []), False), (Graph(5, [(1, 3)]), False),
+             (Graph(6, [(0, 1), (0, 2), (1, 2)]), False)]
+    for n in (10, 11, 16, 40):
+        cases.append((_random_graph(rng, n, 4 * n), False))
+        dense = _random_graph(rng, n, 4 * n + 1)
+        cases.append((dense, True))
+        cases.append((Graph(n + 1, dense.edges), False))
+    return cases
+
+
+@pytest.mark.parametrize("g, by_incidence", _switch_cases(),
+                         ids=lambda x: f"n={x.n} m={x.m}" if isinstance(x, Graph)
+                         else "by incidence" if x else "by edges")
+def test_sums_on_both_sides_of_the_switch(g, by_incidence, monkeypatch):
+    # which loop runs is seen from the incidence loop's itemgetter calls
+    calls = []
+
+    def counting(*items):
+        calls.append(items)
+        return itemgetter(*items)
+
+    monkeypatch.setattr(graph, "itemgetter", counting)
+    rng = random.Random(g.m)
+    perm = list(range(1, g.m + 1))
+    rng.shuffle(perm)
+    for labels in (perm, [1] * g.m, perm[::-1]):
+        want = _reference_sums(g, labels)
+        assert list(vertex_sums(g, _trusted_labeling(labels))) == want
+        assert verify_antimagic(g, _trusted_labeling(labels)) == _reference_report(g, labels)
+        state = CollisionState(g, list(labels))
+        assert state.sums == want
+        counts = Counter(want)
+        assert state.collisions == sum(c * (c - 1) // 2 for c in counts.values())
+        assert sorted(state.colliding) == [v for v in range(g.n) if counts[want[v]] >= 2]
+    assert bool(calls) == by_incidence
+    for wrong in (g.m - 1, g.m + 1):
+        if wrong < 0:
+            continue
+        with pytest.raises(GraphError, match=rf"^labeling has {wrong} labels for m={g.m}$"):
+            vertex_sums(g, Labeling([1] * wrong))
+        with pytest.raises(GraphError, match=rf"^labeling has {wrong} labels for m={g.m}$"):
+            verify_antimagic(g, Labeling([1] * wrong))
+        with pytest.raises(GraphError, match=rf"^{wrong} labels for m={g.m}$"):
+            CollisionState(g, [1] * wrong)
+

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antimagic import io
+from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
 from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph, GraphError, Labeling, _canonical_graph
 from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
@@ -64,17 +65,52 @@ def test_large_edge_list_parses():
     assert set(g.degrees()) == {4}
 
 
+# Each rejected line and its message.  A short-form body (one size
+# character) and a long-form one are decoded by different loops, which
+# must refuse a body alike.
+_G6_REJECTIONS = {
+    "": "empty encoded line",
+    ">>graph6<<": "empty encoded line",
+    "~": "unsupported or truncated size prefix",
+    "~~": "unsupported or truncated size prefix",
+    "A\x7f": "invalid character '\\x7f'",
+    "A>": "invalid character '>'",
+    "Bé": "invalid character 'é'",
+    "Bw x": "expected 1 data characters, got 3",
+    "A ": "expected 1 data characters, got 0",
+    chr(127) + "?" * 336: "invalid size character '\\x7f'",
+    "é" + "?" * 2395: "invalid size character 'é'",
+    "~??" + chr(127) + "?" * 336: "invalid size character '\\x7f'",
+    "C": "expected 1 data characters, got 0",
+    "C??": "expected 1 data characters, got 2",
+    "}" + "?" * 315: "expected 316 data characters, got 315",
+    "}" + "?" * 317: "expected 316 data characters, got 317",
+    "}" + "?" * 200 + "é" + "?" * 114 + "\x7f": "invalid character 'é'",
+    "}" + "?" * 315 + "\x80": "invalid character '\\x80'",
+    "~??}" + "?" * 200 + "é" + "?" * 114 + "\x7f": "invalid character 'é'",
+}
+
+
 @pytest.mark.parametrize("line", [
     "", ">>graph6<<", "~", "~~", "A\x7f", "A>", "Bé", "Bw x", "A ",
     # a size character outside '?'..'~' must not decode to a vertex count
     pytest.param(chr(127) + "?" * 336, id="size DEL"),
     pytest.param("é" + "?" * 2395, id="size non-ASCII"),
     pytest.param("~??" + chr(127) + "?" * 336, id="long size DEL"),
+    # short-form bodies of n = 4 and n = 62, the largest short form
+    pytest.param("C", id="n=4 no body"),
+    pytest.param("C??", id="n=4 body too long"),
+    pytest.param("}" + "?" * 315, id="n=62 body too short"),
+    pytest.param("}" + "?" * 317, id="n=62 body too long"),
+    pytest.param("}" + "?" * 200 + "é" + "?" * 114 + "\x7f", id="n=62 two bad characters"),
+    pytest.param("}" + "?" * 315 + "\x80", id="n=62 bad last character"),
+    pytest.param("~??}" + "?" * 200 + "é" + "?" * 114 + "\x7f", id="n=62 long form two bad characters"),
 ])
 def test_graph6_rejects(line):
     # "Bé": a non-ASCII character must not become '?', which is valid graph6
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_graph6(line)
+    assert str(err.value) == _G6_REJECTIONS[line]
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
@@ -290,6 +326,82 @@ def test_graph6_round_trip_line(line):
     assert emit_graph6(Graph(g.n, g.edges)) == line
 
 
+# A line whose size is one character (n <= 62) is decoded through tables in
+# one pass, a long-form line ('~' and 18 bits) chunk by chunk.  The long form
+# of a short line, with the same body, must give the same graph, and only the
+# short line, with zero padding, is the graph's own line.
+def _long_form(line):
+    n = ord(line[0]) - 63
+    return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)) + line[1:]
+
+
+def _decoders_agree(line):
+    """The graph on the short-form ``line``, once its long form has given the
+    same ends, incidence and degrees."""
+    short, long = parse_graph6(line), parse_graph6(_long_form(line))
+    assert (short.n, short.lo, short.hi, short._incident, short._degrees) == \
+        (long.n, long.lo, long.hi, long._incident, long._degrees)
+    assert long._graph6 is None
+    return short
+
+
+def _padding_set(line):
+    n = ord(line[0]) - 63
+    pad = -(n * (n - 1) // 2) % 6
+    return len(line) > 1 and (ord(line[-1]) - 63) & ((1 << pad) - 1) != 0
+
+
+def _reference_edges(line):
+    """The edges of a short-form line, read off the definition bit by bit."""
+    n = ord(line[0]) - 63
+    bit = [(ord(ch) - 63) >> (5 - o) & 1 for ch in line[1:] for o in range(6)]
+    return sorted((u, v) for v in range(n) for u in range(v) if bit[v * (v - 1) // 2 + u])
+
+
+def test_short_and_long_forms_agree_on_the_small_corpus():
+    # every connected graph on 3..7 vertices and every 8-vertex graph with a
+    # vertex of degree 7 or 6: the graphs of the corpus-small benchmark
+    graphs = [g for n in range(3, 8) for g in connected_graphs_upto_iso(n)]
+    graphs += high_max_degree_corpus(8)
+    assert len(graphs) == 8376
+    for g in graphs:
+        line = emit_graph6(g)
+        parsed = _decoders_agree(line)
+        assert parsed == g
+        assert parsed._graph6 == line
+
+
+def test_short_and_long_forms_agree_for_every_short_size():
+    rng = random.Random(5)
+    for n in range(63):
+        need = (n * (n - 1) // 2 + 5) // 6
+        for p in (0.0, 0.1, 0.5, 1.0):
+            # every body character is drawn, so padding bits are set too
+            line = chr(n + 63) + "".join(chr(sum(32 >> o for o in range(6) if rng.random() < p) + 63)
+                                         for _ in range(need))
+            g = _decoders_agree(line)
+            assert list(zip(g.lo, g.hi)) == _reference_edges(line)
+            assert g._graph6 == (None if _padding_set(line) else line)
+
+
+@st.composite
+def short_graph6_lines(draw):
+    """A short-form line on 0..62 vertices, whose padding bits may be set."""
+    n = draw(st.integers(min_value=0, max_value=62))
+    nbits = n * (n - 1) // 2
+    vals = draw(st.lists(st.integers(0, 63), min_size=(nbits + 5) // 6, max_size=(nbits + 5) // 6))
+    if vals and draw(st.booleans()):
+        vals[-1] &= -1 << (-nbits % 6)
+    return chr(n + 63) + "".join(chr(x + 63) for x in vals)
+
+
+@given(short_graph6_lines())
+def test_short_and_long_forms_agree(line):
+    g = _decoders_agree(line)
+    assert list(zip(g.lo, g.hi)) == _reference_edges(line)
+    assert g._graph6 == (None if _padding_set(line) else line)
+
+
 def _same_structure(a, b):
     assert a.n == b.n
     assert a.edges == b.edges
@@ -337,7 +449,7 @@ def test_one_scan_decode_edge_cases(n, edges):
 # Padding bits lie past the triangle: the decoder ignores them, and the
 # line, not being emit_graph6's, is not kept.
 @pytest.mark.parametrize("n, edges", [(3, [(0, 2)]), (5, [(3, 4)]), (62, [(0, 61), (60, 61)]),
-                                      (63, [(0, 62)])])
+                                      (63, [(0, 62)]), (3, []), (62, []), (63, [])])
 def test_set_padding_bits_keep_the_graph(n, edges):
     line = emit_graph6(Graph(n, edges))
     pad = -(n * (n - 1) // 2) % 6
@@ -399,16 +511,16 @@ def test_graph6_spanning_three_chunks_matches_networkx():
 
 def test_graph6_every_alignment_with_small_chunks(monkeypatch):
     # one base64 quantum per chunk: the triangles of n = 0..60 end at every
-    # offset a chunk allows, at the chunk edge itself and one character past it
+    # offset a chunk allows, at the chunk edge itself and one character past
+    # it.  Only a long-form line is decoded in chunks, so these are long form.
     monkeypatch.setattr(io, "_G6_CHUNK", 4)
     rng = random.Random(3)
     for n in range(61):
         for p in (0.1, 0.5, 1.0):
             edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
-            line = emit_graph6(Graph(n, edges))
-            g = parse_graph6(line)
+            g = parse_graph6(_long_form(emit_graph6(Graph(n, edges))))
             _same_structure(g, _validated(n, edges))
-            assert g._graph6 == line
+            assert g._graph6 is None
 
 
 def test_parsed_graph_takes_at_most_70_bytes_per_edge():
