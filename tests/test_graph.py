@@ -444,4 +444,3 @@ def test_sums_on_both_sides_of_the_switch(g, by_incidence, monkeypatch):
             verify_antimagic(g, Labeling([1] * wrong))
         with pytest.raises(GraphError, match=rf"^{wrong} labels for m={g.m}$"):
             CollisionState(g, [1] * wrong)
-

@@ -335,16 +335,6 @@ def _long_form(line):
     return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)) + line[1:]
 
 
-def _decoders_agree(line):
-    """The graph on the short-form ``line``, once its long form has given the
-    same ends, incidence and degrees."""
-    short, long = parse_graph6(line), parse_graph6(_long_form(line))
-    assert (short.n, short.lo, short.hi, short._incident, short._degrees) == \
-        (long.n, long.lo, long.hi, long._incident, long._degrees)
-    assert long._graph6 is None
-    return short
-
-
 def _padding_set(line):
     n = ord(line[0]) - 63
     pad = -(n * (n - 1) // 2) % 6
@@ -358,6 +348,19 @@ def _reference_edges(line):
     return sorted((u, v) for v in range(n) for u in range(v) if bit[v * (v - 1) // 2 + u])
 
 
+def _check_short_line(line):
+    """The graph on the short-form ``line``, once its long form has given the
+    same ends, incidence and degrees, the ends are the definition's, and the
+    line is kept exactly when its padding bits are zero."""
+    short, long = parse_graph6(line), parse_graph6(_long_form(line))
+    assert (short.n, short.lo, short.hi, short._incident, short._degrees) == \
+        (long.n, long.lo, long.hi, long._incident, long._degrees)
+    assert list(zip(short.lo, short.hi)) == _reference_edges(line)
+    assert short._graph6 == (None if _padding_set(line) else line)
+    assert long._graph6 is None
+    return short
+
+
 def test_short_and_long_forms_agree_on_the_small_corpus():
     # every connected graph on 3..7 vertices and every 8-vertex graph with a
     # vertex of degree 7 or 6: the graphs of the corpus-small benchmark
@@ -365,10 +368,7 @@ def test_short_and_long_forms_agree_on_the_small_corpus():
     graphs += high_max_degree_corpus(8)
     assert len(graphs) == 8376
     for g in graphs:
-        line = emit_graph6(g)
-        parsed = _decoders_agree(line)
-        assert parsed == g
-        assert parsed._graph6 == line
+        assert _check_short_line(emit_graph6(g)) == g
 
 
 def test_short_and_long_forms_agree_for_every_short_size():
@@ -377,11 +377,8 @@ def test_short_and_long_forms_agree_for_every_short_size():
         need = (n * (n - 1) // 2 + 5) // 6
         for p in (0.0, 0.1, 0.5, 1.0):
             # every body character is drawn, so padding bits are set too
-            line = chr(n + 63) + "".join(chr(sum(32 >> o for o in range(6) if rng.random() < p) + 63)
-                                         for _ in range(need))
-            g = _decoders_agree(line)
-            assert list(zip(g.lo, g.hi)) == _reference_edges(line)
-            assert g._graph6 == (None if _padding_set(line) else line)
+            _check_short_line(chr(n + 63) + "".join(chr(sum(32 >> o for o in range(6) if rng.random() < p) + 63)
+                                                    for _ in range(need)))
 
 
 @st.composite
@@ -397,9 +394,7 @@ def short_graph6_lines(draw):
 
 @given(short_graph6_lines())
 def test_short_and_long_forms_agree(line):
-    g = _decoders_agree(line)
-    assert list(zip(g.lo, g.hi)) == _reference_edges(line)
-    assert g._graph6 == (None if _padding_set(line) else line)
+    _check_short_line(line)
 
 
 def _same_structure(a, b):
