@@ -3,7 +3,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from antimagic import io
 from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
@@ -65,52 +65,39 @@ def test_large_edge_list_parses():
     assert set(g.degrees()) == {4}
 
 
-# Each rejected line and its message.  A short-form body (one size
-# character) and a long-form one are decoded by different loops, which
-# must refuse a body alike.
-_G6_REJECTIONS = {
-    "": "empty encoded line",
-    ">>graph6<<": "empty encoded line",
-    "~": "unsupported or truncated size prefix",
-    "~~": "unsupported or truncated size prefix",
-    "A\x7f": "invalid character '\\x7f'",
-    "A>": "invalid character '>'",
-    "Bé": "invalid character 'é'",
-    "Bw x": "expected 1 data characters, got 3",
-    "A ": "expected 1 data characters, got 0",
-    chr(127) + "?" * 336: "invalid size character '\\x7f'",
-    "é" + "?" * 2395: "invalid size character 'é'",
-    "~??" + chr(127) + "?" * 336: "invalid size character '\\x7f'",
-    "C": "expected 1 data characters, got 0",
-    "C??": "expected 1 data characters, got 2",
-    "}" + "?" * 315: "expected 316 data characters, got 315",
-    "}" + "?" * 317: "expected 316 data characters, got 317",
-    "}" + "?" * 200 + "é" + "?" * 114 + "\x7f": "invalid character 'é'",
-    "}" + "?" * 315 + "\x80": "invalid character '\\x80'",
-    "~??}" + "?" * 200 + "é" + "?" * 114 + "\x7f": "invalid character 'é'",
-}
-
-
-@pytest.mark.parametrize("line", [
-    "", ">>graph6<<", "~", "~~", "A\x7f", "A>", "Bé", "Bw x", "A ",
+# Each rejected line, its message, and the test's id.  A short-form body
+# (one size character) and a long-form one are decoded by different loops,
+# which must refuse a body alike.
+@pytest.mark.parametrize("line, message", [
+    pytest.param("", "empty encoded line", id=""),
+    pytest.param(">>graph6<<", "empty encoded line", id=">>graph6<<"),
+    pytest.param("~", "unsupported or truncated size prefix", id="~"),
+    pytest.param("~~", "unsupported or truncated size prefix", id="~~"),
+    pytest.param("A\x7f", "invalid character '\\x7f'", id="A\x7f"),
+    pytest.param("A>", "invalid character '>'", id="A>"),
+    # a non-ASCII character must not become '?', which is valid graph6
+    pytest.param("Bé", "invalid character 'é'", id="Bé"),
+    pytest.param("Bw x", "expected 1 data characters, got 3", id="Bw x"),
+    pytest.param("A ", "expected 1 data characters, got 0", id="A "),
     # a size character outside '?'..'~' must not decode to a vertex count
-    pytest.param(chr(127) + "?" * 336, id="size DEL"),
-    pytest.param("é" + "?" * 2395, id="size non-ASCII"),
-    pytest.param("~??" + chr(127) + "?" * 336, id="long size DEL"),
+    pytest.param(chr(127) + "?" * 336, "invalid size character '\\x7f'", id="size DEL"),
+    pytest.param("é" + "?" * 2395, "invalid size character 'é'", id="size non-ASCII"),
+    pytest.param("~??" + chr(127) + "?" * 336, "invalid size character '\\x7f'", id="long size DEL"),
     # short-form bodies of n = 4 and n = 62, the largest short form
-    pytest.param("C", id="n=4 no body"),
-    pytest.param("C??", id="n=4 body too long"),
-    pytest.param("}" + "?" * 315, id="n=62 body too short"),
-    pytest.param("}" + "?" * 317, id="n=62 body too long"),
-    pytest.param("}" + "?" * 200 + "é" + "?" * 114 + "\x7f", id="n=62 two bad characters"),
-    pytest.param("}" + "?" * 315 + "\x80", id="n=62 bad last character"),
-    pytest.param("~??}" + "?" * 200 + "é" + "?" * 114 + "\x7f", id="n=62 long form two bad characters"),
+    pytest.param("C", "expected 1 data characters, got 0", id="n=4 no body"),
+    pytest.param("C??", "expected 1 data characters, got 2", id="n=4 body too long"),
+    pytest.param("}" + "?" * 315, "expected 316 data characters, got 315", id="n=62 body too short"),
+    pytest.param("}" + "?" * 317, "expected 316 data characters, got 317", id="n=62 body too long"),
+    pytest.param("}" + "?" * 200 + "é" + "?" * 114 + "\x7f", "invalid character 'é'",
+                 id="n=62 two bad characters"),
+    pytest.param("}" + "?" * 315 + "\x80", "invalid character '\\x80'", id="n=62 bad last character"),
+    pytest.param("~??}" + "?" * 200 + "é" + "?" * 114 + "\x7f", "invalid character 'é'",
+                 id="n=62 long form two bad characters"),
 ])
-def test_graph6_rejects(line):
-    # "Bé": a non-ASCII character must not become '?', which is valid graph6
+def test_graph6_rejects(line, message):
     with pytest.raises(ParseError) as err:
         parse_graph6(line)
-    assert str(err.value) == _G6_REJECTIONS[line]
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
@@ -371,16 +358,6 @@ def test_short_and_long_forms_agree_on_the_small_corpus():
         assert _check_short_line(emit_graph6(g)) == g
 
 
-def test_short_and_long_forms_agree_for_every_short_size():
-    rng = random.Random(5)
-    for n in range(63):
-        need = (n * (n - 1) // 2 + 5) // 6
-        for p in (0.0, 0.1, 0.5, 1.0):
-            # every body character is drawn, so padding bits are set too
-            _check_short_line(chr(n + 63) + "".join(chr(sum(32 >> o for o in range(6) if rng.random() < p) + 63)
-                                                    for _ in range(need)))
-
-
 @st.composite
 def short_graph6_lines(draw):
     """A short-form line on 0..62 vertices, whose padding bits may be set."""
@@ -392,7 +369,14 @@ def short_graph6_lines(draw):
     return chr(n + 63) + "".join(chr(x + 63) for x in vals)
 
 
+# n = 0, 1 and 2, and n = 62, the largest short form, with no bit set and
+# with every triangle and padding bit set
 @given(short_graph6_lines())
+@example("?")
+@example("@")
+@example("A_")
+@example("}" + "?" * 316)
+@example("}" + "~" * 316)
 def test_short_and_long_forms_agree(line):
     _check_short_line(line)
 
@@ -505,17 +489,32 @@ def test_graph6_spanning_three_chunks_matches_networkx():
 
 
 def test_graph6_every_alignment_with_small_chunks(monkeypatch):
-    # one base64 quantum per chunk: the triangles of n = 0..60 end at every
-    # offset a chunk allows, at the chunk edge itself and one character past
-    # it.  Only a long-form line is decoded in chunks, so these are long form.
+    # one base64 quantum per chunk, 24 bits.  The triangle size n(n - 1)/2
+    # mod 24 repeats every 48 sizes, so the triangles of n = 0..60 and those
+    # of n = 63..110 each end at every offset a chunk allows, at the chunk
+    # edge itself and one character past it.  Only a long-form line is
+    # decoded in chunks: for n <= 62 the long form of the short line, never
+    # kept, and from n = 63 emit_graph6's own line, kept exactly when its
+    # padding bits are zero.
     monkeypatch.setattr(io, "_G6_CHUNK", 4)
     rng = random.Random(3)
-    for n in range(61):
+    for n in [*range(61), *range(63, 111)]:
         for p in (0.1, 0.5, 1.0):
             edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
-            g = parse_graph6(_long_form(emit_graph6(Graph(n, edges))))
+            line = emit_graph6(Graph(n, edges))
+            if n <= 62:
+                g = parse_graph6(_long_form(line))
+                _same_structure(g, _validated(n, edges))
+                assert g._graph6 is None
+                continue
+            g = parse_graph6(line)
             _same_structure(g, _validated(n, edges))
-            assert g._graph6 is None
+            assert g._graph6 == line
+            pad = -(n * (n - 1) // 2) % 6
+            if pad:
+                # the first padding bit, the one right past the triangle
+                padded = line[:-1] + chr((ord(line[-1]) - 63 | 1 << pad - 1) + 63)
+                assert parse_graph6(padded)._graph6 is None
 
 
 def test_parsed_graph_takes_at_most_70_bytes_per_edge():
