@@ -1,11 +1,13 @@
 """Method selection and run reporting.
 
-``dispatch_label`` routes a graph to the most specific labeler whose
-hypothesis it satisfies: complete multipartite structure first, then a
-vertex of degree n-1 or n-2, then the randomized dense pipeline, and
-finally the heuristic search.  The search runs here and nowhere else: it
-is also where the Δ = n-2 route goes when its scheme makes no candidate,
-and such a report says ``oracle``.  Every labeler verifies the labeling it
+``dispatch_label`` walks the routes in one fixed order: complete
+multipartite structure, a vertex of degree n-1, a vertex of degree n-2,
+the randomized dense pipeline, and finally the heuristic search.
+``"auto"`` takes the first route whose hypothesis the graph satisfies; an
+explicit method runs its route without that test, and the report carries
+the route's own refusal.  The search runs here and nowhere else: it is
+also where the Δ = n-2 route goes when its scheme makes no candidate, and
+such a report says ``oracle``.  Every labeler verifies the labeling it
 returns on the graph it was given, so a report carries a certificate only
 when it passed :func:`verify_antimagic` exactly once; dispatch does not
 check it again.
@@ -93,8 +95,14 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
                    seed: int = 0, max_resamples: int = 1000) -> RunReport:
     """Label ``g`` by ``method`` and report the route, outcome and certificate.
 
-    ``method`` is one of ``METHODS``; ``"auto"`` picks the most specific
-    route whose hypothesis ``g`` satisfies.  ``d`` is the dense route's
+    ``method`` is one of ``METHODS``.  ``"auto"`` tries, in this order,
+    ``partite`` (``g`` is complete multipartite), ``universal`` (maximum
+    degree n-1), ``delta-n2`` (maximum degree n-2 and n >= 4), ``dense``
+    (minimum degree at least d) and ``oracle``, and runs the first whose
+    test holds.  An explicit method runs its labeler without ``auto``'s
+    test: ``"universal"`` also labels a hub of degree n-2 whose
+    non-neighbour is isolated, and ``"dense"`` reports phase 1's refusal
+    when the minimum degree is below d.  ``d`` is the dense route's
     minimum-degree parameter (``None``: :func:`.dense.effective_d`'s
     ceil(C ln n)), which ``"auto"`` also compares with the minimum degree.
     ``seed`` seeds the dense pipeline and the heuristic search.
@@ -117,61 +125,56 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     check_knobs(d=d, max_resamples=max_resamples, seed=seed)
     graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
-    def report(outcome, chosen, labeling=None, resamples=0, note=""):
-        return RunReport(chosen, graph_id, outcome, resamples,
+    route = method
+
+    def report(outcome, labeling=None, resamples=0, note=""):
+        return RunReport(route, graph_id, outcome, resamples,
                          time.perf_counter() - start, labeling, note)
 
     if g.n == 2 and g.m == 1:
-        return report(NOT_APPLICABLE, method, note="K2 exception: the one labeling collides")
+        return report(NOT_APPLICABLE, note="K2 exception: the one labeling collides")
     if g.m == 0:
         if g.n <= 1:
-            return report(ANTIMAGIC, method, Labeling([]), note="trivial")
-        return report(NOT_APPLICABLE, method, note="edgeless graph: all vertex sums are zero")
+            return report(ANTIMAGIC, Labeling([]), note="trivial")
+        return report(NOT_APPLICABLE, note="edgeless graph: all vertex sums are zero")
 
-    chosen = method
-    classes = None
-    if method == "auto":
-        classes = recognize_complete_multipartite(g)
-        max_deg = g.max_degree()
-        # with an edge there are two classes, so no size check is needed
-        if classes is not None:
-            chosen = "partite"
-        elif max_deg == g.n - 1:
-            chosen = "universal"
-        elif max_deg == g.n - 2 and g.n >= 4:
-            chosen = "delta-n2"
-        else:
-            chosen = "dense" if g.min_degree() >= effective_d(g.n, d) else "oracle"
-
+    # one walk in auto's order; route names the step in progress
+    auto = method == "auto"
     note = ""
     try:
-        if chosen == "partite":
-            if classes is None:
-                classes = recognize_complete_multipartite(g)
-            if classes is None:
-                return report(NOT_APPLICABLE, chosen, note="not complete multipartite")
-            return report(ANTIMAGIC, chosen, label_multipartite_on(g, classes))
-        if chosen == "universal":
-            return report(ANTIMAGIC, chosen, label_universal_vertex(g))
-        if chosen == "delta-n2":
+        if auto or method == "partite":
+            # with an edge there are two classes, so no size check is needed
+            classes = recognize_complete_multipartite(g)
+            if classes is not None:
+                route = "partite"
+                return report(ANTIMAGIC, label_multipartite_on(g, classes))
+            if not auto:
+                return report(NOT_APPLICABLE, note="not complete multipartite")
+        max_deg = g.max_degree()
+        if method == "universal" or (auto and max_deg == g.n - 1):
+            route = "universal"
+            return report(ANTIMAGIC, label_universal_vertex(g))
+        if method == "delta-n2" or (auto and max_deg == g.n - 2 and g.n >= 4):
+            route = "delta-n2"
             lab = label_max_degree_n_minus_2(g)
             if lab is not None:
-                return report(ANTIMAGIC, chosen, lab)
+                return report(ANTIMAGIC, lab)
             note = "the n-2 scheme had no verified candidate"
-        if chosen == "dense":
+        elif method == "dense" or (auto and g.min_degree() >= effective_d(g.n, d)):
+            route = "dense"
             res = label_dense(g, d=d, seed=seed, max_resamples=max_resamples)
             if res.ok:
-                return report(ANTIMAGIC, chosen, res.labeling, res.resamples)
-            return report(FAILED, chosen, None, res.resamples,
+                return report(ANTIMAGIC, res.labeling, res.resamples)
+            return report(FAILED, None, res.resamples,
                           f"no certificate; fewest colliding pairs {res.best_collision_count}")
+        route = "oracle"
         res = heuristic_search(g, seed=seed)
         if res.status == FOUND:
-            return report(ANTIMAGIC, "oracle", res.labeling, note=note)
+            return report(ANTIMAGIC, res.labeling, note=note)
         if res.status == PROVEN_NONE:
-            return report(NOT_APPLICABLE, "oracle", note="a K2 component or two isolated "
+            return report(NOT_APPLICABLE, note="a K2 component or two isolated "
                           "vertices: two sums agree under every labeling")
-        return report(FAILED, "oracle", None,
-                      note="; ".join(filter(None, [note, "heuristic search found no certificate"])))
+        return report(FAILED, note="; ".join(
+            filter(None, [note, "heuristic search found no certificate"])))
     except (GraphError, PairingError) as exc:
-        return report(NOT_APPLICABLE if isinstance(exc, GraphError) else FAILED,
-                      chosen, note=str(exc))
+        return report(NOT_APPLICABLE if isinstance(exc, GraphError) else FAILED, note=str(exc))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import pkgutil
@@ -15,7 +16,7 @@ import antimagic.dispatch
 import antimagic.oracle
 import antimagic.partite
 import antimagic.special
-from antimagic.corpus import connected_graphs_upto_iso
+from antimagic.corpus import connected_graphs_upto_iso, graphs_upto_iso
 from antimagic.dispatch import (ANTIMAGIC, FAILED, METHODS, NOT_APPLICABLE, dispatch_label,
                                 recognize_complete_multipartite)
 from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
@@ -104,9 +105,13 @@ _STAR_PLUS_ISOLATED = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
     (cycle_graph(5), {"method": "universal"}, NOT_APPLICABLE, 0,
      "no vertex of degree n-1, nor of degree n-2 with an isolated non-neighbor"),
     (_STAR_PLUS_ISOLATED, {"method": "universal"}, ANTIMAGIC, 0, ""),
+    (cycle_graph(5), {"method": "delta-n2"}, NOT_APPLICABLE, 0,
+     "maximum degree must be exactly n-2=3, got 2"),
+    (cycle_graph(5), {"method": "dense"}, NOT_APPLICABLE, 0, "minimum degree 2 is below d=5"),
     (Graph(4, [(0, 1), (2, 3)]), {"method": "dense", "d": 1, "max_resamples": 3}, FAILED, 3,
      "no certificate; fewest colliding pairs 2"),
-], ids=["K1", "partite C5", "universal C5", "universal star plus isolated", "dense 2K2"])
+], ids=["K1", "partite C5", "universal C5", "universal star plus isolated", "delta-n2 C5",
+        "dense C5", "dense 2K2"])
 def test_forced_routes(g, kwargs, outcome, resamples, note):
     rep = dispatch_label(g, **kwargs)
     assert (rep.method, rep.outcome, rep.note) == (kwargs.get("method", "auto"), outcome, note)
@@ -122,11 +127,31 @@ def test_forced_routes(g, kwargs, outcome, resamples, note):
     Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
     Graph(5, [(0, 1), (1, 2), (0, 2)]),
     Graph(4, [(0, 1), (2, 3)]),
-], ids=["K3+K2", "K3+2K1", "2K2"])
+    # maximum degree n-2, yet auto leaves the Δ = n-2 route to n >= 4
+    Graph(3, [(0, 1)]),
+], ids=["K3+K2", "K3+2K1", "2K2", "K2+K1"])
 def test_hopeless_graphs_not_applicable(g):
     rep = dispatch_label(g)
     assert (rep.method, rep.outcome, rep.certificate) == ("oracle", NOT_APPLICABLE, None)
     assert rep.note == HOPELESS_NOTE
+
+
+# sha256 of (route, outcome, note, resamples, certificate labels) of every
+# method in METHODS on every graph on 1..6 vertices, in graphs_upto_iso order:
+# it pins each explicit route's refusals and auto's choice together
+REPORTS_DIGEST = "9a51797a4dde1e0ac39c53e8bee9ae8a57fa6eafb6ae9ceea3f62480a11e8aaf"
+
+
+def test_every_route_is_pinned_on_small_graphs():
+    folded = hashlib.sha256()
+    for n in range(1, 7):
+        for g in graphs_upto_iso(n):
+            for method in METHODS:
+                rep = dispatch_label(g, method)
+                labels = rep.certificate.labels if rep.certificate else None
+                folded.update(repr((rep.method, rep.outcome, rep.note, rep.resamples,
+                                    labels)).encode())
+    assert folded.hexdigest() == REPORTS_DIGEST
 
 
 def test_unknown_method_raises():

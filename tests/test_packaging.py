@@ -55,9 +55,14 @@ def test_constructions_import_nothing_from_the_oracle(module):
     assert not [name for name in imports if "oracle" in name.split(".")]
 
 
-def test_only_dispatch_calls_the_search():
+# dispatch calls each route's test and labeler once, in one chain; a second
+# call site would be a second chain that has to agree with the first
+@pytest.mark.parametrize("callee", ["recognize_complete_multipartite", "label_multipartite_on",
+                                    "label_max_degree_n_minus_2", "label_dense",
+                                    "heuristic_search"])
+def test_only_dispatch_calls_each_route(callee):
     callers = [path.stem for path in sorted(SRC.glob("*.py"))
-               for name in _calls_and_imports(path.stem)[0] if name == "heuristic_search"]
+               for name in _calls_and_imports(path.stem)[0] if name == callee]
     assert callers == ["dispatch"]
 
 
