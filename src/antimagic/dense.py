@@ -37,7 +37,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, filterfalse
+from itertools import chain, compress, count, filterfalse, islice
 from operator import index
 from typing import Optional
 
@@ -84,12 +84,13 @@ class DenseState:
     its own.  Phase 3 sets ``label_pairs``, the shuffled labels 1..t, whose
     entries 2i and 2i+1 go to pair i.
 
-    Every edge's ends are read from the graph's ``lo`` and ``hi``, and the
-    pairs hold the graph's own edge id ints, taken from its incidence.
-    Beyond the graph, the state takes about 43 bytes per edge at
-    m = 111,596, where phase 1 keeps half the edges: 2.5 for ``kept`` and
-    ``high``, 21 for the pairs (8 for ``pair_index``, 8 for its ints, 4 for
-    the two lists), 20 for the labels.
+    Every edge's ends are read from the graph's ``lo`` and ``hi``.  The
+    pairs, the pair numbers in ``pair_index`` and the labels below m are
+    the graph's own edge id ints, taken from its incidence (:func:`_id_ints`),
+    so no value takes an int of its own.  Beyond the graph, the state takes
+    about 20 bytes per edge at m = 111,596, where phase 1 keeps half the
+    edges: 2.5 for ``kept`` and ``high``, 12 for the pairs (8 for
+    ``pair_index``'s slots, 4 for the two lists), 4 for the labels' slots.
     """
 
     graph: Graph
@@ -182,10 +183,28 @@ def _stripped(st: DenseState):
 def _edge_ids(g: Graph):
     """Every edge id of ``g``, ascending, as the int objects its incidence
     holds: the edges whose smaller end is u are the last stretch of u's
-    incidence, from the first id whose ``lo`` is u."""
-    lo = g.lo
-    return chain.from_iterable(inc[bisect_left(inc, bisect_left(lo, u)):]
-                               for u, inc in enumerate(g._incident))
+    incidence, from the first id past the edges of the vertices before u."""
+    return chain.from_iterable(_own_edges(g))
+
+
+def _own_edges(g: Graph):
+    """Each vertex's edges to larger vertices, as a stretch of its incidence.
+
+    The count of the edges before u's is carried from vertex to vertex, so
+    each stretch costs one bisection of a short incidence, not of ``lo``.
+    """
+    start = 0
+    for inc in g._incident:
+        own = inc[bisect_left(inc, start):]
+        start += len(own)
+        yield own
+
+
+def _id_ints(g: Graph):
+    """The ints 0..m, ascending: the graph's own edge id ints below m
+    (:func:`_edge_ids`), then one int for m.  The labels and the pair
+    numbers are taken from these, so each value is one int object."""
+    return chain(_edge_ids(g), (g.m,))
 
 
 def _disjoint_pairs(rest: list[int], lo, hi) -> tuple[list[int], list[int]]:
@@ -309,7 +328,9 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
         pair_index[a] = b
     first.sort()
     second = list(map(pair_index.__getitem__, first))
-    for i, a, b in zip(count(), first, second):
+    # The pairs are numbered with the graph's own id ints, which outnumber
+    # them.
+    for i, a, b in zip(_edge_ids(g), first, second):
         pair_index[a] = pair_index[b] = i
     if pair_index.count(-1) != g.m - st.t:
         raise AssertionError("pairing must cover every remaining edge exactly once")
@@ -337,11 +358,12 @@ def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
     of the labels: ``label_pairs`` is the shuffled list itself, and its
     entries 2i and 2i+1, in either order, go to pair i.  The
     shuffle reproduces ``rng.shuffle`` call for call, so it leaves ``rng``
-    in the same state.
+    in the same state.  The labels are the graph's own id ints
+    (:func:`_id_ints`), not ints of their own.
     """
     if st.pair_first is None:
         raise GraphError("phase 2 has not run")
-    labels = list(range(1, st.t + 1))
+    labels = list(islice(_id_ints(st.graph), 1, st.t + 1))
     _shuffle(labels, rng)
     # Both edges of a spill pair meet their high vertex, so its spill-over
     # sum is fixed here, whichever way the later coins fall.
@@ -352,13 +374,15 @@ def assemble_labeling(st: DenseState, coins: list[int]) -> list[int]:
     """Combine phase-1 labels with a coin orientation per pair, as a list
     of labels by edge id.
 
-    The i-th stripped edge (:func:`_stripped`) takes label m - i.  Pair i
-    takes ``label_pairs`` entries 2i and 2i+1; heads (0) sends the smaller
-    of them to the canonically smaller edge.
+    The i-th stripped edge (:func:`_stripped`) takes label m - i, as the
+    int :func:`_id_ints` holds for it.  Pair i takes ``label_pairs``
+    entries 2i and 2i+1; heads (0) sends the smaller of them to the
+    canonically smaller edge.
     """
     m = st.graph.m
     labels = [0] * m
-    for e, lab in zip(_stripped(st), range(m, 0, -1)):
+    top = list(islice(_id_ints(st.graph), st.t + 1, None))
+    for e, lab in zip(_stripped(st), reversed(top)):
         labels[e] = lab
     it = iter(st.label_pairs)
     for e1, e2, a, b, coin in zip(st.pair_first, st.pair_second, it, it, coins):
@@ -401,8 +425,11 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
     rng = random.Random(index(seed))
     st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d)), rng)
     first, second = st.pair_first, st.pair_second
-    state = CollisionState(g, assemble_labeling(st, _coins(len(first), rng)))
-    labels = state.labels
+    labels = assemble_labeling(st, _coins(len(first), rng))
+    # The assembled list holds the labels now; drop the shuffled copy
+    # before the sums are tallied.
+    st = replace(st, label_pairs=None)
+    state = CollisionState(g, labels)
     best_count = state.collisions
     resamples = 0
     while state.collisions and resamples < max_resamples:

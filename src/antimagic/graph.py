@@ -171,17 +171,22 @@ def _fill(g: Graph, n: int, lo: list[int], hi: list[int]) -> None:
     canonical and sorted.
 
     Builds the incidence, one id int per edge shared by both ends: about
-    46 bytes per edge beside the 16 of the two lists.  Nothing is checked.
+    46 bytes per edge beside the 16 of the two lists.  Each vertex's list
+    is replaced by its tuple in turn, so the lists and the tuples never all
+    exist at once: the build peaks about 18 bytes per edge lower than
+    converting them all in one go.  Nothing is checked.
     """
-    incident: list[list[int]] = [[] for _ in range(n)]
+    incident: list = [[] for _ in range(n)]
     for e, u, v in zip(count(), lo, hi):
         incident[u].append(e)
         incident[v].append(e)
+    g._degrees = tuple(map(len, incident))
+    for v, inc in enumerate(incident):
+        incident[v] = tuple(inc)
     g.n = n
     g.lo = lo
     g.hi = hi
-    g._incident = tuple(map(tuple, incident))
-    g._degrees = tuple(map(len, incident))
+    g._incident = tuple(incident)
     g._graph6 = None
 
 
@@ -332,8 +337,9 @@ class CollisionState:
     the swapped edges' endpoints, which it reads from the graph's ``lo``
     and ``hi`` lists.  The constructor takes the sums from :func:`_sums`,
     one pass over the edges when m <= 4n and the incidence loop above that.
-    Beyond the graph the state takes about 36 bytes per edge, the label
-    list and its ints.  Bijectivity is left to :func:`verify_antimagic`.
+    Beyond the graph the state takes the label list, 8 bytes per edge, and
+    its ints, 28 more unless they are the graph's own edge id ints, as on
+    the dense route.  Bijectivity is left to :func:`verify_antimagic`.
 
     The iteration order of ``colliding`` is part of the contract, because
     the search draws from ``tuple(colliding)``.  That order follows the

@@ -42,8 +42,9 @@ def parse_edgelist(text: str) -> Graph:
     and ASCII digits.  A comment is a line whose first
     non-blank character is ``#``.  The document must hold exactly ``m``
     edges, with no self-loop and no edge twice.  A malformed document raises
-    :class:`ParseError` naming the first bad line, or, for a wrong edge
-    count, no line.
+    :class:`ParseError` naming the first bad line (the header's, for a
+    negative count), or, when the edges number other than the header's
+    ``m``, no line.
 
     The graph's end lists ``lo`` and ``hi`` are filled from the sorted
     edge codes, each end looked up in one list of the vertex ints, so they
@@ -67,6 +68,8 @@ def parse_edgelist(text: str) -> Graph:
         raise ParseError("header must hold two integers", header_no) from None
     if n < 0:
         raise ParseError(f"vertex count must be non-negative, header says {n}", header_no)
+    if m < 0:
+        raise ParseError(f"edge count must be non-negative, header says {m}", header_no)
     if n > GRAPH6_MAX_N:
         # Graph allocates one incidence list per vertex, so the header alone
         # must not be able to ask for billions of them
