@@ -57,6 +57,11 @@ class PairingError(RuntimeError):
 C = 3.0
 
 
+# The resample budget of one run.  A run that has not certified after this
+# many resamples reports failure with the fewest colliding pairs it reached.
+MAX_RESAMPLES = 1000
+
+
 def effective_d(n: int, d: Optional[int] = None) -> int:
     """``d`` when given, else the default ceil(C ln n) for ``n`` vertices."""
     if d is not None:
@@ -404,8 +409,7 @@ def phase5_assign(st: DenseState, rng: random.Random) -> Labeling:
     return Labeling(assemble_labeling(st, _coins(len(st.pair_first), rng)))
 
 
-def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
-                max_resamples: int = 1000) -> DenseResult:
+def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0) -> DenseResult:
     """Resample coins on one label pairing until the verifier accepts.
 
     Phases 1-3 and the first coins run once, and the labels are assembled
@@ -414,14 +418,14 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
     meets a colliding vertex's leftover edges (:func:`_leftover`); a new
     coin that differs from the one the pair's labels show swaps the two
     labels in place.  The run fails when
-    ``max_resamples`` resamples are spent or no coin meets a colliding
+    ``MAX_RESAMPLES`` resamples are spent or no coin meets a colliding
     vertex.  Only a labeling with no collision becomes a
     :class:`Labeling`, for the verifier.
 
     ``d`` is phase 1's minimum-degree parameter (None: ceil(C ln n)), and
     ``seed``, any integer, seeds the run's one ``random.Random``.
     """
-    check_knobs(d=d, max_resamples=max_resamples, seed=seed)
+    check_knobs(d=d, seed=seed)
     rng = random.Random(index(seed))
     st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d)), rng)
     first, second = st.pair_first, st.pair_second
@@ -432,7 +436,7 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0,
     state = CollisionState(g, labels)
     best_count = state.collisions
     resamples = 0
-    while state.collisions and resamples < max_resamples:
+    while state.collisions and resamples < MAX_RESAMPLES:
         flip = sorted({st.pair_index[e] for v in state.colliding for e in _leftover(st, v)})
         if not flip:
             # Every colliding vertex has no leftover edge.  A high vertex

@@ -92,7 +92,7 @@ def recognize_complete_multipartite(g: Graph) -> Optional[list[list[int]]]:
 
 
 def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
-                   seed: int = 0, max_resamples: int = 1000) -> RunReport:
+                   seed: int = 0) -> RunReport:
     """Label ``g`` by ``method`` and report the route, outcome and certificate.
 
     ``method`` is one of ``METHODS``.  ``"auto"`` tries, in this order,
@@ -105,11 +105,12 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     when the minimum degree is below d.  ``d`` is the dense route's
     minimum-degree parameter (``None``: :func:`.dense.effective_d`'s
     ceil(C ln n)), which ``"auto"`` also compares with the minimum degree.
-    ``seed`` seeds the dense pipeline and the heuristic search.
-    ``max_resamples`` is the dense route's budget of coin resamples.  The
-    three pass to :func:`label_dense` and :func:`heuristic_search` as they
-    are.  Bad values of ``method``, ``d``, ``max_resamples`` or ``seed``
-    raise :class:`GraphError` on every route.
+    ``seed`` seeds the dense pipeline and the heuristic search.  Both pass
+    to :func:`label_dense` and :func:`heuristic_search` as they are, and
+    each route spends its module's fixed budget
+    (:data:`.dense.MAX_RESAMPLES`, :data:`.oracle.PROPOSALS_PER_EDGE`).  Bad
+    values of ``method``, ``d`` or ``seed`` raise :class:`GraphError` on
+    every route.
 
     When the Δ = n-2 scheme has no verified candidate, the heuristic search
     labels the graph and the report says ``oracle``, with a note that says
@@ -120,9 +121,9 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     start = time.perf_counter()
     if method not in METHODS:
         raise GraphError(f"unknown method {method!r}")
-    # bad values of d, max_resamples or seed raise here, whatever the route,
-    # though only the dense route and the search read them
-    check_knobs(d=d, max_resamples=max_resamples, seed=seed)
+    # bad values of d or seed raise here, whatever the route, though only
+    # the dense route and the search read them
+    check_knobs(d=d, seed=seed)
     graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
     route = method
@@ -162,7 +163,7 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
             note = "the n-2 scheme had no verified candidate"
         elif method == "dense" or (auto and g.min_degree() >= effective_d(g.n, d)):
             route = "dense"
-            res = label_dense(g, d=d, seed=seed, max_resamples=max_resamples)
+            res = label_dense(g, d=d, seed=seed)
             if res.ok:
                 return report(ANTIMAGIC, res.labeling, res.resamples)
             return report(FAILED, None, res.resamples,

@@ -28,14 +28,15 @@ class GraphError(ValueError):
 
 
 def check_knobs(**knobs) -> None:
-    """Raise GraphError unless every keyword value is a positive integer.
+    """Raise GraphError unless the knobs ``d`` and ``seed``, each where
+    given, are integers, ``d`` a positive one.
 
     A value is read through ``__index__``, so a float is refused rather than
     truncated.  ``d`` may be None, the dense pipeline's default; its message
-    calls it the minimum-degree parameter, and every other knob goes by its
-    own name.  ``seed`` may be any integer, zero and negatives included, but
-    not None: that would seed from the operating system, and the same call
-    would no longer give the same labeling.
+    calls it the minimum-degree parameter.  ``seed`` may be any integer,
+    zero and negatives included, but not None: that would seed from the
+    operating system, and the same call would no longer give the same
+    labeling.
     """
     for name, value in knobs.items():
         if name == "d":

@@ -74,12 +74,18 @@ def parse_edgelist(text: str) -> Graph:
         # Graph allocates one incidence list per vertex, so the header alone
         # must not be able to ask for billions of them
         raise ParseError(f"at most {GRAPH6_MAX_N} vertices, header says {n}", header_no)
-    rows = list(map(str.split, lines[header_no:]))
+    # each list goes as soon as the next is built, so the lines, the rows
+    # and the fields never all exist at once; the error path splits the
+    # text again to name the first bad line
+    rows = list(map(str.split, islice(lines, header_no, None)))
+    del lines
     if "#" in text or not all(rows):
         rows = [row for row in rows if row and row[0][0] != "#"]
-    codes = _edge_codes(rows, n)
+    fields = list(chain.from_iterable(rows)) if set(map(len, rows)) <= {2} else None
+    del rows
+    codes = _edge_codes(fields, n)
     if codes is None:
-        _reject_edge_lines(lines, header_no, n)
+        _reject_edge_lines(text.splitlines(), header_no, n)
     if len(codes) != m:
         raise ParseError(f"header promises {m} edges, found {len(codes)}")
     # the ends of code u * n + v are its quotient and remainder; looking
@@ -104,17 +110,18 @@ def _ints(fields: list[str]) -> list[int]:
     return list(map(int, fields))
 
 
-def _edge_codes(rows: list[list[str]], n: int) -> Optional[list[int]]:
-    """The edges on ``rows`` as sorted codes ``u * n + v``, ``u < v``, which
-    order them as Graph stores them; None if a row is no edge or an edge
+def _edge_codes(fields: Optional[list[str]], n: int) -> Optional[list[int]]:
+    """The edges whose ends are ``fields``, two by two, as sorted codes
+    ``u * n + v``, ``u < v``, which order them as Graph stores them; None if
+    ``fields`` is None (a line is no ``u v``), an end is no vertex or an edge
     repeats.
 
     Each check is one pass over the whole document, not a loop per line.
     """
-    if not set(map(len, rows)) <= {2}:
+    if fields is None:
         return None
     try:
-        ends = _ints(list(chain.from_iterable(rows)))
+        ends = _ints(fields)
     except ValueError:
         return None
     us, vs = ends[0::2], ends[1::2]

@@ -38,6 +38,10 @@ NOT_FOUND = "not_found"
 # that find none.
 PROPOSALS_PER_EDGE = 15_000
 
+# The backtracking searches' budgets, in search nodes.
+EXHAUSTIVE_MAX_NODES = 2_000_000
+COUNT_MAX_NODES = 50_000_000
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -144,15 +148,14 @@ def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[in
     return leaves, labels, nodes
 
 
-def exhaustive_search(g: Graph, max_nodes: int = 2_000_000) -> SearchResult:
+def exhaustive_search(g: Graph) -> SearchResult:
     """First antimagic labeling in backtracking order, or a proof of none.
 
     ``proven_none`` is only reported when the whole space was exhausted
-    within ``max_nodes`` search nodes.
+    within ``EXHAUSTIVE_MAX_NODES`` search nodes.
     """
-    check_knobs(max_nodes=max_nodes)
     try:
-        leaves, labels, nodes = _backtrack(g, max_nodes, first_only=True)
+        leaves, labels, nodes = _backtrack(g, EXHAUSTIVE_MAX_NODES, first_only=True)
     except SearchBudgetExceeded as exc:
         return SearchResult(BUDGET_EXCEEDED, None, nodes=exc.nodes)
     if not leaves:
@@ -163,13 +166,13 @@ def exhaustive_search(g: Graph, max_nodes: int = 2_000_000) -> SearchResult:
     return SearchResult(FOUND, lab, nodes=nodes)
 
 
-def count_antimagic_labelings(g: Graph, max_nodes: int = 50_000_000) -> int:
+def count_antimagic_labelings(g: Graph) -> int:
     """Number of antimagic labelings of ``g`` by full enumeration.
 
-    Raises :class:`SearchBudgetExceeded` past ``max_nodes`` search nodes.
+    Raises :class:`SearchBudgetExceeded` past ``COUNT_MAX_NODES`` search
+    nodes.
     """
-    check_knobs(max_nodes=max_nodes)
-    return _backtrack(g, max_nodes, first_only=False)[0]
+    return _backtrack(g, COUNT_MAX_NODES, first_only=False)[0]
 
 
 def heuristic_search(g: Graph, seed: int = 0) -> SearchResult:

@@ -97,7 +97,8 @@ def _label_small_side(g: Graph, small) -> list[int]:
             w[b] += q
     # each vertex of A: its neighbor -> the id of the edge joining them
     at = [dict(zip(g.neighbors(v), g.incident_edges(v))) for v in small]
-    order = sorted(at[0], key=lambda u: (w[u], u))
+    # a stable sort of the ascending neighbors by weight: (weight, id) order
+    order = sorted(at[0], key=w.__getitem__)
     size, n1 = len(order), len(small)
     for i, edge_to in enumerate(at, start=1):
         for j, u in enumerate(order, start=1):
@@ -419,9 +420,9 @@ def _lemma44_completion(g: Graph, vn1: int, star, evens, odds, neighbors):
 
 
 def _block_relabel(neighbors, w, spare_evens, odds, w_vn1):
-    """Even labels to the lightest neighbors, odds to the rest, with the
-    equal-weight block shifted onto odds when some even total hits the
-    non-neighbor's weight.
+    """Even labels to the lightest of the hub's ascending ``neighbors``,
+    odds to the rest, with the equal-weight block shifted onto odds when
+    some even total hits the non-neighbor's weight.
 
     With the neighbors sorted by (weight, id) and x spare evens, the first
     neighbor ``order[hit]`` (hit < x) whose total would be ``w_vn1`` starts
@@ -438,7 +439,8 @@ def _block_relabel(neighbors, w, spare_evens, odds, w_vn1):
       n odd with m = n-1, has a lone star edge, so at most one neighbor has
       a positive weight.
     """
-    order = sorted(neighbors, key=lambda u: (w[u], u))
+    # a stable sort of the ascending ids by weight: (weight, id) order
+    order = sorted(neighbors, key=w.__getitem__)
     x = len(spare_evens)
     hit = next((i for i in range(x) if w[order[i]] + spare_evens[i] == w_vn1), None)
     if hit is not None:

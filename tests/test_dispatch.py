@@ -98,7 +98,8 @@ _STAR_PLUS_ISOLATED = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
 
 
 # Each edge of 2K2 is the only edge at both its ends, so they always share a
-# sum; yet its coin meets every vertex, so the dense route spends its budget.
+# sum; yet its coin meets every vertex, so the dense route spends its budget,
+# cut here to 3 resamples.
 @pytest.mark.parametrize("g, kwargs, outcome, resamples, note", [
     (Graph(1, []), {}, ANTIMAGIC, 0, "trivial"),
     (cycle_graph(5), {"method": "partite"}, NOT_APPLICABLE, 0, "not complete multipartite"),
@@ -108,11 +109,12 @@ _STAR_PLUS_ISOLATED = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
     (cycle_graph(5), {"method": "delta-n2"}, NOT_APPLICABLE, 0,
      "maximum degree must be exactly n-2=3, got 2"),
     (cycle_graph(5), {"method": "dense"}, NOT_APPLICABLE, 0, "minimum degree 2 is below d=5"),
-    (Graph(4, [(0, 1), (2, 3)]), {"method": "dense", "d": 1, "max_resamples": 3}, FAILED, 3,
+    (Graph(4, [(0, 1), (2, 3)]), {"method": "dense", "d": 1}, FAILED, 3,
      "no certificate; fewest colliding pairs 2"),
 ], ids=["K1", "partite C5", "universal C5", "universal star plus isolated", "delta-n2 C5",
         "dense C5", "dense 2K2"])
-def test_forced_routes(g, kwargs, outcome, resamples, note):
+def test_forced_routes(g, kwargs, outcome, resamples, note, monkeypatch):
+    monkeypatch.setattr(antimagic.dense, "MAX_RESAMPLES", 3)
     rep = dispatch_label(g, **kwargs)
     assert (rep.method, rep.outcome, rep.note) == (kwargs.get("method", "auto"), outcome, note)
     assert rep.resamples == resamples
@@ -159,11 +161,14 @@ def test_unknown_method_raises():
         dispatch_label(cycle_graph(5), method="greedy")
 
 
-@pytest.mark.parametrize("kwargs", [{"d": 0}, {"max_resamples": 0}, {"d": 2.5}, {"max_resamples": 1.5}],
+# The resample budget is the constant dense.MAX_RESAMPLES, so passing it is
+# refused as an unknown argument.
+@pytest.mark.parametrize("kwargs, error", [({"d": 0}, GraphError), ({"max_resamples": 0}, TypeError),
+                                           ({"d": 2.5}, GraphError), ({"max_resamples": 1.5}, TypeError)],
                          ids=["d=0", "max_resamples=0", "d=2.5", "max_resamples=1.5"])
 @pytest.mark.parametrize("method", METHODS)
-def test_bad_dense_parameters_raise_on_every_route(method, kwargs):
-    with pytest.raises(GraphError):
+def test_bad_dense_parameters_raise_on_every_route(method, kwargs, error):
+    with pytest.raises(error):
         dispatch_label(complete_graph(5), method=method, **kwargs)
 
 

@@ -216,6 +216,18 @@ class TestVerify:
         rep = verify_antimagic(cycle4(), Labeling(labels))
         assert not rep.ok and not rep.bijection_ok
 
+    # Labeling() refuses labels below 1, but the labelers build their lists
+    # from [0] * m and wrap them unchecked: a 0 left in place must still fail.
+    # Without the range check, [0, 2] would mark slots 0 and 2 of the tally
+    # and leave exactly one slot empty, as a permutation does.
+    @pytest.mark.parametrize("g, labels", [
+        (path3(), [0, 2]), (path3(), [2, 0]), (path3(), [-1, 2]),
+        (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), [0, 2, 3, 4]),
+    ], ids=["P3 [0, 2]", "P3 [2, 0]", "P3 [-1, 2]", "P5 [0, 2, 3, 4]"])
+    def test_trusted_labels_below_one_fail_bijection(self, g, labels):
+        rep = verify_antimagic(g, _trusted_labeling(labels))
+        assert not rep.ok and not rep.bijection_ok
+
     def test_wrong_length_is_structural(self):
         with pytest.raises(GraphError):
             verify_antimagic(path3(), Labeling([1]))

@@ -2,6 +2,7 @@ import ast
 import inspect
 from pathlib import Path
 
+from antimagic import dense, oracle
 from antimagic.dense import label_dense, phase1_reduce
 from antimagic.dispatch import dispatch_label
 from antimagic.oracle import count_antimagic_labelings, exhaustive_search, heuristic_search
@@ -49,13 +50,12 @@ def test_every_unreferenced_public_name_is_listed():
 # so a change that adds, drops or moves one edits this table.
 NO_DEFAULT = inspect.Parameter.empty
 KNOBS = {
-    dispatch_label: [("g", NO_DEFAULT), ("method", "auto"), ("d", None), ("seed", 0),
-                     ("max_resamples", 1000)],
-    label_dense: [("g", NO_DEFAULT), ("d", None), ("seed", 0), ("max_resamples", 1000)],
+    dispatch_label: [("g", NO_DEFAULT), ("method", "auto"), ("d", None), ("seed", 0)],
+    label_dense: [("g", NO_DEFAULT), ("d", None), ("seed", 0)],
     phase1_reduce: [("g", NO_DEFAULT), ("d", None)],
     heuristic_search: [("g", NO_DEFAULT), ("seed", 0)],
-    exhaustive_search: [("g", NO_DEFAULT), ("max_nodes", 2_000_000)],
-    count_antimagic_labelings: [("g", NO_DEFAULT), ("max_nodes", 50_000_000)],
+    exhaustive_search: [("g", NO_DEFAULT)],
+    count_antimagic_labelings: [("g", NO_DEFAULT)],
 }
 
 
@@ -63,3 +63,17 @@ def test_knobs_are_pinned():
     found = {fn.__name__: [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
              for fn in KNOBS}
     assert found == {fn.__name__: knobs for fn, knobs in KNOBS.items()}
+
+
+# Every budget is a module constant, not a knob: a caller that needs another
+# value brings the parameter with it, and edits both tables.
+BUDGETS = {
+    (oracle, "PROPOSALS_PER_EDGE"): 15_000,
+    (dense, "MAX_RESAMPLES"): 1000,
+    (oracle, "EXHAUSTIVE_MAX_NODES"): 2_000_000,
+    (oracle, "COUNT_MAX_NODES"): 50_000_000,
+}
+
+
+def test_budgets_are_pinned():
+    assert {key: getattr(*key) for key in BUDGETS} == BUDGETS
