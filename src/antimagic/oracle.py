@@ -3,11 +3,14 @@
 The exhaustive search decides antimagicness outright; it shares one
 backtracking kernel with the labeling count.  The heuristic search scales
 further with a collision-local move: from one shuffled labeling it swaps
-the label of an edge at a colliding vertex with the label of any other
-edge, and keeps the swap when the number of colliding vertex pairs does not
+the label of an edge at a colliding vertex with the label of another edge,
+and keeps the swap when the number of colliding vertex pairs does not
 rise, until no collision is left or a fixed budget of proposals per edge
-is spent.  It proves a graph has no antimagic labeling only for the two
-obstructions it checks first, a K2 component and two isolated vertices.
+is spent.  The other edge is drawn up to ``PARTNER_DRAWS`` times, and the
+first draw whose swap moves every changed sum onto a value no vertex holds
+is proposed, in the manner of min-conflicts repair (Minton et al. 1992).
+It proves a graph has no antimagic labeling only for the two obstructions
+it checks first, a K2 component and two isolated vertices.
 Both only ever return labelings that pass the verifier.
 
 The heuristic search draws through ``graph._shuffle`` and ``graph._below``,
@@ -34,9 +37,13 @@ NOT_FOUND = "not_found"
 # The heuristic search's budget, in proposals per edge.  On the benchmark
 # workloads, on every connected graph with 3 to 7 vertices and on cycles and
 # 3-regular graphs up to n = 4,000, no search that found a certificate took
-# more than 6.4 proposals per edge, so the budget bounds only the searches
+# more than 3.6 proposals per edge, so the budget bounds only the searches
 # that find none.
 PROPOSALS_PER_EDGE = 15_000
+
+# Draws of the heuristic search's partner edge per proposal; the first draw
+# that moves all four swapped sums onto free values is proposed.
+PARTNER_DRAWS = 8
 
 # The backtracking searches' budgets, in search nodes.
 EXHAUSTIVE_MAX_NODES = 2_000_000
@@ -65,13 +72,13 @@ class SearchBudgetExceeded(RuntimeError):
 
 def _edge_order(g: Graph) -> list[int]:
     # edges at low-degree vertices first: their endpoints saturate early,
-    # which feeds the collision pruning
+    # which feeds the collision pruning; the sort is stable over ascending
+    # ids, so ties keep id order
     degs = g.degrees()
     lo, hi = g.lo, g.hi
     return sorted(range(g.m),
                   key=lambda e: (min(degs[lo[e]], degs[hi[e]]),
-                                 max(degs[lo[e]], degs[hi[e]]),
-                                 e))
+                                 max(degs[lo[e]], degs[hi[e]])))
 
 
 def _backtrack(g: Graph, max_nodes: int, first_only: bool) -> tuple[int, list[int], int]:
@@ -180,8 +187,8 @@ def heuristic_search(g: Graph, seed: int = 0) -> SearchResult:
 
     The run starts from a labeling drawn with ``seed``, any integer.  Each
     proposal swaps the labels of a random edge at a random colliding vertex
-    and of a random other edge, and is kept unless the number of colliding
-    vertex pairs rises.  The run ends at zero collisions, or after
+    and of another edge, drawn as below, and is kept unless the number of
+    colliding vertex pairs rises.  The run ends at zero collisions, or after
     ``PROPOSALS_PER_EDGE * m`` proposals with ``not_found``; ``iterations``
     counts the proposals made.  A K2 component or two isolated vertices
     make a collision no swap removes, so such graphs are ``proven_none`` at
@@ -191,10 +198,15 @@ def heuristic_search(g: Graph, seed: int = 0) -> SearchResult:
 
     The draws are ``rng.shuffle`` for the start, then per proposal
     ``rng.choice`` of a colliding vertex (in ``tuple(colliding)`` order),
-    ``rng.choice`` of its incident edge and ``rng.randrange(m - 1)`` for the
-    other edge, all made through ``rng.getrandbits`` by the inline draws of
-    :mod:`.graph`.  A rejected swap is undone by swapping back, which keeps
-    the order of ``colliding`` that the next draw reads.
+    ``rng.choice`` of its incident edge i and up to ``PARTNER_DRAWS``
+    draws of ``rng.randrange(m - 1)`` for the other edge j, all made
+    through ``rng.getrandbits`` by the inline draws of :mod:`.graph`.
+    With d the label of j minus the label of i, a draw is proposed at once
+    when the sums of i's ends plus d and of j's ends minus d are all free
+    (no vertex holds them); otherwise the next draw is made, and the last
+    one is proposed if none passes.  Partner draws are not proposals.  A
+    rejected swap is undone by swapping back, which keeps the order of
+    ``colliding`` that the next draw reads.
     """
     check_knobs(seed=seed)
     degs = g.degrees()
@@ -208,6 +220,9 @@ def heuristic_search(g: Graph, seed: int = 0) -> SearchResult:
     _shuffle(labels, rng)
     state = CollisionState(g, labels)
     colliding = state.colliding
+    sums = state.sums
+    members = state.members
+    lo, hi = g.lo, g.hi
     swap = state.swap
     iterations = 0
     for _ in range(PROPOSALS_PER_EDGE * m):
@@ -217,9 +232,17 @@ def heuristic_search(g: Graph, seed: int = 0) -> SearchResult:
         vertices = tuple(colliding)
         edges_at = incident[vertices[_below(len(vertices), getrandbits)]]
         i = edges_at[_below(len(edges_at), getrandbits)]
-        j = _below(m - 1, getrandbits)
-        if j >= i:
-            j += 1
+        a = labels[i]
+        su = sums[lo[i]]
+        sv = sums[hi[i]]
+        for _ in range(PARTNER_DRAWS):
+            j = _below(m - 1, getrandbits)
+            if j >= i:
+                j += 1
+            d = labels[j] - a
+            if (su + d not in members and sv + d not in members
+                    and sums[lo[j]] - d not in members and sums[hi[j]] - d not in members):
+                break
         if swap(i, j) > 0:
             swap(i, j)
     if state.collisions:

@@ -156,6 +156,15 @@ class TestHeuristic:
         assert res.status == FOUND
         assert verify_antimagic(g, res.labeling).ok
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cycle_certified_in_fewer_proposals_than_edges(self, seed):
+        # pins the partner draws' steering: one uniform partner draw per
+        # proposal needs about 2m proposals on C1000
+        g = cycle_graph(1000)
+        res = heuristic_search(g, seed=seed)
+        assert res.status == FOUND
+        assert res.iterations < g.m
+
     def test_same_seed_same_labeling(self):
         g = torus(6, 7)
         a = heuristic_search(g, seed=5)
@@ -165,21 +174,22 @@ class TestHeuristic:
 
     # sha256 over seeds 0-2 of each run's status, labels and proposal count.
     # The proposals draw from tuple(state.colliding), whose order follows the
-    # exact add/discard sequence, so these pin the generator calls and the
-    # collision bookkeeping together.
+    # exact add/discard sequence, and each partner draw is kept or redrawn
+    # by the sums it would move, so these pin the generator calls, the
+    # partner draws and the collision bookkeeping together.
     @pytest.mark.parametrize("g, digest", [
-        (cycle_graph(20), "eec3b16a4cf1f4c220b494d7f705f13a045e74118d91911a2b0b956b3d4731fb"),
-        (cycle_graph(77), "0e5d1f00c43a77938ffad510b89cc607f5e98846a10794876f8ccb98d2f6145d"),
-        (cycle_graph(120), "c0343dcea6ac458ba0d68f74e15617cc047773a90d19b416377a01cc131cb4d5"),
-        (random_regular(40, 3, 0), "0db6d8f917dd6f1ffb436e258f802996327806b6f49b69f183386fb4943debdc"),
-        (random_regular(120, 3, 1), "b462f6166a54562eedf13682754e8d0c3c5ea4f73e7b3002d305e76f2380b0b2"),
-        (random_regular(30, 4, 2), "1ea9177623680150139f6bf46636fc7322499943899fbab201112bd91303f759"),
-        (random_regular(100, 4, 3), "a43563a4427dde96d8128a6a6cf12a9d3b9ee6c32efc4d4f27748086ab84e3f8"),
-        (torus(5, 8), "68c50de2c63fc7879ff3a7e38d228a4dae88c5d757d0495b2ed0843e4de58ec1"),
-        (torus(10, 12), "7827e9c0724f4b32b893ab0f2ac4214fd6d8cfd6b5283e085a0b661a3d81ec55"),
-        (random_tree(60, 4), "d06779bb1bb50040c16f2c3b90d8936db9a2a872e05e0fbee45d76bad746257a"),
-        (random_tree(120, 5), "6698c84a659eb41a0a6f0ec87ea98792f6cf5abf882b431afcfb198e9bb51b65"),
-        (random_min_degree_graph(50, 3, 6), "d79f66a3a5667c9d3a916b2cf43f854697c33c41c5d4587fc1ccf218e1bb5206"),
+        (cycle_graph(20), "7758195065f71aec296c593d26bd85c0f360025cec526a4ab0fa164b3deaf494"),
+        (cycle_graph(77), "de1f73ecc33eeea781baf1ff66193e076a4dd5fe8caf7b679390fdb6c5dc5a33"),
+        (cycle_graph(120), "597d34c9e38cd91bfb7a4145152f381036ffc2936035e4c07db69cc8b8323393"),
+        (random_regular(40, 3, 0), "51613ae4f1a490d627f6c3464b6e628149405035aee4cbb8e9c31ed50c6ba981"),
+        (random_regular(120, 3, 1), "9cb910c900dd9425549250f3dac3f5d3881f853bee00c25e35228e5337c5798f"),
+        (random_regular(30, 4, 2), "7ba0a0577d41344c40da87be3d21948feca40f5f5fd0e854e274904a11ed7781"),
+        (random_regular(100, 4, 3), "b8d27237f1825dc50073a4cb504fac365d274a0ba566719eab88d66e3cbe0c32"),
+        (torus(5, 8), "5a215b8c18e1157b793fcc5983eb76510f991a0487641baa452ffa78cca0abe0"),
+        (torus(10, 12), "9f444336633f81158d3c89be0fac59239e351f2cf6f4c7abf156113f8c6d34a8"),
+        (random_tree(60, 4), "974fbbd1594a0afb540c5f2dd2ee8a19f889861c7c020a80c84edf0c5c8b21b4"),
+        (random_tree(120, 5), "e6cfb9a02a2144452ce57628c1049d17f5602cfa6c92e78c234e3ac49cc1eb7f"),
+        (random_min_degree_graph(50, 3, 6), "4d08abdaf99588988a1e98ce48e8badda9bc4465e8544446b21edecd285ec62d"),
     ], ids=["C20", "C77", "C120", "3-regular-n40", "3-regular-n120",
             "4-regular-n30", "4-regular-n100", "torus-5x8", "torus-10x12", "tree-n60",
             "tree-n120", "min-degree-3-n50"])

@@ -69,6 +69,7 @@ def test_knobs_are_pinned():
 # value brings the parameter with it, and edits both tables.
 BUDGETS = {
     (oracle, "PROPOSALS_PER_EDGE"): 15_000,
+    (oracle, "PARTNER_DRAWS"): 8,
     (dense, "MAX_RESAMPLES"): 1000,
     (oracle, "EXHAUSTIVE_MAX_NODES"): 2_000_000,
     (oracle, "COUNT_MAX_NODES"): 50_000_000,

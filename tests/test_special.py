@@ -131,9 +131,9 @@ def large_inputs():
 # is the search's, as dispatch_label gives it.
 CORPUS_DIGESTS = {
     4: "c827955e3289661fb8a152d84fbbc25cf31cfae2bce7b4c6144a81868e6c65f2",
-    5: "30d521e291ff12e65b60ba75be75250bac9e2d03cc0076e7fde7bc38c51d7726",
-    6: "c39de1c8adf28048635c3a4b1aa09b5b30e0cdf9adbe950f1fb30bdc80347f21",
-    7: "9c878f526d1275c17e6d45737a8f61f15344af984904c1cc0842aa472fb2fa5b",
+    5: "8bf99dda7a9969d87c21f1eb0f06db82f4f9d4ff97ad8ffb108cc7a332d5aa8b",
+    6: "fd6a4a1adeac948315e1f6c4687978d0f6da5907462076c5b7b3c43d998766c5",
+    7: "92659f0bc156a420e9db1b95a44da047368a2624f01ea21cdce8a4963935f42e",
     8: "d3a27b54c823e1901f3c137bb8a9f93c8f6b962331a12a109725703af3deadee",
 }
 
