@@ -3,9 +3,11 @@
 Two classical facts drive the maximum-degree labelers: every graph has a
 subforest whose removal leaves all degrees even, and every even graph
 splits into edge-disjoint simple cycles.  Both constructions here are
-deterministic given the canonical edge order.  :func:`parity_forest` returns
-the forest as an ascending list of edge ids, and :func:`cycle_decomposition`
-returns a :class:`CycleDecomposition`, a named pair of tuples.
+deterministic given the canonical edge order.  Each takes its subgraph as a
+per-edge mask of the graph, true on the edges outside it, and answers in the
+graph's own edge ids.  :func:`parity_forest` returns the forest as an
+ascending list of edge ids, and :func:`cycle_decomposition` returns a
+:class:`CycleDecomposition`, a named pair of tuples.
 """
 
 from __future__ import annotations
@@ -29,43 +31,32 @@ class CycleDecomposition(NamedTuple):
     cycle_edges: tuple[tuple[int, ...], ...]
 
 
-def _outside(g: Graph, edge_ids) -> list[bool]:
-    """A mask that is True on every edge of ``g`` outside the subgraph on
-    ``edge_ids``."""
-    outside = [True] * len(g.lo)
-    for e in edge_ids:
-        outside[e] = False
-    return outside
-
-
-def parity_forest(g: Graph, edge_ids) -> list[int]:
-    """Subforest whose deletion makes the subgraph of ``g`` on ``edge_ids``
+def parity_forest(g: Graph, skip) -> list[int]:
+    """Subforest whose deletion makes the subgraph of ``g`` off ``skip``
     even, as an ascending list of edge ids.
 
-    ``edge_ids`` is a list or range of ascending edge ids of ``g``
-    (``range(g.m)`` for all of it); the forest is given in the same ids.
-    Roots a spanning forest of the subgraph (BFS from the smallest vertex of
-    each component), then walks each tree children-first: a vertex whose
-    current degree is odd sends its parent edge into the forest.  Each
-    non-root is finalized exactly once, and the handshake identity forces
-    the roots even as well.  Linear time, plus sorting the forest;
-    ``|F| <= n - (#components)``.
+    ``skip`` is a per-edge mask of ``g``, true on the edges outside the
+    subgraph (``[False] * g.m`` for all of ``g``), and is only read; the
+    forest is given in ``g``'s edge ids.  Roots a spanning forest of the
+    subgraph (BFS from the smallest vertex of each component), then walks
+    each tree children-first: a vertex whose current degree is odd sends
+    its parent edge into the forest.  Each non-root is finalized exactly
+    once, and the handshake identity forces the roots even as well.  Linear
+    time, plus sorting the forest; ``|F| <= n - (#components)``.
 
     The smallest vertex of a component not yet reached is the smaller end of
     the first edge, in id order, whose smaller end is not yet reached, so
-    the roots are read off ``edge_ids``; the BFS counts each vertex's degree
-    in the subgraph as it scans the vertex's incidence.
+    the roots are read off the edges the mask keeps; the BFS counts each
+    vertex's degree in the subgraph as it scans the vertex's incidence.
     """
     lo, hi = g.lo, g.hi
     incident = g._incident
-    skip = _outside(g, edge_ids)
     deg = [0] * g.n
     seen = [False] * g.n
     parent_edge = [-1] * g.n
     forest: list[int] = []  # each vertex has one parent edge, so none repeats
-    for first in edge_ids:
-        root = lo[first]
-        if seen[root]:
+    for root, out in zip(lo, skip):
+        if out or seen[root]:
             continue
         seen[root] = True
         queue = [root]
@@ -96,38 +87,40 @@ def parity_forest(g: Graph, edge_ids) -> list[int]:
     return forest
 
 
-def cycle_decomposition(g: Graph, edge_ids) -> CycleDecomposition:
-    """Split the subgraph of ``g`` on ``edge_ids``, which must be even, into
+def cycle_decomposition(g: Graph, skip) -> CycleDecomposition:
+    """Split the subgraph of ``g`` off ``skip``, which must be even, into
     edge-disjoint simple cycles, returned as a :class:`CycleDecomposition`.
 
-    ``edge_ids`` is a list or range of ascending edge ids of ``g``
-    (``range(g.m)`` for all of it), and the cycles' edges are given in the
-    same ids.  Walks from the smallest vertex that has an unused edge,
-    always along the first unused edge of the subgraph in incidence order,
-    which in a canonical graph is the edge to the smallest neighbour;
-    whenever the walk revisits a vertex on the current path the enclosed
-    cycle is cut out, with the edges the walk took.  With all degrees even,
-    only the start can run out of unused edges, so the walk from a start
-    ends exactly when the start does.
+    ``skip`` is a per-edge mask of ``g``, true on the edges outside the
+    subgraph (``[False] * g.m`` for all of ``g``); the walk marks a copy,
+    so the caller's mask is left as it was.  The cycles' edges are given in
+    ``g``'s edge ids.  Walks from the smallest vertex that has an unused
+    edge, always along the first unused edge of the subgraph in incidence
+    order, which in a canonical graph is the edge to the smallest
+    neighbour; whenever the walk revisits a vertex on the current path the
+    enclosed cycle is cut out, with the edges the walk took.  With all
+    degrees even, only the start can run out of unused edges, so the walk
+    from a start ends exactly when the start does.
 
     All unused edges at that smallest vertex lead to larger vertices, so it
     is the smaller end of the first unused edge in id order, and its unused
     edges come next in that order: the starts and their edges are read off
-    ``edge_ids``, and no degrees are counted.  An odd degree strands some
-    walk away from its start, and only then are the degrees counted, to
-    name the smallest odd vertex in the :class:`GraphError`.
+    the copy of the mask, and no degrees are counted.  An odd degree
+    strands some walk away from its start, and only then are the degrees
+    counted, from ``skip``, to name the smallest odd vertex in the
+    :class:`GraphError`.
     """
     lo, hi = g.lo, g.hi
     incident = g._incident
-    used = _outside(g, edge_ids)  # the edges off the subgraph start out used
+    used = list(skip)  # the edges off the subgraph start out used
     ptr = [0] * g.n  # no unused edge precedes incident[v][ptr[v]]
     pos = [-1] * g.n  # index on the current path, or -1
     cycles: list[tuple[int, ...]] = []
     edge_seqs: list[tuple[int, ...]] = []
     path = [0]
     path_edges: list[int] = []  # path_edges[i] joins path[i] and path[i+1]
-    for e in edge_ids:
-        if used[e]:
+    for e, done in enumerate(used):  # reads the marks the walks make
+        if done:
             continue
         v = path[0] = lo[e]  # the start, whose next unused edge is e
         pos[v] = 0
@@ -159,17 +152,18 @@ def cycle_decomposition(g: Graph, edge_ids) -> CycleDecomposition:
                     i += 1
                     e = inc[i]
             except IndexError:
-                raise _odd_degree(g, edge_ids) from None
+                raise _odd_degree(g, skip) from None
             ptr[v] = i + 1
     return CycleDecomposition(tuple(cycles), tuple(edge_seqs))
 
 
-def _odd_degree(g: Graph, edge_ids) -> GraphError:
+def _odd_degree(g: Graph, skip) -> GraphError:
     """The error for a subgraph with an odd degree, naming its smallest
     odd-degree vertex."""
     deg = [0] * g.n
-    for e in edge_ids:
-        deg[g.lo[e]] += 1
-        deg[g.hi[e]] += 1
+    for u, v, out in zip(g.lo, g.hi, skip):
+        if not out:
+            deg[u] += 1
+            deg[v] += 1
     odd = next(v for v, d in enumerate(deg) if d & 1)
     return GraphError(f"cycle decomposition needs an even graph; odd degree at {odd}")

@@ -46,6 +46,10 @@ class RunReport:
     more than ``GRAPH6_MAX_N`` vertices: graph6 cannot encode it, and the
     line would take gigabytes.  ``resamples`` counts the dense route's coin
     resamples and is 0 on every other route.
+
+    :func:`dispatch_label` fills the instance dict of
+    ``object.__new__(RunReport)`` without ``__init__``, so a new field must
+    be set there too.
     """
 
     method: str
@@ -129,8 +133,12 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     route = method
 
     def report(outcome, labeling=None, resamples=0, note=""):
-        return RunReport(route, graph_id, outcome, resamples,
-                         time.perf_counter() - start, labeling, note)
+        # the trusted constructor: the instance dict takes every field at
+        # once, where the frozen __init__ sets each through object.__setattr__
+        rep = object.__new__(RunReport)
+        rep.__dict__.update(method=route, graph_id=graph_id, outcome=outcome, resamples=resamples,
+                            wall_time=time.perf_counter() - start, certificate=labeling, note=note)
+        return rep
 
     if g.n == 2 and g.m == 1:
         return report(NOT_APPLICABLE, note="K2 exception: the one labeling collides")

@@ -5,9 +5,9 @@ like every labeler here, it verifies what it returns.
 The degree-(n-2) construction follows a parity scheme: label the graph
 minus the high-degree vertex ``v_n`` so that weight parities are under
 control, then spend the reserved labels on the edges at ``v_n`` so that
-every parity class stays internally distinct.  ``G - v_n`` is the list of
-G's edge ids away from ``v_n``, so weights and labels never change
-coordinates.
+every parity class stays internally distinct.  ``G - v_n`` is G under a
+per-edge mask that is true on the edges at ``v_n``, so weights and labels
+never change coordinates.
 
 Each scheme yields a short, deterministic sequence of complete
 candidates, and the verifier alone picks one: the first it accepts.  This
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import add
+from operator import add, not_
 from typing import Iterable, Optional
 
 from .decompose import cycle_decomposition, parity_forest
@@ -211,8 +211,8 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
     vn = degs.index(n - 2)
     lo, hi = g.lo, g.hi
     m = len(lo)
-    # the hub's incidence ascends, so its neighbors do; the edges away from
-    # the hub are every other edge id
+    # the hub's incidence ascends, so its neighbors do; the mask of the
+    # edges outside G - v_n is true on exactly the hub's edges
     hub_edges = g._incident[vn]
     neighbors = [lo[e] + hi[e] - vn for e in hub_edges]
     vn1 = n * (n - 1) // 2 - vn - sum(neighbors)  # the one vertex left out
@@ -226,11 +226,10 @@ def label_max_degree_n_minus_2(g: Graph) -> Optional[Labeling]:
         scheme = _lemma44_two_spare_evens
     else:
         scheme = _lemma44_completion
-    away = [True] * m
+    skip = [False] * m
     for e in hub_edges:
-        away[e] = False
-    star = list(itertools.compress(range(m), away))
-    for labels, assign in scheme(g, vn1, star, range(2, m + 1, 2), range(1, m + 1, 2), neighbors):
+        skip[e] = True
+    for labels, assign in scheme(g, vn1, skip, range(2, m + 1, 2), range(1, m + 1, 2), neighbors):
         for e, u in zip(hub_edges, neighbors):
             labels[e] = assign[u]
         lab = _trusted_labeling(labels)
@@ -252,19 +251,19 @@ def _lift(g: Graph, items):
     return labels, w
 
 
-# Each scheme below takes G, the hub's non-neighbor ``vn1``, ``star`` (the
-# ascending G edge ids away from the hub, so G - v_n with v_n isolated), the
-# evens and odds of 1..m as ranges, and the hub's neighbors in ascending
-# order, which it must not change.  Everything is in G's own vertex and edge
-# ids.  A scheme yields candidates, each the labels of G's non-hub edges plus
-# a map neighbor -> label for the hub's edges, and judges none of them: the
-# caller writes the hub labels, freezes the candidate and asks the verifier
-# before it asks for the next one, so a scheme may yield one labels list
-# again.
+# Each scheme below takes G, the hub's non-neighbor ``vn1``, ``skip`` (a
+# per-edge mask of G, true on the hub's edges, so G - v_n with v_n isolated
+# is the subgraph off it), the evens and odds of 1..m as ranges, and the
+# hub's neighbors in ascending order, which it must not change; it may mark
+# more edges in ``skip``.  Everything is in G's own vertex and edge ids.  A
+# scheme yields candidates, each the labels of G's non-hub edges plus a map
+# neighbor -> label for the hub's edges, and judges none of them: the caller
+# writes the hub labels, freezes the candidate and asks the verifier before
+# it asks for the next one, so a scheme may yield one labels list again.
 
 # -- dense case: m >= 2n-4 ---------------------------------------------------
 
-def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
+def _lemma43(g: Graph, vn1: int, skip, evens, odds, neighbors):
     """Parity-forest / cycle scheme, with all choices canonical.
 
     The non-hub edges are labeled in one order, forest first and then cycle
@@ -274,7 +273,9 @@ def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     where the evens run out, starts as many places on as it takes to keep
     both parity junctions off the non-neighbor.  With two junctions the
     reserved labels go out by :func:`_reserved_assignment`'s scan, and
-    without one as :func:`_sorted_default`.
+    without one as :func:`_sorted_default`.  Both walks read ``skip``: the
+    forest is taken from G - v_n, its edges are then marked in ``skip``, and
+    the cycles split the even rest that the mask leaves.
 
     The two junctions are the only odd weights.  The forest has at most
     n-2 edges (G - v_n has the isolated v_n), and there are at least n-2
@@ -283,11 +284,10 @@ def _lemma43(g: Graph, vn1: int, star, evens, odds, neighbors):
     evens end: at traversal positions 0 and ``evens_left`` of the mixed
     cycle.
     """
-    forest = parity_forest(g, star)
-    if forest:
-        in_forest = set(forest)
-        star = [e for e in star if e not in in_forest]
-    cycles, cycle_edges = cycle_decomposition(g, star)
+    forest = parity_forest(g, skip)
+    for e in forest:
+        skip[e] = True
+    cycles, cycle_edges = cycle_decomposition(g, skip)
 
     order = forest  # the non-hub edges in labeling order: forest, then cycle by cycle
     odd_vertices = []
@@ -373,21 +373,29 @@ def _reserved_assignment(neighbors, w, odd_vertices, reserved, fixed_sums):
 
 # -- sparse case: m <= 2n-5 --------------------------------------------------
 
-def _lemma44_all_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
+def _kept(skip) -> list[int]:
+    """The ascending edge ids the mask ``skip`` keeps: ``star``, the edges
+    of G - v_n, for the sparse schemes, which label it by id."""
+    return list(itertools.compress(range(len(skip)), map(not_, skip)))
+
+
+def _lemma44_all_evens(g: Graph, vn1: int, skip, evens, odds, neighbors):
     # m = 2n-5: the evens exactly cover the graph minus the hub, the odds
     # exactly cover the hub's edges
+    star = _kept(skip)
     assert len(evens) == len(star) and len(odds) == len(neighbors)
     labels, w = _lift(g, zip(star, evens))
     yield labels, _sorted_default(neighbors, w, odds)
 
 
-def _lemma44_two_spare_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
+def _lemma44_two_spare_evens(g: Graph, vn1: int, skip, evens, odds, neighbors):
     # m in {2n-6, 2n-7}: one even pair {r1, r2} is split between the last
     # edge of the reduced graph, held back, and the hub edge of the first
     # neighbor v1 off that edge, so that the two all-even weights (v1 and
     # the non-neighbor) can come out distinct; an order of the pair that
     # makes them equal is turned down by the verifier, so both orders are
     # candidates, (r1, r2) first
+    star = _kept(skip)
     assert len(evens) == len(star) + 1 and len(odds) == len(neighbors) - 1
     r2, r1 = evens[-2], evens[-1]
     held = star[-1]
@@ -405,11 +413,12 @@ def _lemma44_two_spare_evens(g: Graph, vn1: int, star, evens, odds, neighbors):
         yield labels, assign
 
 
-def _lemma44_completion(g: Graph, vn1: int, star, evens, odds, neighbors):
+def _lemma44_completion(g: Graph, vn1: int, skip, evens, odds, neighbors):
     # m <= 2n-8: label the reduced graph from the largest evens with the
     # multiplicity-capped completion, then spread the leftover labels on
     # the hub edges, relabeling one block of equal-weight neighbors when
     # the non-neighbor's weight is hit
+    star = _kept(skip)
     pool = evens[-(len(star) + 2):]
     anchor = g.incident_edges(vn1)[0]  # vn1 misses the hub, so this edge is in star
     comp = complete_partial_labeling(g, star, pool, {anchor: pool[-1]})

@@ -8,8 +8,17 @@ from antimagic.decompose import cycle_decomposition, parity_forest
 from antimagic.graph import Graph, GraphError
 
 
+def outside(g, ids):
+    """The per-edge mask both walks take: true on the edges of g that the id
+    list ``ids`` leaves out."""
+    skip = [True] * g.m
+    for e in ids:
+        skip[e] = False
+    return skip
+
+
 def check_parity_forest(g):
-    f = parity_forest(g, range(g.m))
+    f = parity_forest(g, outside(g, range(g.m)))
     assert f == sorted(set(f))  # ascending edge ids, each once
     # deletion leaves all degrees even
     deg = list(g.degrees())
@@ -45,7 +54,7 @@ def acyclic(g):
 
 
 def check_cycle_decomposition(g):
-    dec = cycle_decomposition(g, range(g.m))
+    dec = cycle_decomposition(g, outside(g, range(g.m)))
     assert len(dec.cycle_edges) == len(dec.cycles)
     all_edges = []
     for cyc, es in zip(dec.cycles, dec.cycle_edges):
@@ -94,11 +103,11 @@ CYCLES_DIGEST = "a93128c2e5d020422598448b17bdcb54f5632204a12dfb150f85328d2ed543c
 class TestParityForest:
     def test_triangle_needs_nothing(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert parity_forest(g, range(g.m)) == []
+        assert parity_forest(g, outside(g, range(g.m))) == []
 
     def test_path3_forced_to_take_both_edges(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        assert parity_forest(g, range(g.m)) == [0, 1]
+        assert parity_forest(g, outside(g, range(g.m))) == [0, 1]
 
     def test_k4_by_invariant(self):
         g = Graph(4, list(itertools.combinations(range(4), 2)))
@@ -126,12 +135,16 @@ def test_edge_subset_matches_its_own_graph():
         for g, ids in random_edge_subsets(rng):
             edges = g.edges
             sub = Graph(g.n, [edges[e] for e in ids])
-            forest = parity_forest(g, ids)
-            assert forest == [ids[e] for e in parity_forest(sub, range(sub.m))]
+            skip = outside(g, ids)
+            forest = parity_forest(g, skip)
+            assert skip == outside(g, ids)  # read, never marked
+            assert forest == [ids[e] for e in parity_forest(sub, outside(sub, range(sub.m)))]
             even = [e for e in ids if e not in forest]
             sub_even = Graph(g.n, [edges[e] for e in even])
-            dec = cycle_decomposition(g, even)
-            ref = cycle_decomposition(sub_even, range(sub_even.m))
+            skip = outside(g, even)
+            dec = cycle_decomposition(g, skip)
+            assert skip == outside(g, even)  # the walk marks a copy
+            ref = cycle_decomposition(sub_even, outside(sub_even, range(sub_even.m)))
             assert dec.cycles == ref.cycles
             assert dec.cycle_edges == tuple(tuple(even[e] for e in es) for es in ref.cycle_edges)
 
@@ -153,11 +166,13 @@ class TestCycleDecomposition:
         assert sorted(len(c) for c in dec.cycles) == [3, 3]
 
     def test_odd_degree_rejected(self):
+        path = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError):
-            cycle_decomposition(Graph(3, [(0, 1), (1, 2)]), range(2))
+            cycle_decomposition(path, outside(path, range(2)))
         # K4 is odd, but only the chosen edges count: triangle 012 plus (0, 3)
+        k4 = Graph(4, list(itertools.combinations(range(4), 2)))
         with pytest.raises(GraphError, match="odd degree at 0"):
-            cycle_decomposition(Graph(4, list(itertools.combinations(range(4), 2))), [0, 1, 2, 3])
+            cycle_decomposition(k4, outside(k4, [0, 1, 2, 3]))
 
     def test_odd_degree_names_the_smallest_odd_vertex(self):
         # the walk meets an odd degree only when it is stranded away from its
@@ -176,7 +191,7 @@ class TestCycleDecomposition:
                     raised += 1
                     with pytest.raises(GraphError, match=f"^cycle decomposition needs an even graph; "
                                                          f"odd degree at {odd[0]}$"):
-                        cycle_decomposition(g, ids)
+                        cycle_decomposition(g, outside(g, ids))
         assert raised > 100
 
     def test_k5_decomposes(self):

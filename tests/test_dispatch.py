@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -150,6 +151,11 @@ def test_every_route_is_pinned_on_small_graphs():
         for g in graphs_upto_iso(n):
             for method in METHODS:
                 rep = dispatch_label(g, method)
+                # dispatch_label skips RunReport.__init__; a copy through it
+                # must be the same report, with every field, a defaulted one
+                # too, in the instance dict
+                copy = dataclasses.replace(rep)
+                assert (rep, hash(rep), repr(rep), vars(rep)) == (copy, hash(copy), repr(copy), vars(copy))
                 labels = rep.certificate.labels if rep.certificate else None
                 folded.update(repr((rep.method, rep.outcome, rep.note, rep.resamples,
                                     labels)).encode())
