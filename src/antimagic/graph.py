@@ -28,8 +28,8 @@ class GraphError(ValueError):
 
 
 def check_knobs(**knobs) -> None:
-    """Raise GraphError unless the knobs ``d`` and ``seed``, each where
-    given, are integers, ``d`` a positive one.
+    """Raise GraphError unless every knob given is an integer, and every one
+    but ``seed`` (``d``, the lab's ``trials``) a positive one.
 
     A value is read through ``__index__``, so a float is refused rather than
     truncated.  ``d`` may be None, the dense pipeline's default; its message

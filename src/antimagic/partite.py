@@ -87,29 +87,26 @@ def label_multipartite_on(g: Graph, classes: Sequence[Sequence[int]]) -> Labelin
         raise GraphError("one class makes an edgeless graph, not a complete multipartite one")
     if g.n == 2:
         raise GraphError("K2 is not antimagic")
-    if k == 2:
-        return _label_bipartite(g, classes)
-    if len(classes[0]) == 1:
+    if k > 2 and len(classes[0]) == 1:
         # _label_small_side(g, classes[0]) would give the same labels, since
         # the hub label_universal_vertex picks is that class's vertex; the
         # call keeps the route on the universal-vertex layer that
         # bench/tracing.py times
         return label_universal_vertex(g)
-    lab = _trusted_labeling(_label_small_side(g, classes[0]))
+    labels = _bipartite_labels(g, *classes) if k == 2 else _label_small_side(g, classes[0])
+    lab = _trusted_labeling(labels)
     if not verify_antimagic(g, lab).ok:
         raise AssertionError("multipartite construction produced a collision")
     return lab
 
 
-def _label_bipartite(g: Graph, classes) -> Labeling:
-    rows, cols = classes
+def _bipartite_labels(g: Graph, rows, cols) -> list[int]:
+    """Unverified labels of the matrix construction: the rows of
+    ``antimagic_matrix`` go to the smaller class ``rows``."""
     entries = antimagic_matrix(len(rows), len(cols))
     labels = [0] * g.m
     # A row vertex's edges, ascending, reach the sorted columns in order.
     for u, row in zip(rows, entries):
         for e, x in zip(g.incident_edges(u), row):
             labels[e] = x
-    lab = _trusted_labeling(labels)
-    if not verify_antimagic(g, lab).ok:
-        raise AssertionError("bipartite construction produced a collision")
-    return lab
+    return labels

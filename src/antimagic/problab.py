@@ -7,9 +7,14 @@ order p = floor(t*sqrt(d)), the character product
 
 is small away from x = 0, which caps the point probabilities of the random
 sum Q built by picking one element per pair.  The published bounds carry
-unspecified absolute constants; the checks here take the decay rate of the
-near region and the multiplier of the far region as recorded configuration
-(defaults below), with the constant-free forms recoverable by passing 1.
+unspecified absolute constants; the checks here fix them as the module
+constants below: ``NEAR_DECAY``, the decay rate of the near region,
+``FAR_MULTIPLIER``, the multiplier of the far region, and
+``POINT_MASS_MULTIPLIER``, the multiplier of the point-mass bound.  An
+experiment is ``ok`` when at least ``MIN_PASS_FRACTION`` of its samples
+pass.  The constant-free forms of the two |T(x)| regions are the checks
+with ``NEAR_DECAY`` and ``FAR_MULTIPLIER`` set to 1.0 on the module, as
+``tests/test_problab.py`` does with monkeypatch.
 
 Everything about Q itself is exact: distributions are integer counts out
 of 2**d, and point probabilities are exact rationals.
@@ -22,18 +27,19 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .graph import GraphError
+from .graph import GraphError, check_knobs
 
-# Recorded defaults for the bound constants the source analysis leaves
-# unspecified.  Calibrated so that at (t, d) = (300, 30) well over 99% of
-# random samples satisfy both regions while a broken T(x) computation
-# still fails them; the literal constant-1 forms fail essentially every
-# sample at any accessible scale (see the decisions ledger).
-NEAR_DECAY_DEFAULT = 0.25
-FAR_MULTIPLIER_DEFAULT = 500.0
-POINT_MASS_MULTIPLIER_DEFAULT = 10.0
+# The bound constants the source analysis leaves unspecified.  Calibrated so
+# that at (t, d) = (300, 30) well over 99% of random samples satisfy both
+# regions while a broken T(x) computation still fails them; the literal
+# constant-1 forms fail essentially every sample at any accessible scale
+# (see the decisions ledger).
+NEAR_DECAY = 0.25
+FAR_MULTIPLIER = 500.0
+POINT_MASS_MULTIPLIER = 10.0
+MIN_PASS_FRACTION = 0.95  # share of samples that must pass for a character-bound run to be ok
 
 MAX_EXACT_PAIRS = 30  # 2**d outcome counts stay within one 64-bit bucket
 
@@ -85,8 +91,9 @@ def sample_pairs(t: int, d: int, rng: random.Random) -> PairSample:
     return PairSample(t, d, tuple(pairs))
 
 
-def character_product_complex(sample: PairSample, x: int) -> complex:
-    """T(x) as a complex number, phases reduced mod p before exponentiation."""
+def character_product(sample: PairSample, x: int) -> complex:
+    """T(x) as a complex number, phases reduced mod p before exponentiation;
+    its modulus is at most 1."""
     p = sample.p
     if not 0 <= x < p:
         raise GraphError(f"x must lie in [0, {p}), got {x}")
@@ -96,11 +103,6 @@ def character_product_complex(sample: PairSample, x: int) -> complex:
         pb = 2 * math.pi * ((b * x) % p) / p
         val *= (cmath.exp(1j * pa) + cmath.exp(1j * pb)) / 2
     return val
-
-
-def character_product(sample: PairSample, x: int) -> float:
-    """|T(x)|; always at most 1."""
-    return abs(character_product_complex(sample, x))
 
 
 def character_magnitudes(sample: PairSample) -> list[float]:
@@ -137,22 +139,20 @@ class BoundReport:
         return self.ok_near and self.ok_far
 
 
-def check_character_bounds(sample: PairSample,
-                           near_decay: float = NEAR_DECAY_DEFAULT,
-                           far_multiplier: float = FAR_MULTIPLIER_DEFAULT) -> BoundReport:
+def check_character_bounds(sample: PairSample) -> BoundReport:
     """Evaluate |T(x)| against both bound regions for every x in 1..p-1.
 
-    Near region (min(x, p-x)^2 < d): |T(x)| <= exp(-near_decay * min(x, p-x)^2).
-    Far region (the rest):           |T(x)| <= far_multiplier / t^2.
+    Near region (min(x, p-x)^2 < d): |T(x)| <= exp(-NEAR_DECAY * min(x, p-x)^2).
+    Far region (the rest):           |T(x)| <= FAR_MULTIPLIER / t^2.
     Report-only; region membership is decided in exact integer arithmetic.
     """
     p = sample.p
-    far_bound = far_multiplier / sample.t ** 2
+    far_bound = FAR_MULTIPLIER / sample.t ** 2
     worst = {True: (None, 0.0), False: (None, 0.0)}  # near? -> (first maximizer, its ratio)
     for x, magnitude in enumerate(character_magnitudes(sample), start=1):
         square = min(x, p - x) ** 2
         near = square < sample.d
-        ratio = magnitude / (math.exp(-near_decay * square) if near else far_bound)
+        ratio = magnitude / (math.exp(-NEAR_DECAY * square) if near else far_bound)
         worst_x, worst_ratio = worst[near]
         if worst_x is None or ratio > worst_ratio:
             worst[near] = (x, ratio)
@@ -160,28 +160,9 @@ def check_character_bounds(sample: PairSample,
     return BoundReport(near_ratio <= 1.0, far_ratio <= 1.0, near_x, far_x, near_ratio, far_ratio)
 
 
-class DistributionTable:
-    """Exact distribution of Q = sum of one element per pair.
-
-    Counts are integers out of 2**d; probabilities are exact fractions.
-    """
-
-    def __init__(self, d: int, counts: dict[int, int]):
-        self.d = d
-        self.counts = dict(counts)
-        if sum(self.counts.values()) != 1 << d:
-            raise GraphError("counts must total 2^d")
-
-    @property
-    def outcomes(self) -> int:
-        return 1 << self.d
-
-    def probability(self, s: int) -> Fraction:
-        return Fraction(self.counts.get(s, 0), self.outcomes)
-
-
-def sum_distribution(sample: PairSample) -> DistributionTable:
-    """Exact law of Q by convolving the d two-point masses."""
+def sum_distribution(sample: PairSample) -> dict[int, int]:
+    """Exact law of Q by convolving the d two-point masses: the number of
+    the 2**d choices that give each sum."""
     if sample.d > MAX_EXACT_PAIRS:
         raise GraphError(f"exact table supports at most d={MAX_EXACT_PAIRS}")
     counts = {0: 1}
@@ -191,28 +172,27 @@ def sum_distribution(sample: PairSample) -> DistributionTable:
             nxt[s + a] = nxt.get(s + a, 0) + c
             nxt[s + b] = nxt.get(s + b, 0) + c
         counts = nxt
-    return DistributionTable(sample.d, counts)
+    return counts
 
 
-def max_point_probability(table: DistributionTable) -> Fraction:
+def max_point_probability(sample: PairSample) -> Fraction:
     """Largest single-outcome probability of Q, exact."""
-    return Fraction(max(table.counts.values()), table.outcomes)
+    return Fraction(max(sum_distribution(sample).values()), 1 << sample.d)
 
 
 def mod_p_distribution(sample: PairSample) -> list[float]:
     """Pr[Q = s mod p] for every residue s, from the exact table."""
-    table = sum_distribution(sample)
     counts = [0] * sample.p
-    for s, c in table.counts.items():
+    for s, c in sum_distribution(sample).items():
         counts[s % sample.p] += c
-    return [c / table.outcomes for c in counts]
+    return [c / (1 << sample.d) for c in counts]
 
 
 def mod_p_distribution_fourier(sample: PairSample) -> list[float]:
     """Pr[Q = s mod p] via (1/p) sum_x T(x) w^(-sx), real part: the Fourier
     side of the exact table."""
     p = sample.p
-    tvals = [character_product_complex(sample, x) for x in range(p)]
+    tvals = [character_product(sample, x) for x in range(p)]
     roots = [cmath.exp(-2j * math.pi * k / p) for k in range(p)]
     return [sum(roots[s * x % p] * tx for x, tx in enumerate(tvals)).real / p for s in range(p)]
 
@@ -238,36 +218,33 @@ class TrialSummary:
         return self.pass_fraction >= self.threshold
 
 
-def run_character_bound_experiment(t: int, d: int, trials: int, seed: int,
-                                   near_decay: float = NEAR_DECAY_DEFAULT,
-                                   far_multiplier: float = FAR_MULTIPLIER_DEFAULT,
-                                   min_pass_fraction: float = 0.95) -> TrialSummary:
+def _trials(t: int, d: int, trials: int, seed: int,
+            statistic: Callable[[PairSample], tuple[float, bool]], threshold: float) -> TrialSummary:
+    """Draw ``trials`` seeded samples and apply ``statistic`` to each: it
+    gives the row's statistic and whether the sample passes."""
+    check_knobs(trials=trials, seed=seed)
+    rng = random.Random(seed)
+    rows = tuple((trial, *statistic(sample_pairs(t, d, rng))) for trial in range(trials))
+    passed = sum(ok for _, _, ok in rows)
+    return TrialSummary(t, d, trials, passed, threshold, max(stat for _, stat, _ in rows), rows)
+
+
+def _worst_ratio(sample: PairSample) -> tuple[float, bool]:
+    rep = check_character_bounds(sample)
+    return max(rep.worst_near_ratio, rep.worst_far_ratio), rep.ok
+
+
+def _scaled_point_mass(sample: PairSample) -> tuple[float, bool]:
+    stat = float(max_point_probability(sample)) * sample.t * math.sqrt(sample.d)
+    return stat, stat <= POINT_MASS_MULTIPLIER
+
+
+def run_character_bound_experiment(t: int, d: int, trials: int, seed: int) -> TrialSummary:
     """Fraction of random samples satisfying both |T(x)| regions."""
-    rng = random.Random(seed)
-    rows = []
-    passed = 0
-    worst = 0.0
-    for trial in range(trials):
-        rep = check_character_bounds(sample_pairs(t, d, rng), near_decay, far_multiplier)
-        stat = max(rep.worst_near_ratio, rep.worst_far_ratio)
-        worst = max(worst, stat)
-        passed += rep.ok
-        rows.append((trial, stat, rep.ok))
-    return TrialSummary(t, d, trials, passed, min_pass_fraction, worst, tuple(rows))
+    return _trials(t, d, trials, seed, _worst_ratio, MIN_PASS_FRACTION)
 
 
-def run_point_mass_experiment(t: int, d: int, trials: int, seed: int,
-                              multiplier: float = POINT_MASS_MULTIPLIER_DEFAULT) -> TrialSummary:
-    """Check max point probability * t * sqrt(d) <= multiplier per sample."""
-    rng = random.Random(seed)
-    rows = []
-    passed = 0
-    worst = 0.0
-    for trial in range(trials):
-        table = sum_distribution(sample_pairs(t, d, rng))
-        stat = float(max_point_probability(table)) * t * math.sqrt(d)
-        ok = stat <= multiplier
-        worst = max(worst, stat)
-        passed += ok
-        rows.append((trial, stat, ok))
-    return TrialSummary(t, d, trials, passed, 1.0, worst, tuple(rows))
+def run_point_mass_experiment(t: int, d: int, trials: int, seed: int) -> TrialSummary:
+    """Check max point probability * t * sqrt(d) <= POINT_MASS_MULTIPLIER
+    per sample; every sample must pass."""
+    return _trials(t, d, trials, seed, _scaled_point_mass, 1.0)

@@ -101,3 +101,32 @@ def test_no_module_reads_the_edge_pairs():
                       for node in ast.walk(ast.parse(path.read_text()))
                       if isinstance(node, ast.Attribute) and node.attr == "edges"})
     assert readers == []
+
+
+def code_lines(path):
+    """Lines of ``path`` that hold code: not blank, not a comment, and not
+    part of a module, class or function docstring (nested ones included)."""
+    source = Path(path).read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), start=1)
+               if line.strip() and not line.lstrip().startswith("#") and number not in docstrings)
+
+
+def test_code_line_counter(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Module\ndocstring."""\n\n# a comment\nclass A:\n    """One line."""\n\n'
+                    '    def f(self):\n        """Two\n        lines."""\n        def g():\n'
+                    '            """Nested."""\n            return "not a docstring"\n'
+                    '        return g  # trailing comment\n')
+    assert code_lines(path) == 5  # class, def f, def g, and the two returns
+
+
+def test_src_code_lines_are_pinned():
+    # a change that adds or drops code in src edits this number
+    assert sum(code_lines(path) for path in SRC.glob("*.py")) == 1695

@@ -8,7 +8,6 @@ import pytest
 from antimagic import problab
 from antimagic.graph import GraphError
 from antimagic.problab import (
-    DistributionTable,
     PairSample,
     character_magnitudes,
     character_product,
@@ -46,20 +45,20 @@ class TestPairSample:
 class TestCharacterProduct:
     def test_x_zero_is_one(self):
         s = PairSample(10, 3, ((1, 2), (3, 4), (5, 6)))
-        assert character_product(s, 0) == pytest.approx(1.0)
+        assert abs(character_product(s, 0)) == pytest.approx(1.0)
 
     def test_quarter_turn_vanishes(self):
         # d=1, t=4, pair (1,3): |T(1)| = |cos(2*pi/4)| = 0
         s = PairSample(4, 1, ((1, 3),))
         assert s.p == 4
-        assert character_product(s, 1) == pytest.approx(0.0, abs=1e-12)
+        assert abs(character_product(s, 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_gaps_square(self):
         s = PairSample(8, 2, ((1, 2), (3, 4)))
         p = s.p
         for x in range(1, p):
             expected = abs(math.cos(math.pi * x / p)) ** 2
-            assert character_product(s, x) == pytest.approx(expected, abs=1e-9)
+            assert abs(character_product(s, x)) == pytest.approx(expected, abs=1e-9)
 
     def test_out_of_range_x(self):
         s = PairSample(8, 2, ((1, 2), (3, 4)))
@@ -72,7 +71,7 @@ class TestCharacterProduct:
             s = sample_pairs(60, 6, rng)
             mags = character_magnitudes(s)
             for x in (1, 5, s.p // 2, s.p - 1):
-                assert abs(character_product(s, x) - mags[x - 1]) < 1e-9
+                assert abs(abs(character_product(s, x)) - mags[x - 1]) < 1e-9
 
     def test_magnitude_never_exceeds_one(self):
         rng = random.Random(3)
@@ -86,11 +85,13 @@ class TestBoundCheck:
         rep = check_character_bounds(s)
         assert rep.ok_near and rep.worst_near_x is None
 
-    def test_adversarial_consecutive_pairs_flagged_at_literal_constants(self):
+    def test_adversarial_consecutive_pairs_flagged_at_literal_constants(self, monkeypatch):
         # consecutive pairs keep every gap at 1, so |T(x)| decays as slowly
         # as possible; the constant-free near bound must fail at x=1
+        monkeypatch.setattr(problab, "NEAR_DECAY", 1.0)
+        monkeypatch.setattr(problab, "FAR_MULTIPLIER", 1.0)
         s = PairSample(300, 30, tuple((2 * i + 1, 2 * i + 2) for i in range(30)))
-        rep = check_character_bounds(s, near_decay=1.0, far_multiplier=1.0)
+        rep = check_character_bounds(s)
         assert not rep.ok_near
         assert rep.worst_near_ratio > 1.0
         # with unit gaps |T(1)| = cos(pi/p)^d, nowhere near e^-1
@@ -109,47 +110,40 @@ class TestBoundCheck:
 
 class TestSumDistribution:
     def test_single_pair(self):
-        table = sum_distribution(PairSample(4, 1, ((1, 2),)))
-        assert table.counts == {1: 1, 2: 1}
-        assert table.probability(1) == Fraction(1, 2)
+        s = PairSample(4, 1, ((1, 2),))
+        assert sum_distribution(s) == {1: 1, 2: 1}
+        assert max_point_probability(s) == Fraction(1, 2)
 
     def test_two_pairs_enumerated(self):
-        table = sum_distribution(PairSample(6, 2, ((1, 2), (3, 4))))
-        assert table.counts == {4: 1, 5: 2, 6: 1}
+        assert sum_distribution(PairSample(6, 2, ((1, 2), (3, 4)))) == {4: 1, 5: 2, 6: 1}
 
     def test_three_consecutive_pairs(self):
         s = PairSample(8, 3, ((1, 2), (3, 4), (5, 6)))
-        table = sum_distribution(s)
-        assert table.counts == {9: 1, 10: 3, 11: 3, 12: 1}
-        assert max_point_probability(table) == Fraction(3, 8)
+        assert sum_distribution(s) == {9: 1, 10: 3, 11: 3, 12: 1}
+        assert max_point_probability(s) == Fraction(3, 8)
 
     def test_matches_brute_force_enumeration(self):
         rng = random.Random(5)
         s = sample_pairs(30, 5, rng)
-        table = sum_distribution(s)
         brute = {}
         for picks in itertools.product(*s.pairs):
             q = sum(picks)
             brute[q] = brute.get(q, 0) + 1
-        assert table.counts == brute
+        assert sum_distribution(s) == brute
 
     def test_counts_total_and_symmetry(self):
         rng = random.Random(9)
         for _ in range(10):
             s = sample_pairs(40, 6, rng)
-            table = sum_distribution(s)
-            assert sum(table.counts.values()) == 2 ** s.d
+            counts = sum_distribution(s)
+            assert sum(counts.values()) == 2 ** s.d
             full = sum(a + b for a, b in s.pairs)
-            assert all(table.counts[q] == table.counts[full - q] for q in table.counts)
+            assert all(counts[q] == counts[full - q] for q in counts)
 
     def test_rejects_oversized(self):
         pairs = tuple((2 * i + 1, 2 * i + 2) for i in range(31))
         with pytest.raises(GraphError):
             sum_distribution(PairSample(62, 31, pairs))
-
-    def test_table_validates_total(self):
-        with pytest.raises(GraphError):
-            DistributionTable(2, {0: 3})
 
 
 class TestFourierIdentity:
@@ -187,6 +181,17 @@ class TestExperiments:
         broken = run_character_bound_experiment(300, 30, 20, seed=1)
         assert broken.passed == 0 and not broken.ok
         assert broken.worst_statistic > 100
+
+    # trials below 1 once divided by zero or gave a negative count, and a
+    # None seed drew from the operating system
+    @pytest.mark.parametrize("trials, seed", [(0, 1), (-3, 1), (20, None), (20, 1.5), (1.5, 1)],
+                             ids=["no-trials", "negative-trials", "seed-none", "seed-float",
+                                  "trials-float"])
+    @pytest.mark.parametrize("run", [run_character_bound_experiment, run_point_mass_experiment],
+                             ids=["character-bound", "point-mass"])
+    def test_experiments_refuse_bad_trials_and_seeds(self, run, trials, seed):
+        with pytest.raises(GraphError):
+            run(60, 8, trials, seed)
 
     def test_point_mass_experiment_smoke(self):
         summary = run_point_mass_experiment(60, 8, 20, seed=2)

@@ -2,10 +2,12 @@ import ast
 import inspect
 from pathlib import Path
 
-from antimagic import dense, oracle
+from antimagic import dense, oracle, problab
 from antimagic.dense import label_dense, phase1_reduce
 from antimagic.dispatch import dispatch_label
 from antimagic.oracle import count_antimagic_labelings, exhaustive_search, heuristic_search
+from antimagic.problab import (check_character_bounds, run_character_bound_experiment,
+                               run_point_mass_experiment)
 
 SRC = Path(__file__).parents[1] / "src" / "antimagic"
 
@@ -20,7 +22,7 @@ UNREFERENCED = {
     # the brute-force reference, which bench/tracing.py also times
     "exhaustive_search", "count_antimagic_labelings",
     # the Theorem 1 lab: the paper's own draw and the character-sum experiments
-    "phase5_assign", "character_product", "mod_p_distribution",
+    "phase5_assign", "mod_p_distribution",
     "mod_p_distribution_fourier", "run_character_bound_experiment",
     "run_point_mass_experiment",
     # test fixtures: the small-graph corpora and the graph families
@@ -45,9 +47,9 @@ def test_every_unreferenced_public_name_is_listed():
     assert defined - referenced == UNREFERENCED
 
 
-# Every settable value of the entry point and the labelers, with its default.
-# Each knob is one more setting that the tests and the benchmark must cover,
-# so a change that adds, drops or moves one edits this table.
+# Every settable value of the entry point, the labelers and the lab, with its
+# default.  Each knob is one more setting that the tests and the benchmark
+# must cover, so a change that adds, drops or moves one edits this table.
 NO_DEFAULT = inspect.Parameter.empty
 KNOBS = {
     dispatch_label: [("g", NO_DEFAULT), ("method", "auto"), ("d", None), ("seed", 0)],
@@ -56,6 +58,11 @@ KNOBS = {
     heuristic_search: [("g", NO_DEFAULT), ("seed", 0)],
     exhaustive_search: [("g", NO_DEFAULT)],
     count_antimagic_labelings: [("g", NO_DEFAULT)],
+    check_character_bounds: [("sample", NO_DEFAULT)],
+    run_character_bound_experiment: [("t", NO_DEFAULT), ("d", NO_DEFAULT), ("trials", NO_DEFAULT),
+                                     ("seed", NO_DEFAULT)],
+    run_point_mass_experiment: [("t", NO_DEFAULT), ("d", NO_DEFAULT), ("trials", NO_DEFAULT),
+                                ("seed", NO_DEFAULT)],
 }
 
 
@@ -65,14 +72,19 @@ def test_knobs_are_pinned():
     assert found == {fn.__name__: knobs for fn, knobs in KNOBS.items()}
 
 
-# Every budget is a module constant, not a knob: a caller that needs another
-# value brings the parameter with it, and edits both tables.
+# Every budget and bound constant is a module constant, not a knob: a caller
+# that needs another value brings the parameter with it, and edits both tables.
 BUDGETS = {
     (oracle, "PROPOSALS_PER_EDGE"): 15_000,
     (oracle, "PARTNER_DRAWS"): 8,
     (dense, "MAX_RESAMPLES"): 1000,
     (oracle, "EXHAUSTIVE_MAX_NODES"): 2_000_000,
     (oracle, "COUNT_MAX_NODES"): 50_000_000,
+    (problab, "NEAR_DECAY"): 0.25,
+    (problab, "FAR_MULTIPLIER"): 500.0,
+    (problab, "POINT_MASS_MULTIPLIER"): 10.0,
+    (problab, "MIN_PASS_FRACTION"): 0.95,
+    (problab, "MAX_EXACT_PAIRS"): 30,
 }
 
 
