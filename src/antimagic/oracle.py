@@ -2,21 +2,20 @@
 
 The exhaustive search decides antimagicness outright; it shares one
 backtracking kernel with the labeling count.  The heuristic search scales
-further with a collision-local move: from one shuffled labeling it swaps
-the label of an edge at a colliding vertex with the label of another edge,
-and keeps the swap when the number of colliding vertex pairs does not
-rise, until no collision is left or a fixed budget of proposals per edge
-is spent.  The other edge is drawn up to ``PARTNER_DRAWS`` times, and the
-first draw whose swap moves every changed sum onto a value no vertex holds
-is proposed, in the manner of min-conflicts repair (Minton et al. 1992).
-It proves a graph has no antimagic labeling only for the two obstructions
-it checks first, a K2 component and two isolated vertices.
-Both only ever return labelings that pass the verifier.
+further with a collision-local move: from the sorted labeling, which gives
+edge e the label e + 1, it swaps the label of an edge at a colliding vertex
+with the label of another edge, and keeps the swap when the number of
+colliding vertex pairs does not rise, until no collision is left or a fixed
+budget of proposals per edge is spent.  The other edge is drawn up to
+``PARTNER_DRAWS`` times, and the first draw whose swap moves every changed
+sum onto a value no vertex holds is proposed, in the manner of min-conflicts
+repair (Minton et al. 1992).  It proves a graph has no antimagic labeling
+only for the two obstructions it checks first, a K2 component and two
+isolated vertices.  Both only ever return labelings that pass the verifier.
 
-The heuristic search draws through ``graph._shuffle`` and ``graph._below``,
-which reproduce ``Random.shuffle``, ``Random.choice`` and
-``Random.randrange`` call for call, so a seed gives the same search as one
-written with those methods.
+The heuristic search draws through ``graph._below``, which reproduces
+``Random.choice`` and ``Random.randrange`` call for call, so a seed gives
+the same search as one written with those methods.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Optional
 
-from .graph import (CollisionState, Graph, Labeling, _below, _shuffle, _trusted_labeling, check_knobs,
-                    verify_antimagic)
+from .graph import CollisionState, Graph, Labeling, _below, _trusted_labeling, check_knobs, verify_antimagic
 
 FOUND = "found"
 PROVEN_NONE = "proven_none"
@@ -35,10 +33,10 @@ BUDGET_EXCEEDED = "budget_exceeded"
 NOT_FOUND = "not_found"
 
 # The heuristic search's budget, in proposals per edge.  On the benchmark
-# workloads, on every connected graph with 3 to 7 vertices and on cycles and
-# 3-regular graphs up to n = 4,000, no search that found a certificate took
-# more than 3.6 proposals per edge, so the budget bounds only the searches
-# that find none.
+# workloads, on every connected graph with 3 to 7 vertices (seeds 0-19) and
+# on cycles, relabelled or not, and 3-regular graphs up to n = 4,000, no
+# search that found a certificate took more than 4.0 proposals per edge, so
+# the budget bounds only the searches that find none.
 PROPOSALS_PER_EDGE = 15_000
 
 # Draws of the heuristic search's partner edge per proposal; the first draw
@@ -185,39 +183,44 @@ def count_antimagic_labelings(g: Graph) -> int:
 def heuristic_search(g: Graph, seed: int = 0) -> SearchResult:
     """Collision-local search over label swaps, in one run.
 
-    The run starts from a labeling drawn with ``seed``, any integer.  Each
-    proposal swaps the labels of a random edge at a random colliding vertex
-    and of another edge, drawn as below, and is kept unless the number of
-    colliding vertex pairs rises.  The run ends at zero collisions, or after
-    ``PROPOSALS_PER_EDGE * m`` proposals with ``not_found``; ``iterations``
-    counts the proposals made.  A K2 component or two isolated vertices
-    make a collision no swap removes, so such graphs are ``proven_none`` at
-    once, as :func:`exhaustive_search` reports them too.  A hit is verified
-    before being returned, and one the verifier rejects raises
-    ``AssertionError``.
+    The run starts from the sorted labeling, in which edge e has the label
+    e + 1.  Edges are sorted by their ends, so each vertex's edges to larger
+    vertices hold a run of consecutive labels that rises with the vertex,
+    and the sums start out spread: fewer collisions than a shuffled start
+    leaves, and no draws spent on it.  ``seed``, any integer, steers only
+    the proposals.  Each proposal swaps the labels of a random edge at a
+    random colliding vertex and of another edge, drawn as below, and is kept
+    unless the number of colliding vertex pairs rises.  The run ends at zero
+    collisions, or after ``PROPOSALS_PER_EDGE * m`` proposals with
+    ``not_found``; ``iterations`` counts the proposals made.  A K2 component
+    or two isolated vertices make a collision no swap removes, so such
+    graphs are ``proven_none`` at once, as :func:`exhaustive_search` reports
+    them too.  A hit is verified before being returned, and one the verifier
+    rejects raises ``AssertionError``.
 
-    The draws are ``rng.shuffle`` for the start, then per proposal
-    ``rng.choice`` of a colliding vertex (in ``tuple(colliding)`` order),
-    ``rng.choice`` of its incident edge i and up to ``PARTNER_DRAWS``
-    draws of ``rng.randrange(m - 1)`` for the other edge j, all made
-    through ``rng.getrandbits`` by the inline draws of :mod:`.graph`.
-    With d the label of j minus the label of i, a draw is proposed at once
-    when the sums of i's ends plus d and of j's ends minus d are all free
-    (no vertex holds them); otherwise the next draw is made, and the last
-    one is proposed if none passes.  Partner draws are not proposals.  A
-    rejected swap is undone by swapping back, which keeps the order of
-    ``colliding`` that the next draw reads.
+    The draws are, per proposal, ``rng.choice`` of a colliding vertex (in
+    ``tuple(colliding)`` order), ``rng.choice`` of its incident edge i and
+    up to ``PARTNER_DRAWS`` draws of ``rng.randrange(m - 1)`` for the other
+    edge j, all made through ``rng.getrandbits`` by the inline draws of
+    :mod:`.graph`.  With d the label of j minus the label of i, a draw is
+    proposed at once when the sums of i's ends plus d and of j's ends minus
+    d are all free (no vertex holds them); otherwise the next draw is made,
+    and the last one is proposed if none passes.  Partner draws are not
+    proposals.  A rejected swap is undone by swapping back, which keeps the
+    order of ``colliding`` that the next draw reads.
     """
     check_knobs(seed=seed)
     degs = g.degrees()
-    if degs.count(0) >= 2 or 1 in degs and any(degs[u] == degs[v] == 1 for u, v in zip(g.lo, g.hi)):
+    incident = g._incident
+    # a K2 component's edge is the only edge at both its ends, so it is the
+    # one edge two leaves share
+    leaf_edges = [incident[v][0] for v, d in enumerate(degs) if d == 1] if 1 in degs else ()
+    if degs.count(0) >= 2 or len(set(leaf_edges)) < len(leaf_edges):
         return SearchResult(PROVEN_NONE, None)
     m = g.m
     rng = random.Random(index(seed))
     getrandbits = rng.getrandbits
-    incident = g._incident
     labels = list(range(1, m + 1))
-    _shuffle(labels, rng)
     state = CollisionState(g, labels)
     colliding = state.colliding
     sums = state.sums

@@ -355,7 +355,7 @@ class TestDraws:
 
     def test_dense_and_oracle_share_the_draws(self):
         assert (dense._shuffle, dense._coins) == (graph._shuffle, graph._coins)
-        assert (oracle._shuffle, oracle._below) == (graph._shuffle, graph._below)
+        assert oracle._below == graph._below
 
 
 class TestPhase3:

@@ -41,6 +41,13 @@ def random_regular(n, r, seed):
             return Graph(n, [tuple(e) for e in edges])
 
 
+def relabelled_cycle(n, seed):
+    """C_n with its vertex ids permuted by a seeded shuffle."""
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    return Graph(n, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
+
+
 def random_tree(n, seed):
     rng = random.Random(seed)
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
@@ -159,11 +166,22 @@ class TestHeuristic:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cycle_certified_in_fewer_proposals_than_edges(self, seed):
         # pins the partner draws' steering: one uniform partner draw per
-        # proposal needs about 2m proposals on C1000
-        g = cycle_graph(1000)
+        # proposal needs about 2m proposals on C1000.  The cycle is
+        # relabelled, because in its natural numbering the start alone
+        # certifies it (next test)
+        g = relabelled_cycle(1000, 1)
         res = heuristic_search(g, seed=seed)
         assert res.status == FOUND
         assert res.iterations < g.m
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_natural_cycle_certified_by_the_sorted_start(self, seed):
+        # C1000's edges sort as (0, 1), (0, 999), (1, 2), ..., (998, 999),
+        # so the labels 1..m give the sums 3 at 0, 4 at 1, 2k + 3 at
+        # 2 <= k <= 998 and 1002 at 999, all distinct: no proposal is made
+        res = heuristic_search(cycle_graph(1000), seed=seed)
+        assert (res.status, res.iterations) == (FOUND, 0)
+        assert res.labeling.labels == tuple(range(1, 1001))
 
     def test_same_seed_same_labeling(self):
         g = torus(6, 7)
@@ -178,18 +196,18 @@ class TestHeuristic:
     # by the sums it would move, so these pin the generator calls, the
     # partner draws and the collision bookkeeping together.
     @pytest.mark.parametrize("g, digest", [
-        (cycle_graph(20), "7758195065f71aec296c593d26bd85c0f360025cec526a4ab0fa164b3deaf494"),
-        (cycle_graph(77), "de1f73ecc33eeea781baf1ff66193e076a4dd5fe8caf7b679390fdb6c5dc5a33"),
-        (cycle_graph(120), "597d34c9e38cd91bfb7a4145152f381036ffc2936035e4c07db69cc8b8323393"),
-        (random_regular(40, 3, 0), "51613ae4f1a490d627f6c3464b6e628149405035aee4cbb8e9c31ed50c6ba981"),
-        (random_regular(120, 3, 1), "9cb910c900dd9425549250f3dac3f5d3881f853bee00c25e35228e5337c5798f"),
-        (random_regular(30, 4, 2), "7ba0a0577d41344c40da87be3d21948feca40f5f5fd0e854e274904a11ed7781"),
-        (random_regular(100, 4, 3), "b8d27237f1825dc50073a4cb504fac365d274a0ba566719eab88d66e3cbe0c32"),
-        (torus(5, 8), "5a215b8c18e1157b793fcc5983eb76510f991a0487641baa452ffa78cca0abe0"),
-        (torus(10, 12), "9f444336633f81158d3c89be0fac59239e351f2cf6f4c7abf156113f8c6d34a8"),
-        (random_tree(60, 4), "974fbbd1594a0afb540c5f2dd2ee8a19f889861c7c020a80c84edf0c5c8b21b4"),
-        (random_tree(120, 5), "e6cfb9a02a2144452ce57628c1049d17f5602cfa6c92e78c234e3ac49cc1eb7f"),
-        (random_min_degree_graph(50, 3, 6), "4d08abdaf99588988a1e98ce48e8badda9bc4465e8544446b21edecd285ec62d"),
+        (cycle_graph(20), "2b70c4d08879ef35cae76dafae333b09386cc99eefd7c0315e7edbfd4a05e793"),
+        (cycle_graph(77), "67f9376094762181fe49646f76a2cd17fbb1af472a30900dfcb4eed5b7e70ea6"),
+        (cycle_graph(120), "d8c025975e426fd5e38dfb58826df85867d3d8cd70e03f8a5f90eab52d64f0ef"),
+        (random_regular(40, 3, 0), "886388da24338ef10819faa0fdb21fbebdd0199acdfcaf9d340ef46de1d70183"),
+        (random_regular(120, 3, 1), "0ddbd44d2f7b8cc089d5ef3638c7d6b0b359823f3ac03c28cac0b8c7fdcb09d1"),
+        (random_regular(30, 4, 2), "7f25126fe0261caf86accdffdf91bec9c4672ab0369b50de36c239fc6f04fec5"),
+        (random_regular(100, 4, 3), "0fae6d4a5f7370a9d333304b4cbd5ff9d1b49bfcb5f332c3ca5808fe46e39285"),
+        (torus(5, 8), "2eb341cffd87bc7bd638d00897a00319beda68e7ca1a303ed06048c2ed485d3e"),
+        (torus(10, 12), "5ab1402cab5214e025854e798f4754112c3cbf6b1a0d812199ee1a0438492058"),
+        (random_tree(60, 4), "9476c813ce064e6b6722a1af7e3c245e00e498e5afc8b6d767addd80080761bb"),
+        (random_tree(120, 5), "2a816b4da9ce917254f916a6f67ab5b0635cdd9299a9d5dc2fd62f75d9d00731"),
+        (random_min_degree_graph(50, 3, 6), "48192460976cde33bb8a0635bb55da266cfb7fce0df4a7d72e64b70a6a1fe00c"),
     ], ids=["C20", "C77", "C120", "3-regular-n40", "3-regular-n120",
             "4-regular-n30", "4-regular-n100", "torus-5x8", "torus-10x12", "tree-n60",
             "tree-n120", "min-degree-3-n50"])

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from operator import attrgetter
@@ -10,10 +11,58 @@ import pytest
 SRC = Path(__file__).parents[1] / "src" / "antimagic"
 
 
+def scripts_table(text):
+    """``[project.scripts]`` of a pyproject.toml text, read without tomllib.
+
+    Python 3.10 has no tomllib and the test extra brings no TOML reader, so
+    the one table is read line by line.  Each line in it must be
+    ``name = "module:attr"``.  Any other line there, and scripts declared
+    any other way (an inline ``scripts`` key, a ``gui-scripts`` table),
+    raise ``ValueError`` instead of reading as no scripts.
+    """
+    scripts, inside = {}, False
+    for line in map(str.strip, text.splitlines()):
+        if line.startswith("["):
+            inside = line == "[project.scripts]"
+        if not line or line.startswith("#") or line == "[project.scripts]":
+            continue
+        if inside:
+            match = re.fullmatch(r'([\w.-]+)\s*=\s*"([\w.:]+)"', line)
+            if not match:
+                raise ValueError(f"cannot read this [project.scripts] line: {line!r}")
+            scripts[match[1]] = match[2]
+        elif "scripts" in line:
+            raise ValueError(f"scripts declared outside [project.scripts]: {line!r}")
+    return scripts
+
+
+def tomllib_scripts(text):
+    """The same table through tomllib, or None where there is none (3.10)."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        return None
+    return tomllib.loads(text).get("project", {}).get("scripts", {})
+
+
+def test_scripts_table_reader():
+    text = ('[project]\nname = "x"\n\n[project.scripts]\n# a comment\nlabel-graph = "antimagic.dispatch:main"\n'
+            'b = "m.n:o.p"\n\n[tool.pytest.ini_options]\nx = 1\n')
+    assert scripts_table(text) == {"label-graph": "antimagic.dispatch:main", "b": "m.n:o.p"}
+    assert tomllib_scripts(text) in (None, scripts_table(text))
+    for bad in ['[project]\nscripts = {a = "m:f"}\n', '[project.gui-scripts]\na = "m:f"\n',
+                "[project.scripts]\na = 'm:f'\n"]:
+        with pytest.raises(ValueError):
+            scripts_table(bad)
+
+
 def test_every_script_target_exists():
-    tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
-    for name, target in project.get("scripts", {}).items():
+    # on every interpreter, 3.10 included; tomllib, where there is one,
+    # cross-checks the reader
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = scripts_table(text)
+    assert tomllib_scripts(text) in (None, scripts)
+    for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(attrgetter(attr)(importlib.import_module(module))), name
 
@@ -129,4 +178,4 @@ def test_code_line_counter(tmp_path):
 
 def test_src_code_lines_are_pinned():
     # a change that adds or drops code in src edits this number
-    assert sum(code_lines(path) for path in SRC.glob("*.py")) == 1695
+    assert sum(code_lines(path) for path in SRC.glob("*.py")) == 1694

@@ -131,10 +131,10 @@ def large_inputs():
 # is the search's, as dispatch_label gives it.
 CORPUS_DIGESTS = {
     4: "c827955e3289661fb8a152d84fbbc25cf31cfae2bce7b4c6144a81868e6c65f2",
-    5: "8bf99dda7a9969d87c21f1eb0f06db82f4f9d4ff97ad8ffb108cc7a332d5aa8b",
-    6: "fd6a4a1adeac948315e1f6c4687978d0f6da5907462076c5b7b3c43d998766c5",
-    7: "92659f0bc156a420e9db1b95a44da047368a2624f01ea21cdce8a4963935f42e",
-    8: "d3a27b54c823e1901f3c137bb8a9f93c8f6b962331a12a109725703af3deadee",
+    5: "fb36c0c58095b43eaf04a941baac9ef1e0f774ec9ff5d7af88fe87878e7dc58f",
+    6: "2334c59ef6d77bf5024f227b2b1d8ecabc3a71b0f2a8b304906bbd9668ff4cfb",
+    7: "268b4b1c1875ae61d05fe5b12cc56ce9c0dfac18af59fa03c4082046fe44dd20",
+    8: "03de2b2052c81c0e2d793392c209b6f63a71c49b1b7616eb1016c9f5b1e46ce2",
 }
 
 # sha256 of the certificates of the 400 seeded graphs of
