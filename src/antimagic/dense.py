@@ -28,7 +28,7 @@ All randomness comes from one ``random.Random`` per run.  The label shuffle
 ``Random.shuffle`` and ``Random.randrange(2)`` call for call: the same
 ``getrandbits`` calls in the same order, hence the same draws and the same
 generator state, so a seed certifies the same labeling as a pipeline written
-with those methods.  The oracle's search draws with the same functions.
+with those methods.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ C = 3.0
 MAX_RESAMPLES = 1000
 
 
-def effective_d(n: int, d: Optional[int] = None) -> int:
-    """``d`` when given, else the default ceil(C ln n) for ``n`` vertices."""
-    if d is not None:
-        return d
+def effective_d(n: int) -> int:
+    """The default minimum-degree parameter ceil(C ln n) for ``n`` vertices."""
     return max(1, math.ceil(C * math.log(max(n, 2))))
 
 
@@ -139,7 +137,7 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
     to d-1).  ``d`` defaults to :func:`effective_d`'s ceil(C ln n).
     """
     check_knobs(d=d)
-    d = effective_d(g.n, d)
+    d = effective_d(g.n) if d is None else d
     deg = list(g.degrees())
     if min(deg, default=0) < d:
         raise GraphError(f"minimum degree {min(deg, default=0)} is below d={d}")
@@ -402,18 +400,19 @@ def assemble_labeling(st: DenseState, coins: list[int]) -> list[int]:
     return labels
 
 
-def phase5_assign(st: DenseState, rng: random.Random) -> Labeling:
-    """Independent fair coin per pair, then assemble the total labeling."""
+def phase5_assign(st: DenseState, rng: random.Random) -> list[int]:
+    """Independent fair coin per pair, then assemble the total labeling, as
+    a list of labels by edge id (:func:`assemble_labeling`)."""
     if st.label_pairs is None:
         raise GraphError("phase 3 has not run")
-    return Labeling(assemble_labeling(st, _coins(len(st.pair_first), rng)))
+    return assemble_labeling(st, _coins(len(st.pair_first), rng))
 
 
 def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0) -> DenseResult:
     """Resample coins on one label pairing until the verifier accepts.
 
-    Phases 1-3 and the first coins run once, and the labels are assembled
-    once into a list that a :class:`CollisionState` takes over.  While
+    Phases 1-3 and phase 5 run once, and phase 5's labels, assembled once
+    into a list, are what a :class:`CollisionState` takes over.  While
     collisions remain, one resample redraws the coins of every pair that
     meets a colliding vertex's leftover edges (:func:`_leftover`); a new
     coin that differs from the one the pair's labels show swaps the two
@@ -429,7 +428,7 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0) -> DenseResult
     rng = random.Random(index(seed))
     st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d)), rng)
     first, second = st.pair_first, st.pair_second
-    labels = assemble_labeling(st, _coins(len(first), rng))
+    labels = phase5_assign(st, rng)
     # The assembled list holds the labels now; drop the shuffled copy
     # before the sums are tallied.
     st = replace(st, label_pairs=None)

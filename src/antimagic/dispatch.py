@@ -95,26 +95,24 @@ def recognize_complete_multipartite(g: Graph) -> Optional[list[list[int]]]:
     return classes
 
 
-def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
-                   seed: int = 0) -> RunReport:
+def dispatch_label(g: Graph, method: str = "auto", seed: int = 0) -> RunReport:
     """Label ``g`` by ``method`` and report the route, outcome and certificate.
 
     ``method`` is one of ``METHODS``.  ``"auto"`` tries, in this order,
     ``partite`` (``g`` is complete multipartite), ``universal`` (maximum
     degree n-1), ``delta-n2`` (maximum degree n-2 and n >= 4), ``dense``
-    (minimum degree at least d) and ``oracle``, and runs the first whose
-    test holds.  An explicit method runs its labeler without ``auto``'s
-    test: ``"universal"`` also labels a hub of degree n-2 whose
+    (minimum degree at least :func:`.dense.effective_d`'s ceil(C ln n)) and
+    ``oracle``, and runs the first whose test holds, so its route depends
+    on the graph alone.  An explicit method runs its labeler without
+    ``auto``'s test: ``"universal"`` also labels a hub of degree n-2 whose
     non-neighbour is isolated, and ``"dense"`` reports phase 1's refusal
-    when the minimum degree is below d.  ``d`` is the dense route's
-    minimum-degree parameter (``None``: :func:`.dense.effective_d`'s
-    ceil(C ln n)), which ``"auto"`` also compares with the minimum degree.
-    ``seed`` seeds the dense pipeline and the heuristic search.  Both pass
-    to :func:`label_dense` and :func:`heuristic_search` as they are, and
-    each route spends its module's fixed budget
-    (:data:`.dense.MAX_RESAMPLES`, :data:`.oracle.PROPOSALS_PER_EDGE`).  Bad
-    values of ``method``, ``d`` or ``seed`` raise :class:`GraphError` on
-    every route.
+    when the minimum degree is below ceil(C ln n); a caller that wants
+    another d calls :func:`label_dense`.  ``seed`` seeds the dense
+    pipeline and the heuristic search.  It passes to :func:`label_dense`
+    and :func:`heuristic_search` as it is, and each route spends its
+    module's fixed budget (:data:`.dense.MAX_RESAMPLES`,
+    :data:`.oracle.PROPOSALS_PER_EDGE`).  Bad values of ``method`` or
+    ``seed`` raise :class:`GraphError` on every route.
 
     When the Δ = n-2 scheme has no verified candidate, the heuristic search
     labels the graph and the report says ``oracle``, with a note that says
@@ -125,9 +123,9 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
     start = time.perf_counter()
     if method not in METHODS:
         raise GraphError(f"unknown method {method!r}")
-    # bad values of d or seed raise here, whatever the route, though only
-    # the dense route and the search read them
-    check_knobs(d=d, seed=seed)
+    # a bad seed raises here, whatever the route, though only the dense
+    # route and the search read it
+    check_knobs(seed=seed)
     graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
 
     route = method
@@ -169,9 +167,9 @@ def dispatch_label(g: Graph, method: str = "auto", d: Optional[int] = None,
             if lab is not None:
                 return report(ANTIMAGIC, lab)
             note = "the n-2 scheme had no verified candidate"
-        elif method == "dense" or (auto and g.min_degree() >= effective_d(g.n, d)):
+        elif method == "dense" or (auto and g.min_degree() >= effective_d(g.n)):
             route = "dense"
-            res = label_dense(g, d=d, seed=seed)
+            res = label_dense(g, seed=seed)
             if res.ok:
                 return report(ANTIMAGIC, res.labeling, res.resamples)
             return report(FAILED, None, res.resamples,

@@ -426,8 +426,7 @@ class TestPhase5:
         rng = random.Random(31)
         seen = Counter()
         for _ in range(2000):
-            lab = phase5_assign(st, rng)
-            seen[tuple(lab.labels)] += 1
+            seen[tuple(phase5_assign(st, rng))] += 1
         assert len(seen) == 2
         for count in seen.values():
             assert abs(count / 2000 - 0.5) < 0.05
@@ -436,8 +435,7 @@ class TestPhase5:
         g = cycle_graph(6)
         st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d=2)),
                                 random.Random(3))
-        lab = phase5_assign(st, random.Random(4))
-        assert sorted(lab.labels) == list(range(1, 7))
+        assert sorted(phase5_assign(st, random.Random(4))) == list(range(1, 7))
 
 
 class TestDriver:
@@ -454,6 +452,15 @@ class TestDriver:
         res = label_dense(g, d=1)
         assert not res.ok
         assert (res.resamples, res.best_collision_count) == (0, 1)
+
+    def test_budget_spent_when_no_coin_separates(self, monkeypatch):
+        # Each edge of 2K2 is the only edge at both its ends, so they always
+        # share a sum; yet its coin meets every vertex, so the run spends its
+        # budget, cut here to 3 resamples.
+        monkeypatch.setattr(dense, "MAX_RESAMPLES", 3)
+        res = label_dense(Graph(4, [(0, 1), (2, 3)]), d=1)
+        assert not res.ok
+        assert (res.resamples, res.best_collision_count) == (3, 2)
 
     def test_default_d_from_size(self):
         assert dense.effective_d(128) == 15  # ceil(3 ln 128)

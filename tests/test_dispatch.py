@@ -98,9 +98,9 @@ def test_routes_each_family(g, method, outcome):
 _STAR_PLUS_ISOLATED = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
 
 
-# Each edge of 2K2 is the only edge at both its ends, so they always share a
-# sum; yet its coin meets every vertex, so the dense route spends its budget,
-# cut here to 3 resamples.
+# The dense route's resample budget is cut here to 3; the n = 20 graph, at
+# minimum degree effective_d(20) = 9, needs 5 resamples at seed 7, so the
+# route spends the budget and fails.
 @pytest.mark.parametrize("g, kwargs, outcome, resamples, note", [
     (Graph(1, []), {}, ANTIMAGIC, 0, "trivial"),
     (cycle_graph(5), {"method": "partite"}, NOT_APPLICABLE, 0, "not complete multipartite"),
@@ -110,10 +110,10 @@ _STAR_PLUS_ISOLATED = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
     (cycle_graph(5), {"method": "delta-n2"}, NOT_APPLICABLE, 0,
      "maximum degree must be exactly n-2=3, got 2"),
     (cycle_graph(5), {"method": "dense"}, NOT_APPLICABLE, 0, "minimum degree 2 is below d=5"),
-    (Graph(4, [(0, 1), (2, 3)]), {"method": "dense", "d": 1}, FAILED, 3,
-     "no certificate; fewest colliding pairs 2"),
+    (random_min_degree_graph(20, 9, 2), {"method": "dense", "seed": 7}, FAILED, 3,
+     "no certificate; fewest colliding pairs 1"),
 ], ids=["K1", "partite C5", "universal C5", "universal star plus isolated", "delta-n2 C5",
-        "dense C5", "dense 2K2"])
+        "dense C5", "dense budget spent"])
 def test_forced_routes(g, kwargs, outcome, resamples, note, monkeypatch):
     monkeypatch.setattr(antimagic.dense, "MAX_RESAMPLES", 3)
     rep = dispatch_label(g, **kwargs)
@@ -167,10 +167,10 @@ def test_unknown_method_raises():
         dispatch_label(cycle_graph(5), method="greedy")
 
 
-# The resample budget is the constant dense.MAX_RESAMPLES, so passing it is
-# refused as an unknown argument.
-@pytest.mark.parametrize("kwargs, error", [({"d": 0}, GraphError), ({"max_resamples": 0}, TypeError),
-                                           ({"d": 2.5}, GraphError), ({"max_resamples": 1.5}, TypeError)],
+# The dense route's d is effective_d(n) and its resample budget the constant
+# dense.MAX_RESAMPLES, so passing either is refused as an unknown argument.
+@pytest.mark.parametrize("kwargs, error", [({"d": 0}, TypeError), ({"max_resamples": 0}, TypeError),
+                                           ({"d": 2.5}, TypeError), ({"max_resamples": 1.5}, TypeError)],
                          ids=["d=0", "max_resamples=0", "d=2.5", "max_resamples=1.5"])
 @pytest.mark.parametrize("method", METHODS)
 def test_bad_dense_parameters_raise_on_every_route(method, kwargs, error):
@@ -199,17 +199,18 @@ def test_bad_seed_raises_in_each_seeded_labeler(label, seed):
 @pytest.mark.parametrize("seed", [0, -1, -(2 ** 70), 2 ** 70])
 def test_any_integer_seed_is_reproducible(seed):
     # zero, negatives and big integers all seed; the same seed gives the
-    # same certificate on the two seeded routes, and __index__ is honored
+    # same certificate on the two seeded routes, and __index__ is honored.
+    # The dense route's graph has minimum degree effective_d(40) = 12.
     g = random_min_degree_graph(40, 6, 0)
 
     class Seed:
         def __index__(self):
             return seed
 
-    for method in ("dense", "oracle"):
-        rep = dispatch_label(g, method, d=6, seed=seed)
+    for h, method in ((random_min_degree_graph(40, 12, 0), "dense"), (g, "oracle")):
+        rep = dispatch_label(h, method, seed=seed)
         assert rep.outcome == ANTIMAGIC
-        assert dispatch_label(g, method, d=6, seed=Seed()).certificate == rep.certificate
+        assert dispatch_label(h, method, seed=Seed()).certificate == rep.certificate
     assert label_dense(g, d=6, seed=seed).labeling == label_dense(g, d=6, seed=Seed()).labeling
     assert heuristic_search(g, seed=seed).labeling == heuristic_search(g, seed=Seed()).labeling
 
@@ -293,8 +294,10 @@ def test_every_trusted_labeling_is_verified_once_in_its_module(monkeypatch):
             if n <= 5:
                 exhaustive_search(g)
     for seed in range(3):
+        # minimum degree effective_d(40) = 12 for the dense route
+        g = random_min_degree_graph(40, 12, seed)
+        assert dispatch_label(g, "dense", seed=seed).outcome == ANTIMAGIC
         g = random_min_degree_graph(40, 6, seed)
-        assert dispatch_label(g, "dense", d=6, seed=seed).outcome == ANTIMAGIC
         assert dispatch_label(g, "oracle", seed=seed).outcome == ANTIMAGIC
     made = [i for i, (kind, _, _) in enumerate(events) if kind == "made"]
     assert {events[i][1] for i in made} == {module.__name__ for module in _TRUSTING}

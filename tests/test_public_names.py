@@ -21,9 +21,8 @@ UNREFERENCED = {
     "emit_certificate", "parse_certificate", "emit_edgelist",
     # the brute-force reference, which bench/tracing.py also times
     "exhaustive_search", "count_antimagic_labelings",
-    # the Theorem 1 lab: the paper's own draw and the character-sum experiments
-    "phase5_assign", "mod_p_distribution",
-    "mod_p_distribution_fourier", "run_character_bound_experiment",
+    # the Theorem 1 lab: the character-sum experiments
+    "mod_p_distribution", "mod_p_distribution_fourier", "run_character_bound_experiment",
     "run_point_mass_experiment",
     # test fixtures: the small-graph corpora and the graph families
     "connected_graphs_upto_iso", "high_max_degree_corpus",
@@ -52,7 +51,7 @@ def test_every_unreferenced_public_name_is_listed():
 # must cover, so a change that adds, drops or moves one edits this table.
 NO_DEFAULT = inspect.Parameter.empty
 KNOBS = {
-    dispatch_label: [("g", NO_DEFAULT), ("method", "auto"), ("d", None), ("seed", 0)],
+    dispatch_label: [("g", NO_DEFAULT), ("method", "auto"), ("seed", 0)],
     label_dense: [("g", NO_DEFAULT), ("d", None), ("seed", 0)],
     phase1_reduce: [("g", NO_DEFAULT), ("d", None)],
     heuristic_search: [("g", NO_DEFAULT), ("seed", 0)],
@@ -66,10 +65,48 @@ KNOBS = {
 }
 
 
+# Defaulted parameters that are not settings: an error field.
+NOT_KNOBS = {("ParseError.__init__", "line")}
+
+
+def defaulted_parameters():
+    """(qualified name, parameter) of every defaulted parameter of a public
+    module-level function or a public method of a public class in src.
+    Nested functions are not walked: a closure's defaults are not settings."""
+    def public(name):
+        return not name.startswith("_") or name.endswith("__")
+
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                       if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for name, fn in fns:
+                if not all(map(public, name.split("."))):
+                    continue
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+                found.update((name, a.arg) for a in defaulted)
+    return found
+
+
 def test_knobs_are_pinned():
     found = {fn.__name__: [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
              for fn in KNOBS}
     assert found == {fn.__name__: knobs for fn, knobs in KNOBS.items()}
+    # a defaulted parameter anywhere else in the public API is a knob this
+    # table does not list
+    settable = {(fn.__qualname__, name) for fn, knobs in KNOBS.items()
+                for name, default in knobs if default is not NO_DEFAULT}
+    assert defaulted_parameters() == settable | NOT_KNOBS
 
 
 # Every budget and bound constant is a module constant, not a knob: a caller
