@@ -23,12 +23,23 @@ coin can move.  Correctness is absolute because the verifier gates
 acceptance; only the running-time guarantee is heuristic.  A run reports
 its resamples and, when it fails, the fewest colliding pairs it reached.
 
+Each per-edge list is built once and handed on in the :class:`DenseState`.
+Phase 1 hands on ``ids``, the graph's own edge id ints in ascending order
+followed by one int for m, with its ``kept`` bytes and its reduced degrees
+``deg``.  Phase 2 reads the edges it pairs from ``ids`` and ``kept``, and
+each spill size from ``deg``; it hands on the pairs and ``pair_index``,
+whose pair numbers are ``ids`` entries too.  Phase 3 takes the labels 1..t
+as a slice of ``ids`` and hands on their shuffle, ``label_pairs``, and
+assembly takes the top labels from the tail of ``ids``.  ``label_dense``
+drops ``ids`` with ``label_pairs`` once the labels are assembled, before
+the sums are tallied.
+
 All randomness comes from one ``random.Random`` per run.  The label shuffle
 (``graph._shuffle``) and the coins (``graph._coins``) reproduce
-``Random.shuffle`` and ``Random.randrange(2)`` call for call: the same
-``getrandbits`` calls in the same order, hence the same draws and the same
-generator state, so a seed certifies the same labeling as a pipeline written
-with those methods.
+``Random.shuffle`` and ``Random.randrange(2)`` output for output: the same
+32-bit generator outputs in the same order, hence the same draws and the
+same generator state, so a seed certifies the same labeling as a pipeline
+written with those methods.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain, compress, count, filterfalse, islice
+from itertools import chain, compress, count, islice
 from operator import index
 from typing import Optional
 
@@ -87,19 +98,26 @@ class DenseState:
     its own.  Phase 3 sets ``label_pairs``, the shuffled labels 1..t, whose
     entries 2i and 2i+1 go to pair i.
 
-    Every edge's ends are read from the graph's ``lo`` and ``hi``.  The
-    pairs, the pair numbers in ``pair_index`` and the labels below m are
-    the graph's own edge id ints, taken from its incidence (:func:`_id_ints`),
-    so no value takes an int of its own.  Beyond the graph, the state takes
-    about 20 bytes per edge at m = 111,596, where phase 1 keeps half the
-    edges: 2.5 for ``kept`` and ``high``, 12 for the pairs (8 for
-    ``pair_index``'s slots, 4 for the two lists), 4 for the labels' slots.
+    Every edge's ends are read from the graph's ``lo`` and ``hi``.  Phase 1
+    also sets ``ids``, the ints 0..m: the graph's own edge id ints, taken
+    from its incidence (:func:`_own_edges`), then one int for m, and
+    ``deg``, the reduced degrees.  The pairs, the pair numbers in
+    ``pair_index`` and the labels are ``ids`` entries, so no value below m
+    takes an int of its own.  ``label_dense`` sets ``ids`` and
+    ``label_pairs`` to None once it has assembled the labels.  Beyond the
+    graph, the state after phase 3
+    takes about 29 bytes per edge at m = 111,596, where phase 1 keeps half
+    the edges: 8 for ``ids``' slots, 2.5 for ``kept``, ``deg`` and
+    ``high``, 12.5 for the pairs (8 for ``pair_index``'s slots, 4.5 for the
+    two lists), 4 for the labels' slots.
     """
 
     graph: Graph
     d: int
+    ids: Optional[list[int]]
     kept: bytearray
     extra: Optional[int]
+    deg: list[int]
     high: frozenset[int]
     t: int
     # phase 2
@@ -125,6 +143,23 @@ class DenseResult:
         return self.labeling is not None
 
 
+def _own_edges(g: Graph):
+    """Each vertex's edges to larger vertices, as a stretch of its incidence.
+
+    The edges whose smaller end is u are the last stretch of u's incidence,
+    from the first id past the edges of the vertices before u; so the
+    stretches, chained, are every edge id ascending, as the int objects the
+    incidence holds.  The count of the edges before u's is carried from
+    vertex to vertex, so each stretch costs one bisection of a short
+    incidence, not of ``lo``.
+    """
+    start = 0
+    for inc in g._incident:
+        own = inc[bisect_left(inc, start):]
+        start += len(own)
+        yield own
+
+
 def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
     """Strip edges between two vertices of degree above d, top labels first.
 
@@ -143,11 +178,25 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
         raise GraphError(f"minimum degree {min(deg, default=0)} is below d={d}")
     lo, hi = g.lo, g.hi
     kept = bytearray(b"\x01") * g.m
-    for e, u, v in zip(count(), lo, hi):
-        if deg[u] > d and deg[v] > d:
-            kept[e] = 0
-            deg[u] -= 1
-            deg[v] -= 1
+    # The pass meets the edges in id order, one vertex's own stretch at a
+    # time, and chains the stretches into ``ids`` as it goes.  Degrees only
+    # fall, so once u is down to d no later edge at u can go.
+    ids: list[int] = []
+    for u, own in enumerate(_own_edges(g)):
+        ids += own
+        du = deg[u]
+        if du <= d:
+            continue
+        for e in own:
+            v = hi[e]
+            if deg[v] > d:
+                kept[e] = 0
+                deg[v] -= 1
+                du -= 1
+                if du == d:
+                    break
+        deg[u] = du
+    ids.append(g.m)
     t = kept.count(1)
     extra = None
     if t % 2 == 1:
@@ -164,7 +213,7 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
         deg[hi[extra]] -= 1
         t -= 1
     high = frozenset(v for v in range(g.n) if deg[v] >= d + 1)
-    return DenseState(graph=g, d=d, kept=kept, extra=extra, high=high, t=t)
+    return DenseState(graph=g, d=d, ids=ids, kept=kept, extra=extra, deg=deg, high=high, t=t)
 
 
 # Swaps the bytes 0 and 1: it turns ``kept`` into its complement.
@@ -181,33 +230,6 @@ def _stripped(st: DenseState):
         gone[st.extra] = 0
         last = (st.extra,)
     return chain(compress(range(len(gone)), gone), last)
-
-
-def _edge_ids(g: Graph):
-    """Every edge id of ``g``, ascending, as the int objects its incidence
-    holds: the edges whose smaller end is u are the last stretch of u's
-    incidence, from the first id past the edges of the vertices before u."""
-    return chain.from_iterable(_own_edges(g))
-
-
-def _own_edges(g: Graph):
-    """Each vertex's edges to larger vertices, as a stretch of its incidence.
-
-    The count of the edges before u's is carried from vertex to vertex, so
-    each stretch costs one bisection of a short incidence, not of ``lo``.
-    """
-    start = 0
-    for inc in g._incident:
-        own = inc[bisect_left(inc, start):]
-        start += len(own)
-        yield own
-
-
-def _id_ints(g: Graph):
-    """The ints 0..m, ascending: the graph's own edge id ints below m
-    (:func:`_edge_ids`), then one int for m.  The labels and the pair
-    numbers are taken from these, so each value is one int object."""
-    return chain(_edge_ids(g), (g.m,))
 
 
 def _disjoint_pairs(rest: list[int], lo, hi) -> tuple[list[int], list[int]]:
@@ -303,21 +325,25 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     argument guarantees whenever enough pairs exist.
     """
     g = st.graph
+    d, kept, incident = st.d, st.kept, g._incident
+    # ``free`` marks the kept edges outside every spill set
+    free = bytearray(kept)
     spill: dict[int, tuple[int, ...]] = {}
     for v in sorted(st.high):
-        h = _kept_at(st, v)
-        dv = len(h)
-        lo = max(0, dv - st.d - 1)
+        dv = st.deg[v]
+        lo = max(0, dv - d - 1)
         size = lo + (lo % 2)
-        if size > dv - st.d + 1:
+        if size > dv - d + 1:
             raise AssertionError("no even spill size fits the degree window")
-        spill[v] = tuple(h[:size])
-    spill_edges = {e for edges in spill.values() for e in edges}
-    if len(spill_edges) != sum(len(v) for v in spill.values()):
+        # the spill set is the first stretch of the kept edges at v
+        inc = incident[v]
+        spill[v] = chunk = tuple(islice(compress(inc, map(kept.__getitem__, inc)), size))
+        for e in chunk:
+            free[e] = 0
+    if free.count(1) != st.t - sum(map(len, spill.values())):
         raise AssertionError("spill sets must be disjoint")
 
-    rest = list(filterfalse(spill_edges.__contains__, compress(_edge_ids(g), st.kept)))
-    first, second = _disjoint_pairs(rest, g.lo, g.hi)
+    first, second = _disjoint_pairs(list(compress(st.ids, free)), g.lo, g.hi)
     # A spill set ascends, so its pairs too have the smaller id first.
     for v in sorted(spill):
         chunk = spill[v]
@@ -333,25 +359,20 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     second = list(map(pair_index.__getitem__, first))
     # The pairs are numbered with the graph's own id ints, which outnumber
     # them.
-    for i, a, b in zip(_edge_ids(g), first, second):
+    for i, a, b in zip(st.ids, first, second):
         pair_index[a] = pair_index[b] = i
     if pair_index.count(-1) != g.m - st.t:
         raise AssertionError("pairing must cover every remaining edge exactly once")
     return replace(st, pair_first=first, pair_second=second, pair_index=pair_index, spill=spill)
 
 
-def _kept_at(st: DenseState, v: int) -> list[int]:
-    """The edges at ``v`` that phase 1 kept, ascending, as the graph's own
-    id ints."""
-    inc = st.graph._incident[v]
-    return list(compress(inc, map(st.kept.__getitem__, inc)))
-
-
 def _leftover(st: DenseState, v: int) -> list[int]:
     """The edges phase 2 leaves at ``v`` once its spill-over set is gone,
-    ascending: the edges at ``v`` that phase 1 kept, past the spill set,
-    which is their first stretch."""
-    return _kept_at(st, v)[len(st.spill.get(v, ())):]
+    ascending: the edges at ``v`` that phase 1 kept, as the graph's own id
+    ints, past the spill set, which is their first stretch."""
+    inc = st.graph._incident[v]
+    kept_at = compress(inc, map(st.kept.__getitem__, inc))
+    return list(islice(kept_at, len(st.spill.get(v, ())), None))
 
 
 def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
@@ -361,12 +382,12 @@ def phase3_pair_labels(st: DenseState, rng: random.Random) -> DenseState:
     of the labels: ``label_pairs`` is the shuffled list itself, and its
     entries 2i and 2i+1, in either order, go to pair i.  The
     shuffle reproduces ``rng.shuffle`` call for call, so it leaves ``rng``
-    in the same state.  The labels are the graph's own id ints
-    (:func:`_id_ints`), not ints of their own.
+    in the same state.  The labels are a slice of phase 1's ``ids``, the
+    graph's own id ints, not ints of their own.
     """
     if st.pair_first is None:
         raise GraphError("phase 2 has not run")
-    labels = list(islice(_id_ints(st.graph), 1, st.t + 1))
+    labels = st.ids[1:st.t + 1]
     _shuffle(labels, rng)
     # Both edges of a spill pair meet their high vertex, so its spill-over
     # sum is fixed here, whichever way the later coins fall.
@@ -378,14 +399,14 @@ def assemble_labeling(st: DenseState, coins: list[int]) -> list[int]:
     of labels by edge id.
 
     The i-th stripped edge (:func:`_stripped`) takes label m - i, as the
-    int :func:`_id_ints` holds for it.  Pair i takes ``label_pairs``
+    int ``ids`` holds for it.  Pair i takes ``label_pairs``
     entries 2i and 2i+1; heads (0) sends the smaller of them to the
     canonically smaller edge.
     """
     m = st.graph.m
     labels = [0] * m
-    top = list(islice(_id_ints(st.graph), st.t + 1, None))
-    for e, lab in zip(_stripped(st), reversed(top)):
+    # labels m, m - 1, ... from the top of phase 1's id ints
+    for e, lab in zip(_stripped(st), reversed(st.ids)):
         labels[e] = lab
     it = iter(st.label_pairs)
     for e1, e2, a, b, coin in zip(st.pair_first, st.pair_second, it, it, coins):
@@ -424,14 +445,15 @@ def label_dense(g: Graph, d: Optional[int] = None, seed: int = 0) -> DenseResult
     ``d`` is phase 1's minimum-degree parameter (None: ceil(C ln n)), and
     ``seed``, any integer, seeds the run's one ``random.Random``.
     """
-    check_knobs(d=d, seed=seed)
+    # phase1_reduce checks d
+    check_knobs(seed=seed)
     rng = random.Random(index(seed))
     st = phase3_pair_labels(phase2_pair_edges(phase1_reduce(g, d)), rng)
     first, second = st.pair_first, st.pair_second
     labels = phase5_assign(st, rng)
-    # The assembled list holds the labels now; drop the shuffled copy
-    # before the sums are tallied.
-    st = replace(st, label_pairs=None)
+    # The assembled list holds the labels now; drop the shuffled copy and
+    # the id list before the sums are tallied.
+    st = replace(st, ids=None, label_pairs=None)
     state = CollisionState(g, labels)
     best_count = state.collisions
     resamples = 0

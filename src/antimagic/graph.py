@@ -438,10 +438,10 @@ class CollisionState:
 
 
 # The draws below reproduce the ``random.Random`` methods named in their
-# docstrings call for call: the same ``getrandbits`` calls in the same order,
-# hence the same values and the same generator state, without the methods'
-# layers of Python calls.  A seed therefore gives the same labeling as code
-# written with those methods.
+# docstrings output for output: the same 32-bit generator outputs in the same
+# order, hence the same values and the same generator state, without the
+# methods' layers of Python calls.  A seed therefore gives the same labeling
+# as code written with those methods.
 
 def _below(n: int, getrandbits) -> int:
     """A draw from ``range(n)``, ``n >= 1``, exactly as ``Random._randbelow``.
@@ -480,20 +480,30 @@ def _shuffle(x: list, rng: Random) -> None:
         hi = lo - 1
 
 
+# ``randrange(2)`` reads the top two bits of one 32-bit output, and redraws
+# while they read 2 or 3.  An output's top byte is byte 3 of its 4 in a
+# little-endian ``getrandbits`` word array: below 128 it gives the coin bit 6,
+# from 128 on it is redrawn.
+_COIN_BIT = bytes(b >> 6 & 1 for b in range(256))
+_REDRAWN = bytes(range(128, 256))
+
+
 def _coins(n: int, rng: Random) -> list[int]:
     """``n`` fair coins, exactly as ``[rng.randrange(2) for _ in range(n)]``.
 
-    Like ``randrange(2)``, each coin redraws ``getrandbits(2)`` while it
-    reads 2 or 3.
+    Word i of ``getrandbits(32 * k)`` is the generator's i-th 32-bit output,
+    the word the i-th ``getrandbits(2)`` would shift down.  So each batch
+    draws one word per coin still missing, keeps the coins of the words
+    ``randrange(2)`` accepts and drops the rest.  A batch never draws more
+    words than coins are missing, so the generator ends in the state the
+    stdlib calls leave it in.
     """
     getrandbits = rng.getrandbits
-    out = []
-    for _ in range(n):
-        c = getrandbits(2)
-        while c > 1:
-            c = getrandbits(2)
-        out.append(c)
-    return out
+    out = bytearray()
+    while len(out) < n:
+        need = n - len(out)
+        out += getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(_COIN_BIT, _REDRAWN)
+    return list(out)
 
 
 def _is_permutation(labels) -> bool:
