@@ -86,11 +86,11 @@ class DenseState:
     on those it stripped, and ``extra``, the edge its parity adjustment
     stripped last (None when no adjustment ran).  The stripped edges take
     the top labels in stripping order, ascending ids and then ``extra``
-    (:func:`_stripped`), the i-th taking label m - i.  ``high`` holds the
-    vertices whose reduced degree is at least d+1 (the parity adjustment
-    can leave up to two vertices one below d).  Phase 2 sets the pairs,
-    pair i being ``(pair_first[i], pair_second[i])`` with the smaller id
-    first and ``pair_first`` ascending, each edge's pair at
+    (:func:`_stripped`), the i-th taking label m - i.  ``deg`` holds the
+    reduced degrees; the high vertices are those above d (the parity
+    adjustment can leave up to two vertices one below d).  Phase 2 sets the
+    pairs, pair i being ``(pair_first[i], pair_second[i])`` with the
+    smaller id first and ``pair_first`` ascending, each edge's pair at
     ``pair_index[e]`` (-1 for a stripped edge), and the high vertices'
     spill-over sets ``spill``; the edges a vertex keeps past its spill set
     are worked out from ``kept``, ``spill`` and the graph's incidence when
@@ -100,16 +100,15 @@ class DenseState:
 
     Every edge's ends are read from the graph's ``lo`` and ``hi``.  Phase 1
     also sets ``ids``, the ints 0..m: the graph's own edge id ints, taken
-    from its incidence (:func:`_own_edges`), then one int for m, and
-    ``deg``, the reduced degrees.  The pairs, the pair numbers in
-    ``pair_index`` and the labels are ``ids`` entries, so no value below m
-    takes an int of its own.  ``label_dense`` sets ``ids`` and
-    ``label_pairs`` to None once it has assembled the labels.  Beyond the
-    graph, the state after phase 3
-    takes about 29 bytes per edge at m = 111,596, where phase 1 keeps half
-    the edges: 8 for ``ids``' slots, 2.5 for ``kept``, ``deg`` and
-    ``high``, 12.5 for the pairs (8 for ``pair_index``'s slots, 4.5 for the
-    two lists), 4 for the labels' slots.
+    from its incidence (:func:`_own_edges`), then one int for m.  The
+    pairs, the pair numbers in ``pair_index`` and the labels are ``ids``
+    entries, so no value below m takes an int of its own.  ``label_dense``
+    sets ``ids`` and ``label_pairs`` to None once it has assembled the
+    labels.  Beyond the graph, the state after phase 3 takes about 28
+    bytes per edge at m = 111,596, where phase 1 keeps half the edges: 8
+    for ``ids``' slots, 1.3 for ``kept`` and ``deg``, 12.5 for the pairs (8
+    for ``pair_index``'s slots, 4.5 for the two lists), 1.5 for the spill
+    sets, 4 for the labels' slots.
     """
 
     graph: Graph
@@ -118,7 +117,6 @@ class DenseState:
     kept: bytearray
     extra: Optional[int]
     deg: list[int]
-    high: frozenset[int]
     t: int
     # phase 2
     pair_first: Optional[list[int]] = None
@@ -212,8 +210,7 @@ def phase1_reduce(g: Graph, d: Optional[int] = None) -> DenseState:
         deg[lo[extra]] -= 1
         deg[hi[extra]] -= 1
         t -= 1
-    high = frozenset(v for v in range(g.n) if deg[v] >= d + 1)
-    return DenseState(graph=g, d=d, ids=ids, kept=kept, extra=extra, deg=deg, high=high, t=t)
+    return DenseState(graph=g, d=d, ids=ids, kept=kept, extra=extra, deg=deg, t=t)
 
 
 # Swaps the bytes 0 and 1: it turns ``kept`` into its complement.
@@ -329,8 +326,9 @@ def phase2_pair_edges(st: DenseState) -> DenseState:
     # ``free`` marks the kept edges outside every spill set
     free = bytearray(kept)
     spill: dict[int, tuple[int, ...]] = {}
-    for v in sorted(st.high):
-        dv = st.deg[v]
+    for v, dv in enumerate(st.deg):
+        if dv <= d:
+            continue
         lo = max(0, dv - d - 1)
         size = lo + (lo % 2)
         if size > dv - d + 1:

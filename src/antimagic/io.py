@@ -83,7 +83,7 @@ def parse_edgelist(text: str) -> Graph:
         rows = [row for row in rows if row and row[0][0] != "#"]
     fields = list(chain.from_iterable(rows)) if set(map(len, rows)) <= {2} else None
     del rows
-    codes = _edge_codes(fields, n, text.isascii() and "_" not in text)
+    codes = _edge_codes(fields, n)
     if codes is None:
         _reject_edge_lines(text.splitlines(), header_no, n)
     if len(codes) != m:
@@ -110,21 +110,18 @@ def _ints(fields: list[str]) -> list[int]:
     return list(map(int, fields))
 
 
-def _edge_codes(fields: Optional[list[str]], n: int, plain: bool) -> Optional[list[int]]:
+def _edge_codes(fields: Optional[list[str]], n: int) -> Optional[list[int]]:
     """The edges whose ends are ``fields``, two by two, as sorted codes
     ``u * n + v``, ``u < v``, which order them as Graph stores them; None if
     ``fields`` is None (a line is no ``u v``), an end is no vertex or an edge
     repeats.
 
-    ``plain`` says the whole document is ASCII with no '_'.  Then every
-    field ``int()`` takes is an optional sign and digits, so the fields go
-    to ``int()`` directly, without :func:`_ints`'s join of them all.  Each
-    check is one pass over the whole document, not a loop per line.
+    Each check is one pass over the whole document, not a loop per line.
     """
     if fields is None:
         return None
     try:
-        ends = list(map(int, fields)) if plain else _ints(fields)
+        ends = _ints(fields)
     except ValueError:
         return None
     us, vs = ends[0::2], ends[1::2]

@@ -178,4 +178,4 @@ def test_code_line_counter(tmp_path):
 
 def test_src_code_lines_are_pinned():
     # a change that adds or drops code in src edits this number
-    assert sum(code_lines(path) for path in SRC.glob("*.py")) == 1700
+    assert sum(code_lines(path) for path in SRC.glob("*.py")) == 1699
