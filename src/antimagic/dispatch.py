@@ -42,10 +42,19 @@ class RunReport:
     labeler verified it (the trivial empty labeling of a graph on at most one
     vertex is antimagic by definition).
 
-    ``graph_id`` is the graph's graph6 line, or ``""`` when the graph has
-    more than ``GRAPH6_MAX_N`` vertices: graph6 cannot encode it, and the
-    line would take gigabytes.  ``resamples`` counts the dense route's coin
-    resamples and is 0 on every other route.
+    ``graph_id`` names the graph.  A graph parsed from a graph6 line in the
+    form :func:`.io.emit_graph6` writes keeps that line as its id.  A graph
+    on more than ``GRAPH6_MAX_N`` vertices gets ``""``: graph6 cannot
+    encode it.  Any other graph is named by its graph6 line when that line
+    is no longer than a digest id, 71 characters (so n <= 29), and
+    otherwise by ``"sha256:"`` and the hex digest of n, then its end lists
+    ``lo`` and ``hi``, each number an 8-byte little-endian integer.  So
+    that id takes O(m) time and fixed space, where the graph6 line has
+    n(n-1)/12 characters.
+    The one trade-off: a graph that arrives as a long graph6 line is named
+    by that line, and the same graph arriving as an edge list by its
+    digest.  ``resamples`` counts the dense route's coin resamples and is
+    0 on every other route.
 
     :func:`dispatch_label` fills the instance dict of
     ``object.__new__(RunReport)`` without ``__init__``, so a new field must
@@ -95,6 +104,28 @@ def recognize_complete_multipartite(g: Graph) -> Optional[list[list[int]]]:
     return classes
 
 
+# "sha256:" and 64 hex digits
+_DIGEST_ID_LEN = 71
+
+
+def _graph_id(g: Graph) -> str:
+    """``RunReport.graph_id`` of ``g``; the graph6 line comes from
+    ``emit_graph6``, looked up in this module, so that a tracer can time it."""
+    n = g.n
+    if n > GRAPH6_MAX_N:
+        return ""
+    # a short-form line has 1 + ceil(n(n-1)/12) characters, and a long one
+    # (n > 62) is longer than the digest id
+    if g._graph6 is not None or 1 + (n * (n - 1) // 2 + 5) // 6 <= _DIGEST_ID_LEN:
+        return emit_graph6(g)
+    # hashlib and struct load here, not at import, since a cold start that
+    # labels one small graph never needs them
+    import hashlib
+    import struct
+    ends = struct.pack(f"<{1 + 2 * g.m}q", n, *g.lo, *g.hi)
+    return "sha256:" + hashlib.sha256(ends).hexdigest()
+
+
 def dispatch_label(g: Graph, method: str = "auto", seed: int = 0) -> RunReport:
     """Label ``g`` by ``method`` and report the route, outcome and certificate.
 
@@ -126,7 +157,7 @@ def dispatch_label(g: Graph, method: str = "auto", seed: int = 0) -> RunReport:
     # a bad seed raises here, whatever the route, though only the dense
     # route and the search read it
     check_knobs(seed=seed)
-    graph_id = emit_graph6(g) if g.n <= GRAPH6_MAX_N else ""
+    graph_id = _graph_id(g)
 
     route = method
 

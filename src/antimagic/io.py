@@ -9,8 +9,12 @@ in one pass through lookup tables; a long-form body is decoded a chunk at
 a time, so its parse holds one chunk's bits, never the whole triangle's.
 An edge list is a header line ``n m``, then one ``u v`` line per edge, in
 either orientation and any order; blank lines and lines starting with
-``#`` (comments) may appear anywhere.  A malformed document raises
-:class:`ParseError`, which names the first bad line.
+``#`` (comments) may appear anywhere.  Its parse checks the shape of every
+line on the whole body at once, through one class string and the set of
+its distinct lines, and tokenises the body with one ``split()``, so it
+builds no list per line and peaks at about 150 bytes per edge.  A
+malformed document raises :class:`ParseError`, which names the first bad
+line.
 Certificates are grep-friendly text: one ``u v label`` line per edge, one
 ``vertex sum`` line per vertex, then a status line.
 """
@@ -18,6 +22,7 @@ Certificates are grep-friendly text: one ``u v label`` line per edge, one
 from __future__ import annotations
 
 import binascii
+import re
 from itertools import chain, islice, repeat
 from operator import eq, floordiv, mod
 from typing import NoReturn, Optional
@@ -46,17 +51,21 @@ def parse_edgelist(text: str) -> Graph:
     negative count), or, when the edges number other than the header's
     ``m``, no line.
 
-    The graph's end lists ``lo`` and ``hi`` are filled from the sorted
-    edge codes, each end looked up in one list of the vertex ints, so they
-    take 16 bytes per edge and the whole graph about 65.
+    After the header, the document is checked as a whole, with no list per
+    line.  One ``str.translate`` maps the body to its classes (token, blank
+    and line break), and the set of distinct class lines, a handful, shows
+    whether every line is blank or two tokens.  One ``split()`` tokenises
+    the body, each distinct token is read once, and each end then costs one
+    dict lookup.  So the parse peaks at about 150 bytes per edge, the
+    tokens most of it, and the graph keeps about 65: its end lists ``lo``
+    and ``hi`` share one int per vertex and take 16 bytes per edge.  Only
+    when a check fails is the text split into lines, to name the first bad
+    one.
     """
-    lines = text.splitlines()
     header = None
-    header_no = 0
-    for i, raw in enumerate(lines, start=1):
-        if raw.strip() and not raw.lstrip().startswith("#"):
-            header = raw.split()
-            header_no = i
+    for header_no, line in enumerate(_LINE.finditer(text), start=1):
+        if line[1].strip() and not line[1].lstrip().startswith("#"):
+            header = line[1].split()
             break
     if header is None:
         raise ParseError("empty document")
@@ -74,27 +83,46 @@ def parse_edgelist(text: str) -> Graph:
         # Graph allocates one incidence list per vertex, so the header alone
         # must not be able to ask for billions of them
         raise ParseError(f"at most {GRAPH6_MAX_N} vertices, header says {n}", header_no)
-    # each list goes as soon as the next is built, so the lines, the rows
-    # and the fields never all exist at once; the error path splits the
-    # text again to name the first bad line
-    rows = list(map(str.split, islice(lines, header_no, None)))
-    del lines
-    if "#" in text or not all(rows):
-        rows = [row for row in rows if row and row[0][0] != "#"]
-    fields = list(chain.from_iterable(rows)) if set(map(len, rows)) <= {2} else None
-    del rows
-    codes = _edge_codes(fields, n)
-    if codes is None:
+    # the body starts with the header's line break, so every edge line
+    # follows one
+    body = text[line.end(1):]
+    if "#" in body:
+        body = _COMMENT.sub("\n", body.translate(_NEWLINES))
+    ends = _edge_ends(body.split(), n) if _two_per_line(body) else None
+    del body
+    if ends is None:
         _reject_edge_lines(text.splitlines(), header_no, n)
-    if len(codes) != m:
-        raise ParseError(f"header promises {m} edges, found {len(codes)}")
-    # the ends of code u * n + v are its quotient and remainder; looking
-    # them up in one list of the vertices lets all of a vertex's edges share
-    # its int, so each end costs its 8-byte slot alone
-    vertex = list(range(n)).__getitem__
-    lo = list(map(vertex, map(floordiv, codes, repeat(n))))
-    hi = list(map(vertex, map(mod, codes, repeat(n))))
+    lo, hi = ends
+    if len(lo) != m:
+        raise ParseError(f"header promises {m} edges, found {len(lo)}")
     return _canonical_graph(n, lo, hi)
+
+
+# The characters that str.splitlines() breaks lines at, and the other
+# whitespace that str.split() and str.strip() know (the test suite checks
+# both against every code point).
+_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+_BLANKS = "\t\x1f \xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200B)))
+# one line of a document and its break, as str.splitlines() sees them
+_LINE = re.compile(f"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\\Z)")
+_NEWLINES = str.maketrans(dict.fromkeys(_BREAKS, "\n"))
+# a comment line, once every line break is '\n'
+_COMMENT = re.compile(r"\n[^\S\n]*#[^\n]*")
+# Every other ASCII character is a token character.  A Unicode one stays as
+# it is, and the token it is in is no number.
+_CLASSES = str.maketrans({**dict.fromkeys(map(chr, range(128)), "x"), **dict.fromkeys(_BLANKS, " "),
+                          **dict.fromkeys(_BREAKS, "\n")})
+
+
+def _two_per_line(body: str) -> bool:
+    """Whether each line of ``body`` is blank or two tokens.
+
+    A line's class string (``x`` per token character, a space per blank)
+    shows its shape, and the lines of a document have few distinct ones, so
+    each distinct shape is checked once.
+    """
+    shapes = set(body.translate(_CLASSES).split("\n"))
+    return set(map(len, map(str.split, shapes))) <= {0, 2}
 
 
 def _ints(fields: list[str]) -> list[int]:
@@ -110,27 +138,42 @@ def _ints(fields: list[str]) -> list[int]:
     return list(map(int, fields))
 
 
-def _edge_codes(fields: Optional[list[str]], n: int) -> Optional[list[int]]:
-    """The edges whose ends are ``fields``, two by two, as sorted codes
-    ``u * n + v``, ``u < v``, which order them as Graph stores them; None if
-    ``fields`` is None (a line is no ``u v``), an end is no vertex or an edge
-    repeats.
+def _edge_ends(tokens: list[str], n: int) -> Optional[tuple[list[int], list[int]]]:
+    """The end lists ``lo`` and ``hi`` of the edges whose ends are
+    ``tokens``, two by two, in Graph's order; None if an end is no vertex,
+    an edge is a loop or an edge repeats.  ``tokens`` is emptied.
 
-    Each check is one pass over the whole document, not a loop per line.
+    Each distinct token is read once, and each end is one lookup in the
+    dict of the distinct tokens, so the work and the ints go by the tokens
+    present, never by n.  Each check is one pass over the whole document,
+    not a loop per line.
     """
-    if fields is None:
-        return None
+    distinct = list(set(tokens))
     try:
-        ends = _ints(fields)
+        ints = _ints(distinct)
     except ValueError:
         return None
-    us, vs = ends[0::2], ends[1::2]
-    if ends and (min(ends) < 0 or max(ends) >= n) or any(map(eq, us, vs)):
+    if ints and (min(ints) < 0 or max(ints) >= n):
         return None
-    codes = sorted([u * n + v if u < v else v * n + u for u, v in zip(us, vs)])
+    end = dict(zip(distinct, ints)).__getitem__
+    us = list(map(end, islice(tokens, 0, None, 2)))
+    vs = list(map(end, islice(tokens, 1, None, 2)))
+    tokens.clear()
+    if any(map(eq, us, vs)):
+        return None
+    # code u * n + v, u < v, orders the edges as Graph stores them
+    codes = [u * n + v if u < v else v * n + u for u, v in zip(us, vs)]
+    del us, vs
+    codes.sort()
     if any(map(eq, codes, islice(codes, 1, None))):
         return None
-    return codes
+    # the ends are each code's quotient and remainder; looking them up in
+    # one dict of the vertices present lets all of a vertex's edges share
+    # its int, so each end costs its 8-byte slot alone
+    vertex = {v: v for v in ints}.__getitem__
+    lo = list(map(vertex, map(floordiv, codes, repeat(n))))
+    hi = list(map(vertex, map(mod, codes, repeat(n))))
+    return lo, hi
 
 
 def _reject_edge_lines(lines: list[str], header_no: int, n: int) -> NoReturn:

@@ -17,6 +17,7 @@ import antimagic.dispatch
 import antimagic.oracle
 import antimagic.partite
 import antimagic.special
+from antimagic import io
 from antimagic.corpus import connected_graphs_upto_iso, graphs_upto_iso
 from antimagic.dispatch import (ANTIMAGIC, FAILED, METHODS, NOT_APPLICABLE, dispatch_label,
                                 recognize_complete_multipartite)
@@ -43,15 +44,47 @@ def test_wall_time_covers_graph_id(monkeypatch):
 
 
 def test_cold_start_does_not_import_numpy():
-    # numpy's import alone costs more than a whole cold start of the labeler
+    # numpy's import alone costs more than a whole cold start of the labeler,
+    # and hashlib's a few percent of one; only the digest id needs hashlib
     src = str(Path(antimagic.dispatch.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from antimagic import dispatch, io; "
             "assert dispatch.dispatch_label(io.parse_graph6('Bw')).certificate is not None; "
-            "print('numpy' in sys.modules)")
+            "print('numpy' in sys.modules, 'hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
+
+
+# the id of C40 from an edge list: sha256 of n, lo and hi as 8-byte
+# little-endian integers, the same on CPython 3.10 to 3.13
+C40_ID = "sha256:88af100ce5fe0e5a45d88bc54ff7d4c8ce2448d359d743fa5ac5fa45e80d659b"
+
+
+def test_graph_id_is_a_digest_of_the_edges():
+    c40 = io.parse_edgelist(io.emit_edgelist(cycle_graph(40)))
+    assert dispatch_label(c40).graph_id == C40_ID
+    # the id names the graph, not its numbering of the edges
+    rng = random.Random(0)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in c40.edges]
+    rng.shuffle(edges)
+    assert dispatch_label(Graph(40, edges)).graph_id == C40_ID
+    assert dispatch_label(Graph(40, edges + [(0, 20)])).graph_id not in (C40_ID, "")
+
+
+def test_short_graph6_line_is_the_graph_id():
+    # a graph6 line no longer than a digest names the graph itself: n <= 29
+    for n in (28, 29):
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        assert dispatch_label(g).graph_id == io.emit_graph6(g)
+        assert len(io.emit_graph6(g)) <= len(C40_ID)
+    assert dispatch_label(cycle_graph(30)).graph_id.startswith("sha256:")
+
+
+def test_long_form_graph6_line_stays_the_graph_id():
+    line = io.emit_graph6(cycle_graph(70))
+    assert line.startswith("~")
+    assert dispatch_label(io.parse_graph6(line)).graph_id == line
 
 
 def test_graph_beyond_graph6_gets_empty_id():

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -32,6 +33,8 @@ def test_duplicate_edge_reports_its_line(dup):
     ("\n-1 0\n", "vertex count must be non-negative, header says -1", 2),
     ("3 -1\n", "edge count must be non-negative, header says -1", 1),
     ("3 2\n0 1\n1 2 7\n", "edge line must be 'u v'", 3),
+    ("4 2\n0 1 2\n3 1\n", "edge line must be 'u v'", 2),
+    ("4 2\n0\n1 2 3\n", "edge line must be 'u v'", 2),
     ("3 1\n# edge\n0 one\n", "edge endpoints must be integers", 3),
     ("3 1\n0 1_0\n", "edge endpoints must be integers", 2),
     ("3 2\n0 1\n1 \u0662\n", "edge endpoints must be integers", 3),
@@ -42,7 +45,7 @@ def test_duplicate_edge_reports_its_line(dup):
     ("3 2\n0 1\n\n1 3\n", "vertex out of range 0..2", 4),
     ("3 2\n0 1\n", "header promises 2 edges, found 1", None),
 ], ids=["empty", "comment only", "short header", "non-integer header", "huge n", "negative n",
-        "negative m", "long edge line", "non-integer end", "underscore end", "Arabic-Indic digit end",
+        "negative m", "long edge line", "three ends", "one end, then three", "non-integer end", "underscore end", "Arabic-Indic digit end",
         "underscore before duplicate", "underscore header", "fullwidth digit header",
         "self-loop", "out of range", "edge count"])
 def test_edgelist_rejects(text, message, line):
@@ -54,6 +57,12 @@ def test_edgelist_rejects(text, message, line):
 
 def test_comments_may_hold_underscores_and_non_ascii_text():
     g = parse_edgelist("# n_m, café \u0662\n3 2\n0 +1\n  # 1_0\n2 1\n")
+    assert (g.n, g.edges) == (3, ((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("blank", ["\t", "\xa0", "\x1f", "\u3000"])
+def test_comment_lines_may_be_indented_by_any_blank(blank):
+    g = parse_edgelist(f"3 2\n{blank}# 0 2\n0 1\n{blank}{blank}#\n2 1\n")
     assert (g.n, g.edges) == (3, ((0, 1), (1, 2)))
 
 
@@ -257,8 +266,10 @@ def _reference_parse_edgelist(text: str) -> Graph:
 # Tokens and separators beyond _fuzz_lines: int() takes '+3', '0_1' and
 # Unicode digits, of which only '+3' is a number here, str.split() and str.strip() agree on Unicode whitespace,
 # and a '#' starts a comment only at the front of a stripped line.
-_odd_tokens = st.sampled_from(["+3", "0_1", "1#", "#", "#1", "x", "-0", "٣", "12" * 3])
-_separators = st.sampled_from([" ", "  ", "\t", "\xa0", "\x1f"])
+_odd_tokens = st.sampled_from(["+3", "0_1", "1#", "#", "#1", "x", "-0", "٣", "12" * 3, "1-2", "+-1", "a"])
+_separators = st.sampled_from([" ", "  ", "\t", "\xa0", "\x1f", "\u2000", "\u3000"])
+# the line breaks of str.splitlines() beyond '\n', '\r' and '\r\n'
+_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _noise_lines = (_fuzz_lines
                 | st.sampled_from(["", " ", "\t", "#", "# comment", "  # indented comment", "#0 1", "0 1 # note"])
                 | st.lists(st.integers(-1, 12).map(str) | _odd_tokens, min_size=1, max_size=3)
@@ -274,10 +285,12 @@ def edgelist_documents(draw):
     pairs = [(u, v) for v in range(max(n, 0)) for u in range(v)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=15)) if pairs else []
     rows = []
+    # in half the documents, an edge's ends may also be split by a line break
+    separators = draw(st.sampled_from([_separators, _separators | st.sampled_from(_LINE_BREAKS)]))
     for u, v in edges:
         if draw(st.booleans()):
             u, v = v, u
-        rows.append(f"{u}{draw(_separators)}{v}")
+        rows.append(f"{u}{draw(separators)}{v}")
     for _ in range(draw(st.integers(0, 3))):
         # a noise line, or an edge line again, the other way round
         again = st.sampled_from(rows).map(lambda r: " ".join(r.split()[::-1])) if rows else _noise_lines
@@ -285,9 +298,17 @@ def edgelist_documents(draw):
     m = draw(st.just(len(edges)) | st.integers(-1, 16))
     head = draw(st.lists(st.sampled_from(["", "# c", "  #", "\t"]), max_size=2))
     header = draw(st.sampled_from([f"{n} {m}", f" {n}\t{m} ", f"+{n}\xa0{m}", f"{n} {m} 0"]))
-    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", *_LINE_BREAKS]))
     tail = draw(st.sampled_from(["", newline]))
     return newline.join([*head, header, *rows]) + tail
+
+
+def test_whitespace_tables_hold_what_str_methods_know():
+    # parse_edgelist's tables must name every character str.split() splits at
+    # and every one str.splitlines() breaks lines at, on this Python's Unicode
+    space = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert sorted(io._BREAKS) == [c for c in space if len(f"a{c}b".splitlines()) == 2]
+    assert sorted(io._BLANKS + io._BREAKS) == space
 
 
 def _outcome(parse, text):
@@ -556,11 +577,12 @@ def test_graph6_parse_peaks_below_77_bytes_per_edge():
     assert (peak - base) / g.m <= 77
 
 
-def test_edgelist_parse_peaks_below_377_bytes_per_edge():
-    # The parse lets each of its lists go once the next is built: the lines
-    # once split into rows, the rows once flattened into fields.  This parse
-    # peaks at 328 bytes per edge on Python 3.10 and 3.11 and 246 on 3.12
-    # and 3.13 (443 to 447 and 365 when the lines and rows lived to the end).
+def test_edgelist_parse_peaks_below_155_bytes_per_edge():
+    # The parse checks the lines' shapes on the distinct class strings and
+    # tokenises the body with one split(), so it holds no list per line and
+    # no line list beside the tokens.  It peaks at 147 bytes per edge on
+    # Python 3.10 and 3.11 and 131 on 3.12 and 3.13 (328 and 246 when each
+    # line was split into a row of its own).
     g = random_min_degree_graph(800, 50, 0)
     text = emit_edgelist(g)
     tracemalloc.start()
@@ -571,7 +593,7 @@ def test_edgelist_parse_peaks_below_377_bytes_per_edge():
     finally:
         tracemalloc.stop()
     assert h == g
-    assert (peak - base) / g.m <= 377
+    assert (peak - base) / g.m <= 155
 
 
 def _random_graphs(seed):
