@@ -24,7 +24,7 @@ from .dense import PairingError, effective_d, label_dense
 # verify_antimagic is not called here, since each labeler verifies its own
 # labeling; the name stays because bench/tracing.py wraps it in this module.
 from .graph import Graph, GraphError, Labeling, check_knobs, verify_antimagic  # noqa: F401
-from .io import GRAPH6_MAX_N, emit_graph6
+from .io import emit_graph6
 from .oracle import FOUND, PROVEN_NONE, heuristic_search
 from .partite import label_multipartite_on
 from .special import label_max_degree_n_minus_2, label_universal_vertex
@@ -43,14 +43,13 @@ class RunReport:
     vertex is antimagic by definition).
 
     ``graph_id`` names the graph.  A graph parsed from a graph6 line in the
-    form :func:`.io.emit_graph6` writes keeps that line as its id.  A graph
-    on more than ``GRAPH6_MAX_N`` vertices gets ``""``: graph6 cannot
-    encode it.  Any other graph is named by its graph6 line when that line
-    is no longer than a digest id, 71 characters (so n <= 29), and
-    otherwise by ``"sha256:"`` and the hex digest of n, then its end lists
-    ``lo`` and ``hi``, each number an 8-byte little-endian integer.  So
-    that id takes O(m) time and fixed space, where the graph6 line has
-    n(n-1)/12 characters.
+    form :func:`.io.emit_graph6` writes keeps that line as its id.  Any
+    other graph is named by its graph6 line when that line is no longer
+    than a digest id, 71 characters (so n <= 29), and otherwise by
+    ``"sha256:"`` and the hex digest of n, then its end lists ``lo`` and
+    ``hi``, each number an 8-byte little-endian integer.  So that id takes
+    O(m) time and fixed space, where the graph6 line has n(n-1)/12
+    characters.
     The one trade-off: a graph that arrives as a long graph6 line is named
     by that line, and the same graph arriving as an edge list by its
     digest.  ``resamples`` counts the dense route's coin resamples and is
@@ -112,8 +111,6 @@ def _graph_id(g: Graph) -> str:
     """``RunReport.graph_id`` of ``g``; the graph6 line comes from
     ``emit_graph6``, looked up in this module, so that a tracer can time it."""
     n = g.n
-    if n > GRAPH6_MAX_N:
-        return ""
     # a short-form line has 1 + ceil(n(n-1)/12) characters, and a long one
     # (n > 62) is longer than the digest id
     if g._graph6 is not None or 1 + (n * (n - 1) // 2 + 5) // 6 <= _DIGEST_ID_LEN:

@@ -16,7 +16,7 @@ import math
 from array import array
 from functools import lru_cache
 
-from .graph import Graph, GraphError
+from ..graph import Graph, GraphError
 
 MAX_ENUMERATION_N = 7
 _CHUNK = 7  # edge-mask bits per table lookup in the orbit walk

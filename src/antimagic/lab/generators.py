@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Sequence
 
-from .graph import Graph, GraphError
+from ..graph import Graph, GraphError
 
 
 def complete_partite_graph(sizes: Sequence[int]) -> Graph:

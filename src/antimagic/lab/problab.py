@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .graph import GraphError, check_knobs
+from ..graph import GraphError, check_knobs
 
 # The bound constants the source analysis leaves unspecified.  Calibrated so
 # that at (t, d) = (300, 30) well over 99% of random samples satisfy both

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from antimagic.corpus import graphs_upto_iso
+from antimagic.lab.corpus import graphs_upto_iso
 from antimagic.io import emit_graph6
 
 # Isomorphism classes of graphs on n vertices (OEIS A000088)

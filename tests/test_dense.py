@@ -16,7 +16,7 @@ from antimagic.dense import (
     phase3_pair_labels,
     phase5_assign,
 )
-from antimagic.generators import complete_graph, cycle_graph, random_min_degree_graph
+from antimagic.lab.generators import complete_graph, cycle_graph, random_min_degree_graph
 from antimagic.graph import Graph, GraphError, _trusted_labeling, verify_antimagic
 
 

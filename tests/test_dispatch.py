@@ -18,11 +18,11 @@ import antimagic.oracle
 import antimagic.partite
 import antimagic.special
 from antimagic import io
-from antimagic.corpus import connected_graphs_upto_iso, graphs_upto_iso
+from antimagic.lab.corpus import connected_graphs_upto_iso, graphs_upto_iso
 from antimagic.dispatch import (ANTIMAGIC, FAILED, METHODS, NOT_APPLICABLE, dispatch_label,
                                 recognize_complete_multipartite)
-from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
-                                  random_min_degree_graph)
+from antimagic.lab.generators import (complete_graph, complete_partite_graph, cycle_graph,
+                                      random_min_degree_graph)
 from antimagic.graph import Graph, GraphError, _trusted_labeling, verify_antimagic
 from antimagic.dense import label_dense
 from antimagic.oracle import NOT_FOUND, SearchResult, exhaustive_search, heuristic_search
@@ -45,15 +45,17 @@ def test_wall_time_covers_graph_id(monkeypatch):
 
 def test_cold_start_does_not_import_numpy():
     # numpy's import alone costs more than a whole cold start of the labeler,
-    # and hashlib's a few percent of one; only the digest id needs hashlib
+    # and hashlib's a few percent of one; only the digest id needs hashlib.
+    # No labeling module imports the lab; a lab module would bring
+    # antimagic.lab into sys.modules with it
     src = str(Path(antimagic.dispatch.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from antimagic import dispatch, io; "
             "assert dispatch.dispatch_label(io.parse_graph6('Bw')).certificate is not None; "
-            "print('numpy' in sys.modules, 'hashlib' in sys.modules)")
+            "print('numpy' in sys.modules, 'hashlib' in sys.modules, 'antimagic.lab' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 # the id of C40 from an edge list: sha256 of n, lo and hi as 8-byte
@@ -87,13 +89,15 @@ def test_long_form_graph6_line_stays_the_graph_id():
     assert dispatch_label(io.parse_graph6(line)).graph_id == line
 
 
-def test_graph_beyond_graph6_gets_empty_id():
-    # graph6's size field stops at 258047 vertices; labelling must not depend
-    # on the id.  The 258045 isolated vertices all keep sum 0.
+def test_graph_beyond_graph6_gets_a_digest_id():
+    # graph6's size field stops at 258047 vertices, so such a graph keeps no
+    # graph6 line and is named like any other long one: the sha256 of
+    # struct.pack("<5q", 258048, 0, 1, 1, 2).  The 258045 isolated vertices
+    # all keep sum 0.
     rep = dispatch_label(Graph(258048, [(0, 1), (1, 2)]))
     assert (rep.method, rep.outcome) == ("oracle", NOT_APPLICABLE)
     assert rep.note == HOPELESS_NOTE
-    assert rep.graph_id == ""
+    assert rep.graph_id == "sha256:1c2c81ef928b28e4a7be96c5afeac572c35aaf3eb41e9eaebc14dc5e43e401e8"
 
 
 def _wheel(spokes):
@@ -301,9 +305,9 @@ _TRUSTING = (antimagic.dense, antimagic.oracle, antimagic.partite, antimagic.spe
 def test_every_trusted_labeling_is_verified_once_in_its_module(monkeypatch):
     # A labeling built without Labeling's checks must go to the verifier next,
     # in the module that built it, and to no other verifier call.
-    for info in pkgutil.iter_modules(antimagic.__path__):
-        module = importlib.import_module(f"antimagic.{info.name}")
-        trusting = info.name != "graph" and hasattr(module, "_trusted_labeling")
+    for info in pkgutil.walk_packages(antimagic.__path__, "antimagic."):
+        module = importlib.import_module(info.name)
+        trusting = info.name != "antimagic.graph" and hasattr(module, "_trusted_labeling")
         assert trusting == (module in _TRUSTING), info.name
     events = []
     for module in _TRUSTING + (antimagic.dispatch,):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from antimagic import graph
-from antimagic.generators import complete_graph, random_min_degree_graph
+from antimagic.lab.generators import complete_graph, random_min_degree_graph
 from antimagic.graph import (
     CollisionState,
     Graph,

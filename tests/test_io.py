@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from antimagic import io
-from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
+from antimagic.lab.corpus import connected_graphs_upto_iso, high_max_degree_corpus
 from antimagic.dispatch import dispatch_label
 from antimagic.graph import Graph, GraphError, Labeling, _canonical_graph
-from antimagic.generators import (complete_graph, complete_partite_graph, cycle_graph,
-                                  random_min_degree_graph, star_graph)
+from antimagic.lab.generators import (complete_graph, complete_partite_graph, cycle_graph,
+                                      random_min_degree_graph, star_graph)
 from antimagic.io import (GRAPH6_MAX_N, ParseError, emit_certificate, emit_edgelist, emit_graph6,
                           parse_certificate, parse_edgelist, parse_graph6)
 

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from antimagic.corpus import connected_graphs_upto_iso
+from antimagic.lab.corpus import connected_graphs_upto_iso
 from antimagic import oracle
-from antimagic.generators import cycle_graph, random_min_degree_graph
+from antimagic.lab.generators import cycle_graph, random_min_degree_graph
 from antimagic.graph import Graph, Labeling, VerifyReport, verify_antimagic
 from antimagic.oracle import (
     BUDGET_EXCEEDED,

@@ -9,6 +9,18 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "antimagic"
+LAB = SRC / "lab"
+
+
+def src_modules():
+    """{dotted name: path} of every module in src, the lab's included, each
+    package under its own name, as ``pkgutil.walk_packages`` names them:
+    ``antimagic.dispatch``, ``antimagic.lab``, ``antimagic.lab.corpus``."""
+    modules = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return modules
 
 
 def scripts_table(text):
@@ -71,22 +83,22 @@ def test_no_module_needs_numpy():
     # with numpy blocked, every module still imports and the lab and the corpora still run
     code = ("import sys; sys.modules['numpy'] = None; sys.path.insert(0, sys.argv[1]); "
             "import importlib, pkgutil, antimagic; "
-            "names = [m.name for m in pkgutil.iter_modules(antimagic.__path__)]; "
-            "[importlib.import_module('antimagic.' + name) for name in names]; "
-            "from antimagic.corpus import graphs_upto_iso; "
-            "from antimagic.problab import run_character_bound_experiment; "
+            "names = [m.name for m in pkgutil.walk_packages(antimagic.__path__, 'antimagic.')]; "
+            "[importlib.import_module(name) for name in names]; "
+            "from antimagic.lab.corpus import graphs_upto_iso; "
+            "from antimagic.lab.problab import run_character_bound_experiment; "
             "assert len(graphs_upto_iso(5)) == 34; "
             "assert run_character_bound_experiment(100, 8, 2, seed=1).trials == 2; "
             "print(' '.join(names))")
     out = subprocess.run([sys.executable, "-c", code, str(SRC.parent)], capture_output=True, text=True,
                          check=True)
-    assert sorted(out.stdout.split()) == sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    assert sorted(out.stdout.split()) == sorted(set(src_modules()) - {"antimagic"})
 
 
-def _calls_and_imports(module):
-    """Names the module calls and dotted names it imports from."""
+def _calls_and_imports(path):
+    """Names the module at ``path`` calls and dotted names it imports from."""
     calls, imports = [], []
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Call):
             func = node.func
             calls.append(getattr(func, "id", None) or getattr(func, "attr", None))
@@ -100,8 +112,15 @@ def _calls_and_imports(module):
 @pytest.mark.parametrize("module", ["special", "partite", "decompose"])
 def test_constructions_import_nothing_from_the_oracle(module):
     # the theorem routes only construct; falling back to the search is dispatch's call
-    _, imports = _calls_and_imports(module)
+    _, imports = _calls_and_imports(SRC / f"{module}.py")
     assert not [name for name in imports if "oracle" in name.split(".")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=attrgetter("stem"))
+def test_labeling_modules_import_nothing_from_the_lab(path):
+    # the lab builds on the labeling path, never the other way round
+    _, imports = _calls_and_imports(path)
+    assert not [name for name in imports if "lab" in name.split(".")]
 
 
 # dispatch calls each route's test and labeler once, in one chain; a second
@@ -110,16 +129,17 @@ def test_constructions_import_nothing_from_the_oracle(module):
                                     "label_max_degree_n_minus_2", "label_dense",
                                     "heuristic_search"])
 def test_only_dispatch_calls_each_route(callee):
-    callers = [path.stem for path in sorted(SRC.glob("*.py"))
-               for name in _calls_and_imports(path.stem)[0] if name == callee]
-    assert callers == ["dispatch"]
+    callers = [module for module, path in src_modules().items()
+               for name in _calls_and_imports(path)[0] if name == callee]
+    assert callers == ["antimagic.dispatch"]
 
 
 def _unused_imports(directory):
     """(module, name) for each top-level import that no name in its module
-    refers to, over the modules in ``directory``."""
+    refers to, over the modules in ``directory`` and its subdirectories;
+    ``module`` is the path from ``directory``, without its suffix."""
     unused = set()
-    for path in sorted(directory.glob("*.py")):
+    for path in sorted(directory.rglob("*.py")):
         tree = ast.parse(path.read_text())
         imported = set()
         for node in tree.body:
@@ -129,7 +149,8 @@ def _unused_imports(directory):
                 imported |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
         # the base of an attribute such as math.log is a Name node too
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused |= {(path.stem, name) for name in imported - used}
+        unused |= {(path.relative_to(directory).with_suffix("").as_posix(), name)
+                   for name in imported - used}
     return unused
 
 
@@ -146,7 +167,7 @@ def test_no_module_reads_the_edge_pairs():
     # Graph.edges builds one (lo, hi) tuple per edge on every read, for
     # callers outside the package; inside it the ends are read from lo and
     # hi, so the per-edge tuples never come back on a labeling path
-    readers = sorted({path.stem for path in SRC.glob("*.py")
+    readers = sorted({path.stem for path in SRC.rglob("*.py")
                       for node in ast.walk(ast.parse(path.read_text()))
                       if isinstance(node, ast.Attribute) and node.attr == "edges"})
     assert readers == []
@@ -176,6 +197,14 @@ def test_code_line_counter(tmp_path):
     assert code_lines(path) == 5  # class, def f, def g, and the two returns
 
 
-def test_src_code_lines_are_pinned():
-    # a change that adds or drops code in src edits this number
-    assert sum(code_lines(path) for path in SRC.glob("*.py")) == 1723
+def test_labeling_path_code_lines_are_pinned():
+    # a change that adds or drops code on the labeling path, the top-level
+    # modules, edits this number
+    assert sum(code_lines(path) for path in SRC.glob("*.py")) == 1459
+
+
+def test_lab_code_lines_are_pinned():
+    # below the top level src holds only the lab; a change that adds or
+    # drops code there edits this number
+    assert set(SRC.rglob("*.py")) - set(SRC.glob("*.py")) == set(LAB.rglob("*.py"))
+    assert sum(code_lines(path) for path in LAB.rglob("*.py")) == 262

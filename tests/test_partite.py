@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from antimagic import partite
-from antimagic.generators import complete_partite_graph
+from antimagic.lab.generators import complete_partite_graph
 from antimagic.graph import GraphError, verify_antimagic, vertex_sums
 from antimagic.partite import antimagic_matrix, label_multipartite_on, snake_fill
 from antimagic.special import _label_small_side

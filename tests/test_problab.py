@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from antimagic import problab
 from antimagic.graph import GraphError
-from antimagic.problab import (
+from antimagic.lab import problab
+from antimagic.lab.problab import (
     PairSample,
     character_magnitudes,
     character_product,

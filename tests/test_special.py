@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 
 from antimagic import graph
-from antimagic.corpus import connected_graphs_upto_iso, high_max_degree_corpus
+from antimagic.lab.corpus import connected_graphs_upto_iso, high_max_degree_corpus
 from antimagic.dispatch import dispatch_label
-from antimagic.generators import complete_graph, cycle_graph, star_graph
+from antimagic.lab.generators import complete_graph, cycle_graph, star_graph
 from antimagic.graph import Graph, GraphError, Labeling, verify_antimagic, vertex_sums
 from antimagic.io import parse_graph6
 from antimagic.oracle import FOUND, exhaustive_search, heuristic_search
